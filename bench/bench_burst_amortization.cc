@@ -40,7 +40,7 @@
 #include <vector>
 
 #include "harness/experiment.h"
-#include "harness/fleet.h"
+#include "harness/runner.h"
 #include "harness/tables.h"
 
 using namespace l96;
@@ -156,9 +156,11 @@ int main(int argc, char** argv) {
     spec.cache_capacity = 8;
     fleet_specs.push_back(std::move(spec));
   }
-  harness::FleetRunner runner;
+  harness::FleetRunSpec fleet_run;
+  fleet_run.rows = fleet_specs;
+  fleet_run.costs = table;
   const std::vector<harness::FleetResult> fleet_rows =
-      runner.run(fleet_specs, table);
+      harness::run(fleet_run).fleet;
 
   harness::Table fleet_t("Measured ALL fleet, 128 packets, 8 connections, "
                          "uniform draw");

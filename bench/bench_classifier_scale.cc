@@ -16,7 +16,7 @@
 // carrying the per-rule-count measurements, both crossovers, the fuzz
 // verdict, and the fleet grid as an embedded `l96.fleet.v2` section.  A
 // pure function of the seeds: byte-identical across runs and across
-// FleetRunner worker counts (enforced below by running the grid at 1 and 2
+// runner worker counts (enforced below by running the grid at 1 and 2
 // workers and comparing the serialized sections).
 //
 // Exit status enforces:
@@ -50,8 +50,8 @@
 
 #include "code/classifier.h"
 #include "harness/classify.h"
-#include "harness/fleet.h"
 #include "harness/json.h"
+#include "harness/runner.h"
 #include "harness/tables.h"
 #include "protocols/rulegen.h"
 #include "sim/miss_profiler.h"
@@ -313,9 +313,13 @@ int main(int argc, char** argv) {
       specs.push_back(std::move(spec));
     }
   }
-  harness::FleetRunner one(1), two(2);
-  const std::vector<harness::FleetResult> rows = one.run(specs, costs);
-  const std::vector<harness::FleetResult> rows2 = two.run(specs, costs);
+  harness::FleetRunSpec grid;
+  grid.rows = specs;
+  grid.costs = costs;
+  grid.common.workers = 1;
+  const std::vector<harness::FleetResult> rows = harness::run(grid).fleet;
+  grid.common.workers = 2;
+  const std::vector<harness::FleetResult> rows2 = harness::run(grid).fleet;
   const harness::Json fleet = harness::fleet_json(costs, rows);
   if (fleet.dump() != harness::fleet_json(costs, rows2).dump()) {
     std::fprintf(stderr,

@@ -148,8 +148,7 @@ double soak_mean_us(double rate_each, std::uint64_t seed) {
     s.plan.rates[p].corrupt = rate_each * 2;
     s.plan.rates[p].duplicate = rate_each;
   }
-  harness::SoakRunner runner(s);
-  const harness::SoakReport r = runner.run();
+  const harness::SoakReport r = harness::run_soak(s);
   if (!r.ok()) {
     throw std::runtime_error("soak cross-check failed: " + r.summary());
   }

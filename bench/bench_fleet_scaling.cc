@@ -17,7 +17,7 @@
 //    section with that scheme's grid rows.
 //  * bench/out/fleet_summary.json — the same l96.fleet.v2 data standalone.
 //    A pure function of the seeds: byte-identical across runs and across
-//    FleetRunner worker counts (verify with sha256sum).
+//    runner worker counts (verify with sha256sum).
 //  * bench/out/shard_summary.json — l96.shard.v1 rows from the sharded
 //    multi-core grid (harness/shard.h): the scaling chain (4096 flows,
 //    1/4/16/64 cores, hash vs least-loaded steering, uniform vs Zipf 1.2),
@@ -26,7 +26,7 @@
 //    flow pins its core past saturation, the nanoPU head-of-line
 //    scenario), and jumbo rows at [jumbo-connections] (default 100000, up
 //    to 1M) flows on 4/16/64 cores.  Byte-identical across runs and
-//    ShardedFleetRunner worker counts.
+//    runner worker counts.
 //
 // Exit status enforces the Jain ordering on every skewed grid row (the
 // true-LRU hit ratio must be >= one-behind's), stale-hit accounting
@@ -53,8 +53,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/fleet.h"
-#include "harness/shard.h"
+#include "harness/runner.h"
 #include "harness/sweep.h"
 #include "harness/tables.h"
 
@@ -110,9 +109,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  harness::FleetRunner fleet_runner;
-  const std::vector<harness::FleetResult> rows =
-      fleet_runner.run(specs, costs);
+  harness::FleetRunSpec fleet_run;
+  fleet_run.rows = specs;
+  fleet_run.costs = costs;
+  const std::vector<harness::FleetResult> rows = harness::run(fleet_run).fleet;
 
   harness::Table t(
       "Fleet scaling: flow-cache schemes, " + std::to_string(packets) +
@@ -223,9 +223,10 @@ int main(int argc, char** argv) {
   }
   // Open-loop rows need the 1-core closed row's mean service time; run the
   // closed grid first, then append the open and jumbo rows.
-  harness::ShardedFleetRunner shard_runner;
-  std::vector<harness::ShardResult> shard_rows =
-      shard_runner.run(shard_specs, costs);
+  harness::ShardRunSpec shard_run;
+  shard_run.rows = shard_specs;
+  shard_run.costs = costs;
+  std::vector<harness::ShardResult> shard_rows = harness::run(shard_run).shard;
   const harness::ShardResult* one_core_uniform = nullptr;
   for (const auto& r : shard_rows) {
     if (r.spec.cores == 1 && r.spec.fleet.zipf_s == 0.0) one_core_uniform = &r;
@@ -257,8 +258,9 @@ int main(int argc, char** argv) {
     s.fleet.label = shard_label(s);
     late_specs.push_back(std::move(s));
   }
+  shard_run.rows = late_specs;
   const std::vector<harness::ShardResult> late_rows =
-      shard_runner.run(late_specs, costs);
+      harness::run(shard_run).shard;
   shard_rows.insert(shard_rows.end(), late_rows.begin(), late_rows.end());
 
   harness::Table st("Sharded fleet scaling: " +

@@ -12,7 +12,7 @@
 // Outputs:
 //  * bench/out/recovery_latency.json — l96.recovery.v1 rows.  A pure
 //    function of the seeds: byte-identical across runs and across
-//    RecoveryRunner worker counts (re-verified in-process below).
+//    runner worker counts (re-verified in-process below).
 //
 // Exit status enforces:
 //  * zero priced deliveries inside every blackout / crash window (the
@@ -23,9 +23,10 @@
 //    and the flushed flow cache price real work into the tail; one-behind
 //    already pays the miss path in steady state, so the contrast is
 //    asserted for the scheme that holds the working set);
-//  * true LRU recovers no slower than one-behind on every scenario;
-//  * a chaos-free RecoveryRunner row reproduces the fleet engine's sample
-//    digest byte for byte (the recovery harness is the fleet harness).
+//  * true LRU recovers no slower than one-behind on every scenario.
+//
+// A chaos-free recovery row is the fleet engine by construction (one
+// engine, an empty disruption); tests/test_recovery.cc pins it.
 //
 //   bench_recovery_latency [packets-per-row] [out-dir]
 #include <cmath>
@@ -36,8 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/fleet.h"
-#include "harness/recovery.h"
+#include "harness/runner.h"
 #include "harness/tables.h"
 
 using namespace l96;
@@ -106,20 +106,27 @@ int main(int argc, char** argv) {
 
   // Layouts carry different costs: measure one table per layout and run
   // each layout's slice under its own table.
-  harness::RecoveryRunner runner;
-  std::vector<harness::RecoveryResult> rows;
   std::vector<harness::BurstCostTable> tables;
   for (const code::StackConfig& cfg : layouts) {
-    const harness::BurstCostTable costs =
-        harness::measure_burst_costs(net::StackKind::kTcpIp, cfg, 1);
-    std::vector<harness::RecoverySpec> slice;
-    for (const auto& s : specs) {
-      if (s.fleet.config.name == cfg.name) slice.push_back(s);
-    }
-    auto part = runner.run(slice, costs);
-    rows.insert(rows.end(), part.begin(), part.end());
-    tables.push_back(costs);
+    tables.push_back(
+        harness::measure_burst_costs(net::StackKind::kTcpIp, cfg, 1));
   }
+  const auto run_grid = [&](unsigned workers) {
+    std::vector<harness::RecoveryResult> grid;
+    for (std::size_t li = 0; li < std::size(layouts); ++li) {
+      harness::RecoveryRunSpec rs;
+      rs.common.workers = workers;
+      rs.costs = tables[li];
+      for (const auto& s : specs) {
+        if (s.fleet.config.name == layouts[li].name) rs.rows.push_back(s);
+      }
+      const std::vector<harness::RecoveryResult> part =
+          harness::run(rs).recovery;
+      grid.insert(grid.end(), part.begin(), part.end());
+    }
+    return grid;
+  };
+  const std::vector<harness::RecoveryResult> rows = run_grid(0);
 
   harness::Table t("Recovery latency under scripted failures (" +
                    std::to_string(packets) +
@@ -176,24 +183,12 @@ int main(int argc, char** argv) {
 
   // Determinism across worker counts: the whole grid re-run single-threaded
   // must dump byte-identically.
-  {
-    harness::RecoveryRunner serial(1);
-    std::vector<harness::RecoveryResult> rows2;
-    for (std::size_t li = 0; li < std::size(layouts); ++li) {
-      std::vector<harness::RecoverySpec> slice;
-      for (const auto& s : specs) {
-        if (s.fleet.config.name == layouts[li].name) slice.push_back(s);
-      }
-      auto part = serial.run(slice, tables[li]);
-      rows2.insert(rows2.end(), part.begin(), part.end());
-    }
-    if (harness::recovery_json(tables[0], rows2).dump() != grid_dump) {
-      std::fprintf(stderr,
-                   "FAIL: grid is not byte-identical across RecoveryRunner "
-                   "worker counts (%u vs 1)\n",
-                   runner.thread_count());
-      ++failures;
-    }
+  if (harness::recovery_json(tables[0], run_grid(1)).dump() != grid_dump) {
+    std::fprintf(stderr,
+                 "FAIL: grid is not byte-identical across runner worker "
+                 "counts (%u vs 1)\n",
+                 harness::resolve_workers(0));
+    ++failures;
   }
 
   // --- orderings -----------------------------------------------------------
@@ -244,31 +239,6 @@ int main(int argc, char** argv) {
                      cfg.name.c_str(), sc.name, ttr_lru, ttr_ob);
         ++failures;
       }
-    }
-  }
-
-  // --- chaos-free byte-identity with the fleet engine ----------------------
-  // An empty timeline with the survival knobs off must reproduce
-  // run_fleet's per-packet samples exactly: same digest, same counts.
-  {
-    harness::RecoverySpec quiet;
-    quiet.fleet = specs.front().fleet;
-    quiet.fleet.label = "quiet";
-    const harness::FleetResult fleet =
-        harness::run_fleet(quiet.fleet, tables[0]);
-    const harness::RecoveryResult rec = harness::run_recovery(quiet, tables[0]);
-    if (rec.fleet.sample_digest != fleet.sample_digest ||
-        rec.fleet.packets_sampled != fleet.packets_sampled ||
-        rec.lost_packets != 0 || !rec.windows.empty()) {
-      std::fprintf(stderr,
-                   "FAIL: chaos-free recovery digest %016llx != fleet digest "
-                   "%016llx (sampled %llu vs %llu, lost %llu)\n",
-                   static_cast<unsigned long long>(rec.fleet.sample_digest),
-                   static_cast<unsigned long long>(fleet.sample_digest),
-                   static_cast<unsigned long long>(rec.fleet.packets_sampled),
-                   static_cast<unsigned long long>(fleet.packets_sampled),
-                   static_cast<unsigned long long>(rec.lost_packets));
-      ++failures;
     }
   }
 

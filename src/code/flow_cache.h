@@ -123,6 +123,18 @@ struct FlowCacheStats {
   std::uint64_t unmatched_scans = 0;
   double cost_us = 0;            ///< total modeled classification cost
 
+  /// Add `o`'s counters into these (per-core stats into a fleet total).
+  void merge(const FlowCacheStats& o) noexcept {
+    lookups += o.lookups;
+    hits += o.hits;
+    misses += o.misses;
+    stale_hits += o.stale_hits;
+    unkeyed += o.unkeyed;
+    rules_examined += o.rules_examined;
+    unmatched_scans += o.unmatched_scans;
+    cost_us += o.cost_us;
+  }
+
   double hit_ratio() const noexcept {
     return lookups != 0 ? static_cast<double>(hits) / lookups : 0.0;
   }

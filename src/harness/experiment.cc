@@ -257,39 +257,6 @@ StreamMeasurement measure_stream(const StreamSpec& spec) {
   return m;
 }
 
-SideMeasurement measure_side(net::StackKind kind, const code::StackConfig& cfg,
-                             const code::CodeRegistry& reg,
-                             const code::PathTrace& trace, std::size_t split,
-                             std::uint64_t seed_offset,
-                             const MachineParams& params) {
-  MeasureSpec spec;
-  spec.kind = kind;
-  spec.cfg = cfg;
-  spec.registry = &reg;
-  spec.trace = &trace;
-  spec.split = split;
-  spec.seed_offset = seed_offset;
-  spec.params = params;
-  return measure_side(spec);
-}
-
-SideMeasurement measure_side_with_profile(
-    net::StackKind kind, const code::StackConfig& cfg,
-    const code::CodeRegistry& reg, const code::PathTrace& profile,
-    const code::PathTrace& trace, std::size_t split,
-    std::uint64_t seed_offset, const MachineParams& params) {
-  MeasureSpec spec;
-  spec.kind = kind;
-  spec.cfg = cfg;
-  spec.registry = &reg;
-  spec.profile = &profile;
-  spec.trace = &trace;
-  spec.split = split;
-  spec.seed_offset = seed_offset;
-  spec.params = params;
-  return measure_side(spec);
-}
-
 ConfigResult combine_sides(SideMeasurement client, SideMeasurement server,
                            double controller_us, bool client_inlined,
                            bool server_inlined, const MachineParams& params) {

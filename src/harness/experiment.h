@@ -184,22 +184,6 @@ struct StreamMeasurement {
 /// stream.
 StreamMeasurement measure_stream(const StreamSpec& spec);
 
-/// Deprecated positional wrapper around measure_side(MeasureSpec); produces
-/// byte-identical numbers (tested).  Prefer the struct form.
-SideMeasurement measure_side(net::StackKind kind, const code::StackConfig& cfg,
-                             const code::CodeRegistry& reg,
-                             const code::PathTrace& trace, std::size_t split,
-                             std::uint64_t seed_offset,
-                             const MachineParams& params);
-
-/// Deprecated positional wrapper for the off-profile case (MeasureSpec with
-/// `profile` pointing at the mainline capture).  Prefer the struct form.
-SideMeasurement measure_side_with_profile(
-    net::StackKind kind, const code::StackConfig& cfg,
-    const code::CodeRegistry& reg, const code::PathTrace& profile,
-    const code::PathTrace& trace, std::size_t split,
-    std::uint64_t seed_offset, const MachineParams& params);
-
 /// Combine two side measurements into the end-to-end numbers (Tables 4/5).
 ConfigResult combine_sides(SideMeasurement client, SideMeasurement server,
                            double controller_us, bool client_inlined,

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
-#include <cstring>
+#include <numeric>
 #include <stdexcept>
 
 #include "harness/fleet_internal.h"
-#include "harness/runner.h"
 #include "protocols/lance.h"
-#include "protocols/tcp.h"
 
 namespace l96::harness {
 
@@ -110,9 +107,8 @@ BurstCostTable measure_burst_costs(net::StackKind kind,
     StreamSpec slow_stream;
     slow_stream.base = sspec;
     // The slow trace is the stream's base activation so warm-up replays it
-    // (exactly what the single-activation steady replay did — slow_us[0]
-    // is byte-identical to the pre-burst FleetCosts.slow_us); the image
-    // profile stays the fast capture.
+    // (exactly what the single-activation steady replay does — slow_us[0]
+    // is that replay's cost); the image profile stays the fast capture.
     slow_stream.base.trace = &slow_trace;
     slow_stream.base.profile = &e.server_trace();
     slow_stream.base.split = sspec.split + 1;  // one marker prepended
@@ -122,17 +118,6 @@ BurstCostTable measure_burst_costs(net::StackKind kind,
     table.slow_us.push_back(slow.steady_us());
   }
   return table;
-}
-
-FleetCosts measure_fleet_costs(net::StackKind kind,
-                               const code::StackConfig& cfg,
-                               const MachineParams& params) {
-  const BurstCostTable t = measure_burst_costs(kind, cfg, 1, params);
-  FleetCosts costs;
-  costs.controller_us = t.controller_us;
-  costs.fast_us = t.fast_us.front();
-  costs.slow_us = t.slow_us.front();
-  return costs;
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double s, std::uint64_t seed)
@@ -186,9 +171,8 @@ LatencyPercentiles percentiles(std::vector<double> s) {
 }
 
 std::vector<ScheduledBurst> build_schedule(const FleetSpec& spec) {
-  // Byte-identical to the decision sequence the pre-shard engine made
-  // inline: one Zipf draw per burst, the last burst truncated, and the
-  // flat engine's churn condition evaluated against the global sent count.
+  // One Zipf draw per burst, the last burst truncated, and the churn
+  // condition evaluated against the global sent count.
   std::vector<ScheduledBurst> schedule;
   ZipfSampler zipf(spec.connections, spec.zipf_s, spec.seed);
   std::uint64_t sent = 0;
@@ -212,48 +196,143 @@ std::size_t conn_bucket_count(std::size_t flows) {
   return buckets;
 }
 
+DirectTopology::DirectTopology(const FleetSpec& spec,
+                               const BurstCostTable& costs, std::size_t flows)
+    : world_(spec.kind, spec.config, spec.config,
+             net::WorldOptions{.tcp_conn_buckets = conn_bucket_count(flows)}),
+      costs_(costs) {
+  net::Host& server = world_.server();
+  server.enable_flow_cache(spec.scheme, spec.cache_capacity,
+                           spec.cache_costs);
+  if (spec.rules > 0) {
+    server.install_scaled_classifier(spec.rules, spec.rule_seed);
+  }
+  servers_.push_back(&server);
+}
+
+void DirectTopology::serve(proto::TcpUpper& sink) {
+  world_.server().tcp()->listen(kFleetServerPort, &sink);
+  // A rebooted server must serve again: the fresh stack re-listens (the
+  // deliver hook and flow cache live on the Host and survive the crash).
+  world_.server().set_reboot_hook([this, &sink] {
+    world_.server().tcp()->listen(kFleetServerPort, &sink);
+  });
+}
+
+double DirectTopology::price(const code::FlowLookupResult& lr, bool slow,
+                             std::size_t pos) const {
+  return costs_.controller_us + lr.cost_us +
+         (slow ? costs_.slow_at(pos) : costs_.fast_at(pos));
+}
+
+std::uint64_t samples_between(const CoreRunResult& core, std::uint64_t begin,
+                              std::uint64_t end) {
+  return static_cast<std::uint64_t>(
+      std::count_if(core.sample_times.begin(), core.sample_times.end(),
+                    [&](std::uint64_t t) { return t >= begin && t < end; }));
+}
+
+PhaseSplit split_phases(const CoreRunResult& core,
+                        const std::vector<Interval>& phases) {
+  std::vector<double> outside;
+  std::vector<double> inside;
+  for (std::size_t i = 0; i < core.samples.size(); ++i) {
+    const std::uint64_t t = core.sample_times[i];
+    const bool in = std::any_of(
+        phases.begin(), phases.end(),
+        [t](const Interval& p) { return t >= p.begin && t <= p.end; });
+    (in ? inside : outside).push_back(core.samples[i].us);
+  }
+  PhaseSplit split;
+  split.outside_samples = outside.size();
+  split.inside_samples = inside.size();
+  split.outside = percentiles(std::move(outside));
+  split.inside = percentiles(std::move(inside));
+  return split;
+}
+
+Json percentiles_json(const LatencyPercentiles& p) {
+  return Json::object()
+      .set("p50", p.p50)
+      .set("p90", p.p90)
+      .set("p99", p.p99)
+      .set("p999", p.p999)
+      .set("mean", p.mean)
+      .set("max", p.max);
+}
+
+Json cache_json(const code::FlowCacheStats& c) {
+  return Json::object()
+      .set("lookups", c.lookups)
+      .set("hits", c.hits)
+      .set("misses", c.misses)
+      .set("stale_hits", c.stale_hits)
+      .set("unkeyed", c.unkeyed)
+      .set("unmatched_scans", c.unmatched_scans)
+      .set("rules_examined", c.rules_examined)
+      .set("hit_ratio", c.hit_ratio())
+      .set("stale_ratio", c.stale_ratio())
+      .set("cost_us", c.cost_us);
+}
+
+Json costs_json(const BurstCostTable& costs) {
+  Json fast = Json::array();
+  for (double v : costs.fast_us) fast.push_back(v);
+  Json slow = Json::array();
+  for (double v : costs.slow_us) slow.push_back(v);
+  return Json::object()
+      .set("controller_us", costs.controller_us)
+      .set("fast_us", std::move(fast))
+      .set("slow_us", std::move(slow))
+      .set("config", costs.config_name)
+      .set("params_key", costs.params_key);
+}
+
 }  // namespace fleet_detail
 
 namespace {
 
 using fleet_detail::CoreRunResult;
+using fleet_detail::DirectTopology;
+using fleet_detail::Disruption;
 using fleet_detail::kFleetClientPortBase;
 using fleet_detail::kFleetRpcProcBase;
 using fleet_detail::kFleetServerPort;
 using fleet_detail::kMaxFlowsPerWorld;
 using fleet_detail::ScheduledBurst;
 using fleet_detail::TaggedSample;
+using fleet_detail::Topology;
 
 /// Connections are opened in waves this big: a wave's handshakes complete
 /// before the next wave's SYNs are offered, so a large fleet never queues
-/// thousands of SYNs behind the 10 Mb/s wire into an RTO storm.  Fleets at
-/// or under the wave size establish exactly like the pre-shard engine
-/// (connect everything, then wait), which keeps small-fleet runs — and
-/// recovery.cc's mirror of them — byte-identical.
+/// thousands of SYNs behind the 10 Mb/s wire into an RTO storm.  A fleet
+/// at or under the wave size connects everything, then waits.
 constexpr std::size_t kEstablishWave = 256;
 
-/// Server-side sink: counts delivered messages (no echo — the schedule is
-/// client-driven; the server's TCP still ACKs).
+/// Server-side sink: counts completed deliveries (no echo — the schedule
+/// is client-driven; the server's TCP still ACKs), timestamping them when
+/// the report needs the times.
 class FleetSink final : public proto::TcpUpper {
  public:
-  void tcp_receive(proto::TcpConn&, xk::Message& m) override {
+  FleetSink(xk::EventManager& events, std::vector<std::uint64_t>* times)
+      : events_(events), times_(times) {}
+  void tcp_receive(proto::TcpConn&, xk::Message&) override {
     ++messages;
-    bytes += m.length();
+    if (times_ != nullptr) times_->push_back(events_.now());
   }
   std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
+
+ private:
+  xk::EventManager& events_;
+  std::vector<std::uint64_t>* times_;
 };
 
 class FleetSource final : public proto::TcpUpper {
  public:
   void tcp_established(proto::TcpConn&) override { ++established; }
   void tcp_receive(proto::TcpConn&, xk::Message&) override {}
-  /// Running count of client-side establishments — lets a fleet of any
-  /// size wait for its handshakes with an O(1) predicate (the pre-shard
-  /// engine scanned every connection's state on every event, which turned
-  /// establishment quadratic).  The count crosses each threshold at
-  /// exactly the event the state scan would have, so the world's timeline
-  /// is unchanged.
+  /// Running count of client-side establishments, so a fleet of any size
+  /// waits for its handshakes with an O(1) predicate.
   std::uint64_t established = 0;
 };
 
@@ -273,247 +352,378 @@ std::uint64_t fnv1a_samples(const std::vector<double>& samples) {
   return h;
 }
 
-/// Burst pricing state shared between the schedule loop and the deliver
-/// hook.  The loop marks the span of each scheduled burst; the hook prices
-/// every delivery at the current burst position.  Outside a burst (churn
-/// handshakes) frames are priced as independent first-in-burst activations
-/// and the position does not advance — so batch == 1 reproduces the
-/// pre-burst pricing byte for byte.
-struct BurstPricer {
-  const BurstCostTable* costs = nullptr;
-  bool in_burst = false;
-  std::size_t pos = 0;
+/// The per-frame half of the engine, shared by the TCP and RPC loops: it
+/// prices every inbound frame at its burst position, tags it with its
+/// global (burst, phase) merge key, and attributes it to scheduled or
+/// handshake traffic.
+///
+/// Positions: a burst's frames are priced at their position in it; a
+/// slow-path frame resets the position (the standalone slow path just
+/// swept the primary caches, so the next packet re-warms from scratch),
+/// and frames outside a burst price as independent first-in-burst
+/// activations without advancing it — so batch == 1 prices every packet
+/// at position 0.
+///
+/// Attribution is resolved one frame late: a frame counts as scheduled
+/// only if it was priced inside a burst AND a delivery completed before
+/// the next frame (or the next settle()).  Keepalive probes, stray ACKs
+/// and RSTs that land mid-burst under a failure script price like any
+/// other activation but stay handshake traffic, so packet conservation
+/// (packets == scheduled + dropped + lost) survives the script.  Without
+/// one, every in-burst frame is a scheduled data packet.
+class FrameLedger {
+ public:
+  FrameLedger(Topology& topo, CoreRunResult& out,
+              const std::uint64_t& delivered, bool timed)
+      : topo_(topo), out_(out), delivered_(delivered), timed_(timed) {
+    topo.set_frame_hook([this](const code::FlowLookupResult& lr, bool slow) {
+      on_frame(lr, slow);
+    });
+  }
+  FrameLedger(const FrameLedger&) = delete;
+  FrameLedger& operator=(const FrameLedger&) = delete;
 
+  /// The global burst later frames are tagged with.
+  void at_burst(std::uint64_t burst) { burst_ = burst; }
   void begin_burst() {
-    in_burst = true;
-    pos = 0;
+    in_burst_ = true;
+    pos_ = 0;
   }
-  void end_burst() { in_burst = false; }
+  void end_burst() { in_burst_ = false; }
 
-  /// Price one delivery and advance the position.
-  double price(const code::FlowLookupResult& lr, bool slow) {
-    const std::size_t at = in_burst ? pos : 0;
-    double us = costs->controller_us + lr.cost_us;
-    if (slow) {
-      us += costs->slow_at(at);
-      // The standalone slow-path code just swept through the primary
-      // caches; the next packet of the burst re-warms from scratch.
-      pos = 0;
+  /// Attribute the pending frame, if any.
+  void settle() {
+    if (!pending_) return;
+    pending_ = false;
+    if (pending_in_burst_ && delivered_ > attributed_) {
+      ++out_.result.scheduled_sampled;
     } else {
-      us += costs->fast_at(at);
-      if (in_burst) ++pos;
+      ++out_.result.handshake_sampled;
     }
-    return us;
+    attributed_ = delivered_;
   }
+
+ private:
+  void on_frame(const code::FlowLookupResult& lr, bool slow) {
+    settle();
+    const double us = topo_.price(lr, slow, in_burst_ ? pos_ : 0);
+    if (slow) {
+      pos_ = 0;
+      ++out_.result.slow_packets;
+    } else if (in_burst_) {
+      ++pos_;
+    }
+    out_.samples.push_back({burst_, in_burst_ ? 0u : 1u, us});
+    if (timed_) out_.sample_times.push_back(topo_.events().now());
+    pending_ = true;
+    pending_in_burst_ = in_burst_;
+  }
+
+  Topology& topo_;
+  CoreRunResult& out_;
+  const std::uint64_t& delivered_;
+  const bool timed_;
+  std::uint64_t burst_ = 0;
+  bool in_burst_ = false;
+  std::size_t pos_ = 0;
+  bool pending_ = false;
+  bool pending_in_burst_ = false;
+  std::uint64_t attributed_ = 0;
 };
+
+void finish_core(CoreRunResult& out, Topology& topo) {
+  FleetResult& r = out.result;
+  r.packets_sampled = out.samples.size();
+  r.cache = topo.stats();
+  std::vector<double> flat;
+  flat.reserve(out.samples.size());
+  for (const TaggedSample& s : out.samples) flat.push_back(s.us);
+  r.latency = fleet_detail::percentiles(flat);
+  r.sim_us = static_cast<double>(topo.events().now());
+  r.sample_digest = fnv1a_samples(flat);
+}
 
 /// The flows `core_id` owns, in ascending global order (the establishment
 /// order, and the order local ports are assigned in).
-std::vector<std::size_t> owned_flows(const FleetSpec& spec,
-                                     const std::vector<std::uint32_t>& flow_core,
-                                     std::uint32_t core_id) {
+std::vector<std::size_t> owned_flows(
+    const std::vector<std::uint32_t>& flow_core, std::uint32_t core_id) {
   std::vector<std::size_t> owned;
-  for (std::size_t i = 0; i < spec.connections; ++i) {
+  for (std::size_t i = 0; i < flow_core.size(); ++i) {
     if (flow_core[i] == core_id) owned.push_back(i);
   }
   return owned;
 }
 
-void finish_core(CoreRunResult& out, net::World& world) {
-  FleetResult& r = out.result;
-  r.packets_sampled = out.samples.size();
-  r.cache = world.server().flow_cache()->stats();
-  std::vector<double> flat;
-  flat.reserve(out.samples.size());
-  for (const TaggedSample& s : out.samples) flat.push_back(s.us);
-  r.latency = fleet_detail::percentiles(flat);
-  r.sim_us = static_cast<double>(world.events().now());
-  r.sample_digest = fnv1a_samples(flat);
+std::size_t local_index(const std::vector<std::size_t>& owned,
+                        std::size_t flow) {
+  return static_cast<std::size_t>(
+      std::lower_bound(owned.begin(), owned.end(), flow) - owned.begin());
 }
 
-CoreRunResult run_fleet_core_tcp(const FleetSpec& spec,
-                                 const BurstCostTable& costs,
-                                 const std::vector<ScheduledBurst>& schedule,
-                                 const std::vector<std::uint32_t>& flow_core,
-                                 std::uint32_t core_id, bool local_ports) {
-  const std::vector<std::size_t> owned = owned_flows(spec, flow_core, core_id);
+bool alive(const proto::TcpConn* c) {
+  return c != nullptr && c->state() == proto::TcpState::kEstablished;
+}
+
+/// The closed-loop TCP engine: the flows in `owned` execute their bursts
+/// of the global schedule through `topo`, optionally under `disruption`.
+CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
+                           const std::vector<ScheduledBurst>& schedule,
+                           const std::vector<std::uint32_t>& flow_core,
+                           const std::vector<std::size_t>& owned,
+                           std::uint32_t core_id, bool local_ports,
+                           const Disruption* disruption) {
   CoreRunResult out;
   FleetResult& r = out.result;
   r.spec = spec;
-  r.sample_digest = fnv1a_samples({});
-  if (owned.empty()) return out;
-  if (owned.size() > kMaxFlowsPerWorld) {
-    throw std::invalid_argument(
-        "run_fleet_core: " + std::to_string(owned.size()) +
-        " flows on one core exceed the per-world client port space (" +
-        std::to_string(kMaxFlowsPerWorld) + ") — use more cores");
-  }
-
-  // With global ports, flow i keeps the wire identity the flat engine gave
-  // it (client port base + i) — so a 1-core shard run is the flat run.
-  // With local ports, the core re-uses its own port space (base + local
-  // index) and global identity lives in the steering key instead.
+  const bool timed = disruption != nullptr;
   const auto port_of = [&](std::size_t local) {
     const std::size_t id = local_ports ? local : owned[local];
     return static_cast<std::uint16_t>(kFleetClientPortBase + id);
   };
 
-  net::WorldOptions options;
-  options.tcp_conn_buckets = fleet_detail::conn_bucket_count(owned.size());
-  net::World world(net::StackKind::kTcpIp, spec.config, spec.config, options);
-  world.server().enable_flow_cache(spec.scheme, spec.cache_capacity,
-                                   spec.cache_costs);
-  if (spec.rules > 0) {
-    world.server().install_scaled_classifier(spec.rules, spec.rule_seed);
+  net::Host& client = topo.client();
+  if (timed) {
+    // Survival knobs are touched only when set, so a knob-free row
+    // evolves exactly like the plain fleet.
+    std::vector<net::Host*> hosts = topo.servers();
+    hosts.insert(hosts.begin(), &client);
+    for (net::Host* h : hosts) {
+      if (disruption->keepalive_idle_us != 0) {
+        h->set_tcp_keepalive(disruption->keepalive_idle_us,
+                             disruption->keepalive_intvl_us,
+                             disruption->keepalive_probes);
+      }
+      if (disruption->max_syn_rexmts != 0) {
+        h->set_tcp_max_syn_rexmts(disruption->max_syn_rexmts);
+      }
+    }
   }
 
-  FleetSink sink;
+  FleetSink sink(topo.events(), timed ? &out.delivery_times : nullptr);
   FleetSource source;
-  world.server().tcp()->listen(kFleetServerPort, &sink);
+  topo.serve(sink);
+  const auto connect = [&](std::size_t local) {
+    return client.tcp()->connect(topo.server_ip(), port_of(local),
+                                 kFleetServerPort, &source);
+  };
+  // Let the world go quiet: a handshake's trailing ACK is still in flight
+  // when the client sees the connection established.
+  const auto drain = [&] { topo.run_until([] { return false; }, 500'000); };
 
   std::vector<proto::TcpConn*> conns(owned.size(), nullptr);
   for (std::size_t wave = 0; wave < owned.size(); wave += kEstablishWave) {
     const std::size_t wave_end =
         std::min(owned.size(), wave + kEstablishWave);
-    for (std::size_t j = wave; j < wave_end; ++j) {
-      conns[j] = world.client().tcp()->connect(world.server().address().ip,
-                                               port_of(j), kFleetServerPort,
-                                               &source);
-    }
-    if (!world.run_until([&] { return source.established >= wave_end; },
-                         60'000'000)) {
+    for (std::size_t j = wave; j < wave_end; ++j) conns[j] = connect(j);
+    if (!topo.run_until([&] { return source.established >= wave_end; },
+                        60'000'000)) {
       fleet_fail(spec, "connection fleet did not establish", 0);
     }
   }
-  // The last connection is established the instant the client processes
-  // its SYN-ACK — its handshake ACK is still in flight.  Let the world go
-  // quiet so those deliveries don't leak into the measured schedule.
-  world.run_until([] { return false; }, 500'000);
-
+  drain();
   // Handshake traffic warmed the cache; measure the schedule only.
-  world.server().flow_cache()->reset_stats();
+  topo.reset_stats();
+
+  // Schedule zero: the failure script is anchored here.  A script only
+  // teaches anything if it overlaps live traffic, so the schedule is paced
+  // across 1.25x the script's span: every window meets traffic and the
+  // final fifth of the packets land after the last one, giving each
+  // window a first post-fault delivery to measure.
+  out.base_us = topo.events().now();
+  std::uint64_t pace_span_us = 0;
+  std::uint64_t horizon = out.base_us;
+  if (timed) {
+    if (!disruption->chaos.empty()) {
+      topo.install(disruption->chaos, out.base_us);
+    }
+    for (const net::ChaosWindow& w : disruption->chaos.windows()) {
+      pace_span_us = std::max(pace_span_us, w.end_us);
+    }
+    horizon = out.base_us + pace_span_us + topo.settle_us();
+    pace_span_us += pace_span_us / 4;
+  }
+
   out.samples.reserve(spec.packets / (core_id + 1) + 16);
-  BurstPricer pricer;
-  pricer.costs = &costs;
-  std::uint64_t current_burst = 0;
-  world.server().set_deliver_hook(
-      [&](const code::FlowLookupResult& lr, bool slow) {
-        const double us = pricer.price(lr, slow);
-        out.samples.push_back({current_burst, pricer.in_burst ? 0u : 1u, us});
-        if (pricer.in_burst) {
-          ++r.scheduled_sampled;
-        } else {
-          ++r.handshake_sampled;
+  FrameLedger ledger(topo, out, sink.messages, timed);
+
+  const auto retire = [&](proto::TcpConn* c) {
+    out.client_retransmits += c->retransmits();
+    out.client_syn_retransmits += c->syn_retransmits();
+    client.tcp()->destroy(c);
+  };
+  // Tear down the server side of a client port's 4-tuple wherever a live
+  // server still holds it, so the reconnect's SYN reaches a listener.
+  // Unbinding the server side fires the demux hook and marks the flow's
+  // cache entry stale.
+  const auto drop_remnant = [&](std::uint16_t port) {
+    for (net::Host* h : topo.servers()) {
+      if (h->crashed()) continue;
+      for (proto::TcpConn* c : h->tcp()->connections()) {
+        if (c->remote_port() == port && c->local_port() == kFleetServerPort) {
+          h->tcp()->destroy(c);
+          break;
         }
-        if (slow) ++r.slow_packets;
-      });
+      }
+    }
+  };
+  // Re-establish the dead conns[k] (RST from a new incarnation or a
+  // remapped backend, keepalive reap, or SYN-retry exhaustion on an
+  // earlier attempt).  The repair is recovery work, however late the
+  // schedule discovers the damage.
+  const auto repair = [&](std::size_t k, std::uint64_t sent) {
+    const std::uint64_t begin = topo.events().now();
+    for (std::size_t attempt = 1; !alive(conns[k]); ++attempt) {
+      if (attempt > 64) {
+        fleet_fail(spec, "connection could not be re-established", sent);
+      }
+      if (conns[k] != nullptr) {
+        retire(conns[k]);
+        conns[k] = nullptr;
+      }
+      drop_remnant(port_of(k));
+      proto::TcpConn* fresh = conns[k] = connect(k);
+      ++out.reconnects;
+      if (!topo.run_until(
+              [fresh] {
+                return fresh->state() == proto::TcpState::kEstablished ||
+                       fresh->state() == proto::TcpState::kClosed;
+              },
+              60'000'000)) {
+        fleet_fail(spec, "reconnect neither completed nor failed", sent);
+      }
+    }
+    drain();
+    out.repairs.push_back({begin, topo.events().now()});
+  };
 
   std::array<std::uint8_t, 32> payload{};
   payload.fill(0x5A);
   const bool churn_here = flow_core[0] == core_id;
-  std::uint64_t sent = 0;  // this core's scheduled sends
+  std::uint64_t scheduled = 0;  // global schedule's sends before this burst
+  std::uint64_t sent = 0;       // this world's sends
   for (std::size_t b = 0; b < schedule.size(); ++b) {
     const ScheduledBurst& sb = schedule[b];
-    current_burst = b;
+    ledger.at_burst(b);
+    if (pace_span_us != 0) {
+      // advance_to, not run_until: the send must happen at the due tick
+      // exactly.  run_until only observes time when an event fires, and in
+      // an otherwise idle world the next event can be the far edge of a
+      // window — overshooting it would skip the disruption entirely.
+      const std::uint64_t due =
+          out.base_us + (scheduled * pace_span_us) / spec.packets;
+      if (topo.events().now() < due) topo.events().advance_to(due);
+    }
+    scheduled += sb.len;
+
     if (flow_core[sb.flow] == core_id) {
-      // This burst is ours, whole: per-flow coalescing never crosses a
-      // shard boundary because a flow lives on exactly one core.
-      const std::size_t k = static_cast<std::size_t>(
-          std::lower_bound(owned.begin(), owned.end(), sb.flow) -
-          owned.begin());
+      // A flow lives on exactly one core, so its burst is ours whole.
+      const std::size_t k = local_index(owned, sb.flow);
       ++r.bursts;
-      pricer.begin_burst();
+      ledger.begin_burst();
       for (std::uint64_t j = 0; j < sb.len; ++j) {
-        conns[k]->send(payload);
+        if (!alive(conns[k])) {
+          // The connection died under the burst: repair it outside the
+          // burst so the reconnect storm prices as handshake traffic.
+          ledger.end_burst();
+          repair(k, sent);
+          ledger.begin_burst();
+        }
+        const std::uint64_t attempt_us = topo.events().now();
+        proto::TcpConn* sender = conns[k];
+        sender->send(payload);
         ++sent;
-        if (!world.run_until([&] { return sink.messages >= sent; },
-                             60'000'000)) {
+        const std::uint64_t goal = sent - out.lost_packets;
+        if (!topo.run_until(
+                [&sink, sender, goal] {
+                  return sink.messages >= goal ||
+                         sender->state() == proto::TcpState::kClosed;
+                },
+                60'000'000)) {
           fleet_fail(spec, "scheduled packet was not delivered", sent - 1);
         }
-      }
-      pricer.end_burst();
-
-      // Conservation: every scheduled packet of the burst was priced while
-      // the burst was open (delivery is awaited above); anything short of
-      // that was torn down in flight and must be accounted, not ignored.
-      const std::uint64_t priced_now =
-          r.scheduled_sampled + r.dropped_in_churn;
-      if (priced_now < sent) r.dropped_in_churn += sent - priced_now;
-    }
-
-    if (sb.churn_after && churn_here) {
-      // Close and reopen the hottest flow.  Quiesce it first so no data is
-      // in flight, tear down both endpoints (the server-side unbind fires
-      // the demux hook and marks the flow's cache entry stale), then
-      // reconnect on the same 4-tuple: the reopened flow's first inbound
-      // frame is a stale hit and replays through the slow path.  Global
-      // flow 0 is this core's local index 0 (ownership lists ascend).
-      if (!world.run_until([&] { return conns[0]->bytes_unacked() == 0; },
-                           60'000'000)) {
-        fleet_fail(spec, "churn victim did not quiesce", sent - 1);
-      }
-      for (auto* c : world.server().tcp()->connections()) {
-        if (c->remote_port() == port_of(0) &&
-            c->local_port() == kFleetServerPort) {
-          world.server().tcp()->destroy(c);
-          break;
+        if (sink.messages < goal) {
+          // The connection died with the byte undelivered; it is gone
+          // with the old sndbuf.  The whole failed attempt — the segment
+          // that found the dead peer, and whatever answered it — is
+          // recovery work.
+          ++out.lost_packets;
+          out.repairs.push_back({attempt_us, topo.events().now()});
         }
       }
-      world.client().tcp()->destroy(conns[0]);
-      conns[0] = world.client().tcp()->connect(world.server().address().ip,
-                                               port_of(0), kFleetServerPort,
-                                               &source);
-      if (!world.run_until(
+      ledger.end_burst();
+      ledger.settle();
+      // Conservation: every scheduled packet of the burst was priced, lost
+      // with its connection, or torn down in flight — and the last must be
+      // accounted, not ignored.
+      const std::uint64_t accounted =
+          r.scheduled_sampled + r.dropped_in_churn + out.lost_packets;
+      if (accounted < sent) r.dropped_in_churn += sent - accounted;
+    }
+
+    if (sb.churn_after && churn_here && alive(conns[0])) {
+      // Close and reopen the hottest flow (global flow 0 is this core's
+      // local index 0).  Quiesce it first so no data is in flight, tear
+      // down both endpoints, then reconnect on the same 4-tuple: the
+      // reopened flow's first inbound frame is a stale hit and replays
+      // through the slow path.
+      if (!topo.run_until([&] { return conns[0]->bytes_unacked() == 0; },
+                          60'000'000)) {
+        fleet_fail(spec, "churn victim did not quiesce", sent - 1);
+      }
+      drop_remnant(port_of(0));
+      retire(conns[0]);
+      conns[0] = connect(0);
+      if (!topo.run_until(
               [&] {
                 return conns[0]->state() == proto::TcpState::kEstablished;
               },
               60'000'000)) {
         fleet_fail(spec, "churned connection did not re-establish", sent - 1);
       }
-      // Established fires when the client processes the SYN-ACK; its
-      // handshake ACK is still in flight.  Drain it now, outside any
-      // burst, so it is priced as handshake traffic at position 0 and
-      // cannot advance the next burst's position.
-      world.run_until([] { return false; }, 500'000);
+      // Drain the handshake's trailing ACK now, outside any burst, so it
+      // is priced as handshake traffic and cannot advance the next
+      // burst's position.
+      drain();
       ++r.churns;
     }
   }
 
-  finish_core(out, world);
+  // Let the script finish so every window gets a verdict.
+  if (topo.events().now() < horizon) {
+    topo.run_until([] { return false; }, horizon - topo.events().now());
+  }
+  ledger.settle();
+  // Live client connections still hold their counters.
+  for (const proto::TcpConn* c : conns) {
+    if (c == nullptr) continue;
+    out.client_retransmits += c->retransmits();
+    out.client_syn_retransmits += c->syn_retransmits();
+  }
+  finish_core(out, topo);
   return out;
 }
 
-CoreRunResult run_fleet_core_rpc(const FleetSpec& spec,
-                                 const BurstCostTable& costs,
-                                 const std::vector<ScheduledBurst>& schedule,
-                                 const std::vector<std::uint32_t>& flow_core,
-                                 std::uint32_t core_id, bool local_ports) {
-  const std::vector<std::size_t> owned = owned_flows(spec, flow_core, core_id);
-  CoreRunResult out;
-  FleetResult& r = out.result;
-  r.spec = spec;
-  r.sample_digest = fnv1a_samples({});
-  if (owned.empty()) return out;
-  const std::size_t max_procs = 65'536 - kFleetRpcProcBase;
-  if (owned.size() > max_procs) {
+/// The RPC loop: one service per flow, one call per scheduled packet.  It
+/// shares the world, pricing and result code with the TCP loop; RPC has
+/// no connection machinery, so it never churns or runs disrupted.
+CoreRunResult run_rpc_core(const FleetSpec& spec, const BurstCostTable& costs,
+                           const std::vector<ScheduledBurst>& schedule,
+                           const std::vector<std::uint32_t>& flow_core,
+                           const std::vector<std::size_t>& owned,
+                           std::uint32_t core_id, bool local_ports) {
+  if (owned.size() > 65'536 - kFleetRpcProcBase) {
     throw std::invalid_argument(
         "run_fleet_core: " + std::to_string(owned.size()) +
         " RPC flows on one core exceed the 16-bit procedure space — use "
         "more cores");
   }
-
   const auto proc_of = [&](std::size_t local) {
     const std::size_t id = local_ports ? local : owned[local];
     return static_cast<std::uint16_t>(kFleetRpcProcBase + id);
   };
 
-  net::World world(net::StackKind::kRpc, spec.config, spec.config);
-  world.server().enable_flow_cache(spec.scheme, spec.cache_capacity,
-                                   spec.cache_costs);
-  if (spec.rules > 0) {
-    world.server().install_scaled_classifier(spec.rules, spec.rule_seed);
-  }
-
+  DirectTopology topo(spec, costs, owned.size());
+  net::World& world = topo.world();
   for (std::size_t j = 0; j < owned.size(); ++j) {
     world.server().mselect()->register_service(
         proc_of(j), [&world](xk::Message& req) {
@@ -523,33 +733,19 @@ CoreRunResult run_fleet_core_rpc(const FleetSpec& spec,
         });
   }
 
+  CoreRunResult out;
+  out.result.spec = spec;
   out.samples.reserve(spec.packets / (core_id + 1) + 16);
-  BurstPricer pricer;
-  pricer.costs = &costs;
-  std::uint64_t current_burst = 0;
-  world.server().set_deliver_hook(
-      [&](const code::FlowLookupResult& lr, bool slow) {
-        const double us = pricer.price(lr, slow);
-        out.samples.push_back({current_burst, pricer.in_burst ? 0u : 1u, us});
-        if (pricer.in_burst) {
-          ++r.scheduled_sampled;
-        } else {
-          ++r.handshake_sampled;
-        }
-        if (slow) ++r.slow_packets;
-      });
-
   std::uint64_t done = 0;
+  FrameLedger ledger(topo, out, done, /*timed=*/false);
   std::uint64_t sent = 0;
   for (std::size_t b = 0; b < schedule.size(); ++b) {
     const ScheduledBurst& sb = schedule[b];
-    current_burst = b;
+    ledger.at_burst(b);
     if (flow_core[sb.flow] != core_id) continue;
-    const std::size_t k = static_cast<std::size_t>(
-        std::lower_bound(owned.begin(), owned.end(), sb.flow) -
-        owned.begin());
-    ++r.bursts;
-    pricer.begin_burst();
+    const std::size_t k = local_index(owned, sb.flow);
+    ++out.result.bursts;
+    ledger.begin_burst();
     for (std::uint64_t j = 0; j < sb.len; ++j) {
       xk::Message req(world.client().arena(), 128, 16);
       world.client().mselect()->call(proc_of(k), req,
@@ -559,10 +755,10 @@ CoreRunResult run_fleet_core_rpc(const FleetSpec& spec,
         fleet_fail(spec, "scheduled call did not complete", sent - 1);
       }
     }
-    pricer.end_burst();
+    ledger.end_burst();
+    ledger.settle();
   }
-
-  finish_core(out, world);
+  finish_core(out, topo);
   return out;
 }
 
@@ -600,11 +796,41 @@ CoreRunResult run_fleet_core(const FleetSpec& spec,
     throw std::invalid_argument(
         "run_fleet_core: flow_core must map every connection");
   }
-  return spec.kind == net::StackKind::kTcpIp
-             ? run_fleet_core_tcp(spec, costs, schedule, flow_core, core_id,
-                                  local_ports)
-             : run_fleet_core_rpc(spec, costs, schedule, flow_core, core_id,
-                                  local_ports);
+  const std::vector<std::size_t> owned = owned_flows(flow_core, core_id);
+  if (owned.empty()) {
+    CoreRunResult idle;
+    idle.result.spec = spec;
+    idle.result.sample_digest = fnv1a_samples({});
+    return idle;
+  }
+  if (spec.kind != net::StackKind::kTcpIp) {
+    return run_rpc_core(spec, costs, schedule, flow_core, owned, core_id,
+                        local_ports);
+  }
+  if (owned.size() > kMaxFlowsPerWorld) {
+    throw std::invalid_argument(
+        "run_fleet_core: " + std::to_string(owned.size()) +
+        " flows on one core exceed the per-world client port space (" +
+        std::to_string(kMaxFlowsPerWorld) + ") — use more cores");
+  }
+  DirectTopology topo(spec, costs, owned.size());
+  return run_tcp_core(topo, spec, schedule, flow_core, owned, core_id,
+                      local_ports, /*disruption=*/nullptr);
+}
+
+CoreRunResult run_tcp_flat(Topology& topo, const FleetSpec& spec,
+                           const Disruption& disruption) {
+  if (spec.connections > kMaxFlowsPerWorld) {
+    throw std::invalid_argument(
+        "run_tcp_flat: " + std::to_string(spec.connections) +
+        " connections exceed the single-world client port space (" +
+        std::to_string(kMaxFlowsPerWorld) + ")");
+  }
+  std::vector<std::size_t> owned(spec.connections);
+  std::iota(owned.begin(), owned.end(), std::size_t{0});
+  return run_tcp_core(topo, spec, build_schedule(spec),
+                      std::vector<std::uint32_t>(spec.connections, 0), owned,
+                      /*core_id=*/0, /*local_ports=*/false, &disruption);
 }
 
 void validate_fleet_spec(const FleetSpec& spec, const BurstCostTable& costs) {
@@ -635,52 +861,25 @@ void validate_fleet_spec(const FleetSpec& spec, const BurstCostTable& costs) {
 
 FleetResult run_fleet(const FleetSpec& spec, const BurstCostTable& costs) {
   fleet_detail::validate_fleet_spec(spec, costs);
-  if (spec.connections > fleet_detail::kMaxFlowsPerWorld) {
+  if (spec.connections > kMaxFlowsPerWorld) {
     throw std::invalid_argument(
         "run_fleet: " + std::to_string(spec.connections) +
         " connections exceed the single-world client port space (" +
-        std::to_string(fleet_detail::kMaxFlowsPerWorld) +
-        ") — use run_sharded_fleet (harness/shard.h)");
+        std::to_string(kMaxFlowsPerWorld) +
+        ") — shard the row (harness/shard.h)");
   }
   // The flat engine is the sharded engine with every flow on core 0.
-  const std::vector<fleet_detail::ScheduledBurst> schedule =
-      fleet_detail::build_schedule(spec);
-  const std::vector<std::uint32_t> flow_core(spec.connections, 0);
-  fleet_detail::CoreRunResult core = fleet_detail::run_fleet_core(
-      spec, costs, schedule, flow_core, /*core_id=*/0, /*local_ports=*/false);
-  return std::move(core.result);
-}
-
-FleetRunner::FleetRunner(unsigned threads)
-    : threads_(resolve_workers(threads)) {}
-
-std::vector<FleetResult> FleetRunner::run(const std::vector<FleetSpec>& specs,
-                                          const BurstCostTable& costs) {
-  // Thin wrapper over the unified runner entry point (harness/runner.h);
-  // byte-identical to the historical inline pool by test.
-  FleetRunSpec rs;
-  rs.common.workers = threads_;
-  rs.rows = specs;
-  rs.costs = costs;
-  Outcome o = harness::run(rs);
-  workers_used_ = o.workers_used;
-  return std::move(o.fleet);
+  return fleet_detail::run_fleet_core(
+             spec, costs, fleet_detail::build_schedule(spec),
+             std::vector<std::uint32_t>(spec.connections, 0),
+             /*core_id=*/0, /*local_ports=*/false)
+      .result;
 }
 
 Json fleet_json(const BurstCostTable& costs,
                 const std::vector<FleetResult>& rows) {
   Json section = emit_section("fleet", 2);
-  Json fast = Json::array();
-  for (double v : costs.fast_us) fast.push_back(v);
-  Json slow = Json::array();
-  for (double v : costs.slow_us) slow.push_back(v);
-  section.set("costs",
-              Json::object()
-                  .set("controller_us", costs.controller_us)
-                  .set("fast_us", std::move(fast))
-                  .set("slow_us", std::move(slow))
-                  .set("config", costs.config_name)
-                  .set("params_key", costs.params_key));
+  section.set("costs", fleet_detail::costs_json(costs));
   Json out_rows = Json::array();
   for (const FleetResult& r : rows) {
     const FleetSpec& s = r.spec;
@@ -710,24 +909,8 @@ Json fleet_json(const BurstCostTable& costs,
         .set("bursts", r.bursts)
         .set("slow_packets", r.slow_packets)
         .set("churns", r.churns)
-        .set("cache", Json::object()
-                          .set("lookups", r.cache.lookups)
-                          .set("hits", r.cache.hits)
-                          .set("misses", r.cache.misses)
-                          .set("stale_hits", r.cache.stale_hits)
-                          .set("unkeyed", r.cache.unkeyed)
-                          .set("unmatched_scans", r.cache.unmatched_scans)
-                          .set("rules_examined", r.cache.rules_examined)
-                          .set("hit_ratio", r.cache.hit_ratio())
-                          .set("stale_ratio", r.cache.stale_ratio())
-                          .set("cost_us", r.cache.cost_us))
-        .set("latency_us", Json::object()
-                               .set("p50", r.latency.p50)
-                               .set("p90", r.latency.p90)
-                               .set("p99", r.latency.p99)
-                               .set("p999", r.latency.p999)
-                               .set("mean", r.latency.mean)
-                               .set("max", r.latency.max))
+        .set("cache", fleet_detail::cache_json(r.cache))
+        .set("latency_us", fleet_detail::percentiles_json(r.latency))
         .set("sim_us", r.sim_us)
         .set("sample_digest", r.sample_digest);
     out_rows.push_back(std::move(row));

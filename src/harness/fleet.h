@@ -1,6 +1,6 @@
-// FleetRunner: many concurrent connections over one net::World, demuxed
-// through a flow cache (code/flow_cache.h) in front of the classifier's
-// rule scan.
+// The fleet engine: many concurrent connections over one net::World,
+// demuxed through a flow cache (code/flow_cache.h) in front of the
+// classifier's rule scan.
 //
 // The single-connection Experiment measures the steady-state latency path;
 // a fleet run asks the orthogonal question the paper's Section 3.3
@@ -28,10 +28,10 @@
 //    next frame takes a measured stale hit.
 //
 // Everything is a pure function of the spec: fixed seed + spec => byte-
-// identical samples, regardless of how many FleetRunner worker threads
+// identical samples, regardless of how many harness::run worker threads
 // measured the grid (results are stored by row index, one private World
-// per row).  batch == 1 reproduces the pre-burst engine exactly: every
-// packet is first-in-burst and pays fast_us[0] / slow_us[0].
+// per row).  With batch == 1 every packet is first-in-burst and pays
+// fast_us[0] / slow_us[0].
 #pragma once
 
 #include <cstdint>
@@ -79,29 +79,13 @@ struct BurstCostTable {
 /// `kind`: capture the server's receive activation, price a back-to-back
 /// stream of it (fast_us[p] = position p of measure_stream), then price
 /// the marker-bracketed slow-path form entered after p fast activations
-/// (slow_us[p]).  fast_us[0] / slow_us[0] are byte-identical to the
-/// pre-burst FleetCosts fast_us / slow_us (tested).
+/// (slow_us[p]).  Position 0 does not depend on how many positions were
+/// measured (tested).
 BurstCostTable measure_burst_costs(net::StackKind kind,
                                    const code::StackConfig& cfg,
                                    std::size_t max_positions = 1,
                                    const MachineParams& params =
                                        MachineParams::defaults());
-
-/// Deprecated flat view of a 1-position table (the pre-burst pricing).
-/// Kept so the batch-size-1 equivalence stays testable; prefer
-/// BurstCostTable.
-struct FleetCosts {
-  double controller_us = 0;  ///< one controller+wire traversal (min frame)
-  double fast_us = 0;        ///< steady receive-activation processing time
-  double slow_us = 0;        ///< same activation through the standalone
-                             ///< slow path (guard failure / stale hit)
-};
-
-/// Deprecated wrapper: measure_burst_costs with one position, flattened.
-FleetCosts measure_fleet_costs(net::StackKind kind,
-                               const code::StackConfig& cfg,
-                               const MachineParams& params =
-                                   MachineParams::defaults());
 
 /// Seeded Zipf(s) sampler over {0, ..., n-1}: P(k) proportional to
 /// 1/(k+1)^s (s = 0 is uniform).  Deterministic: xorshift64* over the
@@ -180,24 +164,6 @@ struct FleetResult {
 /// world stalls before the schedule completes, and std::invalid_argument
 /// when the cost table does not match the spec's kind/config/params.
 FleetResult run_fleet(const FleetSpec& spec, const BurstCostTable& costs);
-
-/// Worker pool over independent fleet rows; results ordered by row index
-/// and byte-identical for any thread count.
-class FleetRunner {
- public:
-  /// `threads` = 0 picks the hardware concurrency, floored at 2.
-  explicit FleetRunner(unsigned threads = 0);
-
-  std::vector<FleetResult> run(const std::vector<FleetSpec>& specs,
-                               const BurstCostTable& costs);
-
-  unsigned thread_count() const noexcept { return threads_; }
-  std::size_t workers_used() const noexcept { return workers_used_; }
-
- private:
-  unsigned threads_;
-  std::size_t workers_used_ = 0;
-};
 
 /// The rows + shared position-indexed costs as a schema-versioned section
 /// (`l96.fleet.v2`) for SweepOutcome::extra_json / standalone emission.

@@ -1,68 +1,16 @@
 #include "harness/lb.h"
 
 #include <algorithm>
-#include <array>
-#include <memory>
 #include <stdexcept>
 
 #include "harness/fleet_internal.h"
 #include "protocols/lance.h"
-#include "protocols/tcp.h"
 
 namespace l96::harness {
 
 namespace {
 
-using fleet_detail::kFleetClientPortBase;
 using fleet_detail::kFleetServerPort;
-
-std::uint16_t client_port(std::size_t i) {
-  return static_cast<std::uint16_t>(kFleetClientPortBase + i);
-}
-
-std::uint64_t fnv1a_samples(const std::vector<double>& samples) {
-  std::uint64_t h = fleet_detail::fnv1a_init();
-  for (double v : samples) fleet_detail::fnv1a_value_d(h, v);
-  return h;
-}
-
-/// Backend-side sink.  All backends share one delivery ledger (the world
-/// is single-threaded, so the merged order is the delivery order): the
-/// schedule only cares that the fleet's next message landed somewhere in
-/// the pool, not on which backend.
-struct DeliveryLedger {
-  std::uint64_t messages = 0;
-  std::vector<std::uint64_t> delivery_times;
-};
-
-class LbSink final : public proto::TcpUpper {
- public:
-  LbSink(xk::EventManager& events, DeliveryLedger& ledger)
-      : events_(events), ledger_(ledger) {}
-  void tcp_receive(proto::TcpConn&, xk::Message& m) override {
-    ++ledger_.messages;
-    (void)m;
-    ledger_.delivery_times.push_back(events_.now());
-  }
-
- private:
-  xk::EventManager& events_;
-  DeliveryLedger& ledger_;
-};
-
-class LbSource final : public proto::TcpUpper {
- public:
-  void tcp_receive(proto::TcpConn&, xk::Message&) override {}
-};
-
-[[noreturn]] void lb_fail(const LbSpec& spec, const char* what,
-                          std::uint64_t packet) {
-  throw std::runtime_error(
-      "lb run stalled (" +
-      (spec.label.empty() ? std::string("unlabeled") : spec.label) +
-      ", backends=" + std::to_string(spec.backends) + "): " + what +
-      " at scheduled packet " + std::to_string(packet));
-}
 
 void check_costs(const LbSpec& spec, const LbCostTable& costs) {
   if (costs.config_name != spec.config.name) {
@@ -76,6 +24,83 @@ void check_costs(const LbSpec& spec, const LbCostTable& costs) {
         "than the row — measure_lb_costs() once per distinct params");
   }
 }
+
+net::LbWorldOptions world_options(const LbSpec& spec) {
+  net::LbWorldOptions opts;
+  opts.backends = spec.backends;
+  opts.tcp_conn_buckets = fleet_detail::conn_bucket_count(spec.connections);
+  opts.lb.track_scheme = spec.track_scheme;
+  opts.lb.track_capacity = spec.track_capacity;
+  opts.lb.track_costs = spec.track_costs;
+  opts.lb.maglev_table_size = spec.maglev_table_size;
+  opts.lb.health = spec.health;
+  return opts;
+}
+
+/// Client fleet -> LB -> backend pool.  A client->LB frame costs
+/// controller + conn-track lookup + fast|slow + controller (the wire leg
+/// in and the leg out); the forwarding path has one burst position.
+class LbTopology final : public fleet_detail::Topology {
+ public:
+  LbTopology(const LbSpec& spec, const LbCostTable& costs)
+      : world_(spec.config, spec.config, spec.config, world_options(spec)),
+        costs_(costs),
+        health_(spec.health) {
+    for (std::size_t i = 0; i < world_.backend_count(); ++i) {
+      servers_.push_back(&world_.backend(i));
+    }
+  }
+
+  net::LbWorld& world() noexcept { return world_; }
+
+  xk::EventManager& events() override { return world_.events(); }
+  bool run_until(const std::function<bool()>& pred,
+                 std::uint64_t max_us) override {
+    return world_.run_until(pred, max_us);
+  }
+  net::Host& client() override { return world_.client(); }
+  const std::vector<net::Host*>& servers() const override { return servers_; }
+  std::uint32_t server_ip() override { return world_.vip(); }
+  void serve(proto::TcpUpper& sink) override {
+    for (net::Host* backend : servers_) {
+      backend->tcp()->listen(kFleetServerPort, &sink);
+      // A rebooted backend must serve again under its new incarnation.
+      backend->set_reboot_hook([backend, &sink] {
+        backend->tcp()->listen(kFleetServerPort, &sink);
+      });
+    }
+    world_.lb().start_health_checks();
+  }
+  void install(const net::ChaosTimeline& chaos,
+               std::uint64_t base_us) override {
+    chaos.install(world_, base_us);
+  }
+  code::FlowCacheStats stats() override {
+    return world_.lb().conn_track().stats();
+  }
+  void reset_stats() override { world_.lb().conn_track().reset_stats(); }
+  void set_frame_hook(FrameHook hook) override {
+    world_.lb().set_forward_hook(
+        [hook = std::move(hook)](const code::FlowLookupResult& lr, bool slow,
+                                 int) { hook(lr, slow); });
+  }
+  double price(const code::FlowLookupResult& lr, bool slow,
+               std::size_t) const override {
+    return costs_.controller_us + lr.cost_us +
+           (slow ? costs_.slow_us : costs_.fast_us) + costs_.controller_us;
+  }
+  /// Health recovery needs probes to observe a healed backend: one
+  /// recover_threshold's worth of probe intervals of slack.
+  std::uint64_t settle_us() const override {
+    return (health_.recover_threshold + 1) * health_.interval_us;
+  }
+
+ private:
+  net::LbWorld world_;
+  const LbCostTable& costs_;
+  net::LbHealthParams health_;
+  std::vector<net::Host*> servers_;
+};
 
 }  // namespace
 
@@ -151,238 +176,53 @@ LbResult run_lb(const LbSpec& spec, const LbCostTable& costs) {
     throw std::invalid_argument(
         "run_lb: backends, connections and packets must all be > 0");
   }
-  if (spec.connections > fleet_detail::kMaxFlowsPerWorld) {
-    throw std::invalid_argument(
-        "run_lb: connection fleet exceeds the client port space");
-  }
   spec.chaos.validate();
   check_costs(spec, costs);
 
-  net::LbWorldOptions opts;
-  opts.backends = spec.backends;
-  opts.tcp_conn_buckets = fleet_detail::conn_bucket_count(spec.connections);
-  opts.lb.track_scheme = spec.track_scheme;
-  opts.lb.track_capacity = spec.track_capacity;
-  opts.lb.track_costs = spec.track_costs;
-  opts.lb.maglev_table_size = spec.maglev_table_size;
-  opts.lb.health = spec.health;
-  net::LbWorld world(spec.config, spec.config, spec.config, opts);
+  // The schedule is the fleet engine's: the same Zipf bursts over the same
+  // client ports, with no churn.
+  FleetSpec fleet;
+  fleet.label = spec.label;
+  fleet.config = spec.config;
+  fleet.connections = spec.connections;
+  fleet.packets = spec.packets;
+  fleet.batch = spec.batch;
+  fleet.zipf_s = spec.zipf_s;
+  fleet.seed = spec.seed;
+  fleet.scheme = spec.track_scheme;
+  LbTopology topo(spec, costs);
+  fleet_detail::Disruption disruption;
+  disruption.chaos = spec.chaos;
+  const fleet_detail::CoreRunResult core =
+      fleet_detail::run_tcp_flat(topo, fleet, disruption);
 
   LbResult r;
   r.spec = spec;
+  r.packets_sampled = core.result.packets_sampled;
+  r.scheduled_sampled = core.result.scheduled_sampled;
+  r.handshake_sampled = core.result.handshake_sampled;
+  r.lost_packets = core.lost_packets;
+  r.reconnects = core.reconnects;
+  r.client_retransmits = core.client_retransmits;
+  r.client_syn_retransmits = core.client_syn_retransmits;
+  r.track = core.result.cache;
+  r.latency = core.result.latency;
+  r.sim_us = core.result.sim_us;
+  r.sample_digest = core.result.sample_digest;
 
-  DeliveryLedger ledger;
-  std::vector<std::unique_ptr<LbSink>> sinks;
-  sinks.reserve(spec.backends);
-  LbSource source;
-  for (std::size_t i = 0; i < spec.backends; ++i) {
-    sinks.push_back(std::make_unique<LbSink>(world.events(), ledger));
-    world.backend(i).tcp()->listen(kFleetServerPort, sinks.back().get());
-    // A rebooted backend must serve again under its new incarnation.
-    LbSink* sink = sinks.back().get();
-    world.backend(i).set_reboot_hook([&world, i, sink] {
-      world.backend(i).tcp()->listen(kFleetServerPort, sink);
-    });
-  }
-  world.lb().start_health_checks();
-
-  std::vector<proto::TcpConn*> conns(spec.connections, nullptr);
-  for (std::size_t i = 0; i < spec.connections; ++i) {
-    conns[i] = world.client().tcp()->connect(world.vip(), client_port(i),
-                                             kFleetServerPort, &source);
-  }
-  const auto all_established = [&] {
-    for (auto* c : conns) {
-      if (c->state() != proto::TcpState::kEstablished) return false;
-    }
-    return true;
-  };
-  if (!world.run_until(all_established, 60'000'000)) {
-    lb_fail(spec, "connection fleet did not establish", 0);
-  }
-  world.run_until([] { return false; }, 500'000);
-  world.lb().conn_track().reset_stats();
-
-  // Schedule zero: the failure script is anchored here.
-  const std::uint64_t base_us = world.events().now();
-  if (!spec.chaos.empty()) spec.chaos.install(world, base_us);
-
-  std::vector<double> samples;
-  std::vector<std::uint64_t> sample_times;
-  samples.reserve(spec.packets + spec.packets / 4);
-  sample_times.reserve(spec.packets + spec.packets / 4);
-
-  // Attribution is resolved one frame late, exactly like run_recovery: a
-  // priced frame counts as scheduled traffic only if it was in-burst AND
-  // its processing completed a delivery somewhere in the pool.
-  bool in_burst = false;
-  std::uint64_t attributed_messages = 0;
-  bool frame_pending = false;
-  bool frame_was_burst = false;
-  const auto resolve_attribution = [&] {
-    if (!frame_pending) return;
-    frame_pending = false;
-    if (frame_was_burst && ledger.messages > attributed_messages) {
-      ++r.scheduled_sampled;
-    } else {
-      ++r.handshake_sampled;
-    }
-    attributed_messages = ledger.messages;
-  };
-  world.lb().set_forward_hook([&](const code::FlowLookupResult& lr,
-                                  bool slow, int backend) {
-    (void)backend;
-    resolve_attribution();
-    samples.push_back(costs.controller_us + lr.cost_us +
-                      (slow ? costs.slow_us : costs.fast_us) +
-                      costs.controller_us);
-    sample_times.push_back(world.events().now());
-    frame_pending = true;
-    frame_was_burst = in_burst;
-  });
-
-  // Disruption phases: priced samples inside one report as disrupted
-  // rather than steady traffic.  Every failure window contributes
-  // [window start, steering restored]; every repair (reconnect after a
-  // crash failover) and every lost-packet discovery adds its own span.
-  struct Phase {
-    std::uint64_t begin;
-    std::uint64_t end;
-  };
-  std::vector<Phase> disrupted_phases;
-
-  const auto retire_conn = [&](proto::TcpConn* c) {
-    r.client_retransmits += c->retransmits();
-    r.client_syn_retransmits += c->syn_retransmits();
-    world.client().tcp()->destroy(c);
-  };
-
-  // Re-establish conns[k] if failover killed it (RST from the backend the
-  // flow remapped onto, or SYN-retry exhaustion against a dark pool).
-  const auto ensure_alive = [&](std::size_t k, std::uint64_t sent) {
-    const std::uint64_t repair_begin = world.events().now();
-    bool repaired = false;
-    std::size_t attempts = 0;
-    while (conns[k] == nullptr ||
-           conns[k]->state() != proto::TcpState::kEstablished) {
-      repaired = true;
-      if (++attempts > 64) {
-        lb_fail(spec, "connection could not be re-established", sent);
-      }
-      if (conns[k] != nullptr) {
-        retire_conn(conns[k]);
-        conns[k] = nullptr;
-      }
-      // Tear down any remnant of the old flow on whichever live backend
-      // still holds the 4-tuple, so the reconnect's SYN reaches a
-      // listener instead of a half-dead connection.
-      for (std::size_t b = 0; b < spec.backends; ++b) {
-        if (world.backend(b).crashed()) continue;
-        for (auto* c : world.backend(b).tcp()->connections()) {
-          if (c->remote_port() == client_port(k) &&
-              c->local_port() == kFleetServerPort) {
-            world.backend(b).tcp()->destroy(c);
-            break;
-          }
-        }
-      }
-      conns[k] = world.client().tcp()->connect(world.vip(), client_port(k),
-                                               kFleetServerPort, &source);
-      ++r.reconnects;
-      proto::TcpConn* fresh = conns[k];
-      if (!world.run_until(
-              [fresh] {
-                return fresh->state() == proto::TcpState::kEstablished ||
-                       fresh->state() == proto::TcpState::kClosed;
-              },
-              60'000'000)) {
-        lb_fail(spec, "reconnect neither completed nor failed", sent);
-      }
-    }
-    // Drain the handshake tail outside any burst so it prices as
-    // handshake traffic.
-    world.run_until([] { return false; }, 500'000);
-    if (repaired) {
-      disrupted_phases.push_back({repair_begin, world.events().now()});
-    }
-  };
-
-  // Pace the schedule across the failure script so every window overlaps
-  // live traffic and the final fifth lands after the last window.
-  const std::vector<net::ChaosWindow> script_windows = spec.chaos.windows();
-  std::uint64_t pace_span_us = 0;
-  for (const net::ChaosWindow& w : script_windows) {
-    pace_span_us = std::max(pace_span_us, w.end_us);
-  }
-  pace_span_us += pace_span_us / 4;
-
-  ZipfSampler zipf(spec.connections, spec.zipf_s, spec.seed);
-  std::array<std::uint8_t, 32> payload{};
-  payload.fill(0x5A);
-  std::uint64_t sent = 0;
-  while (sent < spec.packets) {
-    if (pace_span_us != 0) {
-      const std::uint64_t due = base_us + (sent * pace_span_us) / spec.packets;
-      if (world.events().now() < due) world.events().advance_to(due);
-    }
-    const std::size_t k = zipf.next();
-    const std::uint64_t burst_len = std::min<std::uint64_t>(
-        spec.batch == 0 ? 1 : spec.batch, spec.packets - sent);
-    in_burst = true;
-    for (std::uint64_t j = 0; j < burst_len; ++j) {
-      if (conns[k] == nullptr ||
-          conns[k]->state() != proto::TcpState::kEstablished) {
-        in_burst = false;
-        ensure_alive(k, sent);
-        in_burst = true;
-      }
-      const std::uint64_t attempt_us = world.events().now();
-      conns[k]->send(payload);
-      ++sent;
-      proto::TcpConn* sender = conns[k];
-      const std::uint64_t goal = sent - r.lost_packets;
-      if (!world.run_until(
-              [&ledger, sender, goal] {
-                return ledger.messages >= goal ||
-                       sender->state() == proto::TcpState::kClosed;
-              },
-              60'000'000)) {
-        lb_fail(spec, "scheduled packet was not delivered", sent - 1);
-      }
-      if (ledger.messages < goal) {
-        // The connection died with the byte undelivered: the whole failed
-        // attempt is failover work.
-        ++r.lost_packets;
-        disrupted_phases.push_back({attempt_us, world.events().now()});
-      }
-    }
-    in_burst = false;
-    resolve_attribution();
-  }
-
-  // Let the script finish so every window gets a steering verdict.
-  std::uint64_t horizon = base_us;
-  for (const net::ChaosWindow& w : script_windows) {
-    horizon = std::max(horizon, base_us + w.end_us);
-  }
-  // Health recovery needs probes to observe the healed backend; give the
-  // script one recover_threshold's worth of probe intervals of slack.
-  horizon += (spec.health.recover_threshold + 1) * spec.health.interval_us;
-  if (world.events().now() < horizon) {
-    world.run_until([] { return false; }, horizon - world.events().now());
-  }
-  resolve_attribution();
-
-  // Steering verdicts from the LB's rebuild ledger.
+  // Steering verdicts from the LB's rebuild ledger.  Disruption phases:
+  // every failed send and repair, plus each window from its start until
+  // steering is restored.
+  net::LbWorld& world = topo.world();
   const std::vector<net::LbRebuild>& rebuilds = world.lb().rebuilds();
-  for (const net::ChaosWindow& w : script_windows) {
+  std::vector<fleet_detail::Interval> phases = core.repairs;
+  for (const net::ChaosWindow& w : spec.chaos.windows()) {
     LbSteer st;
     st.window = w;
-    st.start_abs_us = base_us + w.start_us;
-    st.end_abs_us = base_us + w.end_us;
-    for (std::uint64_t t : sample_times) {
-      if (t >= st.start_abs_us && t < st.end_abs_us) ++st.samples_in_window;
-    }
+    st.start_abs_us = core.base_us + w.start_us;
+    st.end_abs_us = core.base_us + w.end_us;
+    st.samples_in_window =
+        fleet_detail::samples_between(core, st.start_abs_us, st.end_abs_us);
     const bool backend_window = w.target == net::ChaosTarget::kBackend ||
                                 w.target == net::ChaosTarget::kBackendLink;
     if (backend_window) {
@@ -409,32 +249,15 @@ LbResult run_lb(const LbSpec& spec, const LbCostTable& costs) {
         st.restored
             ? st.end_abs_us + static_cast<std::uint64_t>(st.ttr_us)
             : std::max(st.end_abs_us, world.events().now());
-    disrupted_phases.push_back({st.start_abs_us, phase_end});
+    phases.push_back({st.start_abs_us, phase_end});
     r.windows.push_back(st);
   }
-
-  std::vector<double> steady_s;
-  std::vector<double> disrupted_s;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const std::uint64_t t = sample_times[i];
-    bool in_disruption = false;
-    for (const Phase& ph : disrupted_phases) {
-      if (t >= ph.begin && t <= ph.end) {
-        in_disruption = true;
-        break;
-      }
-    }
-    (in_disruption ? disrupted_s : steady_s).push_back(samples[i]);
-  }
-  r.steady_samples = steady_s.size();
-  r.disrupted_samples = disrupted_s.size();
-  r.steady = fleet_detail::percentiles(std::move(steady_s));
-  r.disrupted = fleet_detail::percentiles(std::move(disrupted_s));
-
-  r.packets_sampled = samples.size();
-  r.latency = fleet_detail::percentiles(samples);
-  r.sample_digest = fnv1a_samples(samples);
-  r.sim_us = static_cast<double>(world.events().now());
+  const fleet_detail::PhaseSplit split =
+      fleet_detail::split_phases(core, phases);
+  r.steady = split.outside;
+  r.disrupted = split.inside;
+  r.steady_samples = split.outside_samples;
+  r.disrupted_samples = split.inside_samples;
 
   r.forwards = world.lb().forwards();
   r.slow_forwards = world.lb().slow_forwards();
@@ -443,13 +266,6 @@ LbResult run_lb(const LbSpec& spec, const LbCostTable& costs) {
   r.dark_forwards = world.lb().dark_forwards();
   r.health_probes = world.lb().health_probes();
   r.rebuilds = rebuilds;
-  r.track = world.lb().conn_track().stats();
-
-  for (auto* c : conns) {
-    if (c == nullptr) continue;
-    r.client_retransmits += c->retransmits();
-    r.client_syn_retransmits += c->syn_retransmits();
-  }
   r.blackout_drops = world.client_wire().blackout_drops();
   r.frames_to_dead = world.client().frames_to_dead();
   r.purged_events = world.client().purged_events();
@@ -462,20 +278,6 @@ LbResult run_lb(const LbSpec& spec, const LbCostTable& costs) {
   }
   return r;
 }
-
-namespace {
-
-Json percentiles_json(const LatencyPercentiles& p) {
-  return Json::object()
-      .set("p50", p.p50)
-      .set("p90", p.p90)
-      .set("p99", p.p99)
-      .set("p999", p.p999)
-      .set("mean", p.mean)
-      .set("max", p.max);
-}
-
-}  // namespace
 
 Json lb_json(const LbCostTable& costs, const std::vector<LbResult>& rows) {
   Json section = emit_section("lb", 1);
@@ -560,16 +362,10 @@ Json lb_json(const LbCostTable& costs, const std::vector<LbResult>& rows) {
         .set("purged_events", r.purged_events)
         .set("backend_incarnations",
              static_cast<std::uint64_t>(r.backend_incarnations))
-        .set("track", Json::object()
-                          .set("lookups", r.track.lookups)
-                          .set("hits", r.track.hits)
-                          .set("misses", r.track.misses)
-                          .set("stale_hits", r.track.stale_hits)
-                          .set("hit_ratio", r.track.hit_ratio())
-                          .set("cost_us", r.track.cost_us))
-        .set("latency_us", percentiles_json(r.latency))
-        .set("steady_us", percentiles_json(r.steady))
-        .set("disrupted_us", percentiles_json(r.disrupted))
+        .set("track", fleet_detail::cache_json(r.track))
+        .set("latency_us", fleet_detail::percentiles_json(r.latency))
+        .set("steady_us", fleet_detail::percentiles_json(r.steady))
+        .set("disrupted_us", fleet_detail::percentiles_json(r.disrupted))
         .set("steady_samples", r.steady_samples)
         .set("disrupted_samples", r.disrupted_samples)
         .set("rebuilds", std::move(rebuilds))

@@ -1,8 +1,8 @@
 // The load-balancer failover harness: price the LB tier's forwarding path
 // under live traffic and failure scripts.
 //
-// The fleet/recovery engines price an *endpoint's* receive activation;
-// this engine prices the *forwarding tier* between the client and the
+// The fleet and recovery rows price an *endpoint's* receive activation;
+// an LB row prices the *forwarding tier* between the client and the
 // backend pool (net/lb.h).  A cost table is measured once per (config,
 // params) from real captured LbHost activations:
 //
@@ -15,10 +15,10 @@
 //    standalone rebind path runs, Maglev hash + table probe included,
 //    priced under the fast capture's layout profile.
 //
-// run_lb() then replays a deterministic Zipf burst schedule over an
-// LbWorld (client fleet -> LB -> N backends) while a ChaosTimeline
-// drains, crashes, and partitions backends; every client->LB frame is
-// priced as
+// run_lb() then runs the one closed-loop engine (harness/fleet_internal.h)
+// with the LB topology — an LbWorld: client fleet -> LB -> N backends —
+// and the ChaosTimeline that drains, crashes, and partitions backends as
+// its disruption; every client->LB frame is priced as
 //
 //     wire leg in + conn-track lookup + (fast | slow) + wire leg out
 //

@@ -1,146 +1,11 @@
 #include "harness/recovery.h"
 
-#include "harness/runner.h"
-
 #include <algorithm>
-#include <array>
-#include <atomic>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
-#include "protocols/tcp.h"
+#include "harness/fleet_internal.h"
 
 namespace l96::harness {
-
-namespace {
-
-// Pricing and accounting mirror harness/fleet.cc exactly: the chaos-free
-// recovery run must produce byte-identical samples to run_fleet (enforced
-// by bench_recovery_latency), so the duplicated pieces below must stay in
-// lockstep with their fleet counterparts.
-
-std::uint64_t fnv1a_init() { return 1469598103934665603ULL; }
-
-template <typename T>
-void fnv1a_value(std::uint64_t& h, T v) {
-  const auto* p = reinterpret_cast<const unsigned char*>(&v);
-  for (std::size_t i = 0; i < sizeof(v); ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-}
-
-std::uint64_t fnv1a_samples(const std::vector<double>& samples) {
-  std::uint64_t h = fnv1a_init();
-  for (double v : samples) fnv1a_value(h, v);
-  return h;
-}
-
-LatencyPercentiles percentiles(std::vector<double> s) {
-  LatencyPercentiles p;
-  if (s.empty()) return p;
-  std::sort(s.begin(), s.end());
-  const auto at = [&](double q) {
-    std::size_t i = static_cast<std::size_t>(q * static_cast<double>(s.size()));
-    if (i >= s.size()) i = s.size() - 1;
-    return s[i];
-  };
-  p.p50 = at(0.50);
-  p.p90 = at(0.90);
-  p.p99 = at(0.99);
-  p.p999 = at(0.999);
-  double sum = 0;
-  for (double v : s) sum += v;
-  p.mean = sum / static_cast<double>(s.size());
-  p.max = s.back();
-  return p;
-}
-
-constexpr std::uint16_t kServerPort = 7000;       // == fleet's server port
-constexpr std::uint16_t kClientPortBase = 10'000; // == fleet's port base
-
-std::uint16_t client_port(std::size_t i) {
-  return static_cast<std::uint16_t>(kClientPortBase + i);
-}
-
-/// Server-side sink; additionally timestamps every completed delivery so
-/// the report can locate each window's first post-fault delivery.
-class RecoverySink final : public proto::TcpUpper {
- public:
-  explicit RecoverySink(xk::EventManager& events) : events_(events) {}
-  void tcp_receive(proto::TcpConn&, xk::Message& m) override {
-    ++messages;
-    bytes += m.length();
-    delivery_times.push_back(events_.now());
-  }
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-  std::vector<std::uint64_t> delivery_times;
-
- private:
-  xk::EventManager& events_;
-};
-
-class RecoverySource final : public proto::TcpUpper {
- public:
-  void tcp_receive(proto::TcpConn&, xk::Message&) override {}
-};
-
-[[noreturn]] void recovery_fail(const FleetSpec& spec, const char* what,
-                                std::uint64_t packet) {
-  throw std::runtime_error(
-      "recovery run stalled (" +
-      (spec.label.empty() ? std::string("unlabeled") : spec.label) +
-      ", scheme=" + code::to_string(spec.scheme) + "): " + what +
-      " at scheduled packet " + std::to_string(packet));
-}
-
-/// Identical to fleet.cc's BurstPricer (see the lockstep note above).
-struct BurstPricer {
-  const BurstCostTable* costs = nullptr;
-  bool in_burst = false;
-  std::size_t pos = 0;
-
-  void begin_burst() {
-    in_burst = true;
-    pos = 0;
-  }
-  void end_burst() { in_burst = false; }
-
-  double price(const code::FlowLookupResult& lr, bool slow) {
-    const std::size_t at = in_burst ? pos : 0;
-    double us = costs->controller_us + lr.cost_us;
-    if (slow) {
-      us += costs->slow_at(at);
-      pos = 0;
-    } else {
-      us += costs->fast_at(at);
-      if (in_burst) ++pos;
-    }
-    return us;
-  }
-};
-
-void check_costs(const FleetSpec& spec, const BurstCostTable& costs) {
-  if (costs.fast_us.empty() || costs.slow_us.size() != costs.fast_us.size()) {
-    throw std::invalid_argument(
-        "run_recovery: malformed cost table (needs >= 1 position and equal "
-        "fast/slow sizes)");
-  }
-  if (costs.kind != spec.kind || costs.config_name != spec.config.name) {
-    throw std::invalid_argument(
-        "run_recovery: cost table measured for " + costs.config_name +
-        " does not match row config " + spec.config.name);
-  }
-  if (costs.params_key != machine_params_key(spec.params)) {
-    throw std::invalid_argument(
-        "run_recovery: cost table was measured under different MachineParams "
-        "than the row — measure_burst_costs() once per distinct params");
-  }
-}
-
-}  // namespace
 
 RecoveryResult run_recovery(const RecoverySpec& rspec,
                             const BurstCostTable& costs) {
@@ -150,14 +15,7 @@ RecoveryResult run_recovery(const RecoverySpec& rspec,
         "run_recovery: TCP/IP only (the RPC fleet has no reconnect "
         "machinery to measure)");
   }
-  if (!spec.config.path_inlining) {
-    throw std::invalid_argument(
-        "run_recovery: spec.config must have path_inlining enabled");
-  }
-  if (spec.connections == 0 || spec.packets == 0) {
-    throw std::invalid_argument(
-        "run_recovery: connections and packets must be > 0");
-  }
+  fleet_detail::validate_fleet_spec(spec, costs);
   rspec.chaos.validate();
   for (const net::ChaosEvent& e : rspec.chaos.events()) {
     if (e.kind == net::ChaosKind::kHostCrash &&
@@ -167,343 +25,53 @@ RecoveryResult run_recovery(const RecoverySpec& rspec,
           "measuring instrument)");
     }
   }
-  check_costs(spec, costs);
 
-  net::World world(net::StackKind::kTcpIp, spec.config, spec.config);
-  world.server().enable_flow_cache(spec.scheme, spec.cache_capacity,
-                                   spec.cache_costs);
+  fleet_detail::DirectTopology topo(spec, costs, spec.connections);
+  const fleet_detail::CoreRunResult core = fleet_detail::run_tcp_flat(
+      topo, spec,
+      {rspec.chaos, rspec.keepalive_idle_us, rspec.keepalive_intvl_us,
+       rspec.keepalive_probes, rspec.max_syn_rexmts});
 
   RecoveryResult r;
   r.spec = rspec;
+  r.fleet = core.result;
+  r.lost_packets = core.lost_packets;
+  r.reconnects = core.reconnects;
+  r.client_retransmits = core.client_retransmits;
+  r.client_syn_retransmits = core.client_syn_retransmits;
 
-  // Survival knobs: only touched when set, so a knob-free chaos-free row
-  // evolves exactly like the fleet engine.
-  if (rspec.keepalive_idle_us != 0) {
-    world.client().set_tcp_keepalive(rspec.keepalive_idle_us,
-                                     rspec.keepalive_intvl_us,
-                                     rspec.keepalive_probes);
-    world.server().set_tcp_keepalive(rspec.keepalive_idle_us,
-                                     rspec.keepalive_intvl_us,
-                                     rspec.keepalive_probes);
-  }
-  if (rspec.max_syn_rexmts != 0) {
-    world.client().set_tcp_max_syn_rexmts(rspec.max_syn_rexmts);
-    world.server().set_tcp_max_syn_rexmts(rspec.max_syn_rexmts);
-  }
-
-  RecoverySink sink(world.events());
-  RecoverySource source;
-  world.server().tcp()->listen(kServerPort, &sink);
-  // A rebooted server must serve again: the fresh stack re-listens (the
-  // deliver hook and flow cache live on the Host and survive the crash).
-  world.server().set_reboot_hook(
-      [&world, &sink] { world.server().tcp()->listen(kServerPort, &sink); });
-
-  std::vector<proto::TcpConn*> conns(spec.connections, nullptr);
-  for (std::size_t i = 0; i < spec.connections; ++i) {
-    conns[i] = world.client().tcp()->connect(world.server().address().ip,
-                                             client_port(i), kServerPort,
-                                             &source);
-  }
-  const auto all_established = [&] {
-    for (auto* c : conns) {
-      if (c->state() != proto::TcpState::kEstablished) return false;
-    }
-    return true;
-  };
-  if (!world.run_until(all_established, 60'000'000)) {
-    recovery_fail(spec, "connection fleet did not establish", 0);
-  }
-  world.run_until([] { return false; }, 500'000);
-
-  world.server().flow_cache()->reset_stats();
-
-  // Schedule zero: the failure script is anchored here, so window times in
-  // the spec are relative to the start of the measured schedule.
-  const std::uint64_t base_us = world.events().now();
-  if (!rspec.chaos.empty()) rspec.chaos.install(world, base_us);
-
-  std::vector<double> samples;
-  std::vector<std::uint64_t> sample_times;
-  samples.reserve(spec.packets + spec.packets / 4);
-  sample_times.reserve(spec.packets + spec.packets / 4);
-  BurstPricer pricer;
-  pricer.costs = &costs;
-  FleetResult& fr = r.fleet;
-  fr.spec = spec;
-  // Attribution is resolved one frame late: a frame counts as scheduled
-  // traffic only if it was priced inside a burst AND its processing
-  // completed a delivery (sink.messages grew).  Keepalive probes, stray
-  // ACKs and RSTs that land mid-burst — possible once the survival knobs
-  // or a failure script are in play — price like any other activation but
-  // stay handshake traffic, so packet conservation (spec.packets ==
-  // scheduled + dropped + lost) survives the chaos.  Chaos-free this
-  // reduces to the fleet engine's rule (every in-burst arrival is a
-  // scheduled data segment), keeping the counts byte-identical.
-  std::uint64_t attributed_messages = 0;
-  bool frame_pending = false;
-  bool frame_was_burst = false;
-  const auto resolve_attribution = [&] {
-    if (!frame_pending) return;
-    frame_pending = false;
-    if (frame_was_burst && sink.messages > attributed_messages) {
-      ++fr.scheduled_sampled;
-    } else {
-      ++fr.handshake_sampled;
-    }
-    attributed_messages = sink.messages;
-  };
-  world.server().set_deliver_hook(
-      [&](const code::FlowLookupResult& lr, bool slow) {
-        resolve_attribution();
-        samples.push_back(pricer.price(lr, slow));
-        sample_times.push_back(world.events().now());
-        frame_pending = true;
-        frame_was_burst = pricer.in_burst;
-        if (slow) ++fr.slow_packets;
-      });
-
-  // Recovery phases: intervals whose priced samples report as recovery
-  // rather than steady traffic.  Every disruption window contributes
-  // [window start, first completed delivery at/after its end]; on top of
-  // that, every failed send attempt (the segment that discovered a dead
-  // peer, and the RST that answered it) and every repair (the reconnect
-  // handshake re-warming the flushed flow cache) is recovery work whenever
-  // the schedule happens to discover it.
-  struct Phase {
-    std::uint64_t begin;
-    std::uint64_t end;  // inclusive of the recovering delivery
-  };
-  std::vector<Phase> recovery_phases;
-
-  // Fold a client connection's counters into the report before it is
-  // destroyed (its successor starts from zero).
-  const auto retire_conn = [&](proto::TcpConn* c) {
-    r.client_retransmits += c->retransmits();
-    r.client_syn_retransmits += c->syn_retransmits();
-    world.client().tcp()->destroy(c);
-  };
-
-  // Re-establish conns[k] if the failure script killed it (RST from the
-  // server's new incarnation, keepalive reap, or SYN-retry exhaustion on a
-  // previous repair attempt).  No-op on a healthy connection.
-  const auto ensure_alive = [&](std::size_t k, std::uint64_t sent) {
-    const std::uint64_t repair_begin = world.events().now();
-    bool repaired = false;
-    std::size_t attempts = 0;
-    while (conns[k] == nullptr ||
-           conns[k]->state() != proto::TcpState::kEstablished) {
-      repaired = true;
-      if (++attempts > 64) {
-        recovery_fail(spec, "connection could not be re-established", sent);
-      }
-      if (conns[k] != nullptr) {
-        retire_conn(conns[k]);
-        conns[k] = nullptr;
-      }
-      // Tear down any server-side remnant of the old incarnation on the
-      // same 4-tuple so the reconnect's SYN reaches the listener.
-      if (!world.server().crashed()) {
-        for (auto* c : world.server().tcp()->connections()) {
-          if (c->remote_port() == client_port(k) &&
-              c->local_port() == kServerPort) {
-            world.server().tcp()->destroy(c);
-            break;
-          }
-        }
-      }
-      conns[k] = world.client().tcp()->connect(world.server().address().ip,
-                                               client_port(k), kServerPort,
-                                               &source);
-      ++r.reconnects;
-      proto::TcpConn* fresh = conns[k];
-      if (!world.run_until(
-              [fresh] {
-                return fresh->state() == proto::TcpState::kEstablished ||
-                       fresh->state() == proto::TcpState::kClosed;
-              },
-              60'000'000)) {
-        recovery_fail(spec, "reconnect neither completed nor failed", sent);
-      }
-    }
-    // Drain the handshake's trailing ACK outside any burst (same as the
-    // fleet engine's churn) so it prices as handshake traffic.
-    world.run_until([] { return false; }, 500'000);
-    if (repaired) {
-      recovery_phases.push_back({repair_begin, world.events().now()});
-    }
-  };
-
-  // The failure script only teaches anything if it overlaps live traffic:
-  // pace the schedule so it spans the script and outlives the last window
-  // (the final fifth of the packets land after it, giving every window a
-  // first post-fault delivery to measure).  Chaos-free rows skip this and
-  // run the fleet engine's schedule untouched.
-  const std::vector<net::ChaosWindow> script_windows = rspec.chaos.windows();
-  std::uint64_t pace_span_us = 0;
-  for (const net::ChaosWindow& w : script_windows) {
-    pace_span_us = std::max(pace_span_us, w.end_us);
-  }
-  pace_span_us += pace_span_us / 4;
-
-  ZipfSampler zipf(spec.connections, spec.zipf_s, spec.seed);
-  std::array<std::uint8_t, 32> payload{};
-  payload.fill(0x5A);
-  std::uint64_t sent = 0;
-  while (sent < spec.packets) {
-    if (pace_span_us != 0) {
-      const std::uint64_t due = base_us + (sent * pace_span_us) / spec.packets;
-      // advance_to, not run_until: the send must happen at the due tick
-      // exactly.  run_until only observes time when an event fires, and in
-      // an otherwise idle world the next event can be the far edge of a
-      // window — overshooting it would skip the disruption entirely.
-      if (world.events().now() < due) world.events().advance_to(due);
-    }
-    const std::size_t k = zipf.next();
-    const std::uint64_t burst_len = std::min<std::uint64_t>(
-        spec.batch == 0 ? 1 : spec.batch, spec.packets - sent);
-    ++r.fleet.bursts;
-    pricer.begin_burst();
-    for (std::uint64_t j = 0; j < burst_len; ++j) {
-      if (conns[k] == nullptr ||
-          conns[k]->state() != proto::TcpState::kEstablished) {
-        // The connection died under the burst: repair it outside the burst
-        // bracket so the reconnect storm prices as handshake traffic.
-        pricer.end_burst();
-        ensure_alive(k, sent);
-        pricer.begin_burst();
-      }
-      const std::uint64_t attempt_us = world.events().now();
-      conns[k]->send(payload);
-      ++sent;
-      proto::TcpConn* sender = conns[k];
-      const std::uint64_t goal = sent - r.lost_packets;
-      if (!world.run_until(
-              [&sink, sender, goal] {
-                return sink.messages >= goal ||
-                       sender->state() == proto::TcpState::kClosed;
-              },
-              60'000'000)) {
-        recovery_fail(spec, "scheduled packet was not delivered", sent - 1);
-      }
-      if (sink.messages < goal) {
-        // The connection died with the packet still undelivered; the byte
-        // is gone with the old sndbuf.  The whole failed attempt — the
-        // segment that found the dead incarnation, and whatever answered
-        // it — is recovery work.
-        ++r.lost_packets;
-        recovery_phases.push_back({attempt_us, world.events().now()});
-      }
-    }
-    pricer.end_burst();
-    resolve_attribution();  // settle the burst's last frame before the audit
-
-    const std::uint64_t priced_now =
-        fr.scheduled_sampled + fr.dropped_in_churn + r.lost_packets;
-    if (priced_now < sent) fr.dropped_in_churn += sent - priced_now;
-
-    if (spec.churn_every != 0 && sent < spec.packets &&
-        (sent / spec.churn_every) * spec.churn_every > sent - burst_len) {
-      // Same churn block as the fleet engine (close + reopen the hottest
-      // flow), guarded for the failure case where conns[0] is already dead
-      // — the regular repair path covers that.
-      if (conns[0] != nullptr &&
-          conns[0]->state() == proto::TcpState::kEstablished) {
-        if (!world.run_until([&] { return conns[0]->bytes_unacked() == 0; },
-                             60'000'000)) {
-          recovery_fail(spec, "churn victim did not quiesce", sent - 1);
-        }
-        if (!world.server().crashed()) {
-          for (auto* c : world.server().tcp()->connections()) {
-            if (c->remote_port() == client_port(0) &&
-                c->local_port() == kServerPort) {
-              world.server().tcp()->destroy(c);
-              break;
-            }
-          }
-        }
-        retire_conn(conns[0]);
-        conns[0] = world.client().tcp()->connect(world.server().address().ip,
-                                                 client_port(0), kServerPort,
-                                                 &source);
-        if (!world.run_until(
-                [&] {
-                  return conns[0]->state() == proto::TcpState::kEstablished;
-                },
-                60'000'000)) {
-          recovery_fail(spec, "churned connection did not re-establish",
-                        sent - 1);
-        }
-        world.run_until([] { return false; }, 500'000);
-        ++fr.churns;
-      }
-    }
-  }
-
-  // Let the script finish (a window may extend past the last scheduled
-  // packet) so every window gets a recovery verdict.
-  std::uint64_t horizon = base_us;
-  for (const net::ChaosWindow& w : script_windows) {
-    horizon = std::max(horizon, base_us + w.end_us);
-  }
-  if (world.events().now() < horizon) {
-    world.run_until([] { return false; }, horizon - world.events().now());
-  }
-  resolve_attribution();
-
-  fr.packets_sampled = samples.size();
-  fr.cache = world.server().flow_cache()->stats();
-  fr.latency = percentiles(samples);
-  fr.sim_us = static_cast<double>(world.events().now());
-  fr.sample_digest = fnv1a_samples(samples);
-
-  // Window reports + phase split.
-  for (const net::ChaosWindow& w : script_windows) {
+  // Recovery phases: every failed send and reconnect repair, plus each
+  // window from its start to the first completed delivery at or after its
+  // end (which also defines the window's time-to-recover).
+  std::vector<fleet_detail::Interval> phases = core.repairs;
+  for (const net::ChaosWindow& w : rspec.chaos.windows()) {
     RecoveryWindow rw;
     rw.window = w;
-    rw.start_abs_us = base_us + w.start_us;
-    rw.end_abs_us = base_us + w.end_us;
-    for (std::uint64_t t : sample_times) {
-      if (t >= rw.start_abs_us && t < rw.end_abs_us) ++rw.samples_in_window;
-    }
-    const auto it = std::lower_bound(sink.delivery_times.begin(),
-                                     sink.delivery_times.end(),
+    rw.start_abs_us = core.base_us + w.start_us;
+    rw.end_abs_us = core.base_us + w.end_us;
+    rw.samples_in_window =
+        fleet_detail::samples_between(core, rw.start_abs_us, rw.end_abs_us);
+    const auto it = std::lower_bound(core.delivery_times.begin(),
+                                     core.delivery_times.end(),
                                      rw.end_abs_us);
-    if (it != sink.delivery_times.end()) {
+    if (it != core.delivery_times.end()) {
       rw.recovered = true;
       rw.first_delivery_abs_us = *it;
       rw.ttr_us = static_cast<double>(*it - rw.end_abs_us);
-      recovery_phases.push_back({rw.start_abs_us, *it});
+      phases.push_back({rw.start_abs_us, *it});
     } else {
-      recovery_phases.push_back({rw.start_abs_us, ~std::uint64_t{0}});
+      phases.push_back({rw.start_abs_us, ~std::uint64_t{0}});
     }
     r.windows.push_back(rw);
   }
+  const fleet_detail::PhaseSplit split =
+      fleet_detail::split_phases(core, phases);
+  r.steady = split.outside;
+  r.recovery = split.inside;
+  r.steady_samples = split.outside_samples;
+  r.recovery_samples = split.inside_samples;
 
-  std::vector<double> steady_s;
-  std::vector<double> recovery_s;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const std::uint64_t t = sample_times[i];
-    bool in_recovery = false;
-    for (const Phase& ph : recovery_phases) {
-      if (t >= ph.begin && t <= ph.end) {
-        in_recovery = true;
-        break;
-      }
-    }
-    (in_recovery ? recovery_s : steady_s).push_back(samples[i]);
-  }
-  r.steady_samples = steady_s.size();
-  r.recovery_samples = recovery_s.size();
-  r.steady = percentiles(std::move(steady_s));
-  r.recovery = percentiles(std::move(recovery_s));
-
-  // Remaining client connections still hold their counters.
-  for (auto* c : conns) {
-    if (c == nullptr) continue;
-    r.client_retransmits += c->retransmits();
-    r.client_syn_retransmits += c->syn_retransmits();
-  }
+  net::World& world = topo.world();
   r.connect_failures = world.client().tcp()->connect_failures();
   r.keepalive_probes_sent = world.client().tcp()->keepalive_probes_sent();
   r.keepalive_reaps = world.client().tcp()->keepalive_reaps();
@@ -519,50 +87,10 @@ RecoveryResult run_recovery(const RecoverySpec& rspec,
   return r;
 }
 
-RecoveryRunner::RecoveryRunner(unsigned threads)
-    : threads_(resolve_workers(threads)) {}
-
-std::vector<RecoveryResult> RecoveryRunner::run(
-    const std::vector<RecoverySpec>& specs, const BurstCostTable& costs) {
-  // Thin wrapper over the unified runner entry point (harness/runner.h);
-  // byte-identical to the historical inline pool by test.
-  RecoveryRunSpec rs;
-  rs.common.workers = threads_;
-  rs.rows = specs;
-  rs.costs = costs;
-  Outcome o = harness::run(rs);
-  workers_used_ = o.workers_used;
-  return std::move(o.recovery);
-}
-
-namespace {
-
-Json percentiles_json(const LatencyPercentiles& p) {
-  return Json::object()
-      .set("p50", p.p50)
-      .set("p90", p.p90)
-      .set("p99", p.p99)
-      .set("p999", p.p999)
-      .set("mean", p.mean)
-      .set("max", p.max);
-}
-
-}  // namespace
-
 Json recovery_json(const BurstCostTable& costs,
                    const std::vector<RecoveryResult>& rows) {
   Json section = emit_section("recovery", 1);
-  Json fast = Json::array();
-  for (double v : costs.fast_us) fast.push_back(v);
-  Json slow = Json::array();
-  for (double v : costs.slow_us) slow.push_back(v);
-  section.set("costs",
-              Json::object()
-                  .set("controller_us", costs.controller_us)
-                  .set("fast_us", std::move(fast))
-                  .set("slow_us", std::move(slow))
-                  .set("config", costs.config_name)
-                  .set("params_key", costs.params_key));
+  section.set("costs", fleet_detail::costs_json(costs));
   Json out_rows = Json::array();
   for (const RecoveryResult& r : rows) {
     const FleetSpec& s = r.spec.fleet;
@@ -611,16 +139,10 @@ Json recovery_json(const BurstCostTable& costs,
              static_cast<std::uint64_t>(r.server_incarnation))
         .set("slow_packets", r.fleet.slow_packets)
         .set("churns", r.fleet.churns)
-        .set("cache", Json::object()
-                          .set("lookups", r.fleet.cache.lookups)
-                          .set("hits", r.fleet.cache.hits)
-                          .set("misses", r.fleet.cache.misses)
-                          .set("stale_hits", r.fleet.cache.stale_hits)
-                          .set("hit_ratio", r.fleet.cache.hit_ratio())
-                          .set("cost_us", r.fleet.cache.cost_us))
-        .set("latency_us", percentiles_json(r.fleet.latency))
-        .set("steady_us", percentiles_json(r.steady))
-        .set("recovery_us", percentiles_json(r.recovery))
+        .set("cache", fleet_detail::cache_json(r.fleet.cache))
+        .set("latency_us", fleet_detail::percentiles_json(r.fleet.latency))
+        .set("steady_us", fleet_detail::percentiles_json(r.steady))
+        .set("recovery_us", fleet_detail::percentiles_json(r.recovery))
         .set("steady_samples", r.steady_samples)
         .set("recovery_samples", r.recovery_samples)
         .set("windows", std::move(windows))

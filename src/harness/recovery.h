@@ -1,27 +1,27 @@
-// RecoveryRunner: the fleet engine (harness/fleet.h) driven through a
+// run_recovery: the fleet engine (harness/fleet.h) driven through a
 // scripted failure timeline (net/chaos.h), with the disruption priced.
 //
 // A recovery row is a fleet row plus a ChaosTimeline and the TCP survival
-// knobs (keepalive, bounded SYN retries).  The engine runs the identical
-// establish / drain / Zipf-burst schedule the fleet engine runs — with an
-// empty timeline and the knobs off, the per-packet samples (and therefore
-// the sample digest) are byte-identical to run_fleet, which
-// bench_recovery_latency enforces as a cross-check — and layers on top:
+// knobs (keepalive, bounded SYN retries).  It runs on the one closed-loop
+// engine (harness/fleet_internal.h) with the direct topology and the
+// script as its disruption.  With an empty timeline and the knobs off the
+// disruption does nothing, so the samples are run_fleet's by construction.
+// With a script, the engine
 //
-//  * the timeline is installed (relative to the post-establishment reset
+//  * installs the timeline (relative to the post-establishment reset
 //    point) as infrastructure events, so blackout and crash windows open
 //    and close at fixed virtual times regardless of the schedule's state;
-//  * the Zipf schedule is paced across the script: sends are spread over
+//  * paces the Zipf schedule across the script: sends are spread over
 //    1.25x the last window's end, so every window overlaps live traffic
 //    and the final fifth of the packets land after it (a disruption
 //    nobody transmits through teaches nothing, and a window with no
 //    successor traffic has no measurable time-to-recover);
-//  * a scheduled packet whose connection dies under it (server crash ->
-//    RST from the new incarnation, or keepalive reap of the half-open
-//    remnant) is accounted as lost, the connection is re-established, and
-//    the reconnect storm's handshake frames are priced like churn
-//    handshakes (position-0 activations through the burst table);
-//  * every priced sample is timestamped, so the report splits latency into
+//  * accounts a scheduled packet whose connection dies under it (server
+//    crash -> RST from the new incarnation, or keepalive reap of the
+//    half-open remnant) as lost, re-establishes the connection, and
+//    prices the reconnect storm's handshake frames like churn handshakes
+//    (position-0 activations through the burst table);
+//  * timestamps every priced sample, so the report splits latency into
 //    steady vs recovery phases — a recovery phase runs from a window's
 //    start until the first completed delivery at or after its end (that
 //    first delivery also defines the window's time-to-recover), and every
@@ -29,7 +29,7 @@
 //    own, however late the schedule discovers the damage.
 //
 // Determinism contract: fixed spec => byte-identical samples, digests, and
-// window reports, for any RecoveryRunner worker count.
+// window reports, for any harness::run worker count.
 #pragma once
 
 #include <cstdint>
@@ -106,23 +106,6 @@ struct RecoveryResult {
 /// measuring instrument) — both violations throw std::invalid_argument.
 RecoveryResult run_recovery(const RecoverySpec& spec,
                             const BurstCostTable& costs);
-
-/// Worker pool over independent recovery rows; results ordered by row
-/// index and byte-identical for any thread count.
-class RecoveryRunner {
- public:
-  explicit RecoveryRunner(unsigned threads = 0);
-
-  std::vector<RecoveryResult> run(const std::vector<RecoverySpec>& specs,
-                                  const BurstCostTable& costs);
-
-  unsigned thread_count() const noexcept { return threads_; }
-  std::size_t workers_used() const noexcept { return workers_used_; }
-
- private:
-  unsigned threads_;
-  std::size_t workers_used_ = 0;
-};
 
 /// Schema-versioned section (`l96.recovery.v1`) for standalone emission /
 /// SweepOutcome::extra_json.

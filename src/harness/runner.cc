@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "harness/fleet_internal.h"
+
 namespace l96::harness {
 
 unsigned resolve_workers(unsigned requested) {
@@ -95,9 +97,8 @@ Outcome run(const FleetRunSpec& spec) {
 
 Outcome run(const ShardRunSpec& spec) {
   Outcome o;
-  ShardedFleetRunner runner(spec.common.workers);
-  o.shard = runner.run(spec.rows, spec.costs);
-  o.workers_used = runner.workers_used();
+  o.shard = fleet_detail::run_shards(spec.rows, spec.costs,
+                                     spec.common.workers, o.workers_used);
   o.section = shard_json(spec.costs, o.shard);
   o.schema = schema_of(o.section);
   o.out_path = write_out(spec.common, o.section);

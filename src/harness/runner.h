@@ -1,21 +1,16 @@
 // Unified harness runner API: one spec shape, one entry point, one worker
 // pool.
 //
-// Historically every experiment family grew its own runner class with its
-// own constructor signature, thread pool, and output plumbing
-// (FleetRunner, RecoveryRunner, SoakRunner, and the sharded fleet).  This
-// header consolidates them: every run is described by a *RunSpec struct —
-// a shared RunnerSpec (label, seed, workers, batch, machine params, output
-// path: defined once, here) plus the family's rows — and executed by an
-// overload of
+// Every run is described by a *RunSpec struct — a shared RunnerSpec
+// (label, seed, workers, batch, machine params, output path: defined once,
+// here) plus the family's rows — and executed by an overload of
 //
 //     Outcome run(const <Family>RunSpec& spec);
 //
 // which runs the rows on the shared deterministic worker pool
 // (run_indexed_jobs), assembles the family's schema-versioned JSON
 // section, optionally writes it to spec.common.out_path, and returns the
-// typed results.  The legacy runner classes survive as thin wrappers over
-// these overloads and stay byte-identical by test.
+// typed results.
 //
 // Determinism contract (all families): results are stored by row index and
 // are byte-identical for any worker count; worker threads only decide who
@@ -44,7 +39,7 @@ unsigned resolve_workers(unsigned requested);
 /// Run `fn(0..n)` on min(resolve_workers(threads), n) worker threads with
 /// a shared atomic job counter.  Returns the number of workers that
 /// executed at least one job; rethrows the first job exception after the
-/// pool joins.  The pool every legacy runner hand-rolled, defined once.
+/// pool joins.  The one pool every family shares.
 std::size_t run_indexed_jobs(std::size_t n, unsigned threads,
                              const std::function<void(std::size_t)>& fn);
 
@@ -164,13 +159,10 @@ Outcome run(const LbRunSpec& spec);
 Outcome run(const SoakRunSpec& spec);
 Outcome run(const StreamRunSpec& spec);
 
-/// The soak engine as a pure function of the spec (extracted from the
-/// legacy SoakRunner, which now wraps it).
-SoakReport run_soak(const SoakSpec& spec);
-
-/// Schema-versioned sections for the two families that predate them
-/// (`l96.soak.v1`, `l96.stream.v1`); the other families keep their
-/// existing emitters (fleet_json / shard_json / recovery_json).
+/// Schema-versioned sections for the soak and stream families
+/// (`l96.soak.v1`, `l96.stream.v1`); the other families' emitters sit
+/// beside their engines (fleet_json / shard_json / recovery_json /
+/// lb_json).
 Json soak_json(const std::vector<SoakSpec>& specs,
                const std::vector<SoakReport>& reports);
 Json stream_json(const std::vector<StreamRowSpec>& specs,

@@ -54,22 +54,12 @@ std::uint32_t hash_core(const FleetSpec& fleet, const code::FlowKeySpec& key,
 void validate_shard(const ShardSpec& spec, const BurstCostTable& costs) {
   fleet_detail::validate_fleet_spec(spec.fleet, costs);
   if (spec.cores == 0) {
-    throw std::invalid_argument("run_sharded_fleet: cores must be >= 1");
+    throw std::invalid_argument("shard row: cores must be >= 1");
   }
   if (spec.arrival_us < 0) {
     throw std::invalid_argument(
-        "run_sharded_fleet: arrival_us must be >= 0");
+        "shard row: arrival_us must be >= 0");
   }
-}
-
-void sum_cache(code::FlowCacheStats& into, const code::FlowCacheStats& c) {
-  into.lookups += c.lookups;
-  into.hits += c.hits;
-  into.misses += c.misses;
-  into.stale_hits += c.stale_hits;
-  into.unkeyed += c.unkeyed;
-  into.rules_examined += c.rules_examined;
-  into.cost_us += c.cost_us;
 }
 
 /// Walk the global schedule and splice the per-core tagged streams back
@@ -158,7 +148,7 @@ ShardResult merge_cores(const ShardSpec& spec,
     r.bursts += fr.bursts;
     r.slow_packets += fr.slow_packets;
     r.churns += fr.churns;
-    sum_cache(r.cache, fr.cache);
+    r.cache.merge(fr.cache);
     if (service_sum[c] > service_sum[r.hot_core]) {
       r.hot_core = static_cast<std::uint32_t>(c);
     }
@@ -249,114 +239,58 @@ std::vector<std::uint32_t> steer_flows(const FleetSpec& fleet,
   return map;
 }
 
-ShardResult run_sharded_fleet(const ShardSpec& spec,
-                              const BurstCostTable& costs) {
-  validate_shard(spec, costs);
-  const std::vector<ScheduledBurst> schedule =
-      fleet_detail::build_schedule(spec.fleet);
-  const std::vector<std::uint32_t> flow_core =
-      steer_flows(spec.fleet, spec.cores, spec.steering);
-  const bool local_ports = spec.fleet.connections > kMaxFlowsPerWorld;
-  std::vector<CoreRunResult> per_core(spec.cores);
-  for (std::size_t c = 0; c < spec.cores; ++c) {
-    per_core[c] = fleet_detail::run_fleet_core(
-        spec.fleet, costs, schedule, flow_core,
-        static_cast<std::uint32_t>(c), local_ports);
-  }
-  return merge_cores(spec, schedule, flow_core, std::move(per_core));
-}
+namespace fleet_detail {
 
-ShardedFleetRunner::ShardedFleetRunner(unsigned threads)
-    : threads_(resolve_workers(threads)) {}
-
-std::vector<ShardResult> ShardedFleetRunner::run(
-    const std::vector<ShardSpec>& specs, const BurstCostTable& costs) {
-  std::vector<ShardResult> out(specs.size());
-  workers_used_ = 0;
-  if (specs.empty()) return out;
-
-  // Flatten to (row, core) jobs so one wide row parallelizes across the
-  // pool; the schedule and steering are computed serially up front (pure
-  // functions of the spec, cheap), the merges serially at the end.
+std::vector<ShardResult> run_shards(const std::vector<ShardSpec>& rows,
+                                    const BurstCostTable& costs,
+                                    unsigned workers,
+                                    std::size_t& workers_used) {
+  // The schedule and steering are pure functions of each spec, computed
+  // serially up front; the merges run serially at the end.
   struct RowPlan {
     std::vector<ScheduledBurst> schedule;
     std::vector<std::uint32_t> flow_core;
     bool local_ports = false;
     std::vector<CoreRunResult> per_core;
   };
-  std::vector<RowPlan> plans(specs.size());
+  std::vector<RowPlan> plans(rows.size());
   struct Job {
     std::size_t row;
     std::size_t core;
   };
   std::vector<Job> jobs;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    validate_shard(specs[i], costs);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    validate_shard(rows[i], costs);
     RowPlan& p = plans[i];
-    p.schedule = fleet_detail::build_schedule(specs[i].fleet);
-    p.flow_core =
-        steer_flows(specs[i].fleet, specs[i].cores, specs[i].steering);
-    p.local_ports = specs[i].fleet.connections > kMaxFlowsPerWorld;
-    p.per_core.resize(specs[i].cores);
-    for (std::size_t c = 0; c < specs[i].cores; ++c) jobs.push_back({i, c});
+    p.schedule = build_schedule(rows[i].fleet);
+    p.flow_core = steer_flows(rows[i].fleet, rows[i].cores, rows[i].steering);
+    p.local_ports = rows[i].fleet.connections > kMaxFlowsPerWorld;
+    p.per_core.resize(rows[i].cores);
+    for (std::size_t c = 0; c < rows[i].cores; ++c) jobs.push_back({i, c});
   }
 
-  workers_used_ = run_indexed_jobs(jobs.size(), threads_, [&](std::size_t j) {
+  workers_used = run_indexed_jobs(jobs.size(), workers, [&](std::size_t j) {
     const Job job = jobs[j];
     RowPlan& p = plans[job.row];
-    p.per_core[job.core] = fleet_detail::run_fleet_core(
-        specs[job.row].fleet, costs, p.schedule, p.flow_core,
+    p.per_core[job.core] = run_fleet_core(
+        rows[job.row].fleet, costs, p.schedule, p.flow_core,
         static_cast<std::uint32_t>(job.core), p.local_ports);
   });
 
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    out[i] = merge_cores(specs[i], plans[i].schedule, plans[i].flow_core,
+  std::vector<ShardResult> out(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    out[i] = merge_cores(rows[i], plans[i].schedule, plans[i].flow_core,
                          std::move(plans[i].per_core));
   }
   return out;
 }
 
-namespace {
-
-Json percentiles_json(const LatencyPercentiles& p) {
-  return Json::object()
-      .set("p50", p.p50)
-      .set("p90", p.p90)
-      .set("p99", p.p99)
-      .set("p999", p.p999)
-      .set("mean", p.mean)
-      .set("max", p.max);
-}
-
-Json cache_json(const code::FlowCacheStats& c) {
-  return Json::object()
-      .set("lookups", c.lookups)
-      .set("hits", c.hits)
-      .set("misses", c.misses)
-      .set("stale_hits", c.stale_hits)
-      .set("unkeyed", c.unkeyed)
-      .set("rules_examined", c.rules_examined)
-      .set("hit_ratio", c.hit_ratio())
-      .set("stale_ratio", c.stale_ratio())
-      .set("cost_us", c.cost_us);
-}
-
-}  // namespace
+}  // namespace fleet_detail
 
 Json shard_json(const BurstCostTable& costs,
                 const std::vector<ShardResult>& rows) {
   Json section = emit_section("shard", 1);
-  Json fast = Json::array();
-  for (double v : costs.fast_us) fast.push_back(v);
-  Json slow = Json::array();
-  for (double v : costs.slow_us) slow.push_back(v);
-  section.set("costs",
-              Json::object()
-                  .set("controller_us", costs.controller_us)
-                  .set("fast_us", std::move(fast))
-                  .set("slow_us", std::move(slow))
-                  .set("config", costs.config_name)
-                  .set("params_key", costs.params_key));
+  section.set("costs", fleet_detail::costs_json(costs));
   Json out_rows = Json::array();
   for (const ShardResult& r : rows) {
     const FleetSpec& s = r.spec.fleet;
@@ -373,9 +307,9 @@ Json shard_json(const BurstCostTable& costs,
               .set("bursts", c.bursts)
               .set("slow_packets", c.slow_packets)
               .set("churns", c.churns)
-              .set("cache", cache_json(c.cache))
-              .set("service_us", percentiles_json(c.service))
-              .set("sojourn_us", percentiles_json(c.sojourn))
+              .set("cache", fleet_detail::cache_json(c.cache))
+              .set("service_us", fleet_detail::percentiles_json(c.service))
+              .set("sojourn_us", fleet_detail::percentiles_json(c.sojourn))
               .set("busy_us", c.busy_us)
               .set("utilization", c.utilization)
               .set("max_wait_us", c.max_wait_us)
@@ -403,9 +337,9 @@ Json shard_json(const BurstCostTable& costs,
         .set("bursts", r.bursts)
         .set("slow_packets", r.slow_packets)
         .set("churns", r.churns)
-        .set("cache", cache_json(r.cache))
-        .set("latency_us", percentiles_json(r.latency))
-        .set("sojourn_us", percentiles_json(r.sojourn))
+        .set("cache", fleet_detail::cache_json(r.cache))
+        .set("latency_us", fleet_detail::percentiles_json(r.latency))
+        .set("sojourn_us", fleet_detail::percentiles_json(r.sojourn))
         .set("sample_digest", r.sample_digest)
         .set("makespan_us", r.makespan_us)
         .set("throughput_mpps", r.throughput_mpps)

@@ -1,4 +1,4 @@
-// ShardedFleetRunner: RSS-style flow steering over per-core machine models.
+// Sharded fleets: RSS-style flow steering over per-core machine models.
 //
 // A shard row is a fleet row (harness/fleet.h) executed across N simulated
 // cores.  Each core is a complete, private machine: its own net::World
@@ -20,7 +20,7 @@
 // rebuild the fleet-wide sample stream.  Determinism contract:
 //
 //  * fixed spec => byte-identical per-core streams, merged stream, and
-//    digests, for any ShardedFleetRunner worker count (cores are
+//    digests, for any harness::run(ShardRunSpec) worker count (cores are
 //    simulated; worker threads only decide who executes which core);
 //  * cores == 1 reproduces run_fleet byte-for-byte: same schedule, same
 //    world construction, same samples, same sample_digest (tests and
@@ -129,29 +129,6 @@ struct ShardResult {
 /// on execution.
 std::vector<std::uint32_t> steer_flows(const FleetSpec& fleet,
                                        std::size_t cores, SteeringPolicy p);
-
-/// Run one shard row serially (cores in id order).  Throws
-/// std::invalid_argument on a malformed spec (cores == 0, cost-table
-/// mismatch, a core's population overflowing its port space).
-ShardResult run_sharded_fleet(const ShardSpec& spec,
-                              const BurstCostTable& costs);
-
-/// Worker pool over (row, core) jobs; per-row results merged serially and
-/// ordered by row index — byte-identical for any thread count.
-class ShardedFleetRunner {
- public:
-  explicit ShardedFleetRunner(unsigned threads = 0);
-
-  std::vector<ShardResult> run(const std::vector<ShardSpec>& specs,
-                               const BurstCostTable& costs);
-
-  unsigned thread_count() const noexcept { return threads_; }
-  std::size_t workers_used() const noexcept { return workers_used_; }
-
- private:
-  unsigned threads_;
-  std::size_t workers_used_ = 0;
-};
 
 /// Schema-versioned section (`l96.shard.v1`) with the shared costs, merged
 /// rows, and per-core breakdowns.

@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "harness/runner.h"
 #include "net/chaos.h"
 
 namespace l96::harness {
@@ -169,7 +168,5 @@ SoakReport run_soak(const SoakSpec& spec) {
   }
   return rep;
 }
-
-SoakReport SoakRunner::run() { return run_soak(spec_); }
 
 }  // namespace l96::harness

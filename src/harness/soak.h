@@ -1,4 +1,4 @@
-// SoakRunner: chaos soak for the full stacks.
+// run_soak: chaos soak for the full stacks.
 //
 // Drives the TCP/IP or RPC world for thousands of roundtrips under a
 // deterministic FaultPlan, with sequence-tagged payloads verified end to
@@ -74,16 +74,7 @@ struct SoakReport {
   std::string summary() const;
 };
 
-class SoakRunner {
- public:
-  explicit SoakRunner(SoakSpec spec) : spec_(std::move(spec)) {}
-
-  SoakReport run();
-
-  const SoakSpec& spec() const noexcept { return spec_; }
-
- private:
-  SoakSpec spec_;
-};
+/// Run one soak: a pure function of the spec.
+SoakReport run_soak(const SoakSpec& spec);
 
 }  // namespace l96::harness

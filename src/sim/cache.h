@@ -93,9 +93,6 @@ class DirectMappedCache {
   /// from — every first touch afterwards classifies as a cold miss.
   void reset_cold();
 
-  /// Deprecated alias for reset_cold(); prefer the explicit name.
-  void reset() { reset_cold(); }
-
   /// Drop all lines but keep the ever-seen history (so subsequent misses
   /// still count as replacement misses).  Models a context switch flushing
   /// the cache without restarting the experiment.

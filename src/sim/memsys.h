@@ -105,8 +105,6 @@ class MemorySystem {
   /// Full cold restart: drop all cache state, residency history and
   /// statistics (the Table 6 cold-replay starting point).
   void reset_cold();
-  /// Deprecated alias for reset_cold(); prefer the explicit name.
-  void reset() { reset_cold(); }
   /// Zero statistics but keep cache contents and the ever-seen history
   /// (post-warm-up measurement, Table 7): later misses on warmed blocks
   /// still classify as replacement misses.

@@ -132,7 +132,7 @@ TEST(Cache, FlushKeepsHistoryResetForgets) {
   auto r = c.read(0x100);
   EXPECT_TRUE(r.replacement_miss);  // history survived the flush
 
-  c.reset();
+  c.reset_cold();
   r = c.read(0x100);
   EXPECT_FALSE(r.replacement_miss);  // history gone
   EXPECT_EQ(c.stats().accesses, 1u);

@@ -9,15 +9,13 @@
 #include <stdexcept>
 #include <vector>
 
-#include "harness/fleet.h"
+#include "harness/runner.h"
 #include "harness/sweep.h"
 
 namespace l96 {
 namespace {
 
 using harness::BurstCostTable;
-using harness::FleetCosts;
-using harness::FleetRunner;
 using harness::FleetSpec;
 using harness::ZipfSampler;
 
@@ -33,6 +31,16 @@ const BurstCostTable& tcp_table_one() {
   static const BurstCostTable table = harness::measure_burst_costs(
       net::StackKind::kTcpIp, code::StackConfig::All(), 1);
   return table;
+}
+
+/// The rows through harness::run on `workers` threads.
+std::vector<harness::FleetResult> run_rows(const std::vector<FleetSpec>& rows,
+                                           unsigned workers) {
+  harness::FleetRunSpec rs;
+  rs.common.workers = workers;
+  rs.rows = rows;
+  rs.costs = tcp_table();
+  return harness::run(rs).fleet;
 }
 
 FleetSpec small_spec() {
@@ -117,7 +125,7 @@ TEST(ZipfSamplerTest, LargeNTailIsReachable) {
   for (int i = 0; i < 4000; ++i) ASSERT_LT(skew.next(), kN);
 }
 
-TEST(FleetCostsTest, SlowPathPricedAboveInlinedFastPath) {
+TEST(BurstCostTableTest, SlowPathPricedAboveInlinedFastPath) {
   const BurstCostTable& t = tcp_table();
   ASSERT_EQ(t.positions(), 3u);
   EXPECT_GT(t.fast_us.front(), 0.0);
@@ -127,27 +135,25 @@ TEST(FleetCostsTest, SlowPathPricedAboveInlinedFastPath) {
   EXPECT_GT(t.controller_us, 0.0);
 }
 
-TEST(FleetCostsTest, DeprecatedFlatCostsMatchPositionZero) {
-  // The flat FleetCosts view is the 1-position table: both must price
-  // first-in-burst packets identically (the pre-burst engine's numbers).
-  const FleetCosts flat = harness::measure_fleet_costs(
-      net::StackKind::kTcpIp, code::StackConfig::All());
-  EXPECT_DOUBLE_EQ(flat.controller_us, tcp_table_one().controller_us);
-  EXPECT_DOUBLE_EQ(flat.fast_us, tcp_table_one().fast_us.front());
-  EXPECT_DOUBLE_EQ(flat.slow_us, tcp_table_one().slow_us.front());
-  // Position 0 does not depend on how many positions were measured.
-  EXPECT_DOUBLE_EQ(flat.fast_us, tcp_table().fast_us.front());
-  EXPECT_DOUBLE_EQ(flat.slow_us, tcp_table().slow_us.front());
+TEST(BurstCostTableTest, PositionZeroIsIndependentOfTableDepth) {
+  // A 1-position table and a deeper one must price first-in-burst packets
+  // identically: position 0 does not depend on how many positions were
+  // measured.
+  EXPECT_DOUBLE_EQ(tcp_table_one().controller_us, tcp_table().controller_us);
+  EXPECT_DOUBLE_EQ(tcp_table_one().fast_us.front(),
+                   tcp_table().fast_us.front());
+  EXPECT_DOUBLE_EQ(tcp_table_one().slow_us.front(),
+                   tcp_table().slow_us.front());
 }
 
-TEST(FleetCostsTest, TableClampsPastMeasuredPositions) {
+TEST(BurstCostTableTest, TableClampsPastMeasuredPositions) {
   const BurstCostTable& t = tcp_table();
   EXPECT_DOUBLE_EQ(t.fast_at(t.positions() + 5), t.fast_us.back());
   EXPECT_DOUBLE_EQ(t.slow_at(t.positions() + 5), t.slow_us.back());
   EXPECT_DOUBLE_EQ(t.fast_at(0), t.fast_us.front());
 }
 
-TEST(FleetCostsTest, BurstPositionsAmortize) {
+TEST(BurstCostTableTest, BurstPositionsAmortize) {
   const BurstCostTable& t = tcp_table();
   for (std::size_t p = 1; p < t.positions(); ++p) {
     EXPECT_LE(t.fast_us[p], t.fast_us[p - 1]) << "position " << p;
@@ -167,9 +173,8 @@ TEST(FleetTest, DeterministicAcrossRunsAndWorkerCounts) {
       specs.push_back(spec);
     }
   }
-  FleetRunner serial(1), parallel(3);
-  const auto r1 = serial.run(specs, tcp_table());
-  const auto r3 = parallel.run(specs, tcp_table());
+  const auto r1 = run_rows(specs, 1);
+  const auto r3 = run_rows(specs, 3);
   ASSERT_EQ(r1.size(), specs.size());
   ASSERT_EQ(r3.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -260,9 +265,7 @@ TEST(FleetTest, RejectsMismatchedMachineParams) {
   }
 
   // The runner rejects the bad row too (first error wins).
-  FleetRunner runner(2);
-  EXPECT_THROW(runner.run({small_spec(), spec}, tcp_table()),
-               std::invalid_argument);
+  EXPECT_THROW(run_rows({small_spec(), spec}, 2), std::invalid_argument);
 
   // A mismatched stack config is equally rejected.
   FleetSpec other_cfg = small_spec();
@@ -365,9 +368,8 @@ TEST(FleetTest, ScaledRuleSetRowRunsAndStaysDeterministic) {
                                           .probe_us = 0.4,
                                           .per_rule_us = 0.02,
                                           .measured = true};
-  FleetRunner serial(1), parallel(2);
-  const auto r1 = serial.run({spec}, tcp_table());
-  const auto r2 = parallel.run({spec}, tcp_table());
+  const auto r1 = run_rows({spec}, 1);
+  const auto r2 = run_rows({spec}, 2);
   ASSERT_EQ(r1.size(), 1u);
   EXPECT_EQ(r1[0].sample_digest, r2[0].sample_digest);
   EXPECT_GT(r1[0].cache.hits, 0u);
@@ -383,7 +385,7 @@ TEST(FleetTest, ScaledRuleSetRowRunsAndStaysDeterministic) {
   // scan would have waded through all 128 decoys per miss.
   FleetSpec plain = spec;
   plain.rules = 0;
-  const auto p = serial.run({plain}, tcp_table());
+  const auto p = run_rows({plain}, 1);
   EXPECT_EQ(r1[0].cache.rules_examined, p[0].cache.rules_examined);
   EXPECT_EQ(r1[0].cache.misses, p[0].cache.misses);
   EXPECT_EQ(r1[0].cache.hits, p[0].cache.hits)

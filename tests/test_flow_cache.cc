@@ -36,6 +36,34 @@ std::vector<std::uint8_t> flow_frame(std::uint8_t flow) {
   return {flow, 0x45};
 }
 
+TEST(FlowCacheStats, MergeSumsEveryField) {
+  code::FlowCacheStats a{.lookups = 1,
+                         .hits = 2,
+                         .misses = 3,
+                         .stale_hits = 4,
+                         .unkeyed = 5,
+                         .rules_examined = 6,
+                         .unmatched_scans = 7,
+                         .cost_us = 8.5};
+  const code::FlowCacheStats b{.lookups = 10,
+                               .hits = 20,
+                               .misses = 30,
+                               .stale_hits = 40,
+                               .unkeyed = 50,
+                               .rules_examined = 60,
+                               .unmatched_scans = 70,
+                               .cost_us = 80.25};
+  a.merge(b);
+  EXPECT_EQ(a.lookups, 11u);
+  EXPECT_EQ(a.hits, 22u);
+  EXPECT_EQ(a.misses, 33u);
+  EXPECT_EQ(a.stale_hits, 44u);
+  EXPECT_EQ(a.unkeyed, 55u);
+  EXPECT_EQ(a.rules_examined, 66u);
+  EXPECT_EQ(a.unmatched_scans, 77u);
+  EXPECT_DOUBLE_EQ(a.cost_us, 88.75);
+}
+
 TEST(FlowKeySpec, FrameExtractionMatchesExplicitValues) {
   const FlowKeySpec spec{{{.offset = 0, .size = 1}, {.offset = 2, .size = 2}}};
   const std::vector<std::uint8_t> frame = {0xAA, 0x00, 0xBB, 0xCC};

@@ -40,8 +40,7 @@ TEST(FuzzFrames, TcpCorruptionSweptAcrossHeaderOffsets) {
   // detect it (address check, IP checksum, TCP checksum), recover by
   // retransmission, and deliver every payload byte intact.
   for (std::uint32_t off = 0; off < 64; ++off) {
-    harness::SoakRunner runner(sweep_spec(net::StackKind::kTcpIp, off));
-    const auto r = runner.run();
+    const auto r = harness::run_soak(sweep_spec(net::StackKind::kTcpIp, off));
     EXPECT_TRUE(r.ok()) << "offset " << off << ": " << r.summary();
     EXPECT_EQ(r.integrity_failures, 0u) << "offset " << off;
   }
@@ -53,8 +52,7 @@ TEST(FuzzFrames, RpcCorruptionSweptAcrossHeaderOffsets) {
   // past eth, so every hit is either an address reject or a checksum
   // reject; CHAN retries carry the call through.
   for (std::uint32_t off = 0; off < 64; ++off) {
-    harness::SoakRunner runner(sweep_spec(net::StackKind::kRpc, off));
-    const auto r = runner.run();
+    const auto r = harness::run_soak(sweep_spec(net::StackKind::kRpc, off));
     EXPECT_TRUE(r.ok()) << "offset " << off << ": " << r.summary();
     EXPECT_EQ(r.integrity_failures, 0u) << "offset " << off;
   }

@@ -219,35 +219,27 @@ void expect_same_measurement(const harness::SideMeasurement& a,
   EXPECT_EQ(a.steady.mcpi(), b.steady.mcpi());
 }
 
-TEST(MeasureSpec, PositionalWrapperIsByteIdentical) {
+TEST(MeasureSpec, ExplicitDefaultParamsAreByteIdentical) {
+  // Spelling out the defaulted fields measures what the defaulted spec
+  // measures.
   const Captured& c =
       capture_for(net::StackKind::kTcpIp, StackConfig::Clo());
-  const auto params = harness::MachineParams::defaults();
-  const auto& reg = c.world->client().registry();
-
-  const auto positional = harness::measure_side(
-      net::StackKind::kTcpIp, StackConfig::Clo(), reg, c.traces.client,
-      c.traces.client_split, 0, params);
-  const auto structured = harness::measure_side(
-      client_spec(net::StackKind::kTcpIp, StackConfig::Clo(), c));
-  expect_same_measurement(positional, structured);
+  const harness::MeasureSpec defaulted =
+      client_spec(net::StackKind::kTcpIp, StackConfig::Clo(), c);
+  harness::MeasureSpec spelled = defaulted;
+  spelled.params = harness::MachineParams::defaults();
+  expect_same_measurement(harness::measure_side(spelled),
+                          harness::measure_side(defaulted));
 }
 
-TEST(MeasureSpec, ProfileWrapperIsByteIdentical) {
+TEST(MeasureSpec, ExplicitProfileIsByteIdentical) {
+  // An explicit profile equal to the trace matches the defaulted one.
   const Captured& c =
       capture_for(net::StackKind::kTcpIp, StackConfig::Out());
-  const auto params = harness::MachineParams::defaults();
-  const auto& reg = c.world->client().registry();
-
-  const auto positional = harness::measure_side_with_profile(
-      net::StackKind::kTcpIp, StackConfig::Out(), reg, c.traces.client,
-      c.traces.client, c.traces.client_split, 0, params);
   harness::MeasureSpec spec =
       client_spec(net::StackKind::kTcpIp, StackConfig::Out(), c);
   spec.profile = &c.traces.client;
   const auto structured = harness::measure_side(spec);
-  expect_same_measurement(positional, structured);
-  // And an explicit profile equal to the trace matches the defaulted one.
   spec.profile = nullptr;
   expect_same_measurement(harness::measure_side(spec), structured);
 }

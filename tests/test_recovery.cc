@@ -1,21 +1,20 @@
 // Tests for the recovery harness (harness/recovery.h): chaos-free byte-
 // identity with the fleet engine, determinism across runs and worker
 // counts, dark windows + finite time-to-recover under blackout and
-// crash/reboot scripts, and the input validation guards.
+// crash/reboot scripts, the fleet row's rules, and the input validation
+// guards.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <vector>
 
-#include "harness/fleet.h"
-#include "harness/recovery.h"
+#include "harness/runner.h"
 
 namespace l96 {
 namespace {
 
 using harness::BurstCostTable;
 using harness::RecoveryResult;
-using harness::RecoveryRunner;
 using harness::RecoverySpec;
 
 const BurstCostTable& tcp_table() {
@@ -113,16 +112,52 @@ TEST(RecoveryTest, DeterministicAcrossRunsAndWorkerCounts) {
       }(),
       crash_spec(),
   };
-  RecoveryRunner serial(1);
-  RecoveryRunner pooled(4);
-  const auto a = serial.run(specs, tcp_table());
-  const auto b = pooled.run(specs, tcp_table());
-  const auto c = pooled.run(specs, tcp_table());
+  const auto run_on = [&](unsigned workers) {
+    harness::RecoveryRunSpec rs;
+    rs.common.workers = workers;
+    rs.rows = specs;
+    rs.costs = tcp_table();
+    return harness::run(rs).recovery;
+  };
+  const auto a = run_on(1);
+  const auto b = run_on(4);
+  const auto c = run_on(4);
   ASSERT_EQ(a.size(), specs.size());
   ASSERT_EQ(b.size(), specs.size());
   const std::string dump_a = harness::recovery_json(tcp_table(), a).dump();
   EXPECT_EQ(dump_a, harness::recovery_json(tcp_table(), b).dump());
   EXPECT_EQ(dump_a, harness::recovery_json(tcp_table(), c).dump());
+}
+
+TEST(RecoveryTest, InstallsTheRowsDecoyRules) {
+  // A recovery row is a fleet row: its decoy rule table is installed on
+  // the server.  Eight decoys keep the classifier on its linear scan
+  // (tuple space only starts at 16 paths and would skip the decoys), so
+  // every miss scan wades through them.
+  RecoverySpec plain = small_spec();
+  plain.fleet.scheme = code::FlowCacheScheme::kOneBehind;
+  RecoverySpec ruled = plain;
+  ruled.fleet.rules = 8;
+  const RecoveryResult p = harness::run_recovery(plain, tcp_table());
+  const RecoveryResult r = harness::run_recovery(ruled, tcp_table());
+  EXPECT_GT(r.fleet.cache.rules_examined, p.fleet.cache.rules_examined);
+}
+
+TEST(RecoveryTest, RejectsFlatClassifierOverheadKnob) {
+  // Exactly one classification cost model, as for every fleet row — even
+  // with a cost table measured under the row's own params.
+  RecoverySpec spec = small_spec();
+  spec.fleet.params.classifier_overhead_us = 1.0;
+  const BurstCostTable costs = harness::measure_burst_costs(
+      net::StackKind::kTcpIp, code::StackConfig::All(), 1, spec.fleet.params);
+  try {
+    harness::run_recovery(spec, costs);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("classifier_overhead_us"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(RecoveryTest, JsonSectionIsSchemaVersioned) {

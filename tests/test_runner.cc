@@ -1,6 +1,6 @@
-// Tests for the unified runner API (harness/runner.h): the run() overloads
-// against the legacy runner classes (byte-identical wrapper equivalence),
-// the shared worker pool, and the out_path plumbing.
+// Tests for the unified runner API (harness/runner.h): each run() overload
+// against the engine it wraps (byte-identical), the shared worker pool,
+// and the out_path plumbing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -73,8 +73,10 @@ TEST(ResolveWorkersTest, ZeroPicksHardwareFlooredAtTwo) {
 TEST(RunnerTest, FleetWrapperIsByteIdentical) {
   const std::vector<FleetSpec> rows = {fleet_spec(3), fleet_spec(4)};
 
-  harness::FleetRunner legacy(2);
-  const auto via_legacy = legacy.run(rows, tcp_table());
+  std::vector<harness::FleetResult> direct;
+  for (const FleetSpec& row : rows) {
+    direct.push_back(harness::run_fleet(row, tcp_table()));
+  }
 
   FleetRunSpec rs;
   rs.common.workers = 2;
@@ -82,17 +84,16 @@ TEST(RunnerTest, FleetWrapperIsByteIdentical) {
   rs.costs = tcp_table();
   const Outcome o = harness::run(rs);
 
-  ASSERT_EQ(o.fleet.size(), via_legacy.size());
-  for (std::size_t i = 0; i < via_legacy.size(); ++i) {
-    EXPECT_EQ(o.fleet[i].sample_digest, via_legacy[i].sample_digest);
-    EXPECT_EQ(o.fleet[i].packets_sampled, via_legacy[i].packets_sampled);
-    EXPECT_DOUBLE_EQ(o.fleet[i].latency.mean, via_legacy[i].latency.mean);
+  ASSERT_EQ(o.fleet.size(), direct.size());
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_EQ(o.fleet[i].sample_digest, direct[i].sample_digest);
+    EXPECT_EQ(o.fleet[i].packets_sampled, direct[i].packets_sampled);
+    EXPECT_DOUBLE_EQ(o.fleet[i].latency.mean, direct[i].latency.mean);
   }
   EXPECT_EQ(o.schema, "l96.fleet.v2");
   EXPECT_TRUE(o.ok);
   // The emitted section is the same object fleet_json produces.
-  EXPECT_EQ(o.section.dump(),
-            harness::fleet_json(tcp_table(), via_legacy).dump());
+  EXPECT_EQ(o.section.dump(), harness::fleet_json(tcp_table(), direct).dump());
 }
 
 TEST(RunnerTest, RecoveryWrapperIsByteIdentical) {
@@ -101,9 +102,6 @@ TEST(RunnerTest, RecoveryWrapperIsByteIdentical) {
   spec.fleet.churn_every = 0;
   const std::vector<RecoverySpec> rows = {spec};
 
-  harness::RecoveryRunner legacy(2);
-  const auto via_legacy = legacy.run(rows, tcp_table());
-
   RecoveryRunSpec rs;
   rs.common.workers = 2;
   rs.rows = rows;
@@ -111,8 +109,10 @@ TEST(RunnerTest, RecoveryWrapperIsByteIdentical) {
   const Outcome o = harness::run(rs);
 
   ASSERT_EQ(o.recovery.size(), 1u);
-  EXPECT_EQ(o.recovery[0].fleet.sample_digest,
-            via_legacy[0].fleet.sample_digest);
+  EXPECT_EQ(o.section.dump(),
+            harness::recovery_json(
+                tcp_table(), {harness::run_recovery(spec, tcp_table())})
+                .dump());
   // Chaos-free recovery must still match the flat fleet engine.
   EXPECT_EQ(o.recovery[0].fleet.sample_digest,
             harness::run_fleet(spec.fleet, tcp_table()).sample_digest);
@@ -128,16 +128,15 @@ TEST(RunnerTest, SoakWrapperIsByteIdentical) {
   spec.plan.rates[1].drop = 0.005;
   spec.plan.start_after_frames = 4;
 
-  harness::SoakRunner legacy(spec);
-  const harness::SoakReport via_legacy = legacy.run();
+  const harness::SoakReport direct = harness::run_soak(spec);
 
   SoakRunSpec rs;
   rs.rows = {spec};
   const Outcome o = harness::run(rs);
 
   ASSERT_EQ(o.soak.size(), 1u);
-  EXPECT_EQ(o.soak[0].summary(), via_legacy.summary());
-  EXPECT_EQ(o.ok, via_legacy.ok());
+  EXPECT_EQ(o.soak[0].summary(), direct.summary());
+  EXPECT_EQ(o.ok, direct.ok());
   EXPECT_EQ(o.schema, "l96.soak.v1");
   EXPECT_NE(o.section.dump().find("\"schema\":\"l96.soak.v1\""),
             std::string::npos);

@@ -10,6 +10,7 @@
 
 #include "harness/fleet.h"
 #include "harness/fleet_internal.h"
+#include "harness/runner.h"
 #include "harness/shard.h"
 
 namespace l96 {
@@ -17,7 +18,6 @@ namespace {
 
 using harness::BurstCostTable;
 using harness::FleetSpec;
-using harness::ShardedFleetRunner;
 using harness::ShardResult;
 using harness::ShardSpec;
 using harness::SteeringPolicy;
@@ -32,6 +32,22 @@ const BurstCostTable& rpc_table() {
   static const BurstCostTable table = harness::measure_burst_costs(
       net::StackKind::kRpc, code::StackConfig::All(), 3);
   return table;
+}
+
+/// Shard rows through harness::run on `workers` threads.
+std::vector<ShardResult> run_rows(const std::vector<ShardSpec>& rows,
+                                  const BurstCostTable& costs,
+                                  unsigned workers) {
+  harness::ShardRunSpec rs;
+  rs.common.workers = workers;
+  rs.rows = rows;
+  rs.costs = costs;
+  return harness::run(rs).shard;
+}
+
+ShardResult run_shard(const ShardSpec& spec,
+                      const BurstCostTable& costs = tcp_table()) {
+  return run_rows({spec}, costs, 1).front();
 }
 
 FleetSpec fleet_spec() {
@@ -106,7 +122,7 @@ TEST(ShardTest, OneCoreMatchesFlatRunFleetDigest) {
   ShardSpec spec;
   spec.fleet = fleet;
   spec.cores = 1;
-  const ShardResult sharded = harness::run_sharded_fleet(spec, tcp_table());
+  const ShardResult sharded = run_shard(spec);
 
   EXPECT_EQ(sharded.sample_digest, flat.sample_digest);
   EXPECT_EQ(sharded.packets_sampled, flat.packets_sampled);
@@ -134,10 +150,9 @@ TEST(ShardTest, DigestsIdenticalAcrossWorkerCountsAndRuns) {
   spec.arrival_us = 150.0;
   const std::vector<ShardSpec> rows = {spec};
 
-  ShardedFleetRunner one(1), four(4);
-  const auto a = one.run(rows, tcp_table());
-  const auto b = four.run(rows, tcp_table());
-  const auto c = four.run(rows, tcp_table());
+  const auto a = run_rows(rows, tcp_table(), 1);
+  const auto b = run_rows(rows, tcp_table(), 4);
+  const auto c = run_rows(rows, tcp_table(), 4);
   ASSERT_EQ(a.size(), 1u);
   EXPECT_EQ(a[0].sample_digest, b[0].sample_digest);
   EXPECT_EQ(b[0].sample_digest, c[0].sample_digest);
@@ -157,7 +172,7 @@ TEST(ShardTest, SteeringConservationAcrossCores) {
     spec.fleet = fleet_spec();
     spec.cores = 4;
     spec.steering = p;
-    const ShardResult r = harness::run_sharded_fleet(spec, tcp_table());
+    const ShardResult r = run_shard(spec);
     EXPECT_TRUE(r.conserved);
     EXPECT_EQ(r.scheduled_sampled + r.dropped_in_churn, spec.fleet.packets);
 
@@ -182,7 +197,7 @@ TEST(ShardTest, ChurnRunsOnFlowZeroOwnerOnly) {
   spec.cores = 4;
   const auto map =
       harness::steer_flows(spec.fleet, spec.cores, spec.steering);
-  const ShardResult r = harness::run_sharded_fleet(spec, tcp_table());
+  const ShardResult r = run_shard(spec);
   ASSERT_GT(r.churns, 0u);
   for (const auto& c : r.cores) {
     if (c.core == map[0]) {
@@ -200,7 +215,7 @@ TEST(ShardTest, RpcFleetShards) {
   spec.fleet.kind = net::StackKind::kRpc;
   spec.fleet.churn_every = 0;
   spec.cores = 4;
-  const ShardResult r = harness::run_sharded_fleet(spec, rpc_table());
+  const ShardResult r = run_shard(spec, rpc_table());
   EXPECT_TRUE(r.conserved);
   EXPECT_EQ(r.scheduled_sampled, spec.fleet.packets);
   EXPECT_EQ(r.handshake_sampled, 0u);
@@ -216,9 +231,9 @@ TEST(ShardTest, QueueModelExposesHotCoreUnderSkew) {
   spec.cores = 4;
   // Offer aggregate load around the fleet's mean service capacity: the
   // hot flow's core saturates, the rest idle.
-  const ShardResult probe = harness::run_sharded_fleet(spec, tcp_table());
+  const ShardResult probe = run_shard(spec);
   spec.arrival_us = probe.latency.mean / static_cast<double>(spec.cores);
-  const ShardResult r = harness::run_sharded_fleet(spec, tcp_table());
+  const ShardResult r = run_shard(spec);
 
   EXPECT_GT(r.makespan_us, 0.0);
   EXPECT_GT(r.throughput_mpps, 0.0);
@@ -236,11 +251,11 @@ TEST(ShardTest, ValidatesSpec) {
   ShardSpec spec;
   spec.fleet = fleet_spec();
   spec.cores = 0;
-  EXPECT_THROW(harness::run_sharded_fleet(spec, tcp_table()),
+  EXPECT_THROW(run_shard(spec),
                std::invalid_argument);
   spec.cores = 2;
   spec.arrival_us = -1;
-  EXPECT_THROW(harness::run_sharded_fleet(spec, tcp_table()),
+  EXPECT_THROW(run_shard(spec),
                std::invalid_argument);
 }
 
@@ -254,7 +269,7 @@ TEST(ShardTest, ShardJsonCarriesSchemaAndRows) {
   ShardSpec spec;
   spec.fleet = fleet_spec();
   spec.cores = 2;
-  const ShardResult r = harness::run_sharded_fleet(spec, tcp_table());
+  const ShardResult r = run_shard(spec);
   const harness::Json section = harness::shard_json(tcp_table(), {r});
   const std::string dump = section.dump();
   EXPECT_NE(dump.find("\"schema\":\"l96.shard.v1\""), std::string::npos);

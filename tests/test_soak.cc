@@ -25,8 +25,7 @@ harness::SoakSpec chaos_spec(net::StackKind kind, std::uint64_t roundtrips,
 }
 
 TEST(Soak, TcpFiveThousandRoundtripsAtFivePercent) {
-  harness::SoakRunner runner(chaos_spec(net::StackKind::kTcpIp, 5000, 7));
-  const auto r = runner.run();
+  const auto r = harness::run_soak(chaos_spec(net::StackKind::kTcpIp, 5000, 7));
   EXPECT_TRUE(r.ok()) << r.summary();
   EXPECT_EQ(r.roundtrips, 5000u);
   EXPECT_EQ(r.integrity_failures, 0u);
@@ -43,8 +42,7 @@ TEST(Soak, TcpFiveThousandRoundtripsAtFivePercent) {
 }
 
 TEST(Soak, RpcFiveThousandRoundtripsAtFivePercent) {
-  harness::SoakRunner runner(chaos_spec(net::StackKind::kRpc, 5000, 7));
-  const auto r = runner.run();
+  const auto r = harness::run_soak(chaos_spec(net::StackKind::kRpc, 5000, 7));
   EXPECT_TRUE(r.ok()) << r.summary();
   EXPECT_EQ(r.roundtrips, 5000u);
   EXPECT_EQ(r.integrity_failures, 0u);
@@ -60,8 +58,7 @@ TEST(Soak, RpcMultiFragmentMessagesSurviveFaults) {
   // 2500-byte arguments traverse BLAST fragmentation + NACK recovery.
   auto s = chaos_spec(net::StackKind::kRpc, 800, 11);
   s.msg_bytes = 2500;
-  harness::SoakRunner runner(s);
-  const auto r = runner.run();
+  const auto r = harness::run_soak(s);
   EXPECT_TRUE(r.ok()) << r.summary();
   EXPECT_EQ(r.integrity_failures, 0u);
   EXPECT_EQ(r.reassemblies_pending, 0u);
@@ -72,8 +69,8 @@ TEST(Soak, ReplayIsByteIdentical) {
   // Same (seed, plan) => same virtual timeline, same fault log, same
   // recovery counts: the whole report reproduces, not just the outcome.
   const auto spec = chaos_spec(net::StackKind::kTcpIp, 800, 1234);
-  const auto r1 = harness::SoakRunner(spec).run();
-  const auto r2 = harness::SoakRunner(spec).run();
+  const auto r1 = harness::run_soak(spec);
+  const auto r2 = harness::run_soak(spec);
   ASSERT_TRUE(r1.ok()) << r1.summary();
   EXPECT_EQ(r1.summary(), r2.summary());
   EXPECT_EQ(r1.fault_log_hash, r2.fault_log_hash);
@@ -83,8 +80,8 @@ TEST(Soak, ReplayIsByteIdentical) {
 TEST(Soak, DifferentSeedsProduceDifferentSchedules) {
   auto s1 = chaos_spec(net::StackKind::kTcpIp, 400, 1);
   auto s2 = chaos_spec(net::StackKind::kTcpIp, 400, 2);
-  const auto r1 = harness::SoakRunner(s1).run();
-  const auto r2 = harness::SoakRunner(s2).run();
+  const auto r1 = harness::run_soak(s1);
+  const auto r2 = harness::run_soak(s2);
   EXPECT_TRUE(r1.ok()) << r1.summary();
   EXPECT_TRUE(r2.ok()) << r2.summary();
   EXPECT_NE(r1.fault_log_hash, r2.fault_log_hash);
@@ -98,8 +95,7 @@ TEST(Soak, TcpChaosPhaseSurvivesBlackoutAndCrashReboot) {
   // with every clean-teardown invariant intact.
   auto s = chaos_spec(net::StackKind::kTcpIp, 1500, 7);
   s.chaos = true;
-  harness::SoakRunner runner(s);
-  const auto r = runner.run();
+  const auto r = harness::run_soak(s);
   EXPECT_TRUE(r.ok()) << r.summary();
   EXPECT_EQ(r.roundtrips, 1500u);
   EXPECT_EQ(r.integrity_failures, 0u);
@@ -110,7 +106,7 @@ TEST(Soak, TcpChaosPhaseSurvivesBlackoutAndCrashReboot) {
   EXPECT_GE(r.reconnects, 1u);           // the crash was noticed and repaired
   EXPECT_EQ(r.server_incarnation, 2u);   // exactly one reboot
   // Replay: the failure domains are part of the deterministic timeline.
-  const auto r2 = harness::SoakRunner(s).run();
+  const auto r2 = harness::run_soak(s);
   EXPECT_EQ(r.summary(), r2.summary());
 }
 
@@ -120,7 +116,7 @@ TEST(Soak, RpcChaosPhaseRidesOutTheBlackout) {
   // fails.
   auto s = chaos_spec(net::StackKind::kRpc, 1500, 7);
   s.chaos = true;
-  const auto r = harness::SoakRunner(s).run();
+  const auto r = harness::run_soak(s);
   EXPECT_TRUE(r.ok()) << r.summary();
   EXPECT_EQ(r.roundtrips, 1500u);
   EXPECT_EQ(r.failed_calls, 0u);
@@ -133,11 +129,11 @@ TEST(Soak, CleanRunHasNoFaultsAndNoRecovery) {
   harness::SoakSpec s;
   s.kind = net::StackKind::kTcpIp;
   s.roundtrips = 400;
-  const auto r = harness::SoakRunner(s).run();
+  const auto r = harness::run_soak(s);
   EXPECT_TRUE(r.ok()) << r.summary();
   EXPECT_EQ(r.faults.total(), 0u);
   EXPECT_EQ(r.tcp_retransmits, 0u);
-  EXPECT_EQ(r.fault_log_hash, harness::SoakRunner(s).run().fault_log_hash);
+  EXPECT_EQ(r.fault_log_hash, harness::run_soak(s).fault_log_hash);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // print the recovery report.
 //
 //   chaos [--script "S"] [--keepalive IDLE_US] [--syn-retries N]
-//         [--seed N] [--workers N] [--out FILE] [--json FILE]
+//         [--seed N] [--workers N] [--out FILE]
 //         [scheme] [connections] [packets] [zipf_s] [seed] [capacity]
 //
 // `S` is a whitespace-separated chaos script, e.g.
@@ -11,9 +11,7 @@
 // point).  `scheme` is one-behind | direct | lru.  --keepalive arms client
 // and server keepalive probing (interval = IDLE_US / 2, 2 probes);
 // --syn-retries bounds the reconnect storm's SYN retransmissions.
-// --out writes the l96.recovery.v1 section to FILE; --json FILE is the
-// deprecated spelling of the same thing (kept valued for existing
-// invocations — unlike the other tools, where --json is a bare flag).
+// --out writes the l96.recovery.v1 section to FILE.
 //
 // Exit status: 0 on success, 1 when a recovery invariant fails (packet
 // conservation, deliveries inside a blackout/crash window, an unrecovered
@@ -72,7 +70,6 @@ int main(int argc, char** argv) {
                     "worker threads (0 = hardware concurrency)", &workers);
   parser.add_option("out", "FILE",
                     "write the l96.recovery.v1 section to FILE", &out_path);
-  parser.add_option("json", "FILE", "deprecated alias of --out", &out_path);
   parser.add_positional("scheme", "one-behind|direct|lru (default lru)",
                         [&](const std::string& v) {
                           const auto s = code::flow_cache_scheme_from_string(v);
