@@ -24,8 +24,9 @@ struct FootprintStats {
   std::uint64_t static_path_words = 0;
 };
 
-/// Compute fetched-block utilisation of a lowered machine trace.
-/// `static_path_words` is taken from the image's hot segment.
+/// Compute fetched-block utilisation of a lowered machine trace (PCs are
+/// word-aligned).  `static_path_words` is taken from the image's hot
+/// segment.
 FootprintStats footprint_stats(const sim::MachineTrace& trace,
                                const CodeImage& image,
                                std::uint32_t block_bytes = 32);

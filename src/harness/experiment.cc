@@ -134,9 +134,12 @@ SideMeasurement measure_side(const MeasureSpec& spec) {
           xk::SimAlloc::kArenaBase + 0x100'0000}}));
   }
 
+  // One machine serves all three replays.  Each starts with reset_cold(),
+  // so the results equal those of three fresh machines (tested).
+  sim::Machine machine(params.mem, params.cpu);
+
   // Cold replay: the paper's trace-driven cache simulation (Table 6).
   {
-    sim::Machine machine(params.mem, params.cpu);
     sim::Machine::Options opts;
     opts.cold_start = true;
     opts.warmup_passes = 0;
@@ -155,7 +158,6 @@ SideMeasurement measure_side(const MeasureSpec& spec) {
   steady.scrub_fraction_d = params.scrub_fraction_d;
   steady.scrub_seed = params.scrub_seed + spec.seed_offset;
   {
-    sim::Machine machine(params.mem, params.cpu);
     sim::Machine::Options opts = steady;
     opts.miss_profiler = prof.get();
     m.steady = machine.run(full, opts);
@@ -165,11 +167,8 @@ SideMeasurement measure_side(const MeasureSpec& spec) {
           std::make_shared<const sim::MissProfile>(prof->snapshot());
     }
   }
-  {
-    sim::Machine machine(params.mem, params.cpu);
-    m.critical = machine.run(critical, steady);
-    m.critical_us = m.critical.processing_us(params.cpu.frequency_hz);
-  }
+  m.critical = machine.run(critical, steady);
+  m.critical_us = m.critical.processing_us(params.cpu.frequency_hz);
 
   m.footprint = code::footprint_stats(full, image, params.mem.block_bytes);
   return m;

@@ -52,8 +52,8 @@ class Cpu {
   Cpu() = default;
   explicit Cpu(const Config& cfg) : cfg_(cfg) {}
 
-  /// Compute issue cycles for a whole trace (stateless between calls unless
-  /// `accumulate` is true).
+  /// Compute issue cycles for a whole trace.  Stateless: each call times
+  /// its trace from scratch.
   CpuStats time_trace(const MachineTrace& trace) const;
 
   const Config& config() const noexcept { return cfg_; }

@@ -3,8 +3,20 @@
 namespace l96::sim {
 
 void Machine::replay_memory(const MachineTrace& trace) {
+  // Only the first fetch of a run of PCs in one i-cache block needs a
+  // lookup; the rest hit by construction (see MemorySystem::ifetch_resident).
+  const Addr block_mask = ~Addr{mem_.config().block_bytes - 1};
+  Addr open_block = 0;
+  bool have_block = false;
   for (const MachineInstr& in : trace) {
-    mem_.ifetch(in.pc);
+    const Addr block = in.pc & block_mask;
+    if (have_block && block == open_block) {
+      mem_.ifetch_resident(in.pc);
+    } else {
+      mem_.ifetch(in.pc);
+      open_block = block;
+      have_block = true;
+    }
     switch (in.cls) {
       case InstrClass::kLoad:
         mem_.load(in.ea);

@@ -79,6 +79,16 @@ class MemorySystem {
   /// Returns stall cycles charged to this fetch.
   std::uint32_t ifetch(Addr pc);
 
+  /// Fetch of `pc` from the block the previous ifetch() brought in.  The
+  /// caches are split, so no data access in between can have evicted it:
+  /// the fetch is counted as an i-cache hit without a lookup.
+  void ifetch_resident(Addr pc) {
+    icache_->count_hit();
+    if (profiler_ != nullptr) {
+      profiler_->on_hit(ProfiledCache::kICache, pc, icache_->block_of(pc));
+    }
+  }
+
   /// Data load of `size` bytes at `addr` (size only matters for block
   /// straddling, which the callers avoid; kept for completeness).
   std::uint32_t load(Addr addr);

@@ -1,8 +1,13 @@
 // Unit and property tests for the direct-mapped cache model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <optional>
 #include <random>
 #include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "sim/cache.h"
 
@@ -103,17 +108,6 @@ TEST(Cache, CleanEvictionNoWriteback) {
   EXPECT_FALSE(r.writeback);
 }
 
-TEST(Cache, InstallDoesNotTouchStats) {
-  auto c = make_cache();
-  c.install(0x4000);
-  EXPECT_EQ(c.stats().accesses, 0u);
-  EXPECT_TRUE(c.contains(0x4000));
-  // But it marks the block seen: a miss after eviction is replacement.
-  c.read(0x4000 + 8 * 1024);
-  auto r = c.read(0x4000);
-  EXPECT_TRUE(r.replacement_miss);
-}
-
 TEST(Cache, ProbeCountsButDoesNotAllocate) {
   auto c = make_cache();
   EXPECT_FALSE(c.probe(0x5000));
@@ -146,7 +140,7 @@ TEST(Cache, ResetColdVersusResetStats) {
   auto c = make_cache();
   c.read(0x100);
   c.read(0x200);
-  c.invalidate(0x200);
+  c.invalidate_line(c.line_index(0x200));
 
   c.reset_stats();
   EXPECT_EQ(c.stats().accesses, 0u);
@@ -186,44 +180,192 @@ TEST(Cache, InvalidateLine) {
   c.read(0x100);
   c.invalidate_line(c.line_index(0x100));
   EXPECT_FALSE(c.contains(0x100));
+  // Only the named line is dropped; its neighbour stays resident.
   c.read(0x200);
-  c.invalidate(0x200);
+  c.read(0x220);
+  c.invalidate_line(c.line_index(0x200));
   EXPECT_FALSE(c.contains(0x200));
-  // Invalidating an address whose line holds a different block is a no-op.
-  c.read(0x300);
-  c.invalidate(0x300 + 8 * 1024);
-  EXPECT_TRUE(c.contains(0x300));
+  EXPECT_TRUE(c.contains(0x220));
+  // The dropped block was seen: refetching it is a replacement miss.
+  EXPECT_TRUE(c.read(0x200).replacement_miss);
 }
 
-// Property: against a reference model, hit/miss decisions agree for random
-// address streams, and the stats identities hold.
+// Reference model: the paper's direct-mapped cache written as plainly as
+// possible (one optional tag per line, a dirty flag, a set of every block
+// that was ever resident), against which the production model is checked.
+class RefCache {
+ public:
+  RefCache(std::uint32_t size, WritePolicy wp)
+      : lines_(size / 32), wp_(wp), tag_(lines_), dirty_(lines_) {}
+
+  DirectMappedCache::AccessResult access(Addr a, bool is_write) {
+    ++stats_.accesses;
+    const Addr block = a / 32 * 32;
+    const std::uint32_t line = index(a);
+    DirectMappedCache::AccessResult r;
+    if (tag_[line] == block) {
+      r.hit = true;
+      if (is_write && wp_ == WritePolicy::kWriteBack) dirty_[line] = true;
+      return r;
+    }
+    ++stats_.misses;
+    r.replacement_miss = seen_.contains(block);
+    if (r.replacement_miss) ++stats_.repl_misses;
+    if (is_write && wp_ == WritePolicy::kWriteThrough) return r;
+    if (tag_[line]) {
+      r.evicted = true;
+      r.evicted_block = *tag_[line];
+      r.writeback = dirty_[line];
+      if (r.writeback) ++stats_.writebacks;
+    }
+    tag_[line] = block;
+    dirty_[line] = is_write;
+    seen_.insert(block);
+    return r;
+  }
+
+  bool probe(Addr a) {
+    ++stats_.accesses;
+    if (contains(a)) return true;
+    ++stats_.misses;
+    if (seen_.contains(a / 32 * 32)) ++stats_.repl_misses;
+    return false;
+  }
+
+  bool contains(Addr a) const { return tag_[index(a)] == a / 32 * 32; }
+  void invalidate_line(std::uint32_t i) { tag_[i].reset(); }
+  void flush() {
+    for (auto& t : tag_) t.reset();
+  }
+  void reset_cold() {
+    flush();
+    seen_.clear();
+    stats_.reset();
+  }
+  void reset_stats() { stats_.reset(); }
+  const CacheStats& stats() const { return stats_; }
+  std::uint32_t index(Addr a) const {
+    return static_cast<std::uint32_t>((a / 32) % lines_);
+  }
+
+ private:
+  std::uint32_t lines_;
+  WritePolicy wp_;
+  std::vector<std::optional<Addr>> tag_;
+  std::vector<bool> dirty_;
+  std::unordered_set<Addr> seen_;
+  CacheStats stats_;
+};
+
+std::array<std::uint64_t, 4> counters(const CacheStats& s) {
+  return {s.accesses, s.misses, s.repl_misses, s.writebacks};
+}
+
+// Property: for random mixes of every operation, under both write policies,
+// each access result, each residency answer and the statistics agree with
+// the reference model.  Addresses come from three regions four cache sizes
+// wide (so lines alias and blocks come back after eviction), one of them at
+// address 0 and one at the top of the address space.
 class CacheProperty : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(CacheProperty, MatchesReferenceModel) {
   const std::uint32_t size = GetParam();
-  auto c = make_cache(size);
-  const std::uint32_t lines = size / 32;
+  for (const WritePolicy wp :
+       {WritePolicy::kWriteThrough, WritePolicy::kWriteBack}) {
+    SCOPED_TRACE(wp == WritePolicy::kWriteBack ? "write-back"
+                                               : "write-through");
+    auto c = make_cache(size, wp);
+    RefCache ref(size, wp);
+    std::mt19937_64 rng(42 + size);
+    const Addr bases[] = {0, 0x1'0000'0000ull, ~Addr{0} - 4ull * size + 1};
+    // At most 512 lines, spread over the whole index range, so that even
+    // the 2 MB geometry sees its lines alias and its blocks evicted.
+    const std::uint32_t lines = size / 32;
+    const std::uint32_t touched = std::min(lines, 512u);
+    const std::uint32_t stride = lines / touched;
+    std::vector<Addr> recent(64, 0);
+    std::uint64_t reads = 0, writes = 0, probes = 0, resets = 0;
+    std::uint64_t hits = 0, repl = 0, evictions = 0, writebacks = 0;
+    auto tally = [&](const DirectMappedCache::AccessResult& r) {
+      hits += r.hit;
+      repl += r.replacement_miss;
+      evictions += r.evicted;
+      writebacks += r.writeback;
+    };
 
-  std::unordered_map<std::uint32_t, Addr> ref(lines);
-  std::mt19937_64 rng(42 + size);
-
-  for (int i = 0; i < 20000; ++i) {
-    const Addr a = (rng() % (1 << 20)) & ~0x3ull;
-    const Addr block = a / 32 * 32;
-    const std::uint32_t line = static_cast<std::uint32_t>((a / 32) % lines);
-    const bool expect_hit = ref.contains(line) && ref[line] == block;
-    const auto r = c.read(a);
-    ASSERT_EQ(r.hit, expect_hit) << "address " << a << " iteration " << i;
-    ref[line] = block;
+    for (int i = 0; i < 20000; ++i) {
+      // Half the accesses revisit a recent address, so even the 2 MB
+      // geometry sees hits and dirty evictions.
+      Addr a = recent[rng() % recent.size()];
+      if (rng() % 2 == 0) {
+        const Addr line = rng() % touched * stride;
+        a = bases[rng() % 3] + rng() % 4 * size + line * 32 + rng() % 8 * 4;
+        recent[rng() % recent.size()] = a;
+      }
+      const std::uint64_t op = rng() % 1000;
+      if (op < 400) {
+        const auto r = c.read(a);
+        const auto e = ref.access(a, false);
+        ASSERT_EQ(r.hit, e.hit) << "read " << a << " iteration " << i;
+        ASSERT_EQ(r.replacement_miss, e.replacement_miss) << i;
+        ASSERT_EQ(r.evicted, e.evicted) << i;
+        ASSERT_EQ(r.evicted_block, e.evicted_block) << i;
+        ASSERT_EQ(r.writeback, e.writeback) << i;
+        tally(r);
+        ++reads;
+      } else if (op < 700) {
+        const auto r = c.write(a);
+        const auto e = ref.access(a, true);
+        ASSERT_EQ(r.hit, e.hit) << "write " << a << " iteration " << i;
+        ASSERT_EQ(r.replacement_miss, e.replacement_miss) << i;
+        ASSERT_EQ(r.evicted, e.evicted) << i;
+        ASSERT_EQ(r.evicted_block, e.evicted_block) << i;
+        ASSERT_EQ(r.writeback, e.writeback) << i;
+        tally(r);
+        ++writes;
+      } else if (op < 850) {
+        ASSERT_EQ(c.probe(a), ref.probe(a)) << "probe " << a << " " << i;
+        ++probes;
+      } else if (op < 970) {
+        c.invalidate_line(c.line_index(a));
+        ref.invalidate_line(ref.index(a));
+      } else if (op < 985) {
+        c.flush();
+        ref.flush();
+        ++resets;
+      } else if (op < 999) {
+        c.reset_stats();
+        ref.reset_stats();
+        ++resets;
+      } else {
+        c.reset_cold();
+        ref.reset_cold();
+        ++resets;
+      }
+      ASSERT_EQ(c.contains(a), ref.contains(a)) << "address " << a << " " << i;
+      ASSERT_EQ(c.line_index(a), ref.index(a));
+      ASSERT_EQ(counters(c.stats()), counters(ref.stats())) << i;
+    }
+    const auto& s = c.stats();
+    EXPECT_EQ(s.hits() + s.misses, s.accesses);
+    EXPECT_EQ(s.cold_misses() + s.repl_misses, s.misses);
+    // The mix really exercised every operation.
+    EXPECT_GT(reads, 1000u);
+    EXPECT_GT(writes, 1000u);
+    EXPECT_GT(probes, 1000u);
+    EXPECT_GT(resets, 100u);
+    EXPECT_GT(hits, 100u);
+    EXPECT_GT(repl, 100u);
+    EXPECT_GT(evictions, 100u);
+    if (wp == WritePolicy::kWriteBack) {
+      EXPECT_GT(writebacks, 100u);
+    }
   }
-  const auto& s = c.stats();
-  EXPECT_EQ(s.accesses, 20000u);
-  EXPECT_EQ(s.hits() + s.misses, s.accesses);
-  EXPECT_EQ(s.cold_misses() + s.repl_misses, s.misses);
 }
 
 INSTANTIATE_TEST_SUITE_P(Geometries, CacheProperty,
-                         ::testing::Values(1024u, 4096u, 8192u, 65536u));
+                         ::testing::Values(1024u, 4096u, 8192u, 65536u,
+                                           2u * 1024 * 1024));
 
 // Property: repl misses never exceed total misses minus distinct blocks' first
 // touches.

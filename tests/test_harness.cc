@@ -5,6 +5,8 @@
 
 #include "code/analysis.h"
 #include <algorithm>
+#include <random>
+#include <set>
 
 #include "harness/experiment.h"
 
@@ -225,6 +227,35 @@ TEST(Analysis, FootprintMapShapes) {
   // 256 sets, 64 per row -> 4 rows.
   EXPECT_EQ(std::count(map.begin(), map.end(), '\n'), 4);
   EXPECT_NE(map.find('#'), std::string::npos);  // some conflicted sets
+}
+
+// footprint_stats merges straight-line runs instead of hashing every PC;
+// on random traces of runs, repeats, overlaps and backward jumps it must
+// count exactly the distinct words and blocks.
+TEST(Analysis, FootprintStatsCountsDistinctWordsAndBlocks) {
+  std::mt19937_64 rng(5);
+  const code::CodeImage image;
+  for (int round = 0; round < 200; ++round) {
+    sim::MachineTrace t;
+    const int runs = static_cast<int>(rng() % 40);
+    for (int r = 0; r < runs; ++r) {
+      sim::Addr pc = 0x1000 + (rng() % 512) * 4 + (rng() % 2) * 0x700000;
+      const int len = static_cast<int>(rng() % 20) + 1;
+      for (int i = 0; i < len; ++i, pc += 4) {
+        t.push_back({pc, sim::InstrClass::kIAlu, 0, false});
+      }
+    }
+    for (const std::uint32_t bb : {4u, 32u, 64u}) {
+      std::set<sim::Addr> words, blocks;
+      for (const sim::MachineInstr& in : t) {
+        words.insert(in.pc / 4);
+        blocks.insert(in.pc / bb);
+      }
+      const code::FootprintStats fs = code::footprint_stats(t, image, bb);
+      ASSERT_EQ(fs.words_executed, words.size()) << round << " " << bb;
+      ASSERT_EQ(fs.blocks_fetched, blocks.size()) << round << " " << bb;
+    }
+  }
 }
 
 TEST(Analysis, BadLayoutShowsConcentratedConflicts) {
