@@ -125,6 +125,28 @@ TEST(SweepRunner, TeSamplesMatchSerialPath) {
   }
 }
 
+TEST(SweepRunner, LowestIndexJobFailureIsRethrownWithItsLabel) {
+  // Jobs 1 and 2 both fail inside measure_side (non-power-of-two i-cache);
+  // whichever worker finishes first, the error names job 1.
+  std::vector<SweepJob> jobs(3);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].label = "j" + std::to_string(i);
+    jobs[i].client = StackConfig::Std();
+    jobs[i].server = StackConfig::Std();
+  }
+  jobs[1].params.mem.icache_bytes = 3000;
+  jobs[2].params.mem.icache_bytes = 5000;
+  SweepRunner runner(2);
+  try {
+    runner.run(jobs);
+    FAIL() << "expected the sweep to throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "sweep job 'j1' failed: cache geometry must be "
+                 "power-of-two sized");
+  }
+}
+
 TEST(SweepRunner, ShrunkWarmupIsAPartOfTheKeyAndStillRuns) {
   // MachineParams::warmup_roundtrips lets sweeps shrink warm-up
   // deliberately; a shorter warm-up is a distinct functional capture.
@@ -193,6 +215,95 @@ TEST(SweepJson, EmitsWellFormedMetrics) {
         "\"wall_ms\":", "\"capture\":", "\"measure\":", "\"te_us\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
+}
+
+TEST(SweepJson, HandBuiltOutcomesEmitPinnedBytes) {
+  // Every byte of the l96.sweep.v1 row layout, on outcomes built by hand so
+  // the counters are fixed: key order, escaping, 12-digit doubles, the
+  // te_samples array and an attached section.
+  SweepRunner runner(2);  // never run: workers_used 0, captures 0
+  std::vector<SweepJob> jobs(2);
+  jobs[1].kind = net::StackKind::kRpc;
+  std::vector<harness::SweepOutcome> outcomes(2);
+  harness::SweepOutcome& o = outcomes[0];
+  o.label = "STD \"pinned\"";
+  o.trace_reused = true;
+  o.capture_wall_ms = 1.5;
+  o.measure_wall_ms = 0.25;
+  o.result.te_us = 250.125;
+  o.result.te_adjusted = 40.125;
+  harness::SideMeasurement& c = o.result.client;
+  c.config_name = "STD";
+  c.instructions = 1000;
+  c.critical_instructions = 600;
+  c.tp_us = 12.5;
+  c.critical_us = 7.25;
+  c.static_hot_words = 300;
+  c.static_total_words = 900;
+  c.cold.instructions = 1000;
+  c.cold.issue_cycles = 1500;
+  c.cold.stall_cycles = 500;
+  c.cold.taken_branches = 40;
+  c.cold.icache = {100, 10, 2, 0};
+  c.cold.dcache_combined = {50, 5, 1, 0};
+  c.cold.bcache = {15, 3, 0, 0};
+  c.steady = c.cold;
+  c.steady.stall_cycles = 100;
+  o.result.server = c;
+  o.result.server.config_name = "OUT";
+  o.te_samples = {250.125, 1.0 / 3.0};
+  o.extra_json("pin", harness::json_section("l96.pin.v1").set("n", 3));
+  outcomes[1].label = "zero";
+
+  std::ostringstream ss;
+  harness::write_sweep_json(ss, "pin\\bench", runner, jobs, outcomes);
+  const std::string run_cold =
+      "\"cold\":{\"instructions\":1000,\"cycles\":2000,\"issue_cycles\":1500,"
+      "\"stall_cycles\":500,\"taken_branches\":40,\"cpi\":2,\"icpi\":1.5,"
+      "\"mcpi\":0.5,\"icache\":{\"accesses\":100,\"misses\":10,"
+      "\"repl_misses\":2},\"dcache\":{\"accesses\":50,\"misses\":5,"
+      "\"repl_misses\":1},\"bcache\":{\"accesses\":15,\"misses\":3,"
+      "\"repl_misses\":0}}";
+  const std::string run_steady =
+      "\"steady\":{\"instructions\":1000,\"cycles\":1600,\"issue_cycles\":1500,"
+      "\"stall_cycles\":100,\"taken_branches\":40,\"cpi\":1.6,\"icpi\":1.5,"
+      "\"mcpi\":0.1,\"icache\":{\"accesses\":100,\"misses\":10,"
+      "\"repl_misses\":2},\"dcache\":{\"accesses\":50,\"misses\":5,"
+      "\"repl_misses\":1},\"bcache\":{\"accesses\":15,\"misses\":3,"
+      "\"repl_misses\":0}}";
+  const auto side = [&](const char* name, const char* cfg) {
+    return std::string("\"") + name + "\":{\"config\":\"" + cfg +
+           "\",\"instructions\":1000,\"critical_instructions\":600,"
+           "\"tp_us\":12.5,\"critical_us\":7.25,\"static_hot_words\":300,"
+           "\"static_total_words\":900," +
+           run_cold + "," + run_steady + "}";
+  };
+  const std::string zero_run =
+      "{\"instructions\":0,\"cycles\":0,\"issue_cycles\":0,"
+      "\"stall_cycles\":0,\"taken_branches\":0,\"cpi\":0,\"icpi\":0,"
+      "\"mcpi\":0,\"icache\":{\"accesses\":0,\"misses\":0,"
+      "\"repl_misses\":0},\"dcache\":{\"accesses\":0,\"misses\":0,"
+      "\"repl_misses\":0},\"bcache\":{\"accesses\":0,\"misses\":0,"
+      "\"repl_misses\":0}}";
+  const std::string zero_side =
+      "{\"config\":\"\",\"instructions\":0,\"critical_instructions\":0,"
+      "\"tp_us\":0,\"critical_us\":0,\"static_hot_words\":0,"
+      "\"static_total_words\":0,\"cold\":" +
+      zero_run + ",\"steady\":" + zero_run + "}";
+  const std::string expected =
+      "{\"schema\":\"l96.sweep.v1\",\"bench\":\"pin\\\\bench\","
+      "\"threads\":2,\"workers_used\":0,\"captures\":0,\"configs\":["
+      "{\"label\":\"STD \\\"pinned\\\"\",\"stack\":\"tcpip\","
+      "\"trace_reused\":true,\"wall_ms\":{\"capture\":1.5,\"measure\":0.25},"
+      "\"te_us\":250.125,\"te_adjusted_us\":40.125," +
+      side("client", "STD") + "," + side("server", "OUT") +
+      ",\"te_samples\":[250.125,0.333333333333],"
+      "\"pin\":{\"schema\":\"l96.pin.v1\",\"n\":3}},"
+      "{\"label\":\"zero\",\"stack\":\"rpc\",\"trace_reused\":false,"
+      "\"wall_ms\":{\"capture\":0,\"measure\":0},\"te_us\":0,"
+      "\"te_adjusted_us\":0,\"client\":" +
+      zero_side + ",\"server\":" + zero_side + "}]}\n";
+  EXPECT_EQ(ss.str(), expected);
 }
 
 TEST(SweepJson, WritesMetricsFile) {
