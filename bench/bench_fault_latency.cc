@@ -258,24 +258,7 @@ int main() {
     const double te_at_5pct_burst =
         clean_o.result.te_us + 0.05 * (err_s_burst_us + kRtoUs);
 
-    fault_o.extra = {
-        {"penalty_cycles_client", static_cast<double>(err_c.steady.cycles())},
-        {"penalty_cycles_server", static_cast<double>(err_s.steady.cycles())},
-        {"penalty_us_client", err_c.tp_us},
-        {"penalty_us_server", err_s.tp_us},
-        {"icpi_delta_client", icpi_dc},
-        {"mcpi_delta_client", mcpi_dc},
-        {"icpi_delta_server", icpi_ds},
-        {"mcpi_delta_server", mcpi_ds},
-        {"expected_te_us_at_5pct", te_at_5pct},
-        {"expected_te_us_at_5pct_burst", te_at_5pct_burst},
-        {"err_us_server_first_in_burst", err_s_first_us},
-        {"err_us_server_in_burst", err_s_burst_us},
-        {"soak_mean_us_clean", soak_clean},
-        {"soak_mean_us_faulted", soak_fault},
-    };
-    // Same numbers, typed and schema-versioned (the "extra" doubles stay
-    // for consumers of the flat map).
+    // Every penalty figure, typed and schema-versioned.
     fault_o.extra_json(
         "fault",
         harness::emit_section("fault", 2)

@@ -26,6 +26,38 @@ std::string capture_context(net::World& world) {
       std::to_string(requested) + " requested roundtrips");
 }
 
+/// The first `count` events of `t` (the pre-transmit critical path, or a
+/// Table 3 protocol-boundary prefix).
+code::PathTrace prefix_of(const code::PathTrace& t, std::size_t count) {
+  code::PathTrace p;
+  p.events.assign(t.events.begin(),
+                  t.events.begin() + static_cast<std::ptrdiff_t>(
+                                         std::min(count, t.events.size())));
+  return p;
+}
+
+/// Miss-attribution profiler over `image`, or null when not requested.
+std::unique_ptr<sim::MissProfiler> make_profiler(const MeasureSpec& spec,
+                                                 const code::CodeImage& image) {
+  if (!spec.profile_misses) return nullptr;
+  return std::make_unique<sim::MissProfiler>(code::build_owner_map(
+      *spec.registry, image, code::LowerParams{},
+      {{"data:arena", xk::SimAlloc::kArenaBase,
+        xk::SimAlloc::kArenaBase + 0x100'0000}}));
+}
+
+/// Steady-state replay options (Table 7): warm-up passes with scrubbing
+/// between activations, seeded per side.
+sim::Machine::Options steady_options(const MeasureSpec& spec) {
+  sim::Machine::Options opts;
+  opts.cold_start = true;
+  opts.warmup_passes = spec.params.warmup_passes;
+  opts.scrub_fraction = spec.params.scrub_fraction;
+  opts.scrub_fraction_d = spec.params.scrub_fraction_d;
+  opts.scrub_seed = spec.params.scrub_seed + spec.seed_offset;
+  return opts;
+}
+
 }  // namespace
 
 CaptureResult capture_traces(net::World& world,
@@ -115,24 +147,14 @@ SideMeasurement measure_side(const MeasureSpec& spec) {
   const sim::MachineTrace full = lower.lower(trace);
   m.instructions = full.size();
 
-  code::PathTrace critical_trace;
-  critical_trace.events.assign(
-      trace.events.begin(),
-      trace.events.begin() + static_cast<std::ptrdiff_t>(
-                                 std::min(spec.split, trace.events.size())));
-  const sim::MachineTrace critical = lower.lower(critical_trace);
+  const sim::MachineTrace critical =
+      lower.lower(prefix_of(trace, spec.split));
   m.critical_instructions = critical.size();
 
   // Miss attribution: one profiler (owner map shared) drives both full
   // replays; Machine::run resets it at measurement start, so each snapshot
   // covers exactly one replay and conserves to that replay's CacheStats.
-  std::unique_ptr<sim::MissProfiler> prof;
-  if (spec.profile_misses) {
-    prof = std::make_unique<sim::MissProfiler>(code::build_owner_map(
-        reg, image, code::LowerParams{},
-        {{"data:arena", xk::SimAlloc::kArenaBase,
-          xk::SimAlloc::kArenaBase + 0x100'0000}}));
-  }
+  const std::unique_ptr<sim::MissProfiler> prof = make_profiler(spec, image);
 
   // One machine serves all three replays.  Each starts with reset_cold(),
   // so the results equal those of three fresh machines (tested).
@@ -151,12 +173,7 @@ SideMeasurement measure_side(const MeasureSpec& spec) {
     }
   }
   // Steady replay: processing time and CPI (Table 7).
-  sim::Machine::Options steady;
-  steady.cold_start = true;
-  steady.warmup_passes = params.warmup_passes;
-  steady.scrub_fraction = params.scrub_fraction;
-  steady.scrub_fraction_d = params.scrub_fraction_d;
-  steady.scrub_seed = params.scrub_seed + spec.seed_offset;
+  const sim::Machine::Options steady = steady_options(spec);
   {
     sim::Machine::Options opts = steady;
     opts.miss_profiler = prof.get();
@@ -221,24 +238,13 @@ StreamMeasurement measure_stream(const StreamSpec& spec) {
     }
   }
 
-  std::unique_ptr<sim::MissProfiler> prof;
-  if (base.profile_misses) {
-    prof = std::make_unique<sim::MissProfiler>(code::build_owner_map(
-        reg, image, code::LowerParams{},
-        {{"data:arena", xk::SimAlloc::kArenaBase,
-          xk::SimAlloc::kArenaBase + 0x100'0000}}));
-  }
+  const std::unique_ptr<sim::MissProfiler> prof = make_profiler(base, image);
 
   // Same steady-state options as measure_side: position 0 starts from the
   // post-warm-up, post-scrub state and is byte-identical to the steady
   // replay; later positions run back to back with no scrub in between.
   sim::Machine machine(params.mem, params.cpu);
-  sim::Machine::Options opts;
-  opts.cold_start = true;
-  opts.warmup_passes = params.warmup_passes;
-  opts.scrub_fraction = params.scrub_fraction;
-  opts.scrub_fraction_d = params.scrub_fraction_d;
-  opts.scrub_seed = params.scrub_seed + base.seed_offset;
+  sim::Machine::Options opts = steady_options(base);
   opts.miss_profiler = prof.get();
   const std::vector<sim::RunResult> runs =
       machine.run_stream(seq, opts, &warm);
@@ -271,42 +277,38 @@ ConfigResult combine_sides(SideMeasurement client, SideMeasurement server,
   return r;
 }
 
+ConfigResult measure_config(const MeasureSpec& client,
+                            const MeasureSpec& server, double controller_us) {
+  return combine_sides(measure_side(client), measure_side(server),
+                       controller_us, client.cfg.path_inlining,
+                       server.cfg.path_inlining, client.params);
+}
+
+std::vector<double> sample_te(MeasureSpec client, MeasureSpec server,
+                              double controller_us, std::uint64_t n) {
+  client.profile_misses = server.profile_misses = false;
+  std::vector<double> out;
+  out.reserve(n);
+  for (std::uint64_t k = 0; k < n; ++k) {
+    client.seed_offset = 100 + k * 7;
+    server.seed_offset = 200 + k * 13;
+    out.push_back(measure_config(client, server, controller_us).te_us);
+  }
+  return out;
+}
+
 ConfigResult Experiment::run() {
   capture();
-
-  MeasureSpec cspec = client_spec();
-  MeasureSpec sspec = server_spec();
-  auto c = measure_side(cspec);
-  auto s = measure_side(sspec);
-  const double controller =
-      2.0 * world_->wire().params().one_way_us(proto::Lance::kMinFrame);
-  return combine_sides(std::move(c), std::move(s), controller,
-                       client_cfg_.path_inlining, server_cfg_.path_inlining,
-                       params_);
+  return measure_config(client_spec(), server_spec(), controller_us());
 }
 
 std::vector<double> Experiment::te_samples(std::uint64_t n_samples) {
   capture();
-  std::vector<double> out;
-  const double controller =
-      2.0 * world_->wire().params().one_way_us(proto::Lance::kMinFrame);
-  // Same per-inbound-packet classifier charge as combine_sides(): every
-  // sampled roundtrip classifies one packet on each path-inlined side.
-  // (Samples used to omit this, so Table 4's mean disagreed with te_us as
-  // soon as classifier_overhead_us was nonzero.)
-  const double classify =
-      (client_cfg_.path_inlining ? params_.classifier_overhead_us : 0.0) +
-      (server_cfg_.path_inlining ? params_.classifier_overhead_us : 0.0);
-  MeasureSpec cspec = client_spec();
-  MeasureSpec sspec = server_spec();
-  for (std::uint64_t i = 0; i < n_samples; ++i) {
-    cspec.seed_offset = 100 + i * 7;
-    sspec.seed_offset = 200 + i * 13;
-    auto c = measure_side(cspec);
-    auto s = measure_side(sspec);
-    out.push_back(controller + classify + c.critical_us + s.critical_us);
-  }
-  return out;
+  return sample_te(client_spec(), server_spec(), controller_us(), n_samples);
+}
+
+double Experiment::controller_us() const {
+  return 2.0 * world_->wire().params().one_way_us(proto::Lance::kMinFrame);
 }
 
 MeasureSpec Experiment::client_spec() const {
@@ -350,13 +352,8 @@ sim::MachineTrace Experiment::lower_client_prefix(std::size_t count) const {
   const auto& reg = self.world_->client().registry();
   const code::CodeImage image =
       build_image(kind_, client_cfg_, reg, client_trace_, params_);
-  code::PathTrace prefix;
-  prefix.events.assign(
-      client_trace_.events.begin(),
-      client_trace_.events.begin() +
-          static_cast<std::ptrdiff_t>(
-              std::min(count, client_trace_.events.size())));
-  return code::Lowering(reg, image, client_cfg_).lower(prefix);
+  return code::Lowering(reg, image, client_cfg_)
+      .lower(prefix_of(client_trace_, count));
 }
 
 std::size_t Experiment::find_client_call(std::string_view fn_name) const {

@@ -185,9 +185,23 @@ struct StreamMeasurement {
 StreamMeasurement measure_stream(const StreamSpec& spec);
 
 /// Combine two side measurements into the end-to-end numbers (Tables 4/5).
+/// The one place the per-inbound-packet classifier charge is computed:
+/// each path-inlined side classifies one packet per roundtrip.
 ConfigResult combine_sides(SideMeasurement client, SideMeasurement server,
                            double controller_us, bool client_inlined,
                            bool server_inlined, const MachineParams& params);
+
+/// Measure both sides of one configuration and combine them: the one
+/// side-pair measurement Experiment and SweepRunner share.  The classifier
+/// charge follows each spec's cfg.path_inlining and client.params.
+ConfigResult measure_config(const MeasureSpec& client,
+                            const MeasureSpec& server, double controller_us);
+
+/// `n` end-to-end samples (for the mean +/- stddev the paper reports):
+/// sample k replays the client with scrub-seed offset 100+7k and the server
+/// with 200+13k, never profiled, and is measure_config()'s te_us.
+std::vector<double> sample_te(MeasureSpec client, MeasureSpec server,
+                              double controller_us, std::uint64_t n);
 
 class Experiment {
  public:
@@ -204,9 +218,13 @@ class Experiment {
   /// measure_side() variants (e.g. the fleet engine's slow-path pricing).
   void capture();
 
-  /// Per-sample end-to-end latency with varied scrub seeds (for the
-  /// mean +/- stddev the paper reports).
+  /// Per-sample end-to-end latency with varied scrub seeds: sample_te()
+  /// over this experiment's specs.
   std::vector<double> te_samples(std::uint64_t n_samples);
+
+  /// Two controller+wire traversals of a minimum frame (Table 5's
+  /// controller overhead).
+  double controller_us() const;
 
   /// The captured client path trace (profile for layout, Table 3 analysis).
   const code::PathTrace& client_trace() const noexcept { return client_trace_; }

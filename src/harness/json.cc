@@ -10,6 +10,38 @@
 
 namespace l96::harness {
 
+namespace {
+
+std::string escape(const std::string& s) {
+  std::string r;
+  r.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"': r += "\\\""; break;
+      case '\\': r += "\\\\"; break;
+      case '\n': r += "\\n"; break;
+      case '\t': r += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          r += buf;
+        } else {
+          r.push_back(c);
+        }
+    }
+  }
+  return r;
+}
+
+std::string number(double v) {
+  std::ostringstream ss;
+  ss << std::setprecision(12) << v;
+  return ss.str();
+}
+
+}  // namespace
+
 const SectionInfo* find_section(std::string_view name, int version) noexcept {
   for (const SectionInfo& s : kSectionManifest) {
     if (s.name == name && s.version == version) return &s;
@@ -91,34 +123,6 @@ std::size_t Json::size() const noexcept {
   if (const Array* a = std::get_if<Array>(&v_)) return a->size();
   if (const Object* o = std::get_if<Object>(&v_)) return o->size();
   return 0;
-}
-
-std::string Json::escape(const std::string& s) {
-  std::string r;
-  r.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': r += "\\\""; break;
-      case '\\': r += "\\\\"; break;
-      case '\n': r += "\\n"; break;
-      case '\t': r += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          r += buf;
-        } else {
-          r.push_back(c);
-        }
-    }
-  }
-  return r;
-}
-
-std::string Json::number(double v) {
-  std::ostringstream ss;
-  ss << std::setprecision(12) << v;
-  return ss.str();
 }
 
 void Json::dump(std::ostream& os) const {

@@ -1,11 +1,9 @@
 // A minimal ordered JSON value for the harness's structured metrics.
 //
-// The sweep writer originally hand-built every JSON string; bench-specific
-// sections (the fault bench's penalty deltas, the miss-attribution maps)
-// now build a typed Json tree instead and share one emission code path.
-// Objects preserve insertion order, numbers are emitted with the same
-// formatting the sweep writer always used (12 significant digits for
-// doubles, exact integers for counters), so output stays deterministic and
+// Every emitted document (sweep rows, bench sections, run() sections) is a
+// typed Json tree with one emission code path.  Objects preserve insertion
+// order and numbers are emitted as 12 significant digits for doubles and
+// exact integers for counters, so output stays deterministic and
 // byte-stable across runs.
 //
 // This is deliberately an emitter, not a parser: bench output is consumed
@@ -72,12 +70,6 @@ class Json {
 
   void dump(std::ostream& os) const;
   std::string dump() const;
-
-  /// JSON string escaping (shared with the sweep writer).
-  static std::string escape(const std::string& s);
-  /// Double formatting (12 significant digits, shared with the sweep
-  /// writer's historical `num()` helper).
-  static std::string number(double v);
 
  private:
   std::variant<std::nullptr_t, bool, double, std::int64_t, std::uint64_t,

@@ -53,9 +53,15 @@ std::size_t run_indexed_jobs(std::size_t n, unsigned threads,
 
 namespace {
 
-/// Write the section to common.out_path when set; returns the path used.
-std::string write_out(const RunnerSpec& common, const Json& section) {
-  if (common.out_path.empty()) return {};
+/// The envelope every overload shares: attach the section, read its
+/// schema back, and write it to common.out_path when set.
+void finish(Outcome& o, const RunnerSpec& common, Json section) {
+  const Json* schema = section.find("schema");
+  if (schema != nullptr && schema->as_string() != nullptr) {
+    o.schema = *schema->as_string();
+  }
+  o.section = std::move(section);
+  if (common.out_path.empty()) return;
   const std::filesystem::path path(common.out_path);
   if (path.has_parent_path()) {
     std::filesystem::create_directories(path.parent_path());
@@ -65,33 +71,29 @@ std::string write_out(const RunnerSpec& common, const Json& section) {
     throw std::runtime_error("run: cannot open output path " +
                              common.out_path);
   }
-  f << section.dump() << "\n";
-  return common.out_path;
+  f << o.section.dump() << "\n";
+  o.out_path = common.out_path;
 }
 
-std::string schema_of(const Json& section) {
-  // Every emitted section starts {"schema":"l96.<name>.vN",...}; pulling
-  // it back out of the ordered object keeps Outcome.schema authoritative
-  // without a parallel bookkeeping path.
-  const std::string d = section.dump();
-  const std::string key = "{\"schema\":\"";
-  if (d.rfind(key, 0) != 0) return {};
-  const std::size_t end = d.find('"', key.size());
-  return end == std::string::npos ? std::string{}
-                                  : d.substr(key.size(), end - key.size());
+/// Run `fn(row)` for every row on the shared pool, storing results by row
+/// index; returns the workers used.
+template <typename Row, typename Result, typename Fn>
+std::size_t run_rows(const std::vector<Row>& rows, unsigned workers,
+                     std::vector<Result>& results, Fn fn) {
+  results.resize(rows.size());
+  return run_indexed_jobs(rows.size(), workers, [&](std::size_t i) {
+    results[i] = fn(rows[i]);
+  });
 }
 
 }  // namespace
 
 Outcome run(const FleetRunSpec& spec) {
   Outcome o;
-  o.fleet.resize(spec.rows.size());
-  o.workers_used = run_indexed_jobs(
-      spec.rows.size(), spec.common.workers,
-      [&](std::size_t i) { o.fleet[i] = run_fleet(spec.rows[i], spec.costs); });
-  o.section = fleet_json(spec.costs, o.fleet);
-  o.schema = schema_of(o.section);
-  o.out_path = write_out(spec.common, o.section);
+  o.workers_used =
+      run_rows(spec.rows, spec.common.workers, o.fleet,
+               [&](const FleetSpec& row) { return run_fleet(row, spec.costs); });
+  finish(o, spec.common, fleet_json(spec.costs, o.fleet));
   return o;
 }
 
@@ -99,66 +101,48 @@ Outcome run(const ShardRunSpec& spec) {
   Outcome o;
   o.shard = fleet_detail::run_shards(spec.rows, spec.costs,
                                      spec.common.workers, o.workers_used);
-  o.section = shard_json(spec.costs, o.shard);
-  o.schema = schema_of(o.section);
-  o.out_path = write_out(spec.common, o.section);
+  finish(o, spec.common, shard_json(spec.costs, o.shard));
   return o;
 }
 
 Outcome run(const RecoveryRunSpec& spec) {
   Outcome o;
-  o.recovery.resize(spec.rows.size());
-  o.workers_used =
-      run_indexed_jobs(spec.rows.size(), spec.common.workers,
-                       [&](std::size_t i) {
-                         o.recovery[i] = run_recovery(spec.rows[i], spec.costs);
-                       });
-  o.section = recovery_json(spec.costs, o.recovery);
-  o.schema = schema_of(o.section);
-  o.out_path = write_out(spec.common, o.section);
+  o.workers_used = run_rows(spec.rows, spec.common.workers, o.recovery,
+                            [&](const RecoverySpec& row) {
+                              return run_recovery(row, spec.costs);
+                            });
+  finish(o, spec.common, recovery_json(spec.costs, o.recovery));
   return o;
 }
 
 Outcome run(const LbRunSpec& spec) {
   Outcome o;
-  o.lb.resize(spec.rows.size());
-  o.workers_used = run_indexed_jobs(
-      spec.rows.size(), spec.common.workers,
-      [&](std::size_t i) { o.lb[i] = run_lb(spec.rows[i], spec.costs); });
-  o.section = lb_json(spec.costs, o.lb);
-  o.schema = schema_of(o.section);
-  o.out_path = write_out(spec.common, o.section);
+  o.workers_used =
+      run_rows(spec.rows, spec.common.workers, o.lb,
+               [&](const LbSpec& row) { return run_lb(row, spec.costs); });
+  finish(o, spec.common, lb_json(spec.costs, o.lb));
   return o;
 }
 
 Outcome run(const SoakRunSpec& spec) {
   Outcome o;
-  o.soak.resize(spec.rows.size());
-  o.workers_used = run_indexed_jobs(
-      spec.rows.size(), spec.common.workers,
-      [&](std::size_t i) { o.soak[i] = run_soak(spec.rows[i]); });
+  o.workers_used = run_rows(spec.rows, spec.common.workers, o.soak,
+                            [](const SoakSpec& row) { return run_soak(row); });
   for (const SoakReport& r : o.soak) o.ok = o.ok && r.ok();
-  o.section = soak_json(spec.rows, o.soak);
-  o.schema = schema_of(o.section);
-  o.out_path = write_out(spec.common, o.section);
+  finish(o, spec.common, soak_json(spec.rows, o.soak));
   return o;
 }
 
 Outcome run(const StreamRunSpec& spec) {
   Outcome o;
-  o.stream.resize(spec.rows.size());
-  o.workers_used = run_indexed_jobs(
-      spec.rows.size(), spec.common.workers, [&](std::size_t i) {
-        const StreamRowSpec& row = spec.rows[i];
-        o.stream[i] =
-            row.kind == net::StackKind::kTcpIp
-                ? measure_tcp_throughput(row.config, row.bytes)
-                : measure_rpc_throughput(row.config, row.calls,
-                                         row.call_bytes);
+  o.workers_used = run_rows(
+      spec.rows, spec.common.workers, o.stream, [](const StreamRowSpec& row) {
+        return row.kind == net::StackKind::kTcpIp
+                   ? measure_tcp_throughput(row.config, row.bytes)
+                   : measure_rpc_throughput(row.config, row.calls,
+                                            row.call_bytes);
       });
-  o.section = stream_json(spec.rows, o.stream);
-  o.schema = schema_of(o.section);
-  o.out_path = write_out(spec.common, o.section);
+  finish(o, spec.common, stream_json(spec.rows, o.stream));
   return o;
 }
 

@@ -1,18 +1,13 @@
 #include "harness/sweep.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <ostream>
-#include <set>
 #include <stdexcept>
-#include <thread>
 
 #include "harness/missmap.h"
-#include "protocols/lance.h"
+#include "harness/runner.h"
 
 namespace l96::harness {
 
@@ -68,33 +63,24 @@ std::string capture_key(net::StackKind kind, const code::StackConfig& ccfg,
 
 const TraceCaptureCache::Entry& TraceCaptureCache::get(
     net::StackKind kind, const code::StackConfig& ccfg,
-    const code::StackConfig& scfg, std::uint64_t warmup_roundtrips,
+    const code::StackConfig& scfg, const MachineParams& params,
     bool* was_cached) {
-  const std::string key = capture_key(kind, ccfg, scfg, warmup_roundtrips);
+  const std::string key =
+      capture_key(kind, ccfg, scfg, params.warmup_roundtrips);
   auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    ++it->second.hits;
-    if (was_cached != nullptr) *was_cached = true;
-    return it->second;
-  }
-  if (was_cached != nullptr) *was_cached = false;
+  if (was_cached != nullptr) *was_cached = it != entries_.end();
+  if (it != entries_.end()) return it->second;
 
   const auto t0 = std::chrono::steady_clock::now();
   Entry e;
-  e.world = std::make_unique<net::World>(kind, ccfg, scfg);
-  e.world->start(~std::uint64_t{0});
-  e.traces = capture_traces(*e.world, warmup_roundtrips);
-  e.controller_us =
-      2.0 * e.world->wire().params().one_way_us(proto::Lance::kMinFrame);
+  e.experiment = std::make_unique<Experiment>(kind, ccfg, scfg, params);
+  e.experiment->capture();
   e.capture_wall_ms = wall_ms_since(t0);
   return entries_.emplace(key, std::move(e)).first->second;
 }
 
-SweepRunner::SweepRunner(unsigned threads) : threads_(threads) {
-  if (threads_ == 0) {
-    threads_ = std::max(2u, std::thread::hardware_concurrency());
-  }
-}
+SweepRunner::SweepRunner(unsigned threads)
+    : threads_(resolve_workers(threads)) {}
 
 std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& jobs) {
   std::vector<SweepOutcome> out(jobs.size());
@@ -102,99 +88,45 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& jobs) {
   // Phase 1 (serial): resolve every job's capture through the cache.  The
   // worlds mutate while capturing, so this stays single-threaded; the
   // resulting traces and registries are immutable afterwards.
-  std::vector<const TraceCaptureCache::Entry*> entries(jobs.size());
+  std::vector<const Experiment*> captures(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     bool cached = false;
-    entries[i] = &cache_.get(jobs[i].kind, jobs[i].client, jobs[i].server,
-                             jobs[i].params.warmup_roundtrips, &cached);
+    const TraceCaptureCache::Entry& e = cache_.get(
+        jobs[i].kind, jobs[i].client, jobs[i].server, jobs[i].params, &cached);
+    captures[i] = e.experiment.get();
     out[i].label =
         jobs[i].label.empty() ? jobs[i].client.name : jobs[i].label;
     out[i].trace_reused = cached;
-    out[i].capture_wall_ms = cached ? 0.0 : entries[i]->capture_wall_ms;
+    out[i].capture_wall_ms = cached ? 0.0 : e.capture_wall_ms;
   }
 
   // Phase 2 (parallel): lower + simulate each job.  measure_side() reads
-  // only the shared registry/trace, so jobs share nothing writable; results
-  // land at their job index, keeping output order deterministic.
-  std::atomic<std::size_t> next{0};
-  std::mutex workers_mu;
-  std::set<std::thread::id> worker_ids;
+  // only the shared registry/trace, so jobs share nothing writable.  Errors
+  // are kept per index so the lowest failing job is the one reported,
+  // whichever worker hit it first.
   std::vector<std::string> errors(jobs.size());
-
-  auto worker = [&]() {
-    bool measured = false;
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= jobs.size()) break;
-      measured = true;
-      const SweepJob& job = jobs[i];
-      const TraceCaptureCache::Entry& e = *entries[i];
-      const auto t0 = std::chrono::steady_clock::now();
-      try {
-        MeasureSpec cspec;
-        cspec.kind = job.kind;
-        cspec.cfg = job.client;
-        cspec.registry = &e.world->client().registry();
-        cspec.trace = &e.traces.client;
-        cspec.split = e.traces.client_split;
-        cspec.seed_offset = 0;
-        cspec.params = job.params;
-        cspec.profile_misses = job.profile_misses;
-
-        MeasureSpec sspec;
-        sspec.kind = job.kind;
-        sspec.cfg = job.server;
-        sspec.registry = &e.world->server().registry();
-        sspec.trace = &e.traces.server;
-        sspec.split = e.traces.server_split;
-        sspec.seed_offset = 1;
-        sspec.params = job.params;
-        sspec.profile_misses = job.profile_misses;
-
-        auto c = measure_side(cspec);
-        auto s = measure_side(sspec);
-        out[i].result = combine_sides(std::move(c), std::move(s),
-                                      e.controller_us,
-                                      job.client.path_inlining,
-                                      job.server.path_inlining, job.params);
-        // te samples vary only the scrub seed; never profiled.  They carry
-        // the same per-inbound-packet classifier charge as combine_sides()
-        // (and Experiment::te_samples), so sampled means agree with te_us.
-        cspec.profile_misses = sspec.profile_misses = false;
-        const double classify =
-            (job.client.path_inlining ? job.params.classifier_overhead_us
-                                      : 0.0) +
-            (job.server.path_inlining ? job.params.classifier_overhead_us
-                                      : 0.0);
-        for (std::uint64_t k = 0; k < job.te_sample_count; ++k) {
-          cspec.seed_offset = 100 + k * 7;
-          sspec.seed_offset = 200 + k * 13;
-          auto sc = measure_side(cspec);
-          auto ss = measure_side(sspec);
-          out[i].te_samples.push_back(e.controller_us + classify +
-                                      sc.critical_us + ss.critical_us);
-        }
-        if (job.profile_misses) {
-          out[i].extra_json("missmap", missmap_json(out[i].result));
-        }
-      } catch (const std::exception& ex) {
-        errors[i] = ex.what();
+  workers_used_ = run_indexed_jobs(jobs.size(), threads_, [&](std::size_t i) {
+    const SweepJob& job = jobs[i];
+    const Experiment& e = *captures[i];
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      MeasureSpec cspec = e.client_spec();
+      MeasureSpec sspec = e.server_spec();
+      cspec.cfg = job.client;
+      sspec.cfg = job.server;
+      cspec.params = sspec.params = job.params;
+      cspec.profile_misses = sspec.profile_misses = job.profile_misses;
+      out[i].result = measure_config(cspec, sspec, e.controller_us());
+      out[i].te_samples =
+          sample_te(cspec, sspec, e.controller_us(), job.te_sample_count);
+      if (job.profile_misses) {
+        out[i].extra_json("missmap", missmap_json(out[i].result));
       }
-      out[i].measure_wall_ms = wall_ms_since(t0);
+    } catch (const std::exception& ex) {
+      errors[i] = ex.what();
     }
-    if (measured) {
-      std::lock_guard<std::mutex> lk(workers_mu);
-      worker_ids.insert(std::this_thread::get_id());
-    }
-  };
-
-  std::vector<std::thread> pool;
-  const unsigned n =
-      static_cast<unsigned>(std::min<std::size_t>(threads_, jobs.size()));
-  pool.reserve(n);
-  for (unsigned t = 0; t < n; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  workers_used_ = worker_ids.size();
+    out[i].measure_wall_ms = wall_ms_since(t0);
+  });
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (!errors[i].empty()) {
@@ -209,46 +141,39 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& jobs) {
 
 namespace {
 
-// The hand-built fast emission below predates the Json class; it shares the
-// escaping and number formatting so both paths stay byte-compatible.
-std::string json_escape(const std::string& s) { return Json::escape(s); }
-std::string num(double v) { return Json::number(v); }
-
-void write_cache(std::ostream& os, const char* name,
-                 const sim::CacheStats& s) {
-  os << '"' << name << "\":{\"accesses\":" << s.accesses
-     << ",\"misses\":" << s.misses << ",\"repl_misses\":" << s.repl_misses
-     << '}';
+Json cache_json(const sim::CacheStats& s) {
+  return Json::object()
+      .set("accesses", s.accesses)
+      .set("misses", s.misses)
+      .set("repl_misses", s.repl_misses);
 }
 
-void write_run(std::ostream& os, const char* name, const sim::RunResult& r) {
-  os << '"' << name << "\":{\"instructions\":" << r.instructions
-     << ",\"cycles\":" << r.cycles() << ",\"issue_cycles\":" << r.issue_cycles
-     << ",\"stall_cycles\":" << r.stall_cycles
-     << ",\"taken_branches\":" << r.taken_branches
-     << ",\"cpi\":" << num(r.cpi()) << ",\"icpi\":" << num(r.icpi())
-     << ",\"mcpi\":" << num(r.mcpi()) << ',';
-  write_cache(os, "icache", r.icache);
-  os << ',';
-  write_cache(os, "dcache", r.dcache_combined);
-  os << ',';
-  write_cache(os, "bcache", r.bcache);
-  os << '}';
+Json run_json(const sim::RunResult& r) {
+  return Json::object()
+      .set("instructions", r.instructions)
+      .set("cycles", r.cycles())
+      .set("issue_cycles", r.issue_cycles)
+      .set("stall_cycles", r.stall_cycles)
+      .set("taken_branches", r.taken_branches)
+      .set("cpi", r.cpi())
+      .set("icpi", r.icpi())
+      .set("mcpi", r.mcpi())
+      .set("icache", cache_json(r.icache))
+      .set("dcache", cache_json(r.dcache_combined))
+      .set("bcache", cache_json(r.bcache));
 }
 
-void write_side(std::ostream& os, const char* name,
-                const SideMeasurement& m) {
-  os << '"' << name << "\":{\"config\":\"" << json_escape(m.config_name)
-     << "\",\"instructions\":" << m.instructions
-     << ",\"critical_instructions\":" << m.critical_instructions
-     << ",\"tp_us\":" << num(m.tp_us)
-     << ",\"critical_us\":" << num(m.critical_us)
-     << ",\"static_hot_words\":" << m.static_hot_words
-     << ",\"static_total_words\":" << m.static_total_words << ',';
-  write_run(os, "cold", m.cold);
-  os << ',';
-  write_run(os, "steady", m.steady);
-  os << '}';
+Json side_json(const SideMeasurement& m) {
+  return Json::object()
+      .set("config", m.config_name)
+      .set("instructions", m.instructions)
+      .set("critical_instructions", m.critical_instructions)
+      .set("tp_us", m.tp_us)
+      .set("critical_us", m.critical_us)
+      .set("static_hot_words", m.static_hot_words)
+      .set("static_total_words", m.static_total_words)
+      .set("cold", run_json(m.cold))
+      .set("steady", run_json(m.steady));
 }
 
 }  // namespace
@@ -257,52 +182,39 @@ void write_sweep_json(std::ostream& os, const std::string& bench,
                       const SweepRunner& runner,
                       const std::vector<SweepJob>& jobs,
                       const std::vector<SweepOutcome>& outcomes) {
-  os << "{\"schema\":\"" << section_schema("sweep", 1)
-     << "\",\"bench\":\"" << json_escape(bench)
-     << "\",\"threads\":" << runner.thread_count()
-     << ",\"workers_used\":" << runner.workers_used()
-     << ",\"captures\":" << runner.captures_performed() << ",\"configs\":[";
+  Json configs = Json::array();
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const SweepOutcome& o = outcomes[i];
-    if (i != 0) os << ',';
-    os << "{\"label\":\"" << json_escape(o.label) << "\",\"stack\":\""
-       << (i < jobs.size() && jobs[i].kind == net::StackKind::kRpc ? "rpc"
-                                                                   : "tcpip")
-       << "\",\"trace_reused\":" << (o.trace_reused ? "true" : "false")
-       << ",\"wall_ms\":{\"capture\":" << num(o.capture_wall_ms)
-       << ",\"measure\":" << num(o.measure_wall_ms)
-       << "},\"te_us\":" << num(o.result.te_us)
-       << ",\"te_adjusted_us\":" << num(o.result.te_adjusted) << ',';
-    write_side(os, "client", o.result.client);
-    os << ',';
-    write_side(os, "server", o.result.server);
+    const bool rpc = i < jobs.size() && jobs[i].kind == net::StackKind::kRpc;
+    Json row = Json::object()
+                   .set("label", o.label)
+                   .set("stack", rpc ? "rpc" : "tcpip")
+                   .set("trace_reused", o.trace_reused)
+                   .set("wall_ms", Json::object()
+                                       .set("capture", o.capture_wall_ms)
+                                       .set("measure", o.measure_wall_ms))
+                   .set("te_us", o.result.te_us)
+                   .set("te_adjusted_us", o.result.te_adjusted)
+                   .set("client", side_json(o.result.client))
+                   .set("server", side_json(o.result.server));
     if (!o.te_samples.empty()) {
-      os << ",\"te_samples\":[";
-      for (std::size_t k = 0; k < o.te_samples.size(); ++k) {
-        if (k != 0) os << ',';
-        os << num(o.te_samples[k]);
-      }
-      os << ']';
-    }
-    if (!o.extra.empty()) {
-      os << ",\"extra\":{";
-      bool first = true;
-      for (const auto& [k, v] : o.extra) {
-        if (!first) os << ',';
-        first = false;
-        os << '"' << json_escape(k) << "\":" << num(v);
-      }
-      os << '}';
+      Json samples = Json::array();
+      for (double te : o.te_samples) samples.push_back(te);
+      row.set("te_samples", std::move(samples));
     }
     if (const Json::Object* sections = o.sections().as_object()) {
-      for (const auto& [k, v] : *sections) {
-        os << ",\"" << json_escape(k) << "\":";
-        v.dump(os);
-      }
+      for (const auto& [k, v] : *sections) row.set(k, v);
     }
-    os << '}';
+    configs.push_back(std::move(row));
   }
-  os << "]}\n";
+  emit_section("sweep", 1)
+      .set("bench", bench)
+      .set("threads", static_cast<std::uint64_t>(runner.thread_count()))
+      .set("workers_used", runner.workers_used())
+      .set("captures", runner.captures_performed())
+      .set("configs", std::move(configs))
+      .dump(os);
+  os << '\n';
 }
 
 std::string write_sweep_metrics(const std::string& bench,

@@ -11,15 +11,17 @@
 //    path_inlining (classifier slow-path markers), and the warm-up
 //    roundtrip count.  Layout-only fields (outlining, cloning, layout
 //    strategy, specialization flags) do NOT key the cache: STD/OUT/CLO/BAD
-//    replay one shared immutable trace.  The cached World stays alive so
-//    its per-host registries remain valid for lowering.
+//    replay one shared immutable trace.  A capture is a captured
+//    Experiment, so its World (and the per-host registries lowering reads)
+//    stays alive with it.
 //
 //  * Worker pool: lowering and simulation are pure functions of
 //    (registry, trace, config, params) — see measure_side() — so jobs run
-//    concurrently on std::threads over the shared capture entries.
-//    Results are stored by job index: ordering is deterministic and the
-//    numbers are byte-identical to the serial Experiment path (same seeds,
-//    same inputs, same arithmetic).
+//    concurrently on the shared run_indexed_jobs pool over the captures.
+//    Each job is measure_config() / sample_te() over the capture's specs
+//    with the job's cfg, params and profiling swapped in, so the numbers
+//    are byte-identical to the serial Experiment path; results are stored
+//    by job index, keeping the order deterministic.
 //
 //  * Structured metrics: write_sweep_metrics() emits one JSON file per
 //    bench (bench/out/<bench>.json) with cycles, CPI, iCPI, mCPI, per-cache
@@ -63,10 +65,6 @@ struct SweepOutcome {
   bool trace_reused = false;  ///< capture came from the cache, not a new world
   double capture_wall_ms = 0;  ///< wall clock of this job's capture (0 if reused)
   double measure_wall_ms = 0;  ///< wall clock of lowering + simulation
-  /// Bench-specific scalars appended verbatim to the row's JSON (e.g. the
-  /// fault bench's cold-path penalty deltas).  Kept for flat numeric
-  /// metrics; structured data goes through extra_json().
-  std::map<std::string, double> extra;
 
   /// Attach a schema-versioned structured section, emitted at the row level
   /// under `key`.  The value must be a JSON object carrying a string
@@ -89,23 +87,21 @@ std::string capture_key(net::StackKind kind, const code::StackConfig& ccfg,
                         const code::StackConfig& scfg,
                         std::uint64_t warmup_roundtrips);
 
-/// Captures PathTraces once per functional configuration and keeps the
-/// owning World alive so the traces' registries stay valid.
+/// Captures one Experiment per functional configuration; the Experiment
+/// owns the World, so the traces' registries stay valid.
 class TraceCaptureCache {
  public:
   struct Entry {
-    std::unique_ptr<net::World> world;
-    CaptureResult traces;
-    double controller_us = 0;   ///< two wire+controller traversals
+    std::unique_ptr<Experiment> experiment;  ///< capture() has run
     double capture_wall_ms = 0;
-    std::uint64_t hits = 0;     ///< lookups served without a new capture
   };
 
-  /// Return the entry for the job's functional configuration, capturing it
-  /// first if absent.  `was_cached` reports whether a capture was skipped.
+  /// Return the entry for the functional configuration of (kind, ccfg,
+  /// scfg, params.warmup_roundtrips), capturing it first if absent.
+  /// `was_cached` reports whether a capture was skipped.
   const Entry& get(net::StackKind kind, const code::StackConfig& ccfg,
-                   const code::StackConfig& scfg,
-                   std::uint64_t warmup_roundtrips, bool* was_cached = nullptr);
+                   const code::StackConfig& scfg, const MachineParams& params,
+                   bool* was_cached = nullptr);
 
   std::size_t captures_performed() const noexcept { return entries_.size(); }
 
@@ -115,8 +111,9 @@ class TraceCaptureCache {
 
 class SweepRunner {
  public:
-  /// `threads` = 0 picks the hardware concurrency, floored at 2 so sweeps
-  /// always exercise the concurrent path.
+  /// `threads` is resolved by resolve_workers(): 0 picks the hardware
+  /// concurrency, floored at 2 so sweeps always exercise the concurrent
+  /// path.
   explicit SweepRunner(unsigned threads = 0);
 
   /// Capture (serially, once per functional config), then lower + simulate

@@ -1,11 +1,8 @@
 // Fault-injection subsystem: injector determinism, per-direction stream
 // independence, scheduled faults, legacy one-shot wrappers, wire frame
-// conservation under mixed faults, and the sweep JSON "extra" map.
+// conservation under mixed faults.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "harness/sweep.h"
 #include "net/fault.h"
 #include "net/wire.h"
 #include "net/world.h"
@@ -331,21 +328,6 @@ TEST(Wire, WorldFaultLogReplaysByteIdentically) {
   const auto log2 = run_world();
   EXPECT_GT(log1.size(), 0u);
   EXPECT_EQ(log1, log2);
-}
-
-TEST(SweepJson, ExtraMapIsEmitted) {
-  harness::SweepRunner runner(2);
-  std::vector<harness::SweepJob> jobs(1);
-  jobs[0].label = "row";
-  std::vector<harness::SweepOutcome> outcomes(1);
-  outcomes[0].label = "row";
-  outcomes[0].extra = {{"penalty_cycles", 1234.0}, {"icpi_delta", 0.25}};
-  std::ostringstream os;
-  harness::write_sweep_json(os, "fault_test", runner, jobs, outcomes);
-  const std::string s = os.str();
-  EXPECT_NE(s.find("\"schema\":\"l96.sweep.v1\""), std::string::npos);
-  EXPECT_NE(s.find("\"extra\":{\"icpi_delta\":0.25,\"penalty_cycles\":1234}"),
-            std::string::npos);
 }
 
 }  // namespace
