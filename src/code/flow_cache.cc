@@ -98,7 +98,15 @@ FlowCache::FlowCache(FlowKeySpec spec, FlowCacheScheme scheme,
   if (capacity == 0) {
     throw std::invalid_argument("FlowCache: capacity must be > 0");
   }
+  if (scheme_ == FlowCacheScheme::kLru && capacity >= kNone) {
+    throw std::invalid_argument("FlowCache: LRU capacity too large");
+  }
   entries_.resize(scheme_ == FlowCacheScheme::kOneBehind ? 1 : capacity);
+  if (scheme_ == FlowCacheScheme::kLru) {
+    std::size_t n = 2;
+    while (n < 2 * capacity) n *= 2;
+    index_.resize(n);
+  }
 }
 
 std::size_t FlowCache::slot_of(FlowKey key) const noexcept {
@@ -116,10 +124,11 @@ FlowCache::Entry* FlowCache::probe(FlowKey key) {
       return e.valid && e.key == key ? &e : nullptr;
     }
     case FlowCacheScheme::kLru: {
-      for (Entry& e : entries_) {
-        if (e.valid && e.key == key) return &e;
+      const std::size_t mask = index_.size() - 1;
+      for (std::size_t i = home_of(key);; i = (i + 1) & mask) {
+        if (index_[i].entry == kNone) return nullptr;
+        if (index_[i].key == key) return &entries_[index_[i].entry];
       }
-      return nullptr;
     }
   }
   return nullptr;
@@ -132,15 +141,65 @@ FlowCache::Entry* FlowCache::victim(FlowKey key) {
     case FlowCacheScheme::kDirectMapped:
       return &entries_[slot_of(key)];
     case FlowCacheScheme::kLru: {
-      Entry* best = &entries_[0];
-      for (Entry& e : entries_) {
-        if (!e.valid) return &e;
-        if (e.last_used < best->last_used) best = &e;
+      // The first invalid entry, else the least recently used one; the
+      // caller rebinds it to `key`, so index it under `key` now.
+      std::uint32_t v = lru_fill_;
+      if (v < entries_.size()) {
+        ++lru_fill_;
+      } else {
+        v = lru_;
+        index_erase(entries_[v].key);
       }
-      return best;
+      const std::size_t mask = index_.size() - 1;
+      std::size_t i = home_of(key);
+      while (index_[i].entry != kNone) i = (i + 1) & mask;
+      index_[i] = IndexSlot{key, v};
+      return &entries_[v];
     }
   }
   return &entries_[0];
+}
+
+std::size_t FlowCache::home_of(FlowKey key) const noexcept {
+  return static_cast<std::size_t>(mix64(key) & (index_.size() - 1));
+}
+
+void FlowCache::index_erase(FlowKey key) noexcept {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = home_of(key);
+  while (index_[hole].key != key || index_[hole].entry == kNone) {
+    hole = (hole + 1) & mask;
+  }
+  // Backward-shift deletion: pull every later member of the probe run
+  // whose home is not between the hole and its slot into the hole.
+  for (std::size_t j = (hole + 1) & mask; index_[j].entry != kNone;
+       j = (j + 1) & mask) {
+    const std::size_t home = home_of(index_[j].key);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole].entry = kNone;
+}
+
+void FlowCache::touch(Entry& e) noexcept {
+  if (scheme_ != FlowCacheScheme::kLru) return;
+  const auto i = static_cast<std::uint32_t>(&e - entries_.data());
+  if (mru_ == i) return;
+  if (e.newer != kNone) {  // linked and not the head: unlink
+    entries_[e.newer].older = e.older;
+    if (e.older != kNone) {
+      entries_[e.older].newer = e.newer;
+    } else {
+      lru_ = e.newer;
+    }
+  }
+  e.newer = kNone;
+  e.older = mru_;
+  if (mru_ != kNone) entries_[mru_].newer = i;
+  mru_ = i;
+  if (lru_ == kNone) lru_ = i;
 }
 
 FlowLookupResult FlowCache::lookup(const PacketClassifier& classifier,
@@ -158,7 +217,6 @@ FlowLookupResult FlowCache::lookup_impl(const PacketClassifier& classifier,
                                         std::span<const std::uint8_t> frame,
                                         const PathResolver* resolver) {
   ++stats_.lookups;
-  ++clock_;
   if (probe_log_ != nullptr) probe_log_->clear();
   FlowLookupResult r;
 
@@ -177,7 +235,7 @@ FlowLookupResult FlowCache::lookup_impl(const PacketClassifier& classifier,
   Entry* e = probe(*key);
   if (e != nullptr && !e->stale) {
     ++stats_.hits;
-    e->last_used = clock_;
+    touch(*e);
     r.cache_hit = true;
     r.path_id = e->has_path ? std::optional<int>(e->path_id) : std::nullopt;
     r.cost_us = costs_.hit_us;
@@ -227,7 +285,7 @@ FlowLookupResult FlowCache::lookup_impl(const PacketClassifier& classifier,
   e->has_path = bound.has_value();
   e->valid = true;
   e->stale = false;
-  e->last_used = clock_;
+  touch(*e);
   return r;
 }
 
@@ -248,7 +306,10 @@ std::size_t FlowCache::invalidate_path(int path_id) {
 
 void FlowCache::clear() {
   for (Entry& e : entries_) e = Entry{};
-  clock_ = 0;
+  for (IndexSlot& slot : index_) slot = IndexSlot{};
+  lru_fill_ = 0;
+  mru_ = kNone;
+  lru_ = kNone;
 }
 
 }  // namespace l96::code

@@ -203,13 +203,23 @@ class FlowCache {
   void set_probe_log(ClassifyProbeLog* log) noexcept { probe_log_ = log; }
 
  private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
   struct Entry {
     FlowKey key = 0;
     int path_id = 0;
     bool has_path = false;  ///< scan found a path (vs memoized "no match")
     bool valid = false;
     bool stale = false;
-    std::uint64_t last_used = 0;  ///< logical clock, LRU only
+    // LRU recency list, most recently used at the head.
+    std::uint32_t newer = kNone;
+    std::uint32_t older = kNone;
+  };
+  /// One slot of the LRU key -> entry index (open addressing, linear
+  /// probing, at most half full).
+  struct IndexSlot {
+    FlowKey key = 0;
+    std::uint32_t entry = kNone;
   };
 
   Entry* probe(FlowKey key);
@@ -217,12 +227,23 @@ class FlowCache {
   FlowLookupResult lookup_impl(const PacketClassifier& classifier,
                                std::span<const std::uint8_t> frame,
                                const PathResolver* resolver);
+  // LRU bookkeeping.
+  std::size_t home_of(FlowKey key) const noexcept;
+  void index_erase(FlowKey key) noexcept;
+  /// Record a use of `e`: under LRU it becomes the most recently used.
+  void touch(Entry& e) noexcept;
 
   FlowKeySpec spec_;
   FlowCacheScheme scheme_;
   FlowCacheCosts costs_;
   std::vector<Entry> entries_;
-  std::uint64_t clock_ = 0;
+  // LRU only.  Entries become invalid only through clear(), so the valid
+  // ones are always entries_[0, lru_fill_): the first invalid entry is
+  // entries_[lru_fill_], and the least recently used is the list tail.
+  std::vector<IndexSlot> index_;
+  std::uint32_t lru_fill_ = 0;
+  std::uint32_t mru_ = kNone;
+  std::uint32_t lru_ = kNone;
   FlowCacheStats stats_;
   ClassifyProbeLog* probe_log_ = nullptr;
 };

@@ -554,15 +554,15 @@ CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
   // Tear down the server side of a client port's 4-tuple wherever a live
   // server still holds it, so the reconnect's SYN reaches a listener.
   // Unbinding the server side fires the demux hook and marks the flow's
-  // cache entry stale.
+  // cache entry stale.  The lookup is by key, not a connection scan: every
+  // topology has exactly one client, and the LB is DSR (it rewrites only
+  // the MAC), so every backend binds the flow under the client's own IP.
   const auto drop_remnant = [&](std::uint16_t port) {
     for (net::Host* h : topo.servers()) {
       if (h->crashed()) continue;
-      for (proto::TcpConn* c : h->tcp()->connections()) {
-        if (c->remote_port() == port && c->local_port() == kFleetServerPort) {
-          h->tcp()->destroy(c);
-          break;
-        }
+      if (proto::TcpConn* c = h->tcp()->find(client.address().ip,
+                                             kFleetServerPort, port)) {
+        h->tcp()->destroy(c);
       }
     }
   };

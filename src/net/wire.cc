@@ -76,19 +76,21 @@ void Wire::schedule_delivery(int port, std::vector<std::uint8_t> frame,
       std::max(events_.now(), busy_until_us_) + frame_us;
   busy_until_us_ = depart;
   ++in_flight_;
-  events_.schedule_at(depart + ctrl_us + extra_us,
-                      [this, dst, f = std::move(frame)]() mutable {
-                        --in_flight_;
-                        // A frame arrives only if the link is up at arrival
-                        // time: a cut mid-flight loses it (so a blackout
-                        // window is provably dark from its first microsecond).
-                        if (!link_up_) {
-                          ++blackout_drops_;
-                          return;
-                        }
-                        ++delivered_;
-                        if (endpoints_[dst]) endpoints_[dst](std::move(f));
-                      });
+  auto deliver = [this, dst, f = std::move(frame)]() mutable {
+    --in_flight_;
+    // A frame arrives only if the link is up at arrival time: a cut
+    // mid-flight loses it (so a blackout window is provably dark from its
+    // first microsecond).
+    if (!link_up_) {
+      ++blackout_drops_;
+      return;
+    }
+    ++delivered_;
+    if (endpoints_[dst]) endpoints_[dst](std::move(f));
+  };
+  static_assert(sizeof(deliver) <= xk::EventHandler::kInlineBytes,
+                "a wire delivery must fit the event slot's inline storage");
+  events_.schedule_at(depart + ctrl_us + extra_us, std::move(deliver));
 }
 
 void Wire::set_link(bool up) {

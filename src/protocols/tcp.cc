@@ -198,8 +198,15 @@ void Tcp::destroy(TcpConn* conn) {
 
 std::size_t Tcp::open_connections() {
   std::size_t n = 0;
-  conns_.for_each([&](const xk::MapKey&, TcpConn*&) { ++n; });
+  conns_.for_each([&](const xk::MapKey&, TcpConn*& c) {
+    if (c->state_ != TcpState::kClosed) ++n;
+  });
   return n;
+}
+
+TcpConn* Tcp::find(std::uint32_t rip, std::uint16_t lport,
+                   std::uint16_t rport) const {
+  return conns_.find(conn_key(rip, lport, rport)).value_or(nullptr);
 }
 
 void Tcp::ip_deliver(const IpInfo& info, xk::Message& m) {

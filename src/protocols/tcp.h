@@ -189,7 +189,17 @@ class Tcp final : public xk::Protocol, public IpUpper {
 
   /// Number of open (non-CLOSED) connections — computed by traversing the
   /// demux map's non-empty buckets; there is no separate connection list.
+  /// A CLOSED connection its owner has not yet destroyed is still bound
+  /// but not counted.
   std::size_t open_connections();
+
+  /// The connection bound to the 4-tuple (remote ip, local port, remote
+  /// port), whatever its state, or nullptr.  Listeners are not in the
+  /// connection map, so a listening port alone never matches.  A host-side
+  /// query (xk::Map::find): it does not touch the demux map's statistics
+  /// or one-entry cache.
+  TcpConn* find(std::uint32_t rip, std::uint16_t lport,
+                std::uint16_t rport) const;
 
   /// Destroy a connection object (tests / teardown).
   void destroy(TcpConn* conn);

@@ -125,6 +125,20 @@ class Map {
     return std::nullopt;
   }
 
+  /// Host-side query, outside the paper's modeled lookup: return the
+  /// value bound to `key` without counting a lookup in stats() and without
+  /// moving the one-entry cache, so the modeled demux (its hit rate, its
+  /// traced addresses) is exactly as if the query never ran.  For harness
+  /// bookkeeping such as tearing down a known 4-tuple; the protocol's own
+  /// demux goes through resolve().
+  std::optional<V> find(const MapKey& key) const {
+    for (const Entry* e = buckets_[index(key)].head; e != nullptr;
+         e = e->next) {
+      if (e->key == key) return e->value;
+    }
+    return std::nullopt;
+  }
+
   /// Remove a binding; returns true when it existed.  The non-empty bucket
   /// list is deliberately NOT updated (lazy removal).
   bool unbind(const MapKey& key) {

@@ -2,6 +2,8 @@
 // analytic hit ratios per scheme, stale invalidation, and the cost model.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -430,6 +432,186 @@ TEST(FlowCache, RejectsZeroCapacityAndParsesSchemeNames) {
             FlowCacheScheme::kLru);
   EXPECT_EQ(code::flow_cache_scheme_from_string("bogus"), std::nullopt);
   EXPECT_STREQ(code::to_string(FlowCacheScheme::kDirectMapped), "direct");
+}
+
+// A linear-scan LRU reference: the original FlowCache's probe (scan every
+// entry for the key) and victim (first invalid entry, else the smallest
+// last-use stamp), with the same lookup flow.  It takes the scan's path
+// from the caller and returns what the cache reports for the lookup.
+class LinearLru {
+ public:
+  explicit LinearLru(std::size_t capacity) : entries_(capacity) {}
+
+  struct Outcome {
+    bool cache_hit = false;
+    bool stale = false;
+    std::optional<int> path_id;
+  };
+
+  Outcome lookup(code::FlowKey key, std::optional<int> scan_path,
+                 const FlowCache::PathResolver* resolver) {
+    ++clock_;
+    Entry* e = probe(key);
+    if (e != nullptr && !e->stale) {
+      ++hits;
+      e->last_used = clock_;
+      return {true, false, e->has_path ? std::optional<int>(e->path_id)
+                                       : std::nullopt};
+    }
+    const bool stale = e != nullptr;
+    stale ? ++stale_hits : ++misses;
+    std::optional<int> bound = scan_path;
+    if (resolver != nullptr && scan_path.has_value()) {
+      const int b = (*resolver)(key);
+      if (b < 0) return {stale, stale, std::nullopt};
+      bound = b;
+    }
+    if (e == nullptr) e = victim();
+    *e = Entry{key, bound.value_or(0), bound.has_value(), true, false,
+               clock_};
+    return {stale, stale, bound};
+  }
+
+  void invalidate(code::FlowKey key) {
+    if (Entry* e = probe(key)) e->stale = true;
+  }
+
+  std::size_t invalidate_path(int path_id) {
+    std::size_t n = 0;
+    for (Entry& e : entries_) {
+      if (e.valid && !e.stale && e.has_path && e.path_id == path_id) {
+        e.stale = true;
+        ++n;
+      }
+    }
+    return n;
+  }
+
+  void clear() {
+    for (Entry& e : entries_) e = Entry{};
+    clock_ = 0;
+  }
+
+  /// Resident keys (valid entries), in entry order.
+  std::vector<code::FlowKey> resident() const {
+    std::vector<code::FlowKey> keys;
+    for (const Entry& e : entries_) {
+      if (e.valid) keys.push_back(e.key);
+    }
+    return keys;
+  }
+
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t stale_hits = 0;
+
+ private:
+  struct Entry {
+    code::FlowKey key = 0;
+    int path_id = 0;
+    bool has_path = false;
+    bool valid = false;
+    bool stale = false;
+    std::uint64_t last_used = 0;
+  };
+
+  Entry* probe(code::FlowKey key) {
+    for (Entry& e : entries_) {
+      if (e.valid && e.key == key) return &e;
+    }
+    return nullptr;
+  }
+
+  Entry* victim() {
+    Entry* best = &entries_[0];
+    for (Entry& e : entries_) {
+      if (!e.valid) return &e;
+      if (e.last_used < best->last_used) best = &e;
+    }
+    return best;
+  }
+
+  std::vector<Entry> entries_;
+  std::uint64_t clock_ = 0;
+};
+
+TEST(FlowCache, LruMatchesTheLinearScanReference) {
+  // Frames are {key_hi, key_lo, tag}; the tag decides the scan's path
+  // (0x45 -> 1, 0x46 -> 2, 0x47 -> no match) and is a function of the key.
+  const FlowKeySpec spec{{{.offset = 0, .size = 2}}};
+  code::PacketClassifier classifier;
+  classifier.add_path("one", 1,
+                      {{.offset = 2, .size = 1, .mask = 0xFF, .value = 0x45}});
+  classifier.add_path("two", 2,
+                      {{.offset = 2, .size = 1, .mask = 0xFF, .value = 0x46}});
+  const auto frame_of = [](std::uint32_t k) {
+    return std::vector<std::uint8_t>{
+        static_cast<std::uint8_t>(k >> 8), static_cast<std::uint8_t>(k),
+        static_cast<std::uint8_t>(0x45 + (k * 7) % 3)};
+  };
+
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    std::uint64_t state = seed * 2 + 1;
+    const auto rnd = [&] {
+      state ^= state << 13;
+      state ^= state >> 7;
+      state ^= state << 17;
+      return state;
+    };
+    const std::size_t capacity = 1 + rnd() % 24;
+    const std::uint32_t universe =
+        static_cast<std::uint32_t>(capacity + 1 + rnd() % (2 * capacity));
+    FlowCache cache(spec, FlowCacheScheme::kLru, capacity);
+    LinearLru ref(capacity);
+    // The resolver is a pure function of the key and the current backend
+    // table, so both sides see the same answer whenever they ask.
+    std::array<int, 7> backend{};
+    for (int& b : backend) b = static_cast<int>(rnd() % 5) - 1;
+    const FlowCache::PathResolver resolver = [&](code::FlowKey key) {
+      return backend[key % backend.size()];
+    };
+
+    for (int step = 0; step < 2000; ++step) {
+      const auto k = static_cast<std::uint32_t>(rnd() % universe);
+      const std::uint64_t op = rnd() % 100;
+      if (op < 80) {
+        const bool with_resolver = rnd() % 2 == 0;
+        const auto frame = frame_of(k);
+        const auto r = with_resolver ? cache.lookup(classifier, frame, resolver)
+                                     : cache.lookup(classifier, frame);
+        const auto want =
+            ref.lookup(k, classifier.classify_scan(frame).path_id,
+                       with_resolver ? &resolver : nullptr);
+        ASSERT_EQ(r.cache_hit, want.cache_hit) << "seed " << seed;
+        ASSERT_EQ(r.stale, want.stale) << "seed " << seed;
+        ASSERT_EQ(r.path_id, want.path_id) << "seed " << seed;
+      } else if (op < 88) {
+        cache.invalidate(k);
+        ref.invalidate(k);
+      } else if (op < 94) {
+        const int path = static_cast<int>(rnd() % 5) - 1;
+        ASSERT_EQ(cache.invalidate_path(path), ref.invalidate_path(path))
+            << "seed " << seed;
+      } else if (op < 99) {
+        backend[rnd() % backend.size()] = static_cast<int>(rnd() % 5) - 1;
+      } else {
+        cache.clear();
+        ref.clear();
+      }
+    }
+    ASSERT_EQ(cache.stats().hits, ref.hits) << "seed " << seed;
+    ASSERT_EQ(cache.stats().misses, ref.misses) << "seed " << seed;
+    ASSERT_EQ(cache.stats().stale_hits, ref.stale_hits) << "seed " << seed;
+    // Same evictions: every key the reference holds is resident in the
+    // cache too (a hit, fresh or stale), and both hold the same number of
+    // entries, so the resident sets are equal.  Lookups of resident keys
+    // evict nothing, so the sweep does not disturb what it checks.
+    for (const code::FlowKey key : ref.resident()) {
+      const auto r = cache.lookup(
+          classifier, frame_of(static_cast<std::uint32_t>(key)));
+      ASSERT_TRUE(r.cache_hit) << "seed " << seed << " key " << key;
+    }
+  }
 }
 
 }  // namespace

@@ -194,6 +194,30 @@ TEST_F(MapTest, ChainCollisionsResolveCorrectly) {
 }
 
 // Property test: random operation sequences agree with std::map.
+TEST_F(MapTest, FindLeavesStatsAndCacheUntouched) {
+  Map<int> m(arena, 16);
+  m.bind(k(1), 10);
+  m.bind(k(2), 20);
+  ASSERT_EQ(*m.resolve(k(1)), 10);  // the one-entry cache now holds k(1)
+  const MapStats before = m.stats();
+  const SimAddr slot = m.cache_slot_sim();
+
+  EXPECT_EQ(m.find(k(2)), std::optional<int>(20));
+  EXPECT_EQ(m.find(k(1)), std::optional<int>(10));
+  EXPECT_EQ(m.find(k(3)), std::nullopt);
+
+  const MapStats& after = m.stats();
+  EXPECT_EQ(after.lookups, before.lookups);
+  EXPECT_EQ(after.cache_hits, before.cache_hits);
+  EXPECT_EQ(after.binds, before.binds);
+  EXPECT_EQ(after.unbinds, before.unbinds);
+  EXPECT_EQ(after.traversals, before.traversals);
+  EXPECT_EQ(m.cache_slot_sim(), slot);
+  // The cache still serves k(1): resolve counts a cache hit.
+  ASSERT_EQ(*m.resolve(k(1)), 10);
+  EXPECT_EQ(m.stats().cache_hits, before.cache_hits + 1);
+}
+
 class MapFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MapFuzz, AgreesWithReference) {
@@ -221,8 +245,10 @@ TEST_P(MapFuzz, AgreesWithReference) {
         break;
       }
       case 2: {
+        const auto found = m.find(k(id));
         auto v = m.resolve(k(id));
         auto it = ref.find(id);
+        ASSERT_EQ(found, v);
         ASSERT_EQ(v.has_value(), it != ref.end());
         if (v.has_value()) {
           ASSERT_EQ(*v, it->second);

@@ -266,5 +266,60 @@ TEST_F(TcpWorld, CloseWaitStillFlushesBufferedData) {
       [cc] { return cc->state() == proto::TcpState::kClosed; }, 5'000'000));
 }
 
+TEST_F(TcpWorld, FindReturnsTheConnectionBoundToItsTuple) {
+  world.start(1);
+  ASSERT_TRUE(world.run_until(
+      [&] {
+        return client_conn() != nullptr &&
+               client_conn()->state() == proto::TcpState::kEstablished;
+      },
+      5'000'000));
+  proto::TcpConn* cc = client_conn();
+  const std::uint32_t cip = world.client().address().ip;
+  const std::uint16_t sport = cc->remote_port();
+  const std::uint16_t cport = cc->local_port();
+  proto::TcpConn* sc = stcp().find(cip, sport, cport);
+  ASSERT_NE(sc, nullptr);
+  // The server establishes one half-RTT after the client.
+  ASSERT_TRUE(world.run_until(
+      [sc] { return sc->state() == proto::TcpState::kEstablished; },
+      5'000'000));
+  const xk::MapStats before = stcp().connection_map().stats();
+
+  EXPECT_EQ(stcp().find(cip, sport, cport), sc);
+  EXPECT_EQ(sc->remote_ip(), cip);
+  EXPECT_EQ(sc->local_port(), sport);
+  EXPECT_EQ(sc->remote_port(), cport);
+  EXPECT_EQ(ctcp().find(world.server().address().ip, cport, sport), cc);
+  // A listener's port is not a connection tuple.
+  EXPECT_EQ(stcp().find(0, sport, 0), nullptr);
+  EXPECT_EQ(stcp().find(cip, sport, 0), nullptr);
+  // Unknown tuples.
+  EXPECT_EQ(stcp().find(cip, sport, static_cast<std::uint16_t>(cport + 1)),
+            nullptr);
+  EXPECT_EQ(stcp().find(cip + 1, sport, cport), nullptr);
+  // A host-side query: the modeled demux saw no lookup.
+  EXPECT_EQ(stcp().connection_map().stats().lookups, before.lookups);
+  EXPECT_EQ(stcp().connection_map().stats().cache_hits, before.cache_hits);
+}
+
+TEST_F(TcpWorld, ResetConnectionLeavesTheOpenCountBeforeDestroy) {
+  // No listener on 9100: the server answers the SYN with a RST, and the
+  // client connection goes CLOSED while its owner still holds it bound.
+  closewait::Sink sink;
+  const std::uint32_t sip = world.server().address().ip;
+  proto::TcpConn* cc = ctcp().connect(sip, 12'001, 9'100, &sink);
+  EXPECT_EQ(ctcp().open_connections(), 1u);
+  ASSERT_TRUE(world.run_until(
+      [cc] { return cc->state() == proto::TcpState::kClosed; }, 5'000'000));
+  EXPECT_EQ(ctcp().connection_map().size(), 1u);  // still bound
+  EXPECT_EQ(ctcp().find(sip, 12'001, 9'100), cc);
+  EXPECT_EQ(ctcp().open_connections(), 0u);
+  ctcp().destroy(cc);
+  EXPECT_EQ(ctcp().connection_map().size(), 0u);
+  EXPECT_EQ(ctcp().find(sip, 12'001, 9'100), nullptr);
+  EXPECT_EQ(ctcp().open_connections(), 0u);
+}
+
 }  // namespace
 }  // namespace l96
