@@ -116,6 +116,25 @@ TEST_F(HarnessTcp, EndToEndIncludesControllerOverhead) {
   EXPECT_NEAR(r.te_us - r.te_adjusted, 210.0, 2.0);  // paper subtracts 210us
 }
 
+// Te is the paper's zero-overhead-classifier roundtrip: the controller plus
+// each side's critical-path time, and nothing else — for every layout,
+// path-inlined or not, on both stacks.  Exact equality: no hidden term.
+TEST(TeComposition, ControllerPlusCriticalSumsOnEveryLayout) {
+  for (const net::StackKind kind :
+       {net::StackKind::kTcpIp, net::StackKind::kRpc}) {
+    for (const StackConfig& cfg : harness::paper_configs()) {
+      Experiment e(kind, cfg, cfg);
+      e.capture();
+      const harness::ConfigResult r = e.run();
+      const double sides = r.client.critical_us + r.server.critical_us;
+      EXPECT_EQ(r.te_us, e.controller_us() + r.client.critical_us +
+                             r.server.critical_us)
+          << cfg.name;
+      EXPECT_EQ(r.te_adjusted, sides) << cfg.name;
+    }
+  }
+}
+
 TEST_F(HarnessTcp, TeSamplesVaryLittle) {
   Experiment e(net::StackKind::kTcpIp, StackConfig::Std(),
                StackConfig::Std());
