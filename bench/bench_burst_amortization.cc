@@ -35,7 +35,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -205,12 +204,7 @@ int main(int argc, char** argv) {
 
   const std::filesystem::path out_path =
       std::filesystem::path(out_dir) / "burst_amortization.json";
-  std::filesystem::create_directories(out_path.parent_path());
-  {
-    std::ofstream os(out_path);
-    section.dump(os);
-    os << "\n";
-  }
+  harness::write_json_file(out_path, section);
   std::printf("wrote %s\n", out_path.string().c_str());
 
   // --- invariants ----------------------------------------------------------

@@ -12,9 +12,16 @@
 // machine model (harness/classify.h), then runs an LRU-flow-cache fleet
 // grid (rule count x Zipf skew) priced from the fitted coefficients.
 //
+// It also answers the paper's zero-overhead-classifier caveat (§3.3) from
+// the measurements: the same rule counts are measured under PIN too, and
+// for PIN and ALL, each engine, and each mode (scan every packet / flow-
+// cache hit) the bench reports the break-even — the smallest swept rule
+// count where Te(layout) + 2 x per-packet cost >= Te(CLO), or -1.
+//
 // Output: bench/out/classifier_scale.json — an `l96.classifier.v1` section
 // carrying the per-rule-count measurements, both crossovers, the fuzz
-// verdict, and the fleet grid as an embedded `l96.fleet.v2` section.  A
+// verdict, the fleet grid as an embedded `l96.fleet.v2` section, and the
+// `break_even` object (CLO Te, per-layout Te, costs and break-evens).  A
 // pure function of the seeds: byte-identical across runs and across
 // runner worker counts (enforced below by running the grid at 1 and 2
 // workers and comparing the serialized sections).
@@ -37,13 +44,19 @@
 //     unmatched scans (every fleet frame matches the real fast path; decoys
 //     by construction never match harness traffic);
 //  6. determinism: re-measuring a rule count reproduces the fitted
-//     coefficients bit for bit.
+//     coefficients bit for bit;
+//  7. PIN and ALL beat CLO at zero classification cost;
+//  8. with a flow-cache hit charged on both sides they still beat CLO at
+//     every swept rule count, under either engine;
+//  9. with a linear match scan on every packet they lose to CLO by the
+//     largest swept rule count;
+// 10. the linear match-scan cost strictly rises with rule count (PIN and
+//     ALL).
 //
 //   bench_classifier_scale [packets-per-row] [out-dir]
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -103,32 +116,47 @@ int main(int argc, char** argv) {
   }
 
   const code::StackConfig cfg = code::StackConfig::All();
+  const code::StackConfig pin_cfg = code::StackConfig::Pin();
   const std::size_t rule_counts[] = {0, 16, 256, 2048};
   const std::size_t max_rules = 2048;
   const double skews[] = {0.0, 1.2};
   const std::uint64_t rule_seed = 1;
   int failures = 0;
+  using Engine = code::PacketClassifier::Engine;
+  const auto cost_spec = [&](const code::StackConfig& c, std::size_t rules,
+                             Engine engine) {
+    harness::ClassifierCostSpec cs;
+    cs.kind = net::StackKind::kTcpIp;
+    cs.cfg = c;
+    cs.rules = rules;
+    cs.rule_seed = rule_seed;
+    cs.engine = engine;
+    return cs;
+  };
 
   // --- per-rule-count measurements -----------------------------------------
+  // ALL (lin/tup) feeds the engine and cache crossovers and the fleet grid;
+  // ALL and PIN both feed the break-even against CLO.
   struct RuleRow {
     std::size_t rules = 0;
     harness::ClassifierCostMeasurement lin;
     harness::ClassifierCostMeasurement tup;
+    harness::ClassifierCostMeasurement pin_lin;
+    harness::ClassifierCostMeasurement pin_tup;
     bool auto_tuple = false;  ///< engine kAuto resolves to the tuple space
   };
   std::vector<RuleRow> rrows;
   for (std::size_t r : rule_counts) {
     RuleRow row;
     row.rules = r;
-    harness::ClassifierCostSpec cs;
-    cs.kind = net::StackKind::kTcpIp;
-    cs.cfg = cfg;
-    cs.rules = r;
-    cs.rule_seed = rule_seed;
-    cs.engine = code::PacketClassifier::Engine::kLinear;
-    row.lin = harness::measure_classifier_costs(cs);
-    cs.engine = code::PacketClassifier::Engine::kTuple;
-    row.tup = harness::measure_classifier_costs(cs);
+    row.lin = harness::measure_classifier_costs(
+        cost_spec(cfg, r, Engine::kLinear));
+    row.tup =
+        harness::measure_classifier_costs(cost_spec(cfg, r, Engine::kTuple));
+    row.pin_lin = harness::measure_classifier_costs(
+        cost_spec(pin_cfg, r, Engine::kLinear));
+    row.pin_tup = harness::measure_classifier_costs(
+        cost_spec(pin_cfg, r, Engine::kTuple));
     row.auto_tuple =
         proto::build_scaled_classifier(proto::RuleSetKind::kTcpIp, r,
                                        rule_seed)
@@ -141,14 +169,9 @@ int main(int argc, char** argv) {
 
   // Invariant 6: the measurement is a pure function of its spec.
   {
-    harness::ClassifierCostSpec cs;
-    cs.kind = net::StackKind::kTcpIp;
-    cs.cfg = cfg;
-    cs.rules = max_rules;
-    cs.rule_seed = rule_seed;
-    cs.engine = code::PacketClassifier::Engine::kTuple;
     const harness::ClassifierCostMeasurement again =
-        harness::measure_classifier_costs(cs);
+        harness::measure_classifier_costs(
+            cost_spec(cfg, max_rules, Engine::kTuple));
     const auto& first = rrows.back().tup.costs;
     if (again.costs.hit_us != first.hit_us ||
         again.costs.probe_us != first.probe_us ||
@@ -228,12 +251,8 @@ int main(int argc, char** argv) {
   // Invariant 4: classifier-owner miss attribution conserves against the
   // same replay's aggregate CacheStats, and the classify_* owners appear.
   {
-    harness::ClassifierCostSpec cs;
-    cs.kind = net::StackKind::kTcpIp;
-    cs.cfg = cfg;
-    cs.rules = max_rules;
-    cs.rule_seed = rule_seed;
-    cs.engine = code::PacketClassifier::Engine::kTuple;
+    harness::ClassifierCostSpec cs =
+        cost_spec(cfg, max_rules, Engine::kTuple);
     cs.profile_misses = true;
     const harness::ClassifierCostMeasurement prof =
         harness::measure_classifier_costs(cs);
@@ -377,6 +396,93 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --- break-even: PIN/ALL's advantage over CLO vs classification cost ----
+  // Te is the paper's zero-overhead-classifier roundtrip; a path-inlined
+  // side classifies one inbound packet per roundtrip, so charging both
+  // sides `cost` gives Te + 2 x cost.  The break-even is the smallest swept
+  // rule count where that reaches CLO's Te (-1: never), per layout, engine
+  // and mode — a scan on every packet (miss_match) or a flow-cache hit.
+  const auto te_of = [](const code::StackConfig& c) {
+    return harness::run_config(net::StackKind::kTcpIp, c, c).te_us;
+  };
+  const double te_clo = te_of(code::StackConfig::Clo());
+  struct BreakEven {
+    const char* layout;
+    double te_us;
+    bool pin;
+    /// [engine: linear, tuple][mode: scan, hit] -> rule count or -1.
+    std::int64_t rules[2][2];
+  };
+  const auto measured = [](const RuleRow& r, bool pin, bool tuple)
+      -> const harness::ClassifierCostMeasurement& {
+    return pin ? (tuple ? r.pin_tup : r.pin_lin) : (tuple ? r.tup : r.lin);
+  };
+  const auto per_packet = [](const harness::ClassifierCostMeasurement& m,
+                             bool hit) {
+    return hit ? m.hit.tp_us : m.miss_match.tp_us;
+  };
+  const char* const engine_names[] = {"linear", "tuple"};
+  std::vector<BreakEven> breaks = {
+      {"PIN", te_of(pin_cfg), true, {}},
+      {"ALL", te_of(cfg), false, {}},
+  };
+  for (BreakEven& b : breaks) {
+    // Invariant 7: path-inlining beats CLO at zero classification cost.
+    if (!(b.te_us < te_clo)) {
+      std::fprintf(stderr,
+                   "FAIL: %s Te %.3f us does not beat CLO's %.3f us with a "
+                   "free classifier\n",
+                   b.layout, b.te_us, te_clo);
+      ++failures;
+    }
+    for (int e = 0; e < 2; ++e) {
+      for (int mode = 0; mode < 2; ++mode) {
+        b.rules[e][mode] = -1;
+        for (const RuleRow& row : rrows) {
+          const double cost =
+              per_packet(measured(row, b.pin, e == 1), mode == 1);
+          if (b.te_us + 2.0 * cost >= te_clo) {
+            b.rules[e][mode] = static_cast<std::int64_t>(row.rules);
+            break;
+          }
+        }
+      }
+      // Invariant 8: a flow-cache hit on both sides keeps the win at every
+      // swept rule count.
+      if (b.rules[e][1] != -1) {
+        std::fprintf(stderr,
+                     "FAIL: %s/%s with a cache hit on both sides loses to "
+                     "CLO at %lld rules\n",
+                     b.layout, engine_names[e],
+                     static_cast<long long>(b.rules[e][1]));
+        ++failures;
+      }
+    }
+    // Invariant 9: a linear scan on every packet loses by the largest count.
+    const double scan_max =
+        per_packet(measured(rrows.back(), b.pin, false), false);
+    if (!(b.te_us + 2.0 * scan_max >= te_clo)) {
+      std::fprintf(stderr,
+                   "FAIL: %s with a %zu-rule linear scan per packet (%.3f "
+                   "us) still beats CLO (%.3f vs %.3f us)\n",
+                   b.layout, max_rules, scan_max, b.te_us + 2.0 * scan_max,
+                   te_clo);
+      ++failures;
+    }
+    // Invariant 10: the linear match scan's cost strictly rises with rules.
+    for (std::size_t i = 1; i < rrows.size(); ++i) {
+      const double lo = measured(rrows[i - 1], b.pin, false).miss_match.tp_us;
+      const double hi = measured(rrows[i], b.pin, false).miss_match.tp_us;
+      if (!(hi > lo)) {
+        std::fprintf(stderr,
+                     "FAIL: %s linear match scan does not rise from %zu to "
+                     "%zu rules (%.3f -> %.3f us)\n",
+                     b.layout, rrows[i - 1].rules, rrows[i].rules, lo, hi);
+        ++failures;
+      }
+    }
+  }
+
   // --- report ---------------------------------------------------------------
   harness::Table t("Classifier scale: measured lookup costs (TCP/IP ALL, "
                    "seed " + std::to_string(rule_seed) + ")");
@@ -409,6 +515,25 @@ int main(int argc, char** argv) {
               "LRU cache beats the linear always-scan at %lld rules\n",
               static_cast<long long>(engine_crossover),
               static_cast<long long>(cache_crossover));
+  harness::Table bt("Break-even vs CLO (TCP/IP, CLO Te " +
+                    harness::fmt(te_clo, 2) +
+                    " us): smallest rule count where Te + 2 x per-packet "
+                    "cost >= CLO Te (-1: never)");
+  bt.columns({"layout", "Te [us]", "margin/side [us]", "engine",
+              "scan@" + std::to_string(max_rules) + " [us]",
+              "hit@" + std::to_string(max_rules) + " [us]", "scan b/e",
+              "hit b/e"});
+  for (const BreakEven& b : breaks) {
+    for (int e = 0; e < 2; ++e) {
+      const auto& top = measured(rrows.back(), b.pin, e == 1);
+      bt.row({b.layout, harness::fmt(b.te_us, 2),
+              harness::fmt((te_clo - b.te_us) / 2.0, 2), engine_names[e],
+              harness::fmt(top.miss_match.tp_us, 3),
+              harness::fmt(top.hit.tp_us, 3), std::to_string(b.rules[e][0]),
+              std::to_string(b.rules[e][1])});
+    }
+  }
+  bt.print();
 
   // --- emission -------------------------------------------------------------
   harness::Json rows_json = harness::Json::array();
@@ -422,6 +547,37 @@ int main(int argc, char** argv) {
             .set("linear", engine_json(r.lin))
             .set("tuple", engine_json(r.tup)));
   }
+  harness::Json layouts = harness::Json::array();
+  for (const BreakEven& b : breaks) {
+    harness::Json costs_json = harness::Json::array();
+    for (const RuleRow& r : rrows) {
+      harness::Json row =
+          harness::Json::object().set("rules",
+                                      static_cast<std::uint64_t>(r.rules));
+      for (int e = 0; e < 2; ++e) {
+        const auto& m = measured(r, b.pin, e == 1);
+        row.set(engine_names[e], harness::Json::object()
+                                     .set("scan_us", m.miss_match.tp_us)
+                                     .set("hit_us", m.hit.tp_us));
+      }
+      costs_json.push_back(std::move(row));
+    }
+    harness::Json layout = harness::Json::object()
+                               .set("config", b.layout)
+                               .set("te_us", b.te_us)
+                               .set("costs", std::move(costs_json));
+    for (int e = 0; e < 2; ++e) {
+      layout.set(engine_names[e],
+                 harness::Json::object()
+                     .set("scan_rules", b.rules[e][0])
+                     .set("hit_rules", b.rules[e][1]));
+    }
+    layouts.push_back(std::move(layout));
+  }
+  harness::Json break_even =
+      harness::Json::object()
+          .set("clo_te_us", te_clo)
+          .set("layouts", std::move(layouts));
   harness::Json section = harness::emit_section(
       "classifier", 1,
       harness::Json::object()
@@ -436,15 +592,11 @@ int main(int argc, char** argv) {
           .set("fuzz", harness::Json::object()
                            .set("frames", fuzz_frames)
                            .set("mismatches", fuzz_mismatches))
-          .set("fleet", fleet));
+          .set("fleet", fleet)
+          .set("break_even", std::move(break_even)));
   const std::filesystem::path out =
       std::filesystem::path(out_dir) / "classifier_scale.json";
-  std::filesystem::create_directories(out.parent_path());
-  {
-    std::ofstream os(out);
-    section.dump(os);
-    os << "\n";
-  }
+  harness::write_json_file(out, section);
   std::printf("wrote %s\n", out.string().c_str());
 
   return failures == 0 ? 0 : 1;

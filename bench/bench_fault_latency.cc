@@ -234,14 +234,12 @@ int main() {
     harness::SweepOutcome clean_o;
     clean_o.label = cfg.name;
     clean_o.result =
-        harness::combine_sides(clean_c, clean_s, b.controller_us,
-                               cfg.path_inlining, cfg.path_inlining, params);
+        harness::combine_sides(clean_c, clean_s, b.controller_us);
 
     harness::SweepOutcome fault_o;
     fault_o.label = std::string(cfg.name) + "+fault";
     fault_o.result =
-        harness::combine_sides(err_c, err_s, b.controller_us,
-                               cfg.path_inlining, cfg.path_inlining, params);
+        harness::combine_sides(err_c, err_s, b.controller_us);
 
     const double icpi_dc = err_c.steady.icpi() - clean_c.steady.icpi();
     const double mcpi_dc = err_c.steady.mcpi() - clean_c.steady.mcpi();

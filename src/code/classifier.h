@@ -28,8 +28,7 @@
 // IS a linear scan with extra overhead) — then the legacy linear scan runs.
 //
 // The paper reports classifier costs of 1-4 us per packet on this hardware
-// but measures PIN/ALL with a zero-overhead classifier; `overhead_us` keeps
-// that flat analytic knob for the ablation benches.  At scale the cost is
+// but measures PIN/ALL with a zero-overhead classifier.  Here the cost is
 // measured instead: the lookup is registered in the code model
 // (proto::register_classifier_code) and priced by replaying its trace
 // through the simulated caches (harness/classify.h).
@@ -148,12 +147,6 @@ class PacketClassifier {
   /// Name of a registered path id (for diagnostics); O(1).
   const std::string* path_name(int path_id) const;
 
-  /// Modeled per-packet classification cost in microseconds (the flat
-  /// analytic knob of the ablation benches; the measured model in
-  /// harness/classify.h supersedes it at scale).
-  double overhead_us() const noexcept { return overhead_us_; }
-  void set_overhead_us(double us) noexcept { overhead_us_ = us; }
-
   std::size_t num_paths() const noexcept { return paths_.size(); }
   std::size_t num_tuples() const noexcept { return tuples_.size(); }
 
@@ -199,7 +192,6 @@ class PacketClassifier {
   std::map<std::vector<std::uint64_t>, std::size_t> tuple_of_signature_;
   std::vector<Tuple> tuples_;
   Engine engine_ = Engine::kAuto;
-  double overhead_us_ = 0.0;
 };
 
 }  // namespace l96::code

@@ -14,8 +14,9 @@
 // A FlowCache extracts a flow key from configurable frame fields and
 // memoizes classify() results per flow.  Each lookup is priced by an
 // explicit cost model — a cache hit costs `hit_us`; a miss pays the probe
-// plus the linear scan at `per_rule_us` per rule examined — replacing the
-// single flat `overhead_us` knob of the bare classifier.
+// plus the linear scan at `per_rule_us` per rule examined.  It is the only
+// classification cost model: single-roundtrip Te keeps the paper's
+// zero-overhead classifier.
 //
 // Connection churn makes cached flow bindings *stale*: when a connection
 // closes and its flow key is later rebound, a path-inlined composite
@@ -71,8 +72,7 @@ const char* to_string(FlowCacheScheme s);
 std::optional<FlowCacheScheme> flow_cache_scheme_from_string(
     std::string_view s);
 
-/// Per-lookup cost model, in microseconds (replaces the bare classifier's
-/// flat overhead_us when a FlowCache is installed).
+/// Per-lookup cost model, in microseconds.
 ///
 /// Exactly one of two provenances fills the coefficients:
 ///  * analytic — the historical hand-set defaults below (Jain-style

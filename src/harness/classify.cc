@@ -67,14 +67,6 @@ std::vector<std::uint8_t> classifier_nomatch_frame() {
 
 ClassifierCostMeasurement measure_classifier_costs(
     const ClassifierCostSpec& spec) {
-  if (spec.params.classifier_overhead_us != 0.0) {
-    throw std::invalid_argument(
-        "measure_classifier_costs: classifier_overhead_us must be 0 — the "
-        "measured FlowCacheCosts model and the flat analytic knob are "
-        "mutually exclusive (one classification cost model per "
-        "measurement)");
-  }
-
   // The registry a scaled-classifier Host would carry: full stack code (the
   // image declares the inlined paths from it) plus the lookup's own
   // functions.

@@ -8,8 +8,11 @@
 // handful of hand-written rules, but a mispricing at production scale: the
 // real cost of scanning thousands of rules depends on how much of the rule
 // table and probe machinery the i/d-caches hold, which is exactly what the
-// rest of the repo measures for protocol code and the analytic knob
-// ignored.
+// rest of the repo measures for protocol code and the constants ignore.
+// FlowCacheCosts is the repo's one classification cost model and this is
+// how it is measured: single-roundtrip Te (combine_sides) keeps the paper's
+// zero-overhead classifier, and bench_classifier_scale prices PIN/ALL's
+// break-even against CLO from these measurements.
 //
 // measure_classifier_costs() closes the gap with the same methodology the
 // protocol paths use: register the classifier's code model
@@ -56,9 +59,6 @@ struct ClassifierCostSpec {
   /// Engine the scans run under; kAuto applies the size/degeneracy policy.
   code::PacketClassifier::Engine engine =
       code::PacketClassifier::Engine::kAuto;
-  /// Must have classifier_overhead_us == 0: the measured model and the
-  /// flat analytic knob are mutually exclusive (measure_classifier_costs
-  /// throws otherwise — the double-charge guard of the ablation benches).
   MachineParams params = MachineParams::defaults();
   /// Attach sim::MissProfiler to every replay (miss_cold / miss_steady on
   /// each SideMeasurement) for classifier-owner attribution checks.
@@ -79,10 +79,8 @@ struct ClassifierCostMeasurement {
   bool tuple_engine = false;         ///< engine that decided the scans
 };
 
-/// Measure and fit.  Throws std::invalid_argument when
-/// spec.params.classifier_overhead_us != 0 (exactly one classification
-/// cost model may be active), and std::logic_error if the synthesized
-/// frames stop matching the rule generator's real-path guarantee.
+/// Measure and fit.  Throws std::logic_error if the synthesized frames stop
+/// matching the rule generator's real-path guarantee.
 ClassifierCostMeasurement measure_classifier_costs(
     const ClassifierCostSpec& spec);
 

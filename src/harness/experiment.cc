@@ -263,25 +263,20 @@ StreamMeasurement measure_stream(const StreamSpec& spec) {
 }
 
 ConfigResult combine_sides(SideMeasurement client, SideMeasurement server,
-                           double controller_us, bool client_inlined,
-                           bool server_inlined, const MachineParams& params) {
+                           double controller_us, bool, bool,
+                           const MachineParams&) {
   ConfigResult r;
   r.client = std::move(client);
   r.server = std::move(server);
-  const double classify =
-      (client_inlined ? params.classifier_overhead_us : 0.0) +
-      (server_inlined ? params.classifier_overhead_us : 0.0);
-  r.te_us = controller_us + classify + r.client.critical_us +
-            r.server.critical_us;
-  r.te_adjusted = classify + r.client.critical_us + r.server.critical_us;
+  r.te_us = controller_us + r.client.critical_us + r.server.critical_us;
+  r.te_adjusted = r.client.critical_us + r.server.critical_us;
   return r;
 }
 
 ConfigResult measure_config(const MeasureSpec& client,
                             const MeasureSpec& server, double controller_us) {
   return combine_sides(measure_side(client), measure_side(server),
-                       controller_us, client.cfg.path_inlining,
-                       server.cfg.path_inlining, client.params);
+                       controller_us);
 }
 
 std::vector<double> sample_te(MeasureSpec client, MeasureSpec server,

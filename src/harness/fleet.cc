@@ -51,7 +51,6 @@ std::uint64_t machine_params_key(const MachineParams& p) {
   fnv1a_value(h, p.warmup_passes);
   fnv1a_value(h, p.scrub_fraction);
   fnv1a_value(h, p.scrub_fraction_d);
-  fnv1a_value(h, p.classifier_overhead_us);
   fnv1a_value(h, p.scrub_seed);
   return h;
 }
@@ -842,17 +841,6 @@ void validate_fleet_spec(const FleetSpec& spec, const BurstCostTable& costs) {
   if (spec.connections == 0 || spec.packets == 0) {
     throw std::invalid_argument(
         "run_fleet: connections and packets must be > 0");
-  }
-  if (spec.params.classifier_overhead_us != 0.0) {
-    // Exactly one classification cost model per measurement: fleet rows
-    // price every lookup through FlowCacheCosts (hit_us / probe_us /
-    // per_rule_us); the flat analytic classifier_overhead_us knob belongs
-    // to the single-roundtrip te formulas (combine_sides).  Accepting both
-    // here would charge classification twice per packet.
-    throw std::invalid_argument(
-        "run_fleet: classifier_overhead_us must be 0 for fleet rows — "
-        "classification is priced via FlowCacheCosts, not the flat "
-        "analytic knob");
   }
   check_costs(spec, costs);
 }

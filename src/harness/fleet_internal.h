@@ -216,8 +216,8 @@ struct PhaseSplit {
 PhaseSplit split_phases(const CoreRunResult& core,
                         const std::vector<Interval>& phases);
 
-/// Shared row validation (path-inlining on, non-empty schedule, no flat
-/// classifier overhead, cost table matched to kind/config/params).
+/// Shared row validation (path-inlining on, non-empty schedule, cost table
+/// matched to kind/config/params).
 void validate_fleet_spec(const FleetSpec& spec, const BurstCostTable& costs);
 
 /// Shard rows as (row, core) jobs on `workers` threads; rows merged

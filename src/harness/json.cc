@@ -1,6 +1,7 @@
 #include "harness/json.h"
 
 #include <cstdio>
+#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -161,6 +162,22 @@ std::string Json::dump() const {
   std::ostringstream ss;
   dump(ss);
   return ss.str();
+}
+
+void write_json_file(const std::filesystem::path& path, const Json& j) {
+  if (path.has_parent_path()) {
+    std::filesystem::create_directories(path.parent_path());
+  }
+  std::ofstream f(path);
+  if (!f) {
+    throw std::runtime_error("cannot open JSON output " + path.string());
+  }
+  j.dump(f);
+  f << '\n';
+  f.close();
+  if (!f) {
+    throw std::runtime_error("failed writing JSON output " + path.string());
+  }
 }
 
 }  // namespace l96::harness

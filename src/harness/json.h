@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <iosfwd>
 #include <string>
 #include <utility>
@@ -99,5 +100,11 @@ std::string section_schema(const std::string& name, int version);
 /// or a body that is neither null nor an object.
 Json emit_section(const std::string& name, int version,
                   Json body = Json::object());
+
+/// Write `j` plus a trailing newline to `path`, creating its parent
+/// directories: how benches, run() and write_sweep_metrics put JSON on
+/// disk.  Throws std::runtime_error naming the path when the file cannot be
+/// opened or the write fails (so nothing reports a file it never wrote).
+void write_json_file(const std::filesystem::path& path, const Json& j);
 
 }  // namespace l96::harness

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
-#include <stdexcept>
+#include <exception>
 #include <thread>
 
 #include "harness/fleet_internal.h"
@@ -62,16 +60,7 @@ void finish(Outcome& o, const RunnerSpec& common, Json section) {
   }
   o.section = std::move(section);
   if (common.out_path.empty()) return;
-  const std::filesystem::path path(common.out_path);
-  if (path.has_parent_path()) {
-    std::filesystem::create_directories(path.parent_path());
-  }
-  std::ofstream f(path);
-  if (!f) {
-    throw std::runtime_error("run: cannot open output path " +
-                             common.out_path);
-  }
-  f << o.section.dump() << "\n";
+  write_json_file(common.out_path, o.section);
   o.out_path = common.out_path;
 }
 

@@ -1,8 +1,6 @@
 #include "harness/sweep.h"
 
 #include <chrono>
-#include <filesystem>
-#include <fstream>
 #include <ostream>
 #include <stdexcept>
 
@@ -176,12 +174,9 @@ Json side_json(const SideMeasurement& m) {
       .set("steady", run_json(m.steady));
 }
 
-}  // namespace
-
-void write_sweep_json(std::ostream& os, const std::string& bench,
-                      const SweepRunner& runner,
-                      const std::vector<SweepJob>& jobs,
-                      const std::vector<SweepOutcome>& outcomes) {
+Json sweep_json(const std::string& bench, const SweepRunner& runner,
+                const std::vector<SweepJob>& jobs,
+                const std::vector<SweepOutcome>& outcomes) {
   Json configs = Json::array();
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const SweepOutcome& o = outcomes[i];
@@ -207,13 +202,21 @@ void write_sweep_json(std::ostream& os, const std::string& bench,
     }
     configs.push_back(std::move(row));
   }
-  emit_section("sweep", 1)
+  return emit_section("sweep", 1)
       .set("bench", bench)
       .set("threads", static_cast<std::uint64_t>(runner.thread_count()))
       .set("workers_used", runner.workers_used())
       .set("captures", runner.captures_performed())
-      .set("configs", std::move(configs))
-      .dump(os);
+      .set("configs", std::move(configs));
+}
+
+}  // namespace
+
+void write_sweep_json(std::ostream& os, const std::string& bench,
+                      const SweepRunner& runner,
+                      const std::vector<SweepJob>& jobs,
+                      const std::vector<SweepOutcome>& outcomes) {
+  sweep_json(bench, runner, jobs, outcomes).dump(os);
   os << '\n';
 }
 
@@ -222,13 +225,8 @@ std::string write_sweep_metrics(const std::string& bench,
                                 const std::vector<SweepJob>& jobs,
                                 const std::vector<SweepOutcome>& outcomes,
                                 const std::string& out_dir) {
-  std::filesystem::create_directories(out_dir);
   const std::string path = out_dir + "/" + bench + ".json";
-  std::ofstream f(path);
-  if (!f) {
-    throw std::runtime_error("cannot open metrics file: " + path);
-  }
-  write_sweep_json(f, bench, runner, jobs, outcomes);
+  write_json_file(path, sweep_json(bench, runner, jobs, outcomes));
   return path;
 }
 

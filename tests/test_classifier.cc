@@ -75,8 +75,6 @@ TEST(Classifier, Metadata) {
   ASSERT_NE(c.path_name(9), nullptr);
   EXPECT_EQ(*c.path_name(9), "x");
   EXPECT_EQ(c.path_name(1), nullptr);
-  c.set_overhead_us(2.5);
-  EXPECT_DOUBLE_EQ(c.overhead_us(), 2.5);
   EXPECT_EQ(c.num_paths(), 1u);
 }
 

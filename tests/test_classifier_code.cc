@@ -9,7 +9,6 @@
 // coefficients' invariants (sanity, provenance flag, determinism).
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 
 #include "code/classifier.h"
 #include "code/flow_cache.h"
@@ -157,14 +156,6 @@ TEST(ClassifierCode, MeasurementIsBitwiseDeterministic) {
   EXPECT_EQ(a.hit.tp_us, b.hit.tp_us);
   EXPECT_EQ(a.miss_match.tp_us, b.miss_match.tp_us);
   EXPECT_EQ(a.miss_nomatch.tp_us, b.miss_nomatch.tp_us);
-}
-
-TEST(ClassifierCode, RejectsTheFlatAnalyticKnob) {
-  harness::ClassifierCostSpec spec;
-  spec.cfg = code::StackConfig::Std();
-  spec.params.classifier_overhead_us = 0.5;
-  EXPECT_THROW(harness::measure_classifier_costs(spec),
-               std::invalid_argument);
 }
 
 TEST(ClassifierCode, LinearAndTupleEnginesBothPriceable) {

@@ -117,25 +117,5 @@ TEST(ClassifierIntegration, SlowPathLowersToStandalonePlacements) {
   EXPECT_GT(cold_instrs(mt_slow), cold_instrs(mt_fast) + 1000);
 }
 
-TEST(ClassifierIntegration, OverheadParameterAffectsOnlyPinConfigs) {
-  harness::MachineParams params;
-  params.classifier_overhead_us = 3.0;
-  auto std_free = harness::run_config(net::StackKind::kTcpIp,
-                                      code::StackConfig::Std(),
-                                      code::StackConfig::Std());
-  auto std_paid = harness::run_config(net::StackKind::kTcpIp,
-                                      code::StackConfig::Std(),
-                                      code::StackConfig::Std(), params);
-  EXPECT_NEAR(std_free.te_us, std_paid.te_us, 1e-6);
-
-  auto pin_free = harness::run_config(net::StackKind::kTcpIp,
-                                      code::StackConfig::Pin(),
-                                      code::StackConfig::Pin());
-  auto pin_paid = harness::run_config(net::StackKind::kTcpIp,
-                                      code::StackConfig::Pin(),
-                                      code::StackConfig::Pin(), params);
-  EXPECT_NEAR(pin_paid.te_us - pin_free.te_us, 6.0, 1e-6);  // both sides
-}
-
 }  // namespace
 }  // namespace l96

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "harness/runner.h"
@@ -275,22 +277,46 @@ TEST(FleetTest, RejectsMismatchedMachineParams) {
 }
 
 TEST(FleetTest, ParamsKeyCoversEveryField) {
-  const harness::MachineParams base;
+  using M = harness::MachineParams;
+  const M base;
   EXPECT_EQ(harness::machine_params_key(base),
-            harness::machine_params_key(harness::MachineParams::defaults()));
-  harness::MachineParams m1 = base;
-  m1.mem.icache_bytes *= 2;
-  harness::MachineParams m2 = base;
-  m2.scrub_fraction_d += 0.1;
-  harness::MachineParams m3 = base;
-  m3.cpu.dual_issue = !m3.cpu.dual_issue;
-  harness::MachineParams m4 = base;
-  m4.classifier_overhead_us = 2.0;
-  const std::uint64_t k = harness::machine_params_key(base);
-  EXPECT_NE(harness::machine_params_key(m1), k);
-  EXPECT_NE(harness::machine_params_key(m2), k);
-  EXPECT_NE(harness::machine_params_key(m3), k);
-  EXPECT_NE(harness::machine_params_key(m4), k);
+            harness::machine_params_key(M::defaults()));
+  // One mutation per hashed field; every key must differ from the base's
+  // and from every other mutation's.
+  const std::vector<std::pair<const char*, void (*)(M&)>> mutations = {
+      {"mem.icache_bytes", [](M& m) { m.mem.icache_bytes *= 2; }},
+      {"mem.dcache_bytes", [](M& m) { m.mem.dcache_bytes *= 2; }},
+      {"mem.bcache_bytes", [](M& m) { m.mem.bcache_bytes *= 2; }},
+      {"mem.block_bytes", [](M& m) { m.mem.block_bytes *= 2; }},
+      {"mem.wbuf_depth", [](M& m) { m.mem.wbuf_depth += 1; }},
+      {"mem.b_hit_cycles", [](M& m) { m.mem.b_hit_cycles += 1; }},
+      {"mem.b_hit_seq_cycles", [](M& m) { m.mem.b_hit_seq_cycles += 1; }},
+      {"mem.dram_cycles", [](M& m) { m.mem.dram_cycles += 1; }},
+      {"mem.wbuf_retire_cycles", [](M& m) { m.mem.wbuf_retire_cycles += 1; }},
+      {"mem.ifetch_prefetch_next",
+       [](M& m) { m.mem.ifetch_prefetch_next = !m.mem.ifetch_prefetch_next; }},
+      {"cpu.taken_branch_penalty",
+       [](M& m) { m.cpu.taken_branch_penalty += 1; }},
+      {"cpu.imul_penalty", [](M& m) { m.cpu.imul_penalty += 1; }},
+      {"cpu.dual_issue", [](M& m) { m.cpu.dual_issue = !m.cpu.dual_issue; }},
+      {"cpu.pair_success_permille",
+       [](M& m) { m.cpu.pair_success_permille += 1; }},
+      {"cpu.frequency_hz", [](M& m) { m.cpu.frequency_hz += 1; }},
+      {"warmup_roundtrips", [](M& m) { m.warmup_roundtrips += 1; }},
+      {"warmup_passes", [](M& m) { m.warmup_passes += 1; }},
+      {"scrub_fraction", [](M& m) { m.scrub_fraction -= 0.1; }},
+      {"scrub_fraction_d", [](M& m) { m.scrub_fraction_d += 0.1; }},
+      {"scrub_seed", [](M& m) { m.scrub_seed += 1; }},
+  };
+  std::map<std::uint64_t, const char*> seen = {
+      {harness::machine_params_key(base), "base"}};
+  for (const auto& [field, mutate] : mutations) {
+    M m = base;
+    mutate(m);
+    const auto [it, fresh] =
+        seen.emplace(harness::machine_params_key(m), field);
+    EXPECT_TRUE(fresh) << field << " collides with " << it->second;
+  }
 }
 
 TEST(FleetTest, ChurnProducesStaleHitsThatFallBackSlow) {
@@ -390,21 +416,6 @@ TEST(FleetTest, ScaledRuleSetRowRunsAndStaysDeterministic) {
   EXPECT_EQ(r1[0].cache.misses, p[0].cache.misses);
   EXPECT_EQ(r1[0].cache.hits, p[0].cache.hits)
       << "decoys must never match fleet traffic";
-}
-
-TEST(FleetTest, RejectsFlatClassifierOverheadKnob) {
-  // Exactly one classification cost model: fleet rows price lookups via
-  // FlowCacheCosts, so the flat analytic knob must be rejected up front.
-  FleetSpec spec = small_spec();
-  spec.params.classifier_overhead_us = 1.0;
-  try {
-    harness::run_fleet(spec, tcp_table());
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("classifier_overhead_us"),
-              std::string::npos)
-        << e.what();
-  }
 }
 
 TEST(FleetTest, FleetJsonSectionIsSchemaVersioned) {

@@ -184,8 +184,7 @@ TEST(MissMapJson, ByteIdenticalAcrossRuns) {
         server_spec(net::StackKind::kTcpIp, StackConfig::Std(), c);
     cs.profile_misses = ss.profile_misses = true;
     return harness::combine_sides(harness::measure_side(cs),
-                                  harness::measure_side(ss), 0.0, false,
-                                  false, harness::MachineParams::defaults());
+                                  harness::measure_side(ss), 0.0);
   };
   const std::string a = harness::missmap_json(measure()).dump();
   const std::string b = harness::missmap_json(measure()).dump();

@@ -143,23 +143,6 @@ TEST(RecoveryTest, InstallsTheRowsDecoyRules) {
   EXPECT_GT(r.fleet.cache.rules_examined, p.fleet.cache.rules_examined);
 }
 
-TEST(RecoveryTest, RejectsFlatClassifierOverheadKnob) {
-  // Exactly one classification cost model, as for every fleet row — even
-  // with a cost table measured under the row's own params.
-  RecoverySpec spec = small_spec();
-  spec.fleet.params.classifier_overhead_us = 1.0;
-  const BurstCostTable costs = harness::measure_burst_costs(
-      net::StackKind::kTcpIp, code::StackConfig::All(), 1, spec.fleet.params);
-  try {
-    harness::run_recovery(spec, costs);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("classifier_overhead_us"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
 TEST(RecoveryTest, JsonSectionIsSchemaVersioned) {
   const RecoveryResult r = harness::run_recovery(small_spec(), tcp_table());
   const harness::Json j = harness::recovery_json(tcp_table(), {r});

@@ -1,8 +1,9 @@
 // Regression tests for the schema-versioned section manifest
-// (harness/sections.h) and the single sanctioned emitter,
-// harness::emit_section.
+// (harness/sections.h), the single sanctioned emitter,
+// harness::emit_section, and the one JSON file writer, write_json_file.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -100,6 +101,21 @@ TEST(EmitSectionTest, EveryManifestRowEmits) {
     EXPECT_EQ(*schema->as_string(),
               section_schema(std::string(s.name), s.version));
   }
+}
+
+TEST(WriteJsonFileTest, ThrowsWhenTheTargetIsADirectory) {
+  // A bench must never report a file it did not write.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "l96_json_dir_target";
+  std::filesystem::create_directories(dir / "out.json");
+  try {
+    harness::write_json_file(dir / "out.json", Json::object());
+    ADD_FAILURE() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("out.json"), std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
