@@ -1,7 +1,8 @@
 // Absolute pins for the closed-loop engines: hard-coded sample digests and
-// counters for one row of every engine shape — flat TCP and RPC fleets, a
-// hash-steered shard, recovery crash and blackout rows, LB drain and crash
-// rows — and the summary of one seeded TCP chaos soak.
+// counters for one row of every engine shape — flat TCP and RPC fleets,
+// hash-steered TCP (LRU and one-behind) and RPC shards, recovery crash and
+// blackout rows, LB drain and crash rows — and the summary of one seeded
+// TCP chaos soak.
 //
 // The other engine tests compare one run against another, so a change that
 // moved every engine's samples the same way would pass them all.  These
@@ -117,6 +118,50 @@ TEST(EnginePins, FourCoreHashSteeredShard) {
                  r.handshake_sampled, r.dropped_in_churn, 0, 0,
                  r.slow_packets},
                 {0x649b3a54421e1a99ULL, 102, 96, 6, 0, 0, 0, 3});
+  EXPECT_TRUE(r.conserved);
+}
+
+harness::ShardResult four_core_shard(const FleetSpec& fleet,
+                                     const BurstCostTable& costs) {
+  harness::ShardRunSpec rs;
+  rs.common.workers = 1;
+  harness::ShardSpec row;
+  row.fleet = fleet;
+  row.cores = 4;
+  rs.rows = {row};
+  rs.costs = costs;
+  return harness::run(rs).shard.front();
+}
+
+Counters counters(const harness::ShardResult& r) {
+  return {r.sample_digest,     r.packets_sampled,  r.scheduled_sampled,
+          r.handshake_sampled, r.dropped_in_churn, 0,
+          0,                   r.slow_packets};
+}
+
+TEST(EnginePins, FourCoreOneBehindShard) {
+  FleetSpec fleet = tcp_row();
+  fleet.scheme = code::FlowCacheScheme::kOneBehind;
+  const harness::ShardResult r = four_core_shard(fleet, tcp_table());
+  expect_pinned(counters(r), {0x6a4e505de0d728eeULL, 102, 96, 6, 0, 0, 0, 2});
+  EXPECT_TRUE(r.conserved);
+}
+
+TEST(EnginePins, FourCoreRpcShard) {
+  FleetSpec fleet;
+  fleet.label = "pin-rpc-shard";
+  fleet.kind = net::StackKind::kRpc;
+  fleet.config = code::StackConfig::All();
+  fleet.connections = 16;
+  fleet.packets = 64;
+  fleet.batch = 4;
+  fleet.zipf_s = 1.0;
+  fleet.seed = 9;
+  fleet.cache_capacity = 4;
+  const harness::ShardResult r = four_core_shard(
+      fleet, harness::measure_burst_costs(net::StackKind::kRpc,
+                                          code::StackConfig::All(), 2));
+  expect_pinned(counters(r), {0xa181225c9f9acac8ULL, 64, 64, 0, 0, 0, 0, 0});
   EXPECT_TRUE(r.conserved);
 }
 
