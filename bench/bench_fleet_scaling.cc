@@ -190,8 +190,8 @@ int main(int argc, char** argv) {
     return std::string(label);
   };
 
-  // The chain population must fit the flat single-world port space so the
-  // 1-core rows can be digest-pinned against run_fleet.
+  // Every 1-core chain row is digest-pinned against a flat run_fleet of the
+  // same population.
   const std::size_t chain_conns = 4096;
   const std::size_t core_grid[] = {1, 4, 16, 64};
   const harness::SteeringPolicy steerings[] = {
@@ -243,8 +243,8 @@ int main(int argc, char** argv) {
       late_specs.push_back(std::move(s));
     }
   }
-  // Jumbo rows: the 100k..1M-connection population, shard-local port
-  // spaces (a single flat world cannot even hold it).
+  // Jumbo rows: the 100k..1M-connection population across 4..64 cores;
+  // each core numbers its own flows, as every world does.
   for (std::size_t cores : {std::size_t{4}, std::size_t{16}, std::size_t{64}}) {
     harness::ShardSpec s;
     s.fleet = shard_fleet(jumbo_conns, 1.2);

@@ -209,13 +209,22 @@ DirectTopology::DirectTopology(const FleetSpec& spec,
   servers_.push_back(&server);
 }
 
-void DirectTopology::serve(proto::TcpUpper& sink) {
-  world_.server().tcp()->listen(kFleetServerPort, &sink);
+void serve_flows(net::Host& server, proto::TcpUpper& sink,
+                 std::size_t flows) {
+  const auto listen = [&server, &sink, flows] {
+    for (std::size_t p = 0; p < server_port_count(flows); ++p) {
+      server.tcp()->listen(static_cast<std::uint16_t>(kFleetServerPort + p),
+                           &sink);
+    }
+  };
+  listen();
   // A rebooted server must serve again: the fresh stack re-listens (the
   // deliver hook and flow cache live on the Host and survive the crash).
-  world_.server().set_reboot_hook([this, &sink] {
-    world_.server().tcp()->listen(kFleetServerPort, &sink);
-  });
+  server.set_reboot_hook(listen);
+}
+
+void DirectTopology::serve(proto::TcpUpper& sink, std::size_t flows) {
+  serve_flows(world_.server(), sink, flows);
 }
 
 double DirectTopology::price(const code::FlowLookupResult& lr, bool slow,
@@ -274,6 +283,28 @@ Json cache_json(const code::FlowCacheStats& c) {
       .set("cost_us", c.cost_us);
 }
 
+Json spec_json(const FleetSpec& s) {
+  return Json::object()
+      .set("label", s.label)
+      .set("kind", s.kind == net::StackKind::kTcpIp ? "tcpip" : "rpc")
+      .set("config", s.config.name)
+      .set("scheme", code::to_string(s.scheme))
+      .set("connections", static_cast<std::uint64_t>(s.connections))
+      .set("packets", s.packets)
+      .set("batch", static_cast<std::uint64_t>(s.batch))
+      .set("zipf_s", s.zipf_s)
+      .set("seed", s.seed)
+      .set("cache_capacity", static_cast<std::uint64_t>(s.cache_capacity))
+      .set("rules", static_cast<std::uint64_t>(s.rules))
+      .set("rule_seed", s.rule_seed)
+      .set("cache_costs", Json::object()
+                              .set("measured", s.cache_costs.measured)
+                              .set("hit_us", s.cache_costs.hit_us)
+                              .set("probe_us", s.cache_costs.probe_us)
+                              .set("per_rule_us", s.cache_costs.per_rule_us))
+      .set("churn_every", s.churn_every);
+}
+
 Json costs_json(const BurstCostTable& costs) {
   Json fast = Json::array();
   for (double v : costs.fast_us) fast.push_back(v);
@@ -294,10 +325,8 @@ namespace {
 using fleet_detail::CoreRunResult;
 using fleet_detail::DirectTopology;
 using fleet_detail::Disruption;
-using fleet_detail::kFleetClientPortBase;
+using fleet_detail::flow_ports;
 using fleet_detail::kFleetRpcProcBase;
-using fleet_detail::kFleetServerPort;
-using fleet_detail::kMaxFlowsPerWorld;
 using fleet_detail::ScheduledBurst;
 using fleet_detail::TaggedSample;
 using fleet_detail::Topology;
@@ -443,7 +472,7 @@ void finish_core(CoreRunResult& out, Topology& topo) {
 }
 
 /// The flows `core_id` owns, in ascending global order (the establishment
-/// order, and the order local ports are assigned in).
+/// order, and the local numbering flow_ports assigns ports by).
 std::vector<std::size_t> owned_flows(
     const std::vector<std::uint32_t>& flow_core, std::uint32_t core_id) {
   std::vector<std::size_t> owned;
@@ -469,16 +498,12 @@ CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
                            const std::vector<ScheduledBurst>& schedule,
                            const std::vector<std::uint32_t>& flow_core,
                            const std::vector<std::size_t>& owned,
-                           std::uint32_t core_id, bool local_ports,
+                           std::uint32_t core_id,
                            const Disruption* disruption) {
   CoreRunResult out;
   FleetResult& r = out.result;
   r.spec = spec;
   const bool timed = disruption != nullptr;
-  const auto port_of = [&](std::size_t local) {
-    const std::size_t id = local_ports ? local : owned[local];
-    return static_cast<std::uint16_t>(kFleetClientPortBase + id);
-  };
 
   net::Host& client = topo.client();
   if (timed) {
@@ -500,10 +525,11 @@ CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
 
   FleetSink sink(topo.events(), timed ? &out.delivery_times : nullptr);
   FleetSource source;
-  topo.serve(sink);
+  topo.serve(sink, owned.size());
   const auto connect = [&](std::size_t local) {
-    return client.tcp()->connect(topo.server_ip(), port_of(local),
-                                 kFleetServerPort, &source);
+    const fleet_detail::FlowPorts ports = flow_ports(local);
+    return client.tcp()->connect(topo.server_ip(), ports.client, ports.server,
+                                 &source);
   };
   // Let the world go quiet: a handshake's trailing ACK is still in flight
   // when the client sees the connection established.
@@ -550,17 +576,18 @@ CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
     out.client_syn_retransmits += c->syn_retransmits();
     client.tcp()->destroy(c);
   };
-  // Tear down the server side of a client port's 4-tuple wherever a live
+  // Tear down the server side of local flow j's 4-tuple wherever a live
   // server still holds it, so the reconnect's SYN reaches a listener.
   // Unbinding the server side fires the demux hook and marks the flow's
   // cache entry stale.  The lookup is by key, not a connection scan: every
   // topology has exactly one client, and the LB is DSR (it rewrites only
   // the MAC), so every backend binds the flow under the client's own IP.
-  const auto drop_remnant = [&](std::uint16_t port) {
+  const auto drop_remnant = [&](std::size_t local) {
+    const fleet_detail::FlowPorts ports = flow_ports(local);
     for (net::Host* h : topo.servers()) {
       if (h->crashed()) continue;
       if (proto::TcpConn* c = h->tcp()->find(client.address().ip,
-                                             kFleetServerPort, port)) {
+                                             ports.server, ports.client)) {
         h->tcp()->destroy(c);
       }
     }
@@ -579,7 +606,7 @@ CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
         retire(conns[k]);
         conns[k] = nullptr;
       }
-      drop_remnant(port_of(k));
+      drop_remnant(k);
       proto::TcpConn* fresh = conns[k] = connect(k);
       ++out.reconnects;
       if (!topo.run_until(
@@ -669,7 +696,7 @@ CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
                           60'000'000)) {
         fleet_fail(spec, "churn victim did not quiesce", sent - 1);
       }
-      drop_remnant(port_of(0));
+      drop_remnant(0);
       retire(conns[0]);
       conns[0] = connect(0);
       if (!topo.run_until(
@@ -709,16 +736,16 @@ CoreRunResult run_rpc_core(const FleetSpec& spec, const BurstCostTable& costs,
                            const std::vector<ScheduledBurst>& schedule,
                            const std::vector<std::uint32_t>& flow_core,
                            const std::vector<std::size_t>& owned,
-                           std::uint32_t core_id, bool local_ports) {
+                           std::uint32_t core_id) {
   if (owned.size() > 65'536 - kFleetRpcProcBase) {
     throw std::invalid_argument(
         "run_fleet_core: " + std::to_string(owned.size()) +
         " RPC flows on one core exceed the 16-bit procedure space — use "
         "more cores");
   }
-  const auto proc_of = [&](std::size_t local) {
-    const std::size_t id = local_ports ? local : owned[local];
-    return static_cast<std::uint16_t>(kFleetRpcProcBase + id);
+  // Local flow j calls procedure base + j.
+  const auto proc_of = [](std::size_t j) {
+    return static_cast<std::uint16_t>(kFleetRpcProcBase + j);
   };
 
   DirectTopology topo(spec, costs, owned.size());
@@ -790,7 +817,7 @@ CoreRunResult run_fleet_core(const FleetSpec& spec,
                              const BurstCostTable& costs,
                              const std::vector<ScheduledBurst>& schedule,
                              const std::vector<std::uint32_t>& flow_core,
-                             std::uint32_t core_id, bool local_ports) {
+                             std::uint32_t core_id) {
   if (flow_core.size() != spec.connections) {
     throw std::invalid_argument(
         "run_fleet_core: flow_core must map every connection");
@@ -803,33 +830,20 @@ CoreRunResult run_fleet_core(const FleetSpec& spec,
     return idle;
   }
   if (spec.kind != net::StackKind::kTcpIp) {
-    return run_rpc_core(spec, costs, schedule, flow_core, owned, core_id,
-                        local_ports);
-  }
-  if (owned.size() > kMaxFlowsPerWorld) {
-    throw std::invalid_argument(
-        "run_fleet_core: " + std::to_string(owned.size()) +
-        " flows on one core exceed the per-world client port space (" +
-        std::to_string(kMaxFlowsPerWorld) + ") — use more cores");
+    return run_rpc_core(spec, costs, schedule, flow_core, owned, core_id);
   }
   DirectTopology topo(spec, costs, owned.size());
   return run_tcp_core(topo, spec, schedule, flow_core, owned, core_id,
-                      local_ports, /*disruption=*/nullptr);
+                      /*disruption=*/nullptr);
 }
 
 CoreRunResult run_tcp_flat(Topology& topo, const FleetSpec& spec,
                            const Disruption& disruption) {
-  if (spec.connections > kMaxFlowsPerWorld) {
-    throw std::invalid_argument(
-        "run_tcp_flat: " + std::to_string(spec.connections) +
-        " connections exceed the single-world client port space (" +
-        std::to_string(kMaxFlowsPerWorld) + ")");
-  }
   std::vector<std::size_t> owned(spec.connections);
   std::iota(owned.begin(), owned.end(), std::size_t{0});
   return run_tcp_core(topo, spec, build_schedule(spec),
                       std::vector<std::uint32_t>(spec.connections, 0), owned,
-                      /*core_id=*/0, /*local_ports=*/false, &disruption);
+                      /*core_id=*/0, &disruption);
 }
 
 void validate_fleet_spec(const FleetSpec& spec, const BurstCostTable& costs) {
@@ -849,18 +863,11 @@ void validate_fleet_spec(const FleetSpec& spec, const BurstCostTable& costs) {
 
 FleetResult run_fleet(const FleetSpec& spec, const BurstCostTable& costs) {
   fleet_detail::validate_fleet_spec(spec, costs);
-  if (spec.connections > kMaxFlowsPerWorld) {
-    throw std::invalid_argument(
-        "run_fleet: " + std::to_string(spec.connections) +
-        " connections exceed the single-world client port space (" +
-        std::to_string(kMaxFlowsPerWorld) +
-        ") — shard the row (harness/shard.h)");
-  }
   // The flat engine is the sharded engine with every flow on core 0.
   return fleet_detail::run_fleet_core(
              spec, costs, fleet_detail::build_schedule(spec),
              std::vector<std::uint32_t>(spec.connections, 0),
-             /*core_id=*/0, /*local_ports=*/false)
+             /*core_id=*/0)
       .result;
 }
 
@@ -870,27 +877,8 @@ Json fleet_json(const BurstCostTable& costs,
   section.set("costs", fleet_detail::costs_json(costs));
   Json out_rows = Json::array();
   for (const FleetResult& r : rows) {
-    const FleetSpec& s = r.spec;
-    Json row = Json::object();
-    row.set("label", s.label)
-        .set("kind", s.kind == net::StackKind::kTcpIp ? "tcpip" : "rpc")
-        .set("config", s.config.name)
-        .set("scheme", code::to_string(s.scheme))
-        .set("connections", static_cast<std::uint64_t>(s.connections))
-        .set("packets", s.packets)
-        .set("batch", static_cast<std::uint64_t>(s.batch))
-        .set("zipf_s", s.zipf_s)
-        .set("seed", s.seed)
-        .set("cache_capacity", static_cast<std::uint64_t>(s.cache_capacity))
-        .set("rules", static_cast<std::uint64_t>(s.rules))
-        .set("rule_seed", s.rule_seed)
-        .set("cache_costs", Json::object()
-                                .set("measured", s.cache_costs.measured)
-                                .set("hit_us", s.cache_costs.hit_us)
-                                .set("probe_us", s.cache_costs.probe_us)
-                                .set("per_rule_us", s.cache_costs.per_rule_us))
-        .set("churn_every", s.churn_every)
-        .set("packets_sampled", r.packets_sampled)
+    Json row = fleet_detail::spec_json(r.spec);
+    row.set("packets_sampled", r.packets_sampled)
         .set("scheduled_sampled", r.scheduled_sampled)
         .set("handshake_sampled", r.handshake_sampled)
         .set("dropped_in_churn", r.dropped_in_churn)

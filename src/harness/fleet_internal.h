@@ -36,11 +36,37 @@ inline constexpr std::uint16_t kFleetServerPort = 7000;
 inline constexpr std::uint16_t kFleetClientPortBase = 10'000;
 inline constexpr std::uint16_t kFleetRpcProcBase = 100;
 
-/// Client ports live in [kFleetClientPortBase, 65535]; a single World can
-/// therefore hold at most this many distinct client flows.  Fleets beyond
-/// it must shard (each core re-uses the port space for its own flows).
-inline constexpr std::size_t kMaxFlowsPerWorld =
-    65'536 - kFleetClientPortBase;
+/// Client ports live in [kFleetClientPortBase, 65535]: the flows one
+/// server port takes before the next server port opens.
+inline constexpr std::size_t kClientPortSpan = 65'536 - kFleetClientPortBase;
+
+/// A TCP flow's wire ports.
+struct FlowPorts {
+  std::uint16_t client = 0;
+  std::uint16_t server = 0;
+};
+
+/// The one flow identity rule.  A world numbers its own flows j = 0, 1, ...
+/// (never their global index), and flow j connects from client port
+/// kFleetClientPortBase + j % kClientPortSpan to server port
+/// kFleetServerPort + j / kClientPortSpan.  The flow key and the TCP demux
+/// both include the server port, and decoy rules pin only destination ports
+/// below 7000, so a world holds any number of flows.
+constexpr FlowPorts flow_ports(std::size_t j) {
+  return {
+      static_cast<std::uint16_t>(kFleetClientPortBase + j % kClientPortSpan),
+      static_cast<std::uint16_t>(kFleetServerPort + j / kClientPortSpan)};
+}
+
+/// Server ports a world of `flows` flows listens on.
+constexpr std::size_t server_port_count(std::size_t flows) {
+  return (flows + kClientPortSpan - 1) / kClientPortSpan;
+}
+
+/// Listen with `sink` on every server port a world of `flows` flows needs,
+/// and again after each reboot of `server`.
+void serve_flows(net::Host& server, proto::TcpUpper& sink,
+                 std::size_t flows);
 
 /// One globally-scheduled burst: `len` back-to-back packets on `flow`.
 struct ScheduledBurst {
@@ -87,8 +113,8 @@ struct CoreRunResult {
 
 /// Demux-map sizing for a world holding `flows` connections: the
 /// historical 64-bucket table up to 64 flows, then the next power of two
-/// so chains stay O(1), capped at 2^16 (the port space bounds flows per
-/// world anyway).
+/// so chains stay O(1), capped at 2^16 because the buckets are carved from
+/// the simulated arena (larger worlds run longer chains).
 std::size_t conn_bucket_count(std::size_t flows);
 
 /// Where a closed-loop run sends its traffic and how it prices what
@@ -111,8 +137,9 @@ class Topology {
   virtual const std::vector<net::Host*>& servers() const = 0;
   /// The address the client connects to.
   virtual std::uint32_t server_ip() = 0;
-  /// Listen with `sink` on every server (again after each reboot).
-  virtual void serve(proto::TcpUpper& sink) = 0;
+  /// Listen with `sink` on every server port `flows` flows need, on every
+  /// server (again after each reboot).
+  virtual void serve(proto::TcpUpper& sink, std::size_t flows) = 0;
   virtual void install(const net::ChaosTimeline& chaos,
                        std::uint64_t base_us) = 0;
   /// Counters of the priced classification tier.
@@ -147,7 +174,7 @@ class DirectTopology final : public Topology {
   net::Host& client() override { return world_.client(); }
   const std::vector<net::Host*>& servers() const override { return servers_; }
   std::uint32_t server_ip() override { return world_.server().address().ip; }
-  void serve(proto::TcpUpper& sink) override;
+  void serve(proto::TcpUpper& sink, std::size_t flows) override;
   void install(const net::ChaosTimeline& chaos,
                std::uint64_t base_us) override {
     chaos.install(world_, base_us);
@@ -181,24 +208,18 @@ struct Disruption {
 /// Execute the sub-schedule owned by `core_id` on a private direct world.
 ///
 /// `flow_core[i]` maps global flow i to its owning core; this core opens
-/// only its own flows (in ascending global order) and walks the global
-/// schedule, executing the bursts it owns.  Churn marks execute on the
-/// core that owns flow 0.  With `local_ports` false, flow i keeps its
-/// global wire identity (client port base + i) — required for the 1-core
-/// flat-equality pin, valid while the GLOBAL population fits one port
-/// space.  With `local_ports` true, each core assigns its flows local
-/// ports (base + local index), lifting the global population cap to
-/// cores * kMaxFlowsPerWorld (the steering key stays the canonical global
-/// identity; see harness/shard.h).
+/// only its own flows (in ascending global order, numbered by flow_ports)
+/// and walks the global schedule, executing the bursts it owns.  Churn
+/// marks execute on the core that owns flow 0.  Steering still hashes each
+/// flow's canonical global label (see harness/shard.h).
 CoreRunResult run_fleet_core(const FleetSpec& spec,
                              const BurstCostTable& costs,
                              const std::vector<ScheduledBurst>& schedule,
                              const std::vector<std::uint32_t>& flow_core,
-                             std::uint32_t core_id, bool local_ports);
+                             std::uint32_t core_id);
 
-/// The whole TCP schedule of `spec` on `topo` with global ports, through
-/// `disruption` (recovery and LB rows).  Throws std::invalid_argument when
-/// the population exceeds one world's port space.
+/// The whole TCP schedule of `spec` on `topo`, through `disruption`
+/// (recovery and LB rows).
 CoreRunResult run_tcp_flat(Topology& topo, const FleetSpec& spec,
                            const Disruption& disruption);
 
@@ -235,6 +256,9 @@ void fnv1a_value_d(std::uint64_t& h, double v);
 LatencyPercentiles percentiles(std::vector<double> s);
 
 // JSON pieces every engine section shares.
+/// A row's FleetSpec inputs, the first keys of every fleet, shard and
+/// recovery row.
+Json spec_json(const FleetSpec& s);
 Json percentiles_json(const LatencyPercentiles& p);
 Json cache_json(const code::FlowCacheStats& c);
 Json costs_json(const BurstCostTable& costs);

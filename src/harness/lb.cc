@@ -10,8 +10,6 @@ namespace l96::harness {
 
 namespace {
 
-using fleet_detail::kFleetServerPort;
-
 void check_costs(const LbSpec& spec, const LbCostTable& costs) {
   if (costs.config_name != spec.config.name) {
     throw std::invalid_argument(
@@ -61,13 +59,9 @@ class LbTopology final : public fleet_detail::Topology {
   net::Host& client() override { return world_.client(); }
   const std::vector<net::Host*>& servers() const override { return servers_; }
   std::uint32_t server_ip() override { return world_.vip(); }
-  void serve(proto::TcpUpper& sink) override {
+  void serve(proto::TcpUpper& sink, std::size_t flows) override {
     for (net::Host* backend : servers_) {
-      backend->tcp()->listen(kFleetServerPort, &sink);
-      // A rebooted backend must serve again under its new incarnation.
-      backend->set_reboot_hook([backend, &sink] {
-        backend->tcp()->listen(kFleetServerPort, &sink);
-      });
+      fleet_detail::serve_flows(*backend, sink, flows);
     }
     world_.lb().start_health_checks();
   }
@@ -180,7 +174,7 @@ LbResult run_lb(const LbSpec& spec, const LbCostTable& costs) {
   check_costs(spec, costs);
 
   // The schedule is the fleet engine's: the same Zipf bursts over the same
-  // client ports, with no churn.
+  // flow identities, with no churn.
   FleetSpec fleet;
   fleet.label = spec.label;
   fleet.config = spec.config;

@@ -93,7 +93,6 @@ Json recovery_json(const BurstCostTable& costs,
   section.set("costs", fleet_detail::costs_json(costs));
   Json out_rows = Json::array();
   for (const RecoveryResult& r : rows) {
-    const FleetSpec& s = r.spec.fleet;
     Json windows = Json::array();
     for (const RecoveryWindow& w : r.windows) {
       windows.push_back(
@@ -106,17 +105,8 @@ Json recovery_json(const BurstCostTable& costs,
               .set("recovered", w.recovered)
               .set("ttr_us", w.ttr_us));
     }
-    Json row = Json::object();
-    row.set("label", s.label)
-        .set("config", s.config.name)
-        .set("scheme", code::to_string(s.scheme))
-        .set("connections", static_cast<std::uint64_t>(s.connections))
-        .set("packets", s.packets)
-        .set("batch", static_cast<std::uint64_t>(s.batch))
-        .set("zipf_s", s.zipf_s)
-        .set("seed", s.seed)
-        .set("cache_capacity", static_cast<std::uint64_t>(s.cache_capacity))
-        .set("chaos", r.spec.chaos.str())
+    Json row = fleet_detail::spec_json(r.spec.fleet);
+    row.set("chaos", r.spec.chaos.str())
         .set("keepalive_idle_us", r.spec.keepalive_idle_us)
         .set("max_syn_rexmts",
              static_cast<std::uint64_t>(r.spec.max_syn_rexmts))

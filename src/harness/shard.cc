@@ -12,10 +12,10 @@ namespace l96::harness {
 namespace {
 
 using fleet_detail::CoreRunResult;
+using fleet_detail::kClientPortSpan;
 using fleet_detail::kFleetClientPortBase;
 using fleet_detail::kFleetRpcProcBase;
 using fleet_detail::kFleetServerPort;
-using fleet_detail::kMaxFlowsPerWorld;
 using fleet_detail::ScheduledBurst;
 using fleet_detail::TaggedSample;
 
@@ -26,19 +26,19 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// RSS hash of global flow i's canonical identity: the FlowKeySpec key the
-/// classifier itself would compute over the flow's wire tuple.  For fleets
-/// past one world's port space the identity keeps counting into adjacent
-/// client IPs / channels — the steering key stays canonical and global
-/// even when a core re-uses its local port space (local_ports mode).
+/// RSS hash of global flow i's canonical label: the FlowKeySpec key over
+/// the tuple (client IP, client port, server port) — (channel, procedure)
+/// on RPC — that counts past one port span into adjacent client IPs /
+/// channels.  It is a steering label only: the core that owns the flow
+/// numbers it locally and connects it with fleet_detail::flow_ports.
 std::uint32_t hash_core(const FleetSpec& fleet, const code::FlowKeySpec& key,
                         std::size_t i, std::size_t cores) {
   std::uint32_t vals[3];
   std::size_t n;
   if (fleet.kind == net::StackKind::kTcpIp) {
-    vals[0] = 0x0A000001u + static_cast<std::uint32_t>(i / kMaxFlowsPerWorld);
+    vals[0] = 0x0A000001u + static_cast<std::uint32_t>(i / kClientPortSpan);
     vals[1] = static_cast<std::uint32_t>(kFleetClientPortBase +
-                                         i % kMaxFlowsPerWorld);
+                                         i % kClientPortSpan);
     vals[2] = kFleetServerPort;
     n = 3;
   } else {
@@ -250,7 +250,6 @@ std::vector<ShardResult> run_shards(const std::vector<ShardSpec>& rows,
   struct RowPlan {
     std::vector<ScheduledBurst> schedule;
     std::vector<std::uint32_t> flow_core;
-    bool local_ports = false;
     std::vector<CoreRunResult> per_core;
   };
   std::vector<RowPlan> plans(rows.size());
@@ -264,7 +263,6 @@ std::vector<ShardResult> run_shards(const std::vector<ShardSpec>& rows,
     RowPlan& p = plans[i];
     p.schedule = build_schedule(rows[i].fleet);
     p.flow_core = steer_flows(rows[i].fleet, rows[i].cores, rows[i].steering);
-    p.local_ports = rows[i].fleet.connections > kMaxFlowsPerWorld;
     p.per_core.resize(rows[i].cores);
     for (std::size_t c = 0; c < rows[i].cores; ++c) jobs.push_back({i, c});
   }
@@ -274,7 +272,7 @@ std::vector<ShardResult> run_shards(const std::vector<ShardSpec>& rows,
     RowPlan& p = plans[job.row];
     p.per_core[job.core] = run_fleet_core(
         rows[job.row].fleet, costs, p.schedule, p.flow_core,
-        static_cast<std::uint32_t>(job.core), p.local_ports);
+        static_cast<std::uint32_t>(job.core));
   });
 
   std::vector<ShardResult> out(rows.size());
@@ -293,7 +291,6 @@ Json shard_json(const BurstCostTable& costs,
   section.set("costs", fleet_detail::costs_json(costs));
   Json out_rows = Json::array();
   for (const ShardResult& r : rows) {
-    const FleetSpec& s = r.spec.fleet;
     Json per_core = Json::array();
     for (const ShardCoreStats& c : r.cores) {
       per_core.push_back(
@@ -315,19 +312,8 @@ Json shard_json(const BurstCostTable& costs,
               .set("max_wait_us", c.max_wait_us)
               .set("sample_digest", c.sample_digest));
     }
-    Json row = Json::object();
-    row.set("label", s.label)
-        .set("kind", s.kind == net::StackKind::kTcpIp ? "tcpip" : "rpc")
-        .set("config", s.config.name)
-        .set("scheme", code::to_string(s.scheme))
-        .set("connections", static_cast<std::uint64_t>(s.connections))
-        .set("packets", s.packets)
-        .set("batch", static_cast<std::uint64_t>(s.batch))
-        .set("zipf_s", s.zipf_s)
-        .set("seed", s.seed)
-        .set("cache_capacity", static_cast<std::uint64_t>(s.cache_capacity))
-        .set("churn_every", s.churn_every)
-        .set("cores", static_cast<std::uint64_t>(r.spec.cores))
+    Json row = fleet_detail::spec_json(r.spec.fleet);
+    row.set("cores", static_cast<std::uint64_t>(r.spec.cores))
         .set("steering", to_string(r.spec.steering))
         .set("arrival_us", r.spec.arrival_us)
         .set("packets_sampled", r.packets_sampled)

@@ -6,11 +6,13 @@
 // map, and connection population), its own code::FlowCache, and the shared
 // position-indexed burst cost table.  Flows are steered to cores the way a
 // receive-side-scaling NIC steers them — a deterministic hash of the
-// flow's canonical wire identity (code::FlowKeySpec over the same fields
-// the classifier keys on) — or by a least-loaded assignment for
-// comparison.  A flow lives on exactly one core, so per-flow burst
-// coalescing never crosses a shard boundary and each core's cache state
-// evolves exactly as a private machine's would.
+// flow's canonical global label (code::FlowKeySpec over the same fields
+// the classifier keys on, numbered by the flow's global index) — or by a
+// least-loaded assignment for comparison.  The owning core then numbers
+// its flows locally, like every world does, so steering never depends on
+// the wire ports a core assigns.  A flow lives on exactly one core, so
+// per-flow burst coalescing never crosses a shard boundary and each core's
+// cache state evolves exactly as a private machine's would.
 //
 // Execution replays the ONE global burst schedule (fleet_detail::
 // build_schedule — Zipf draws, burst lengths, churn marks; a pure function
@@ -45,7 +47,7 @@ namespace l96::harness {
 
 /// How flows are assigned to cores.
 enum class SteeringPolicy {
-  /// RSS: splitmix64 over the flow's canonical FlowKeySpec identity,
+  /// RSS: splitmix64 over the flow's canonical FlowKeySpec label,
   /// modulo the core count.  Oblivious to load — one hot flow pins one
   /// core, exactly like hardware hash steering.
   kFlowHash,

@@ -56,7 +56,7 @@ ClassifierRule rpc_proc(std::uint32_t proc) {
 }
 
 /// One TCP/IP decoy.  Three template families; every family is impossible
-/// for harness traffic (TCP to ports 7000 / >= 10000 from 10.x addresses):
+/// for harness traffic (TCP to ports >= 7000 from 10.x addresses):
 ///   0: TCP service pin to a privileged-range destination port (< 7000);
 ///   1: UDP service pin (fleet frames are always protocol 6);
 ///   2: TEST-NET source-address match (fleet hosts live in 10.0.0.0/8).

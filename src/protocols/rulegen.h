@@ -40,7 +40,7 @@ const char* real_path_name(RuleSetKind kind);
 
 /// Append `decoys` synthetic paths (ids from kDecoyPathIdBase, names
 /// "decoy_<i>") to `c`.  Decoys never match harness traffic: TCP/IP decoys
-/// pin destination ports to [100, 6999] (the fleet uses 7000 and >= 10000),
+/// pin destination ports to [100, 6999] (the fleet uses ports >= 7000),
 /// use non-TCP protocol numbers, or match TEST-NET source addresses; RPC
 /// decoys pin MSELECT procedures below 100 (the fleet procedure base) or
 /// foreign ethertypes.

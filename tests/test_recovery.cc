@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "harness/runner.h"
@@ -144,13 +145,22 @@ TEST(RecoveryTest, InstallsTheRowsDecoyRules) {
 }
 
 TEST(RecoveryTest, JsonSectionIsSchemaVersioned) {
-  const RecoveryResult r = harness::run_recovery(small_spec(), tcp_table());
+  RecoverySpec spec = small_spec();
+  spec.fleet.rules = 8;
+  const RecoveryResult r = harness::run_recovery(spec, tcp_table());
   const harness::Json j = harness::recovery_json(tcp_table(), {r});
   ASSERT_TRUE(j.is_object());
   const harness::Json* schema = j.find("schema");
   ASSERT_NE(schema, nullptr);
   ASSERT_NE(schema->as_string(), nullptr);
   EXPECT_EQ(*schema->as_string(), "l96.recovery.v1");
+  // The row names the inputs it was priced under.
+  const std::string dump = j.dump();
+  EXPECT_NE(dump.find("\"kind\":\"tcpip\","), std::string::npos);
+  EXPECT_NE(dump.find("\"rules\":8,"), std::string::npos);
+  EXPECT_NE(dump.find("\"cache_costs\":{\"measured\":false,"),
+            std::string::npos);
+  EXPECT_NE(dump.find("\"churn_every\":"), std::string::npos);
 }
 
 TEST(RecoveryTest, RejectsClientCrashAndRpc) {

@@ -1,11 +1,14 @@
 // Tests for the sharded multi-core fleet (harness/shard.h): the 1-core
 // digest pin against run_fleet, byte-identical results across worker
 // counts, steering determinism and conservation, the churn-owner rule,
-// the jumbo local-port mode, and the open-loop queueing view.
+// the one per-world flow identity, and the open-loop queueing view.
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/fleet.h"
@@ -259,15 +262,55 @@ TEST(ShardTest, ValidatesSpec) {
                std::invalid_argument);
 }
 
-TEST(ShardTest, FlatRunFleetRejectsOverflowingPopulation) {
+TEST(FlowIdentityTest, EveryWorldNumbersItsFlowsOneWay) {
+  using harness::fleet_detail::flow_ports;
+  using harness::fleet_detail::FlowPorts;
+  using harness::fleet_detail::kClientPortSpan;
+  using harness::fleet_detail::server_port_count;
+  const auto expect_ports = [](std::size_t j, std::uint16_t client,
+                               std::uint16_t server) {
+    const FlowPorts p = flow_ports(j);
+    EXPECT_EQ(p.client, client) << "flow " << j;
+    EXPECT_EQ(p.server, server) << "flow " << j;
+  };
+  expect_ports(0, 10000, 7000);
+  expect_ports(55'535, 65535, 7000);
+  expect_ports(55'536, 10000, 7001);
+  expect_ports(2 * 55'536 + 7, 10007, 7002);
+
+  // Distinct flows get distinct tuples, across server-port boundaries too.
+  std::set<std::pair<std::uint16_t, std::uint16_t>> seen;
+  for (std::size_t j = 0; j < 4 * kClientPortSpan; j += 97) {
+    const FlowPorts p = flow_ports(j);
+    EXPECT_TRUE(seen.insert({p.client, p.server}).second) << "flow " << j;
+  }
+  EXPECT_EQ(server_port_count(1), 1u);
+  EXPECT_EQ(server_port_count(kClientPortSpan), 1u);
+  EXPECT_EQ(server_port_count(kClientPortSpan + 1), 2u);
+  EXPECT_EQ(server_port_count(1'000'000), 19u);
+}
+
+TEST(ShardTest, RpcRowBeyondProcedureSpaceIsRejected) {
+  // 16-bit MSELECT procedure ids from the fleet's base cap one world at
+  // 65,436 RPC flows; the check fires before any world is built.
   FleetSpec fleet = fleet_spec();
-  fleet.connections = harness::fleet_detail::kMaxFlowsPerWorld + 1;
-  EXPECT_THROW(harness::run_fleet(fleet, tcp_table()), std::invalid_argument);
+  fleet.kind = net::StackKind::kRpc;
+  fleet.churn_every = 0;
+  fleet.connections = 65'437;
+  try {
+    harness::run_fleet(fleet, rpc_table());
+    ADD_FAILURE() << "a 65,437-flow RPC world ran";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("procedure space"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ShardTest, ShardJsonCarriesSchemaAndRows) {
   ShardSpec spec;
   spec.fleet = fleet_spec();
+  spec.fleet.rules = 8;
   spec.cores = 2;
   const ShardResult r = run_shard(spec);
   const harness::Json section = harness::shard_json(tcp_table(), {r});
@@ -276,6 +319,10 @@ TEST(ShardTest, ShardJsonCarriesSchemaAndRows) {
   EXPECT_NE(dump.find("\"per_core\""), std::string::npos);
   EXPECT_NE(dump.find("\"steering\":\"hash\""), std::string::npos);
   EXPECT_NE(dump.find("\"conserved\":true"), std::string::npos);
+  // The row names the inputs it was priced under.
+  EXPECT_NE(dump.find("\"rules\":8,"), std::string::npos);
+  EXPECT_NE(dump.find("\"cache_costs\":{\"measured\":false,"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -31,7 +31,8 @@
 // engine and its output is unchanged.  --json emits the row's
 // schema-versioned section (l96.fleet.v2 flat, l96.shard.v1 sharded) to
 // stdout instead of text; --out also writes it to FILE.
-// Exit status is 0 on success, 1 on a failed shard invariant, 2 on usage
+// Exit status is 0 on success, 1 on a failed run, violated packet
+// conservation (flat or sharded) or a failed shard invariant, 2 on usage
 // errors.
 #include <algorithm>
 #include <cstdio>
@@ -194,10 +195,18 @@ int main(int argc, char** argv) {
       return 1;
     }
     const harness::FleetResult& r = o.fleet.front();
+    // Every scheduled packet is priced or dropped in churn, and every
+    // priced frame is scheduled or handshake traffic.
+    const bool conserved =
+        r.scheduled_sampled + r.dropped_in_churn == spec.packets &&
+        r.scheduled_sampled + r.handshake_sampled == r.packets_sampled;
+    if (!conserved) {
+      std::fprintf(stderr, "fleet: packet conservation violated\n");
+    }
     if (common.json) {
       o.section.dump(std::cout);
       std::cout << "\n";
-      return 0;
+      return conserved ? 0 : 1;
     }
 
     std::printf(
@@ -234,7 +243,7 @@ int main(int argc, char** argv) {
     }
     std::printf("  digest=%016llx\n",
                 static_cast<unsigned long long>(r.sample_digest));
-    return 0;
+    return conserved ? 0 : 1;
   }
 
   // Sharded path.
