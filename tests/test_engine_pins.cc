@@ -1,8 +1,8 @@
 // Absolute pins for the closed-loop engines: hard-coded sample digests and
 // counters for one row of every engine shape — flat TCP and RPC fleets,
 // hash-steered TCP (LRU and one-behind) and RPC shards, recovery crash and
-// blackout rows, LB drain and crash rows — and the summary of one seeded
-// TCP chaos soak.
+// blackout rows, LB drain, crash and default conn-track rows — and the
+// summary of one seeded TCP chaos soak.
 //
 // The other engine tests compare one run against another, so a change that
 // moved every engine's samples the same way would pass them all.  These
@@ -202,16 +202,7 @@ TEST(EnginePins, RecoveryBlackout) {
                 {0x0f3be5487eacd483ULL, 48, 48, 0, 0, 0, 0, 0});
 }
 
-Counters lb_row(std::size_t backends, const char* script) {
-  harness::LbSpec row;
-  row.label = "pin-lb";
-  row.config = code::StackConfig::Pin();
-  row.backends = backends;
-  row.connections = 8;
-  row.packets = 96;
-  row.batch = 2;
-  row.seed = 7;
-  row.chaos = net::ChaosTimeline::parse(script);
+Counters lb_counters(const harness::LbSpec& row) {
   harness::LbRunSpec rs;
   rs.common.workers = 1;
   rs.rows = {row};
@@ -222,6 +213,19 @@ Counters lb_row(std::size_t backends, const char* script) {
           r.reconnects,        r.slow_forwards};
 }
 
+Counters lb_row(std::size_t backends, const char* script) {
+  harness::LbSpec row;
+  row.label = "pin-lb";
+  row.config = code::StackConfig::Pin();
+  row.backends = backends;
+  row.connections = 8;
+  row.packets = 96;
+  row.batch = 2;
+  row.seed = 7;
+  row.chaos = net::ChaosTimeline::parse(script);
+  return lb_counters(row);
+}
+
 TEST(EnginePins, LbDrain) {
   expect_pinned(lb_row(3, "drain@5000:backend1 undrain@30000:backend1"),
                 {0x1bbed5b138dec603ULL, 96, 96, 0, 0, 0, 0, 0});
@@ -230,6 +234,22 @@ TEST(EnginePins, LbDrain) {
 TEST(EnginePins, LbCrash) {
   expect_pinned(lb_row(2, "crash@5000:backend0 reboot@60000:backend0"),
                 {0xb2f26aaf08d91386ULL, 107, 91, 16, 0, 5, 5, 5});
+}
+
+// 64 flows overflow an 8-entry conn track, so this digest holds only
+// while an LB row keeps the LB's own 1,024-entry default.
+TEST(EnginePins, LbDefaultConnTrackCapacity) {
+  harness::LbSpec row;
+  row.label = "pin-lb-track";
+  row.config = code::StackConfig::Pin();
+  row.backends = 2;
+  row.connections = 64;
+  row.packets = 256;
+  row.batch = 1;
+  row.zipf_s = 1.1;
+  row.seed = 7;
+  expect_pinned(lb_counters(row),
+                {0x7d37b047fdcebf83ULL, 256, 256, 0, 0, 0, 0, 0});
 }
 
 TEST(EnginePins, SeededTcpChaosSoak) {
