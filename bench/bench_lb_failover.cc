@@ -9,8 +9,9 @@
 // quiet / drain / crash per pool size under the pinned layout.
 //
 // Outputs:
-//  * bench/out/lb_failover.json — l96.lb.v1 rows.  A pure function of the
-//    seeds: byte-identical across runs and across runner worker counts
+//  * bench/out/lb_failover.json — l96.lb.v2 rows (the fleet row prefix,
+//    then the LB keys, then the results).  A pure function of the seeds:
+//    byte-identical across runs and across runner worker counts
 //    (re-verified in-process below).
 //
 // Exit status enforces:
@@ -72,19 +73,19 @@ int main(int argc, char** argv) {
   for (const std::size_t n : pools) {
     for (const Scenario& sc : scenarios) {
       harness::LbSpec spec;
-      spec.config = code::StackConfig::Pin();
+      spec.fleet.config = code::StackConfig::Pin();
       spec.backends = n;
-      spec.connections = 8;
-      spec.packets = packets;
-      spec.batch = 1;
-      spec.zipf_s = 1.1;
-      spec.seed = 42;
+      spec.fleet.connections = 8;
+      spec.fleet.packets = packets;
+      spec.fleet.batch = 1;
+      spec.fleet.zipf_s = 1.1;
+      spec.fleet.seed = 42;
       if (sc.script[0] != '\0') {
         spec.chaos = net::ChaosTimeline::parse(sc.script);
       }
       char label[64];
       std::snprintf(label, sizeof(label), "pin/b%zu/%s", n, sc.name);
-      spec.label = label;
+      spec.fleet.label = label;
       rs.rows.push_back(std::move(spec));
     }
   }
@@ -108,7 +109,7 @@ int main(int argc, char** argv) {
       tta = std::max(tta, w.tta_us);
       ttr = std::max(ttr, w.ttr_us);
     }
-    t.row({r.spec.label, std::to_string(r.lost_packets),
+    t.row({r.spec.fleet.label, std::to_string(r.lost_packets),
            std::to_string(r.reconnects), std::to_string(r.slow_forwards),
            harness::fmt(tta, 1), harness::fmt(ttr, 1),
            harness::fmt(r.steady.p999, 1), harness::fmt(r.disrupted.p999, 1)});
@@ -118,21 +119,22 @@ int main(int argc, char** argv) {
   int failures = 0;
   const auto find = [&](const std::string& label) {
     for (const auto& r : rows) {
-      if (r.spec.label == label) return &r;
+      if (r.spec.fleet.label == label) return &r;
     }
     return static_cast<const harness::LbResult*>(nullptr);
   };
 
   // --- conservation and the Maglev disruption bound ------------------------
   for (const auto& r : rows) {
-    if (r.spec.packets != r.scheduled_sampled + r.lost_packets) {
+    if (r.spec.fleet.packets != r.fleet.scheduled_sampled + r.lost_packets) {
       std::fprintf(stderr, "FAIL: %s packet conservation violated\n",
-                   r.spec.label.c_str());
+                   r.spec.fleet.label.c_str());
       ++failures;
     }
-    if (r.packets_sampled != r.scheduled_sampled + r.handshake_sampled) {
+    if (r.fleet.packets_sampled !=
+        r.fleet.scheduled_sampled + r.fleet.handshake_sampled) {
       std::fprintf(stderr, "FAIL: %s sample attribution violated\n",
-                   r.spec.label.c_str());
+                   r.spec.fleet.label.c_str());
       ++failures;
     }
     for (const net::LbRebuild& rb : r.rebuilds) {
@@ -150,7 +152,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "FAIL: %s rebuild (%s backend%u) remapped %.3f of the "
                      "table, expected ~%.3f\n",
-                     r.spec.label.c_str(), net::to_string(rb.cause),
+                     r.spec.fleet.label.c_str(), net::to_string(rb.cause),
                      rb.backend, f, want);
         ++failures;
       }
@@ -171,32 +173,33 @@ int main(int argc, char** argv) {
     if (quiet->lost_packets != 0 || !quiet->rebuilds.empty() ||
         quiet->slow_forwards != 0) {
       std::fprintf(stderr, "FAIL: %s quiet row disrupted itself\n",
-                   quiet->spec.label.c_str());
+                   quiet->spec.fleet.label.c_str());
       ++failures;
     }
     if (drain->lost_packets != 0 || drain->reconnects != 0 ||
-        drain->slow_forwards != 0 || drain->track.stale_hits != 0) {
+        drain->slow_forwards != 0 || drain->fleet.cache.stale_hits != 0) {
       std::fprintf(stderr,
                    "FAIL: %s drain not hitless (lost=%llu reconn=%llu "
                    "slow=%llu stale=%llu)\n",
-                   drain->spec.label.c_str(),
+                   drain->spec.fleet.label.c_str(),
                    static_cast<unsigned long long>(drain->lost_packets),
                    static_cast<unsigned long long>(drain->reconnects),
                    static_cast<unsigned long long>(drain->slow_forwards),
-                   static_cast<unsigned long long>(drain->track.stale_hits));
+                   static_cast<unsigned long long>(
+                       drain->fleet.cache.stale_hits));
       ++failures;
     }
     for (const auto& w : drain->windows) {
       if (!w.steered_away || w.tta_us != 0.0 || !w.restored) {
         std::fprintf(stderr, "FAIL: %s drain window not hitless-steered\n",
-                     drain->spec.label.c_str());
+                     drain->spec.fleet.label.c_str());
         ++failures;
       }
     }
 
-    if (crash->lost_packets > 4 * crash->spec.connections) {
+    if (crash->lost_packets > 4 * crash->spec.fleet.connections) {
       std::fprintf(stderr, "FAIL: %s crash lost %llu packets (> 4/conn)\n",
-                   crash->spec.label.c_str(),
+                   crash->spec.fleet.label.c_str(),
                    static_cast<unsigned long long>(crash->lost_packets));
       ++failures;
     }
@@ -208,23 +211,23 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "FAIL: %s crash steer-away %.1f us outside the "
                      "detection budget %.1f us\n",
-                     crash->spec.label.c_str(), w.tta_us, detect_budget);
+                     crash->spec.fleet.label.c_str(), w.tta_us, detect_budget);
         ++failures;
       }
       if (!w.restored) {
         std::fprintf(stderr, "FAIL: %s crash window never restored\n",
-                     crash->spec.label.c_str());
+                     crash->spec.fleet.label.c_str());
         ++failures;
       }
     }
 
     // The stale-rebind slow path prices real work into the tail.
-    if (!(crash->latency.p999 > quiet->latency.p999)) {
+    if (!(crash->fleet.latency.p999 > quiet->fleet.latency.p999)) {
       std::fprintf(stderr,
                    "FAIL: %s p999 %.2f us not above the quiet row's "
                    "%.2f us — the failover priced nothing\n",
-                   crash->spec.label.c_str(), crash->latency.p999,
-                   quiet->latency.p999);
+                   crash->spec.fleet.label.c_str(), crash->fleet.latency.p999,
+                   quiet->fleet.latency.p999);
       ++failures;
     }
   }
@@ -242,9 +245,9 @@ int main(int argc, char** argv) {
       ++failures;
     }
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (o2.lb[i].sample_digest != rows[i].sample_digest) {
+      if (o2.lb[i].fleet.sample_digest != rows[i].fleet.sample_digest) {
         std::fprintf(stderr, "FAIL: %s digest differs across worker counts\n",
-                     rows[i].spec.label.c_str());
+                     rows[i].spec.fleet.label.c_str());
         ++failures;
       }
     }

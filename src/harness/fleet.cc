@@ -788,13 +788,19 @@ CoreRunResult run_rpc_core(const FleetSpec& spec, const BurstCostTable& costs,
   return out;
 }
 
-void check_costs(const FleetSpec& spec, const BurstCostTable& costs) {
+void check_costs(const FleetSpec& spec, const BurstCostTable& costs,
+                 net::StackKind priced) {
   if (costs.fast_us.empty() || costs.slow_us.size() != costs.fast_us.size()) {
     throw std::invalid_argument(
         "run_fleet: malformed cost table (needs >= 1 position and equal "
         "fast/slow sizes)");
   }
-  if (costs.kind != spec.kind || costs.config_name != spec.config.name) {
+  if (costs.kind != priced) {
+    throw std::invalid_argument(
+        "run_fleet: cost table was measured for a different stack kind "
+        "(TCP/IP, RPC or LB) than the row's topology prices");
+  }
+  if (costs.config_name != spec.config.name) {
     throw std::invalid_argument(
         "run_fleet: cost table measured for " + costs.config_name +
         " does not match row config " + spec.config.name);
@@ -846,7 +852,8 @@ CoreRunResult run_tcp_flat(Topology& topo, const FleetSpec& spec,
                       /*core_id=*/0, &disruption);
 }
 
-void validate_fleet_spec(const FleetSpec& spec, const BurstCostTable& costs) {
+void validate_fleet_spec(const FleetSpec& spec, const BurstCostTable& costs,
+                         net::StackKind priced) {
   if (!spec.config.path_inlining) {
     throw std::invalid_argument(
         "run_fleet: spec.config must have path_inlining enabled (the flow "
@@ -856,13 +863,13 @@ void validate_fleet_spec(const FleetSpec& spec, const BurstCostTable& costs) {
     throw std::invalid_argument(
         "run_fleet: connections and packets must be > 0");
   }
-  check_costs(spec, costs);
+  check_costs(spec, costs, priced);
 }
 
 }  // namespace fleet_detail
 
 FleetResult run_fleet(const FleetSpec& spec, const BurstCostTable& costs) {
-  fleet_detail::validate_fleet_spec(spec, costs);
+  fleet_detail::validate_fleet_spec(spec, costs, spec.kind);
   // The flat engine is the sharded engine with every flow on core 0.
   return fleet_detail::run_fleet_core(
              spec, costs, fleet_detail::build_schedule(spec),

@@ -238,8 +238,10 @@ PhaseSplit split_phases(const CoreRunResult& core,
                         const std::vector<Interval>& phases);
 
 /// Shared row validation (path-inlining on, non-empty schedule, cost table
-/// matched to kind/config/params).
-void validate_fleet_spec(const FleetSpec& spec, const BurstCostTable& costs);
+/// matched to config/params and to `priced`, the kind the row's topology
+/// prices: spec.kind for direct rows, kLb for LB rows).
+void validate_fleet_spec(const FleetSpec& spec, const BurstCostTable& costs,
+                         net::StackKind priced);
 
 /// Shard rows as (row, core) jobs on `workers` threads; rows merged
 /// serially, in row order.
@@ -256,8 +258,8 @@ void fnv1a_value_d(std::uint64_t& h, double v);
 LatencyPercentiles percentiles(std::vector<double> s);
 
 // JSON pieces every engine section shares.
-/// A row's FleetSpec inputs, the first keys of every fleet, shard and
-/// recovery row.
+/// A row's FleetSpec inputs, the first keys of every fleet, shard,
+/// recovery and LB row.
 Json spec_json(const FleetSpec& s);
 Json percentiles_json(const LatencyPercentiles& p);
 Json cache_json(const code::FlowCacheStats& c);

@@ -10,26 +10,14 @@ namespace l96::harness {
 
 namespace {
 
-void check_costs(const LbSpec& spec, const LbCostTable& costs) {
-  if (costs.config_name != spec.config.name) {
-    throw std::invalid_argument(
-        "run_lb: cost table measured for " + costs.config_name +
-        " does not match row config " + spec.config.name);
-  }
-  if (costs.params_key != machine_params_key(spec.params)) {
-    throw std::invalid_argument(
-        "run_lb: cost table was measured under different MachineParams "
-        "than the row — measure_lb_costs() once per distinct params");
-  }
-}
-
 net::LbWorldOptions world_options(const LbSpec& spec) {
   net::LbWorldOptions opts;
   opts.backends = spec.backends;
-  opts.tcp_conn_buckets = fleet_detail::conn_bucket_count(spec.connections);
-  opts.lb.track_scheme = spec.track_scheme;
-  opts.lb.track_capacity = spec.track_capacity;
-  opts.lb.track_costs = spec.track_costs;
+  opts.tcp_conn_buckets =
+      fleet_detail::conn_bucket_count(spec.fleet.connections);
+  opts.lb.track_scheme = spec.fleet.scheme;
+  opts.lb.track_capacity = spec.fleet.cache_capacity;
+  opts.lb.track_costs = spec.fleet.cache_costs;
   opts.lb.maglev_table_size = spec.maglev_table_size;
   opts.lb.health = spec.health;
   return opts;
@@ -40,8 +28,9 @@ net::LbWorldOptions world_options(const LbSpec& spec) {
 /// in and the leg out); the forwarding path has one burst position.
 class LbTopology final : public fleet_detail::Topology {
  public:
-  LbTopology(const LbSpec& spec, const LbCostTable& costs)
-      : world_(spec.config, spec.config, spec.config, world_options(spec)),
+  LbTopology(const LbSpec& spec, const BurstCostTable& costs)
+      : world_(spec.fleet.config, spec.fleet.config, spec.fleet.config,
+               world_options(spec)),
         costs_(costs),
         health_(spec.health) {
     for (std::size_t i = 0; i < world_.backend_count(); ++i) {
@@ -81,7 +70,8 @@ class LbTopology final : public fleet_detail::Topology {
   double price(const code::FlowLookupResult& lr, bool slow,
                std::size_t) const override {
     return costs_.controller_us + lr.cost_us +
-           (slow ? costs_.slow_us : costs_.fast_us) + costs_.controller_us;
+           (slow ? costs_.slow_at(0) : costs_.fast_at(0)) +
+           costs_.controller_us;
   }
   /// Health recovery needs probes to observe a healed backend: one
   /// recover_threshold's worth of probe intervals of slack.
@@ -91,15 +81,15 @@ class LbTopology final : public fleet_detail::Topology {
 
  private:
   net::LbWorld world_;
-  const LbCostTable& costs_;
+  const BurstCostTable& costs_;
   net::LbHealthParams health_;
   std::vector<net::Host*> servers_;
 };
 
 }  // namespace
 
-LbCostTable measure_lb_costs(const code::StackConfig& cfg,
-                             const MachineParams& params) {
+BurstCostTable measure_lb_costs(const code::StackConfig& cfg,
+                                const MachineParams& params) {
   net::LbWorldOptions opts;
   opts.backends = 2;
   net::LbWorld world(cfg, cfg, cfg, opts);
@@ -109,7 +99,8 @@ LbCostTable measure_lb_costs(const code::StackConfig& cfg,
         "measure_lb_costs: warm-up ping-pong stalled for config " + cfg.name);
   }
 
-  LbCostTable table;
+  BurstCostTable table;
+  table.kind = net::StackKind::kLb;
   table.config_name = cfg.name;
   table.params_key = machine_params_key(params);
   table.controller_us =
@@ -147,7 +138,7 @@ LbCostTable measure_lb_costs(const code::StackConfig& cfg,
   fs.split = fast_split;
   fs.seed_offset = 2;  // client 0 / server 1 / LB 2 by convention
   fs.params = params;
-  table.fast_us = measure_side(fs).tp_us;
+  table.fast_us = {measure_side(fs).tp_us};
 
   // The slow activation replays under the fast capture's layout profile:
   // the image is laid out for the pinned path, so the rebind pays the
@@ -156,34 +147,32 @@ LbCostTable measure_lb_costs(const code::StackConfig& cfg,
   ss.trace = &slow;
   ss.profile = &fast;
   ss.split = slow_split;
-  table.slow_us = measure_side(ss).tp_us;
+  table.slow_us = {measure_side(ss).tp_us};
   return table;
 }
 
-LbResult run_lb(const LbSpec& spec, const LbCostTable& costs) {
-  if (!spec.config.path_inlining) {
-    throw std::invalid_argument(
-        "run_lb: spec.config must have path_inlining enabled (the slow-path "
-        "fallback is what failover prices)");
+LbResult run_lb(const LbSpec& spec, const BurstCostTable& costs) {
+  const FleetSpec& fleet = spec.fleet;
+  fleet_detail::validate_fleet_spec(fleet, costs, net::StackKind::kLb);
+  if (spec.backends == 0) {
+    throw std::invalid_argument("run_lb: backends must be > 0");
   }
-  if (spec.backends == 0 || spec.connections == 0 || spec.packets == 0) {
+  // The LB topology forwards TCP flows, installs no decoy rules and never
+  // churns.
+  if (fleet.kind != net::StackKind::kTcpIp) {
+    throw std::invalid_argument("run_lb: fleet.kind must be TCP/IP");
+  }
+  if (fleet.rules != 0) {
     throw std::invalid_argument(
-        "run_lb: backends, connections and packets must all be > 0");
+        "run_lb: fleet.rules must be 0 (the LB topology installs no decoy "
+        "rules)");
+  }
+  if (fleet.churn_every != 0) {
+    throw std::invalid_argument(
+        "run_lb: fleet.churn_every must be 0 (LB rows do not churn)");
   }
   spec.chaos.validate();
-  check_costs(spec, costs);
 
-  // The schedule is the fleet engine's: the same Zipf bursts over the same
-  // flow identities, with no churn.
-  FleetSpec fleet;
-  fleet.label = spec.label;
-  fleet.config = spec.config;
-  fleet.connections = spec.connections;
-  fleet.packets = spec.packets;
-  fleet.batch = spec.batch;
-  fleet.zipf_s = spec.zipf_s;
-  fleet.seed = spec.seed;
-  fleet.scheme = spec.track_scheme;
   LbTopology topo(spec, costs);
   fleet_detail::Disruption disruption;
   disruption.chaos = spec.chaos;
@@ -192,17 +181,11 @@ LbResult run_lb(const LbSpec& spec, const LbCostTable& costs) {
 
   LbResult r;
   r.spec = spec;
-  r.packets_sampled = core.result.packets_sampled;
-  r.scheduled_sampled = core.result.scheduled_sampled;
-  r.handshake_sampled = core.result.handshake_sampled;
+  r.fleet = core.result;
   r.lost_packets = core.lost_packets;
   r.reconnects = core.reconnects;
   r.client_retransmits = core.client_retransmits;
   r.client_syn_retransmits = core.client_syn_retransmits;
-  r.track = core.result.cache;
-  r.latency = core.result.latency;
-  r.sim_us = core.result.sim_us;
-  r.sample_digest = core.result.sample_digest;
 
   // Steering verdicts from the LB's rebuild ledger.  Disruption phases:
   // every failed send and repair, plus each window from its start until
@@ -273,14 +256,10 @@ LbResult run_lb(const LbSpec& spec, const LbCostTable& costs) {
   return r;
 }
 
-Json lb_json(const LbCostTable& costs, const std::vector<LbResult>& rows) {
-  Json section = emit_section("lb", 1);
-  section.set("costs", Json::object()
-                           .set("controller_us", costs.controller_us)
-                           .set("fast_us", costs.fast_us)
-                           .set("slow_us", costs.slow_us)
-                           .set("config", costs.config_name)
-                           .set("params_key", costs.params_key));
+Json lb_json(const BurstCostTable& costs,
+             const std::vector<LbResult>& rows) {
+  Json section = emit_section("lb", 2);
+  section.set("costs", fleet_detail::costs_json(costs));
   Json out_rows = Json::array();
   for (const LbResult& r : rows) {
     const LbSpec& s = r.spec;
@@ -316,17 +295,8 @@ Json lb_json(const LbCostTable& costs, const std::vector<LbResult>& rows) {
               .set("restored", w.restored)
               .set("ttr_us", w.ttr_us));
     }
-    Json row = Json::object();
-    row.set("label", s.label)
-        .set("config", s.config.name)
-        .set("backends", static_cast<std::uint64_t>(s.backends))
-        .set("connections", static_cast<std::uint64_t>(s.connections))
-        .set("packets", s.packets)
-        .set("batch", static_cast<std::uint64_t>(s.batch))
-        .set("zipf_s", s.zipf_s)
-        .set("seed", s.seed)
-        .set("scheme", code::to_string(s.track_scheme))
-        .set("track_capacity", static_cast<std::uint64_t>(s.track_capacity))
+    Json row = fleet_detail::spec_json(s.fleet);
+    row.set("backends", static_cast<std::uint64_t>(s.backends))
         .set("maglev_table_size",
              static_cast<std::uint64_t>(s.maglev_table_size))
         .set("chaos", s.chaos.str())
@@ -336,10 +306,11 @@ Json lb_json(const LbCostTable& costs, const std::vector<LbResult>& rows) {
                  .set("fail_threshold",
                       static_cast<std::uint64_t>(s.health.fail_threshold))
                  .set("recover_threshold", static_cast<std::uint64_t>(
-                                               s.health.recover_threshold)))
-        .set("packets_sampled", r.packets_sampled)
-        .set("scheduled_sampled", r.scheduled_sampled)
-        .set("handshake_sampled", r.handshake_sampled)
+                                               s.health.recover_threshold))
+                 .set("seed", s.health.seed))
+        .set("packets_sampled", r.fleet.packets_sampled)
+        .set("scheduled_sampled", r.fleet.scheduled_sampled)
+        .set("handshake_sampled", r.fleet.handshake_sampled)
         .set("lost_packets", r.lost_packets)
         .set("reconnects", r.reconnects)
         .set("forwards", r.forwards)
@@ -356,16 +327,16 @@ Json lb_json(const LbCostTable& costs, const std::vector<LbResult>& rows) {
         .set("purged_events", r.purged_events)
         .set("backend_incarnations",
              static_cast<std::uint64_t>(r.backend_incarnations))
-        .set("track", fleet_detail::cache_json(r.track))
-        .set("latency_us", fleet_detail::percentiles_json(r.latency))
+        .set("track", fleet_detail::cache_json(r.fleet.cache))
+        .set("latency_us", fleet_detail::percentiles_json(r.fleet.latency))
         .set("steady_us", fleet_detail::percentiles_json(r.steady))
         .set("disrupted_us", fleet_detail::percentiles_json(r.disrupted))
         .set("steady_samples", r.steady_samples)
         .set("disrupted_samples", r.disrupted_samples)
         .set("rebuilds", std::move(rebuilds))
         .set("windows", std::move(windows))
-        .set("sim_us", r.sim_us)
-        .set("sample_digest", r.sample_digest);
+        .set("sim_us", r.fleet.sim_us)
+        .set("sample_digest", r.fleet.sample_digest);
     out_rows.push_back(std::move(row));
   }
   section.set("rows", std::move(out_rows));

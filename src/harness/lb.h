@@ -3,8 +3,9 @@
 //
 // The fleet and recovery rows price an *endpoint's* receive activation;
 // an LB row prices the *forwarding tier* between the client and the
-// backend pool (net/lb.h).  A cost table is measured once per (config,
-// params) from real captured LbHost activations:
+// backend pool (net/lb.h).  Its cost table is a one-position
+// BurstCostTable of kind kLb, measured once per (config, params) from real
+// captured LbHost activations:
 //
 //  * fast_us — the pinned fast path: conn-track hit, MAC rewrite, forward
 //    (lance_intr -> lb_classify -> lb_track -> lb_rewrite -> lb_forward
@@ -15,8 +16,11 @@
 //    standalone rebind path runs, Maglev hash + table probe included,
 //    priced under the fast capture's layout profile.
 //
-// run_lb() then runs the one closed-loop engine (harness/fleet_internal.h)
-// with the LB topology — an LbWorld: client fleet -> LB -> N backends —
+// An LB row is a fleet row behind a different topology, as a recovery row
+// is: an LbSpec is a FleetSpec plus the pool, its health probes and the
+// script.  run_lb() runs the one closed-loop engine
+// (harness/fleet_internal.h) with the LB topology — an LbWorld: client
+// fleet -> LB -> N backends —
 // and the ChaosTimeline that drains, crashes, and partitions backends as
 // its disruption; every client->LB frame is priced as
 //
@@ -30,10 +34,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "code/flow_cache.h"
 #include "harness/fleet.h"
 #include "harness/json.h"
 #include "net/chaos.h"
@@ -41,48 +43,35 @@
 
 namespace l96::harness {
 
-/// Single-position pricing for the LB tier's forwarding path, measured
-/// once per (config, params) by measure_lb_costs().
-struct LbCostTable {
-  double controller_us = 0;  ///< one controller+wire traversal (min frame)
-  double fast_us = 0;        ///< pinned conn-track hit -> rewrite -> forward
-  double slow_us = 0;        ///< stale rebind: hash + Maglev probe + rebind
-  std::string config_name;
-  std::uint64_t params_key = 0;  ///< machine_params_key() of the params
-};
+/// Measure the LB tier's cost table for `cfg`: warm an LbWorld's
+/// ping-pong flow, capture one pinned-hit forwarding activation (fast),
+/// invalidate the conn track so the next frame records the stale rebind
+/// (slow), and price both with measure_side under kind = kLb — the slow
+/// activation replays under the fast capture's layout profile, so with
+/// path inlining it pays the standalone cold-segment placements.  The
+/// forwarding path has one burst position: fast_us and slow_us hold one
+/// entry each.
+BurstCostTable measure_lb_costs(const code::StackConfig& cfg,
+                                const MachineParams& params =
+                                    MachineParams::defaults());
 
-/// Measure an LbCostTable for `cfg`: warm an LbWorld's ping-pong flow,
-/// capture one pinned-hit forwarding activation (fast), invalidate the
-/// conn track so the next frame records the stale rebind (slow), and
-/// price both with measure_side under kind = kLb — the slow activation
-/// replays under the fast capture's layout profile, so with path
-/// inlining it pays the standalone cold-segment placements.
-LbCostTable measure_lb_costs(const code::StackConfig& cfg,
-                             const MachineParams& params =
-                                 MachineParams::defaults());
-
-/// One failover row: a connection fleet steered across a backend pool
-/// while a failure script runs.
+/// One failover row: a fleet row steered across a backend pool while a
+/// failure script runs.
 struct LbSpec {
-  std::string label;
-  /// Stack configuration for all three tiers; must have path_inlining on
-  /// (the slow-path fallback is what failover prices).
-  code::StackConfig config;
+  /// Population, schedule, stack config (path inlining on: the slow-path
+  /// fallback is what failover prices) and params.  scheme,
+  /// cache_capacity and cache_costs configure the LB's conn track, which
+  /// defaults to the LB's own capacity; kind must stay TCP/IP, and rules
+  /// and churn_every 0.
+  FleetSpec fleet{.label = {},
+                  .config = {},
+                  .cache_capacity = net::LbOptions{}.track_capacity};
   std::size_t backends = 4;
-  std::size_t connections = 8;
-  std::uint64_t packets = 256;  ///< scheduled client->backend packets
-  std::size_t batch = 1;        ///< packets per burst (one flow draw each)
-  double zipf_s = 1.1;
-  std::uint64_t seed = 1;
-  code::FlowCacheScheme track_scheme = code::FlowCacheScheme::kLru;
-  std::size_t track_capacity = 1024;
-  code::FlowCacheCosts track_costs{};
   std::size_t maglev_table_size = net::MaglevTable::kDefaultTableSize;
   net::LbHealthParams health{};
   /// Backend-targeted failure script (drain/undrain, crash/reboot,
   /// backend-link blackouts), anchored at schedule time zero.
   net::ChaosTimeline chaos;
-  MachineParams params = MachineParams::defaults();
 };
 
 /// Per-disruption-window steering verdict, derived from the LB's rebuild
@@ -101,13 +90,14 @@ struct LbSteer {
 
 struct LbResult {
   LbSpec spec;  ///< echoed for reporting
+  /// The fleet-engine view: client->LB frames priced, conn-track stats
+  /// (fleet.cache), overall latency, sim time and sample digest.
+  /// Conservation under chaos (bench-enforced):
+  ///   spec.fleet.packets == fleet.scheduled_sampled + lost_packets
+  ///   fleet.packets_sampled ==
+  ///       fleet.scheduled_sampled + fleet.handshake_sampled
+  FleetResult fleet;
 
-  // Packet accounting.  Conservation under chaos (bench-enforced):
-  //   spec.packets == scheduled_sampled + lost_packets
-  //   packets_sampled == scheduled_sampled + handshake_sampled
-  std::uint64_t packets_sampled = 0;    ///< client->LB frames priced
-  std::uint64_t scheduled_sampled = 0;  ///< of which: scheduled data
-  std::uint64_t handshake_sampled = 0;  ///< of which: handshake/repair
   /// Scheduled packets whose connection died with the byte undelivered
   /// (crash failover); a drain-only script must lose zero (bench).
   std::uint64_t lost_packets = 0;
@@ -121,7 +111,6 @@ struct LbResult {
   std::uint64_t dark_forwards = 0;
   std::uint64_t health_probes = 0;
   std::vector<net::LbRebuild> rebuilds;
-  code::FlowCacheStats track;  ///< conn-track hit/miss/stale counters
 
   // Client/backend-side fallout.
   std::uint64_t client_retransmits = 0;
@@ -132,25 +121,23 @@ struct LbResult {
   std::uint64_t purged_events = 0;
   std::uint32_t backend_incarnations = 0;  ///< sum over the pool
 
-  // Latency: every priced client->LB frame, split steady vs disrupted
-  // (inside a failure window or its repair tail).
-  LatencyPercentiles latency;
+  // Latency split steady vs disrupted (inside a failure window or its
+  // repair tail).
   LatencyPercentiles steady;
   LatencyPercentiles disrupted;
   std::uint64_t steady_samples = 0;
   std::uint64_t disrupted_samples = 0;
 
   std::vector<LbSteer> windows;
-  double sim_us = 0;
-  std::uint64_t sample_digest = 0;  ///< FNV-1a over the per-frame samples
 };
 
 /// Run one failover row.  Throws std::runtime_error (naming the row) when
 /// the world stalls, and std::invalid_argument when the spec is malformed
-/// or the cost table does not match its config/params.
-LbResult run_lb(const LbSpec& spec, const LbCostTable& costs);
+/// or the cost table is not an LB table for its config/params.
+LbResult run_lb(const LbSpec& spec, const BurstCostTable& costs);
 
-/// The rows + shared costs as a schema-versioned section (`l96.lb.v1`).
-Json lb_json(const LbCostTable& costs, const std::vector<LbResult>& rows);
+/// The rows + shared costs as a schema-versioned section (`l96.lb.v2`):
+/// each row is the fleet row prefix, then the LB keys, then the results.
+Json lb_json(const BurstCostTable& costs, const std::vector<LbResult>& rows);
 
 }  // namespace l96::harness

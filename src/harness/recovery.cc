@@ -15,7 +15,7 @@ RecoveryResult run_recovery(const RecoverySpec& rspec,
         "run_recovery: TCP/IP only (the RPC fleet has no reconnect "
         "machinery to measure)");
   }
-  fleet_detail::validate_fleet_spec(spec, costs);
+  fleet_detail::validate_fleet_spec(spec, costs, spec.kind);
   rspec.chaos.validate();
   for (const net::ChaosEvent& e : rspec.chaos.events()) {
     if (e.kind == net::ChaosKind::kHostCrash &&

@@ -2,8 +2,9 @@
 // pool.
 //
 // Every run is described by a *RunSpec struct — a shared RunnerSpec
-// (label, seed, workers, batch, machine params, output path: defined once,
-// here) plus the family's rows — and executed by an overload of
+// (label, workers, output path: defined once, here) plus the family's rows
+// and, for the closed-loop families, the one cost table that prices them —
+// and executed by an overload of
 //
 //     Outcome run(const <Family>RunSpec& spec);
 //
@@ -43,76 +44,30 @@ unsigned resolve_workers(unsigned requested);
 std::size_t run_indexed_jobs(std::size_t n, unsigned threads,
                              const std::function<void(std::size_t)>& fn);
 
-/// Fields every run shares, defined once.  seed / batch / params are the
-/// row-construction defaults (the row_defaults() helpers stamp them onto
-/// new rows); run() itself consumes label, workers, and out_path.
+/// Fields every run shares, defined once.  run() consumes workers and
+/// out_path; nothing reads label, which stays because perfbench assigns
+/// it.
 struct RunnerSpec {
   std::string label;
-  std::uint64_t seed = 1;
   unsigned workers = 0;  ///< 0 = hardware concurrency, floored at 2
-  std::size_t batch = 1;
-  MachineParams params = MachineParams::defaults();
   /// When non-empty, run() writes the emitted section there (directories
   /// are created) and records the path in Outcome::out_path.
   std::string out_path;
 };
 
-struct FleetRunSpec {
+/// A closed-loop family's run: its rows, all priced by one cost table
+/// (measure_burst_costs, or measure_lb_costs for LB rows).
+template <typename Row>
+struct PricedRunSpec {
   RunnerSpec common;
-  std::vector<FleetSpec> rows;
+  std::vector<Row> rows;
   BurstCostTable costs;
-
-  /// A fresh row stamped with the shared defaults.
-  FleetSpec row_defaults() const {
-    FleetSpec s;
-    s.seed = common.seed;
-    s.batch = common.batch;
-    s.params = common.params;
-    return s;
-  }
 };
 
-struct ShardRunSpec {
-  RunnerSpec common;
-  std::vector<ShardSpec> rows;
-  BurstCostTable costs;
-
-  ShardSpec row_defaults() const {
-    ShardSpec s;
-    s.fleet.seed = common.seed;
-    s.fleet.batch = common.batch;
-    s.fleet.params = common.params;
-    return s;
-  }
-};
-
-struct RecoveryRunSpec {
-  RunnerSpec common;
-  std::vector<RecoverySpec> rows;
-  BurstCostTable costs;
-
-  RecoverySpec row_defaults() const {
-    RecoverySpec s;
-    s.fleet.seed = common.seed;
-    s.fleet.batch = common.batch;
-    s.fleet.params = common.params;
-    return s;
-  }
-};
-
-struct LbRunSpec {
-  RunnerSpec common;
-  std::vector<LbSpec> rows;
-  LbCostTable costs;
-
-  LbSpec row_defaults() const {
-    LbSpec s;
-    s.seed = common.seed;
-    s.batch = common.batch;
-    s.params = common.params;
-    return s;
-  }
-};
+using FleetRunSpec = PricedRunSpec<FleetSpec>;
+using ShardRunSpec = PricedRunSpec<ShardSpec>;
+using RecoveryRunSpec = PricedRunSpec<RecoverySpec>;
+using LbRunSpec = PricedRunSpec<LbSpec>;
 
 struct SoakRunSpec {
   RunnerSpec common;

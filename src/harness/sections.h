@@ -29,7 +29,7 @@ inline constexpr SectionInfo kSectionManifest[] = {
     {"burst", 1, "bench_burst_amortization"},
     {"fault", 2, "bench_fault_latency"},
     {"shard", 1, "harness::shard_json"},
-    {"lb", 1, "harness::lb_json"},
+    {"lb", 2, "harness::lb_json"},
     {"soak", 1, "harness::run(SoakRunSpec)"},
     {"stream", 1, "harness::run(StreamRunSpec)"},
 };

@@ -52,7 +52,7 @@ std::uint32_t hash_core(const FleetSpec& fleet, const code::FlowKeySpec& key,
 }
 
 void validate_shard(const ShardSpec& spec, const BurstCostTable& costs) {
-  fleet_detail::validate_fleet_spec(spec.fleet, costs);
+  fleet_detail::validate_fleet_spec(spec.fleet, costs, spec.fleet.kind);
   if (spec.cores == 0) {
     throw std::invalid_argument("shard row: cores must be >= 1");
   }

@@ -208,20 +208,21 @@ Counters lb_counters(const harness::LbSpec& row) {
   rs.rows = {row};
   rs.costs = harness::measure_lb_costs(code::StackConfig::Pin());
   const harness::LbResult r = harness::run(rs).lb.front();
-  return {r.sample_digest,     r.packets_sampled, r.scheduled_sampled,
-          r.handshake_sampled, 0,                 r.lost_packets,
-          r.reconnects,        r.slow_forwards};
+  return {r.fleet.sample_digest,     r.fleet.packets_sampled,
+          r.fleet.scheduled_sampled, r.fleet.handshake_sampled,
+          0,                         r.lost_packets,
+          r.reconnects,              r.slow_forwards};
 }
 
 Counters lb_row(std::size_t backends, const char* script) {
   harness::LbSpec row;
-  row.label = "pin-lb";
-  row.config = code::StackConfig::Pin();
+  row.fleet.label = "pin-lb";
+  row.fleet.config = code::StackConfig::Pin();
   row.backends = backends;
-  row.connections = 8;
-  row.packets = 96;
-  row.batch = 2;
-  row.seed = 7;
+  row.fleet.connections = 8;
+  row.fleet.packets = 96;
+  row.fleet.batch = 2;
+  row.fleet.seed = 7;
   row.chaos = net::ChaosTimeline::parse(script);
   return lb_counters(row);
 }
@@ -240,14 +241,14 @@ TEST(EnginePins, LbCrash) {
 // while an LB row keeps the LB's own 1,024-entry default.
 TEST(EnginePins, LbDefaultConnTrackCapacity) {
   harness::LbSpec row;
-  row.label = "pin-lb-track";
-  row.config = code::StackConfig::Pin();
+  row.fleet.label = "pin-lb-track";
+  row.fleet.config = code::StackConfig::Pin();
   row.backends = 2;
-  row.connections = 64;
-  row.packets = 256;
-  row.batch = 1;
-  row.zipf_s = 1.1;
-  row.seed = 7;
+  row.fleet.connections = 64;
+  row.fleet.packets = 256;
+  row.fleet.batch = 1;
+  row.fleet.zipf_s = 1.1;
+  row.fleet.seed = 7;
   expect_pinned(lb_counters(row),
                 {0x7d37b047fdcebf83ULL, 256, 256, 0, 0, 0, 0, 0});
 }

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -241,59 +243,100 @@ TEST(LbWorld, DeterministicAcrossIdenticalRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// The failover harness (harness/lb.h): cost measurement, packet
-// conservation under chaos, steering verdicts, and the runner overload.
+// The failover harness (harness/lb.h): cost measurement, input checks,
+// packet conservation under chaos, steering verdicts, and the runner
+// overload.
 
-harness::LbSpec harness_row(const char* label, std::size_t backends,
-                            const harness::LbCostTable& costs) {
-  (void)costs;
+harness::LbSpec harness_row(const char* label, std::size_t backends) {
   harness::LbSpec s;
-  s.label = label;
-  s.config = code::StackConfig::Pin();
+  s.fleet.label = label;
+  s.fleet.config = code::StackConfig::Pin();
   s.backends = backends;
-  s.connections = 8;
-  s.packets = 96;
-  s.batch = 2;
-  s.seed = 7;
+  s.fleet.connections = 8;
+  s.fleet.packets = 96;
+  s.fleet.batch = 2;
+  s.fleet.seed = 7;
   return s;
 }
 
-const harness::LbCostTable& pin_costs() {
-  static const harness::LbCostTable t =
+const harness::BurstCostTable& pin_costs() {
+  static const harness::BurstCostTable t =
       harness::measure_lb_costs(code::StackConfig::Pin());
   return t;
 }
 
 TEST(LbHarness, CostTableSlowRebindExceedsPinnedFastPath) {
-  const harness::LbCostTable& t = pin_costs();
+  const harness::BurstCostTable& t = pin_costs();
+  EXPECT_EQ(t.kind, net::StackKind::kLb);
   EXPECT_EQ(t.config_name, "PIN");
   EXPECT_GT(t.controller_us, 0.0);
-  EXPECT_GT(t.fast_us, 0.0);
+  ASSERT_EQ(t.positions(), 1u);
+  ASSERT_EQ(t.slow_us.size(), 1u);
+  EXPECT_GT(t.fast_us[0], 0.0);
   // The rebind replays the same forward plus Maglev hash + probe through
   // the cold-segment standalone placements: strictly more work.
-  EXPECT_GT(t.slow_us, t.fast_us);
+  EXPECT_GT(t.slow_us[0], t.fast_us[0]);
+}
+
+TEST(LbHarness, RunLbRejectsRowsItCannotRun) {
+  const auto rejects = [](const char* token, auto&& call) {
+    try {
+      call();
+      ADD_FAILURE() << "accepted a row that should fail on " << token;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(token), std::string::npos)
+          << "error must name " << token << ": " << e.what();
+    }
+  };
+  const harness::LbSpec good = harness_row("reject", 2);
+  const auto rejects_row = [&](const char* token, auto&& mutate) {
+    harness::LbSpec s = good;
+    mutate(s);
+    rejects(token, [&] { harness::run_lb(s, pin_costs()); });
+  };
+  using Spec = harness::LbSpec;
+
+  rejects_row("path_inlining",
+              [](Spec& s) { s.fleet.config = code::StackConfig::Std(); });
+  rejects_row("backends", [](Spec& s) { s.backends = 0; });
+  rejects_row("connections", [](Spec& s) { s.fleet.connections = 0; });
+  rejects_row("MachineParams",
+              [](Spec& s) { s.fleet.params.scrub_seed += 1; });
+  // Fields a FleetSpec can express but the LB topology does not run.
+  rejects_row("fleet.kind",
+              [](Spec& s) { s.fleet.kind = net::StackKind::kRpc; });
+  rejects_row("fleet.rules", [](Spec& s) { s.fleet.rules = 16; });
+  rejects_row("fleet.churn_every", [](Spec& s) { s.fleet.churn_every = 8; });
+
+  // The cost table carries the kind it prices: a fleet table cannot price
+  // an LB row, nor an LB table a fleet row.
+  const harness::BurstCostTable tcp = harness::measure_burst_costs(
+      net::StackKind::kTcpIp, code::StackConfig::Pin(), 1);
+  rejects("stack kind", [&] { harness::run_lb(good, tcp); });
+  rejects("stack kind", [&] { harness::run_fleet(good.fleet, pin_costs()); });
 }
 
 TEST(LbHarness, ChaosFreeRowConservesAndPinsDigest) {
-  const harness::LbSpec s = harness_row("chaos-free", 3, pin_costs());
+  const harness::LbSpec s = harness_row("chaos-free", 3);
   const harness::LbResult a = harness::run_lb(s, pin_costs());
-  EXPECT_EQ(a.scheduled_sampled, s.packets);
+  EXPECT_EQ(a.fleet.scheduled_sampled, s.fleet.packets);
   EXPECT_EQ(a.lost_packets, 0u);
-  EXPECT_EQ(a.packets_sampled, a.scheduled_sampled + a.handshake_sampled);
+  EXPECT_EQ(a.fleet.packets_sampled,
+            a.fleet.scheduled_sampled + a.fleet.handshake_sampled);
   EXPECT_EQ(a.slow_forwards, 0u);
-  EXPECT_EQ(a.track.stale_hits, 0u);
+  EXPECT_EQ(a.fleet.cache.stale_hits, 0u);
   EXPECT_TRUE(a.rebuilds.empty());
   EXPECT_EQ(a.disrupted_samples, 0u);
-  EXPECT_EQ(a.steady_samples, a.packets_sampled);
-  EXPECT_GT(a.latency.p50, 2 * pin_costs().controller_us);
+  EXPECT_EQ(a.steady_samples, a.fleet.packets_sampled);
+  EXPECT_GT(a.fleet.latency.p50, 2 * pin_costs().controller_us);
 
   const harness::LbResult b = harness::run_lb(s, pin_costs());
-  EXPECT_EQ(a.sample_digest, b.sample_digest);
-  EXPECT_EQ(a.sim_us, b.sim_us);
+  EXPECT_EQ(a.fleet.sample_digest, b.fleet.sample_digest);
+  EXPECT_EQ(a.fleet.sim_us, b.fleet.sim_us);
 }
 
 TEST(LbHarness, DrainWindowLosesNoEstablishedFlowPackets) {
-  harness::LbSpec s = harness_row("drain", 3, pin_costs());
+  harness::LbSpec s = harness_row("drain", 3);
   s.chaos = net::ChaosTimeline::parse(
       "drain@5000:backend1 undrain@30000:backend1");
   const harness::LbResult r = harness::run_lb(s, pin_costs());
@@ -301,8 +344,8 @@ TEST(LbHarness, DrainWindowLosesNoEstablishedFlowPackets) {
   // Drain is hitless by construction: pinned flows ride out the removal.
   EXPECT_EQ(r.lost_packets, 0u);
   EXPECT_EQ(r.reconnects, 0u);
-  EXPECT_EQ(r.scheduled_sampled, s.packets);
-  EXPECT_EQ(r.track.stale_hits, 0u);
+  EXPECT_EQ(r.fleet.scheduled_sampled, s.fleet.packets);
+  EXPECT_EQ(r.fleet.cache.stale_hits, 0u);
 
   ASSERT_EQ(r.rebuilds.size(), 2u);
   EXPECT_EQ(r.rebuilds[0].cause, net::LbRebuildCause::kDrain);
@@ -317,7 +360,7 @@ TEST(LbHarness, DrainWindowLosesNoEstablishedFlowPackets) {
 }
 
 TEST(LbHarness, CrashFailoverIsDetectedSteeredAndRestored) {
-  harness::LbSpec s = harness_row("crash", 2, pin_costs());
+  harness::LbSpec s = harness_row("crash", 2);
   s.chaos = net::ChaosTimeline::parse(
       "crash@5000:backend0 reboot@60000:backend0");
   const harness::LbResult r = harness::run_lb(s, pin_costs());
@@ -345,27 +388,35 @@ TEST(LbHarness, CrashFailoverIsDetectedSteeredAndRestored) {
 
   // Conservation holds under loss, and the disruption shows up in the
   // phase split.
-  EXPECT_EQ(r.scheduled_sampled + r.lost_packets, s.packets);
+  EXPECT_EQ(r.fleet.scheduled_sampled + r.lost_packets, s.fleet.packets);
   EXPECT_GT(r.disrupted_samples, 0u);
 }
 
 TEST(LbHarness, RunnerOverloadEmitsSchemaAndIsWorkerInvariant) {
   harness::LbRunSpec rs;
   rs.costs = pin_costs();
-  harness::LbSpec row = harness_row("runner", 2, pin_costs());
-  row.config = code::StackConfig::Pin();
+  const harness::LbSpec row = harness_row("runner", 2);
   rs.rows = {row, row};
   rs.common.workers = 1;
   const harness::Outcome one = harness::run(rs);
   rs.common.workers = 3;
   const harness::Outcome three = harness::run(rs);
 
-  EXPECT_EQ(one.schema, "l96.lb.v1");
+  EXPECT_EQ(one.schema, "l96.lb.v2");
   ASSERT_EQ(one.lb.size(), 2u);
   ASSERT_EQ(three.lb.size(), 2u);
-  EXPECT_EQ(one.lb[0].sample_digest, three.lb[0].sample_digest);
-  EXPECT_EQ(one.lb[1].sample_digest, three.lb[1].sample_digest);
+  EXPECT_EQ(one.lb[0].fleet.sample_digest, three.lb[0].fleet.sample_digest);
+  EXPECT_EQ(one.lb[1].fleet.sample_digest, three.lb[1].fleet.sample_digest);
   EXPECT_EQ(one.section.dump(), three.section.dump());
+
+  // Each row records the conn track it ran under — the LB's own default
+  // capacity and the cost model — and the health seed.
+  const std::string dump = one.section.dump();
+  EXPECT_NE(dump.find("\"cache_capacity\":1024,"), std::string::npos);
+  EXPECT_NE(dump.find("\"cache_costs\":{\"measured\":false,"),
+            std::string::npos);
+  EXPECT_NE(dump.find("\"recover_threshold\":2,\"seed\":1}"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -173,22 +173,5 @@ TEST(RunnerTest, OutPathWritesSection) {
   std::remove(path.c_str());
 }
 
-TEST(RunnerTest, RowDefaultsStampCommonFields) {
-  FleetRunSpec rs;
-  rs.common.seed = 77;
-  rs.common.batch = 9;
-  const FleetSpec row = rs.row_defaults();
-  EXPECT_EQ(row.seed, 77u);
-  EXPECT_EQ(row.batch, 9u);
-
-  harness::ShardRunSpec ss;
-  ss.common.seed = 78;
-  EXPECT_EQ(ss.row_defaults().fleet.seed, 78u);
-
-  RecoveryRunSpec cs;
-  cs.common.seed = 79;
-  EXPECT_EQ(cs.row_defaults().fleet.seed, 79u);
-}
-
 }  // namespace
 }  // namespace l96

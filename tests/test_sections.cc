@@ -46,11 +46,12 @@ TEST(SectionManifestTest, FindSectionMatchesManifest) {
 }
 
 TEST(SectionManifestTest, LbFailoverSectionIsRegistered) {
-  const auto* lb = find_section("lb", 1);
+  const auto* lb = find_section("lb", 2);
   ASSERT_NE(lb, nullptr);
   EXPECT_EQ(lb->producer, "harness::lb_json");
-  const Json section = emit_section("lb", 1);
-  EXPECT_EQ(section.dump(), "{\"schema\":\"l96.lb.v1\"}");
+  EXPECT_EQ(find_section("lb", 1), nullptr);
+  const Json section = emit_section("lb", 2);
+  EXPECT_EQ(section.dump(), "{\"schema\":\"l96.lb.v2\"}");
 }
 
 TEST(SectionSchemaTest, FormatsAndValidates) {

@@ -11,7 +11,8 @@
 // (times are virtual microseconds relative to the post-establishment
 // reset point).  The config must carry path inlining — the stale-rebind
 // slow path is what failover prices — so only pin and all are offered.
-// --out writes the l96.lb.v1 section to FILE.
+// --out writes the l96.lb.v2 section to FILE: the fleet row prefix, then
+// the LB keys, then the results.
 //
 // Exit status: 0 on success, 1 when a failover invariant fails (packet
 // conservation, a drain window losing established-flow packets, a window
@@ -28,13 +29,14 @@ int main(int argc, char** argv) {
   using namespace l96;
 
   harness::LbSpec spec;
-  spec.config = code::StackConfig::Pin();
+  harness::FleetSpec& row = spec.fleet;
+  row.config = code::StackConfig::Pin();
   spec.backends = 4;
-  spec.connections = 8;
-  spec.packets = 256;
-  spec.batch = 1;
-  spec.zipf_s = 1.1;
-  spec.seed = 1;
+  row.connections = 8;
+  row.packets = 256;
+  row.batch = 1;
+  row.zipf_s = 1.1;
+  row.seed = 1;
   std::string script =
       "drain@20000:backend1 undrain@120000:backend1 "
       "crash@200000:backend0 reboot@400000:backend0";
@@ -51,9 +53,9 @@ int main(int argc, char** argv) {
                     "stack layout for all three tiers (default pin)",
                     [&](const std::string& v) {
                       if (v == "pin") {
-                        spec.config = code::StackConfig::Pin();
+                        row.config = code::StackConfig::Pin();
                       } else if (v == "all") {
-                        spec.config = code::StackConfig::All();
+                        row.config = code::StackConfig::All();
                       } else {
                         return false;
                       }
@@ -63,19 +65,19 @@ int main(int argc, char** argv) {
                     [&](const std::string& v) {
                       const auto s = code::flow_cache_scheme_from_string(v);
                       if (!s) return false;
-                      spec.track_scheme = *s;
+                      row.scheme = *s;
                       return true;
                     });
   parser.add_option("capacity", "N", "conn-track capacity (default 1024)",
                     [&](const std::string& v) {
-                      spec.track_capacity =
+                      row.cache_capacity =
                           std::strtoull(v.c_str(), nullptr, 10);
-                      return spec.track_capacity > 0;
+                      return row.cache_capacity > 0;
                     });
   parser.add_option("seed", "N", "deterministic schedule seed", &seed);
   parser.add_option("workers", "N",
                     "worker threads (0 = hardware concurrency)", &workers);
-  parser.add_option("out", "FILE", "write the l96.lb.v1 section to FILE",
+  parser.add_option("out", "FILE", "write the l96.lb.v2 section to FILE",
                     &out_path);
   parser.add_positional("backends", "backend pool size (default 4)",
                         [&](const std::string& v) {
@@ -84,18 +86,18 @@ int main(int argc, char** argv) {
                         });
   parser.add_positional("connections", "client fleet size (default 8)",
                         [&](const std::string& v) {
-                          spec.connections =
+                          row.connections =
                               std::strtoull(v.c_str(), nullptr, 10);
-                          return spec.connections > 0;
+                          return row.connections > 0;
                         });
   parser.add_positional("packets", "scheduled packets (default 256)",
                         [&](const std::string& v) {
-                          spec.packets = std::strtoull(v.c_str(), nullptr, 10);
-                          return spec.packets > 0;
+                          row.packets = std::strtoull(v.c_str(), nullptr, 10);
+                          return row.packets > 0;
                         });
   parser.add_positional("zipf_s", "Zipf exponent (default 1.1)",
                         [&](const std::string& v) {
-                          spec.zipf_s = std::strtod(v.c_str(), nullptr);
+                          row.zipf_s = std::strtod(v.c_str(), nullptr);
                           return true;
                         });
   parser.add_positional("seed", "schedule seed (default 1)",
@@ -104,9 +106,9 @@ int main(int argc, char** argv) {
                           return true;
                         });
   if (!parser.parse(argc, argv)) return parser.help_shown() ? 0 : 2;
-  spec.seed = seed;
-  spec.label = spec.config.name + "/" + code::to_string(spec.track_scheme) +
-               "/b" + std::to_string(spec.backends);
+  row.seed = seed;
+  row.label = row.config.name + "/" + code::to_string(row.scheme) + "/b" +
+              std::to_string(spec.backends);
 
   try {
     spec.chaos = net::ChaosTimeline::parse(script);
@@ -115,8 +117,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const harness::LbCostTable costs =
-      harness::measure_lb_costs(spec.config, spec.params);
+  const harness::BurstCostTable costs =
+      harness::measure_lb_costs(row.config, row.params);
   harness::LbRunSpec rs;
   rs.common.workers = workers;
   rs.common.out_path = out_path;
@@ -132,17 +134,17 @@ int main(int argc, char** argv) {
   const harness::LbResult& r = o.lb.front();
 
   std::printf("%s backends=%zu conns=%zu packets=%llu zipf=%.2f seed=%llu\n",
-              spec.label.c_str(), spec.backends, spec.connections,
-              static_cast<unsigned long long>(spec.packets), spec.zipf_s,
-              static_cast<unsigned long long>(spec.seed));
+              row.label.c_str(), spec.backends, row.connections,
+              static_cast<unsigned long long>(row.packets), row.zipf_s,
+              static_cast<unsigned long long>(row.seed));
   std::printf("  script: %s\n", spec.chaos.str().c_str());
   std::printf("  costs: controller=%.3fus fast=%.3fus slow=%.3fus (%s)\n",
-              costs.controller_us, costs.fast_us, costs.slow_us,
+              costs.controller_us, costs.fast_at(0), costs.slow_at(0),
               costs.config_name.c_str());
   std::printf("  sampled=%llu scheduled=%llu lost=%llu reconnects=%llu "
               "incarnations=%u\n",
-              static_cast<unsigned long long>(r.packets_sampled),
-              static_cast<unsigned long long>(r.scheduled_sampled),
+              static_cast<unsigned long long>(r.fleet.packets_sampled),
+              static_cast<unsigned long long>(r.fleet.scheduled_sampled),
               static_cast<unsigned long long>(r.lost_packets),
               static_cast<unsigned long long>(r.reconnects),
               r.backend_incarnations);
@@ -155,9 +157,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.dark_forwards),
               static_cast<unsigned long long>(r.health_probes));
   std::printf("  track: hits=%llu misses=%llu stale=%llu\n",
-              static_cast<unsigned long long>(r.track.hits),
-              static_cast<unsigned long long>(r.track.misses),
-              static_cast<unsigned long long>(r.track.stale_hits));
+              static_cast<unsigned long long>(r.fleet.cache.hits),
+              static_cast<unsigned long long>(r.fleet.cache.misses),
+              static_cast<unsigned long long>(r.fleet.cache.stale_hits));
   for (const net::LbRebuild& rb : r.rebuilds) {
     std::printf("  rebuild @%lluus %s backend%u: remapped=%zu "
                 "invalidated=%zu pool=%zu\n",
@@ -184,11 +186,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.disrupted_samples),
               r.disrupted.p50, r.disrupted.p99, r.disrupted.p999);
   std::printf("  digest=%016llx\n",
-              static_cast<unsigned long long>(r.sample_digest));
+              static_cast<unsigned long long>(r.fleet.sample_digest));
 
   // Exit-enforced invariants.
   int rc = 0;
-  if (spec.packets != r.scheduled_sampled + r.lost_packets) {
+  if (row.packets != r.fleet.scheduled_sampled + r.lost_packets) {
     std::fprintf(stderr, "lb: packet conservation violated\n");
     rc = 1;
   }
