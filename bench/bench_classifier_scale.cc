@@ -349,10 +349,9 @@ int main(int argc, char** argv) {
 
   // Invariant 5: packet conservation and zero unmatched scans per row.
   for (const auto& r : rows) {
-    if (r.spec.packets != r.scheduled_sampled + r.dropped_in_churn ||
-        r.packets_sampled != r.scheduled_sampled + r.handshake_sampled) {
-      std::fprintf(stderr, "FAIL: %s packet accounting does not add up\n",
-                   r.spec.label.c_str());
+    if (const std::string violation = harness::conservation_error(r);
+        !violation.empty()) {
+      std::fprintf(stderr, "FAIL: %s\n", violation.c_str());
       ++failures;
     }
     if (r.cache.unmatched_scans != 0) {

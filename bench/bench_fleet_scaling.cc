@@ -31,10 +31,9 @@
 // Exit status enforces the Jain ordering on every skewed grid row (the
 // true-LRU hit ratio must be >= one-behind's), stale-hit accounting
 // (churned rows show stale hits, stale hits fall back slow, slow_us[0] >
-// fast_us[0]), and packet conservation on every row:
-//     spec.packets   == scheduled_sampled + dropped_in_churn
-//     packets_sampled == scheduled_sampled + handshake_sampled
-// so schedule accounting can never silently drift from the spec again.
+// fast_us[0]), and packet conservation on every row
+// (harness::conservation_error), so schedule accounting can never silently
+// drift from the spec again.
 // The shard grid adds four more enforced invariants:
 //  1. the 1-core shard rows reproduce flat run_fleet digests exactly;
 //  2. aggregate closed-loop throughput strictly increases 1 -> 4 -> 16
@@ -293,28 +292,11 @@ int main(int argc, char** argv) {
                  costs.slow_us.front(), costs.fast_us.front());
     ++failures;
   }
-  // Packet conservation, every row: the schedule accounting must add up —
-  // no scheduled packet may vanish unpriced, and every priced frame is
-  // either a scheduled packet or a churn-handshake frame.
+  // Packet conservation, every row.
   for (const auto& r : rows) {
-    if (r.spec.packets != r.scheduled_sampled + r.dropped_in_churn) {
-      std::fprintf(stderr,
-                   "FAIL: %s scheduled %llu packets but priced %llu + "
-                   "dropped %llu in churn\n",
-                   r.spec.label.c_str(),
-                   static_cast<unsigned long long>(r.spec.packets),
-                   static_cast<unsigned long long>(r.scheduled_sampled),
-                   static_cast<unsigned long long>(r.dropped_in_churn));
-      ++failures;
-    }
-    if (r.packets_sampled != r.scheduled_sampled + r.handshake_sampled) {
-      std::fprintf(stderr,
-                   "FAIL: %s sampled %llu frames but scheduled %llu + "
-                   "handshake %llu\n",
-                   r.spec.label.c_str(),
-                   static_cast<unsigned long long>(r.packets_sampled),
-                   static_cast<unsigned long long>(r.scheduled_sampled),
-                   static_cast<unsigned long long>(r.handshake_sampled));
+    if (const std::string violation = harness::conservation_error(r);
+        !violation.empty()) {
+      std::fprintf(stderr, "FAIL: %s\n", violation.c_str());
       ++failures;
     }
   }

@@ -15,7 +15,7 @@
 //    (re-verified in-process below).
 //
 // Exit status enforces:
-//  * packet conservation on every row (packets == scheduled + lost);
+//  * packet conservation on every row (harness::conservation_error);
 //  * Maglev's disruption bound: every rebuild that removes or restores
 //    one backend of n remaps ~1/n of the table (within 0.5/n + 2%);
 //  * a drain is hitless: zero lost packets, zero reconnects, zero stale
@@ -109,8 +109,8 @@ int main(int argc, char** argv) {
       tta = std::max(tta, w.tta_us);
       ttr = std::max(ttr, w.ttr_us);
     }
-    t.row({r.spec.fleet.label, std::to_string(r.lost_packets),
-           std::to_string(r.reconnects), std::to_string(r.slow_forwards),
+    t.row({r.spec.fleet.label, std::to_string(r.fleet.lost_packets),
+           std::to_string(r.fleet.reconnects), std::to_string(r.slow_forwards),
            harness::fmt(tta, 1), harness::fmt(ttr, 1),
            harness::fmt(r.steady.p999, 1), harness::fmt(r.disrupted.p999, 1)});
   }
@@ -126,15 +126,9 @@ int main(int argc, char** argv) {
 
   // --- conservation and the Maglev disruption bound ------------------------
   for (const auto& r : rows) {
-    if (r.spec.fleet.packets != r.fleet.scheduled_sampled + r.lost_packets) {
-      std::fprintf(stderr, "FAIL: %s packet conservation violated\n",
-                   r.spec.fleet.label.c_str());
-      ++failures;
-    }
-    if (r.fleet.packets_sampled !=
-        r.fleet.scheduled_sampled + r.fleet.handshake_sampled) {
-      std::fprintf(stderr, "FAIL: %s sample attribution violated\n",
-                   r.spec.fleet.label.c_str());
+    if (const std::string violation = harness::conservation_error(r.fleet);
+        !violation.empty()) {
+      std::fprintf(stderr, "FAIL: %s\n", violation.c_str());
       ++failures;
     }
     for (const net::LbRebuild& rb : r.rebuilds) {
@@ -170,20 +164,20 @@ int main(int argc, char** argv) {
       continue;
     }
 
-    if (quiet->lost_packets != 0 || !quiet->rebuilds.empty() ||
+    if (quiet->fleet.lost_packets != 0 || !quiet->rebuilds.empty() ||
         quiet->slow_forwards != 0) {
       std::fprintf(stderr, "FAIL: %s quiet row disrupted itself\n",
                    quiet->spec.fleet.label.c_str());
       ++failures;
     }
-    if (drain->lost_packets != 0 || drain->reconnects != 0 ||
+    if (drain->fleet.lost_packets != 0 || drain->fleet.reconnects != 0 ||
         drain->slow_forwards != 0 || drain->fleet.cache.stale_hits != 0) {
       std::fprintf(stderr,
                    "FAIL: %s drain not hitless (lost=%llu reconn=%llu "
                    "slow=%llu stale=%llu)\n",
                    drain->spec.fleet.label.c_str(),
-                   static_cast<unsigned long long>(drain->lost_packets),
-                   static_cast<unsigned long long>(drain->reconnects),
+                   static_cast<unsigned long long>(drain->fleet.lost_packets),
+                   static_cast<unsigned long long>(drain->fleet.reconnects),
                    static_cast<unsigned long long>(drain->slow_forwards),
                    static_cast<unsigned long long>(
                        drain->fleet.cache.stale_hits));
@@ -197,10 +191,10 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (crash->lost_packets > 4 * crash->spec.fleet.connections) {
+    if (crash->fleet.lost_packets > 4 * crash->spec.fleet.connections) {
       std::fprintf(stderr, "FAIL: %s crash lost %llu packets (> 4/conn)\n",
                    crash->spec.fleet.label.c_str(),
-                   static_cast<unsigned long long>(crash->lost_packets));
+                   static_cast<unsigned long long>(crash->fleet.lost_packets));
       ++failures;
     }
     const net::LbHealthParams& h = crash->spec.health;

@@ -15,6 +15,7 @@
 //    runner worker counts (re-verified in-process below).
 //
 // Exit status enforces:
+//  * packet conservation on every row (harness::conservation_error);
 //  * zero priced deliveries inside every blackout / crash window (the
 //    dead medium and the dead host deliver nothing);
 //  * every window recovers, with finite ttr, and the whole grid is
@@ -135,8 +136,8 @@ int main(int argc, char** argv) {
   for (const auto& r : rows) {
     double ttr = 0;
     for (const auto& w : r.windows) ttr = std::max(ttr, w.ttr_us);
-    t.row({r.fleet.spec.label, std::to_string(r.lost_packets),
-           std::to_string(r.reconnects), harness::fmt(ttr, 1),
+    t.row({r.fleet.spec.label, std::to_string(r.fleet.lost_packets),
+           std::to_string(r.fleet.reconnects), harness::fmt(ttr, 1),
            harness::fmt(r.steady.p99, 1), harness::fmt(r.steady.p999, 1),
            harness::fmt(r.recovery.p99, 1), harness::fmt(r.recovery.p999, 1)});
   }
@@ -153,11 +154,9 @@ int main(int argc, char** argv) {
 
   // --- windows: dark during, recovered after, deterministic ----------------
   for (const auto& r : rows) {
-    if (r.fleet.spec.packets != r.fleet.scheduled_sampled +
-                                    r.fleet.dropped_in_churn +
-                                    r.lost_packets) {
-      std::fprintf(stderr, "FAIL: %s packet conservation violated\n",
-                   r.fleet.spec.label.c_str());
+    if (const std::string violation = harness::conservation_error(r.fleet);
+        !violation.empty()) {
+      std::fprintf(stderr, "FAIL: %s\n", violation.c_str());
       ++failures;
     }
     for (const auto& w : r.windows) {

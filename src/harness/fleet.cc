@@ -286,7 +286,7 @@ Json cache_json(const code::FlowCacheStats& c) {
 Json spec_json(const FleetSpec& s) {
   return Json::object()
       .set("label", s.label)
-      .set("kind", s.kind == net::StackKind::kTcpIp ? "tcpip" : "rpc")
+      .set("kind", net::to_string(s.kind))
       .set("config", s.config.name)
       .set("scheme", code::to_string(s.scheme))
       .set("connections", static_cast<std::uint64_t>(s.connections))
@@ -374,6 +374,12 @@ class FleetSource final : public proto::TcpUpper {
                            std::to_string(packet));
 }
 
+/// The owned packets the law accounts for: priced as scheduled traffic,
+/// dropped in churn, or lost with their connection.
+std::uint64_t accounted(const FleetResult& r) {
+  return r.scheduled_sampled + r.dropped_in_churn + r.lost_packets;
+}
+
 std::uint64_t fnv1a_samples(const std::vector<double>& samples) {
   std::uint64_t h = fnv1a_seed();
   for (double v : samples) fnv1a_value(h, v);
@@ -397,7 +403,7 @@ std::uint64_t fnv1a_samples(const std::vector<double>& samples) {
 /// the next frame (or the next settle()).  Keepalive probes, stray ACKs
 /// and RSTs that land mid-burst under a failure script price like any
 /// other activation but stay handshake traffic, so packet conservation
-/// (packets == scheduled + dropped + lost) survives the script.  Without
+/// (conservation_error) survives the script.  Without
 /// one, every in-burst frame is a scheduled data packet.
 class FrameLedger {
  public:
@@ -572,8 +578,8 @@ CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
   FrameLedger ledger(topo, out, sink.messages, timed);
 
   const auto retire = [&](proto::TcpConn* c) {
-    out.client_retransmits += c->retransmits();
-    out.client_syn_retransmits += c->syn_retransmits();
+    r.client_retransmits += c->retransmits();
+    r.client_syn_retransmits += c->syn_retransmits();
     client.tcp()->destroy(c);
   };
   // Tear down the server side of local flow j's 4-tuple wherever a live
@@ -608,7 +614,7 @@ CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
       }
       drop_remnant(k);
       proto::TcpConn* fresh = conns[k] = connect(k);
-      ++out.reconnects;
+      ++r.reconnects;
       if (!topo.run_until(
               [fresh] {
                 return fresh->state() == proto::TcpState::kEstablished ||
@@ -645,6 +651,7 @@ CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
       // A flow lives on exactly one core, so its burst is ours whole.
       const std::size_t k = local_index(owned, sb.flow);
       ++r.bursts;
+      r.owned_packets += sb.len;
       ledger.begin_burst();
       for (std::uint64_t j = 0; j < sb.len; ++j) {
         if (!alive(conns[k])) {
@@ -658,7 +665,7 @@ CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
         proto::TcpConn* sender = conns[k];
         sender->send(payload);
         ++sent;
-        const std::uint64_t goal = sent - out.lost_packets;
+        const std::uint64_t goal = sent - r.lost_packets;
         if (!topo.run_until(
                 [&sink, sender, goal] {
                   return sink.messages >= goal ||
@@ -672,18 +679,17 @@ CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
           // with the old sndbuf.  The whole failed attempt — the segment
           // that found the dead peer, and whatever answered it — is
           // recovery work.
-          ++out.lost_packets;
+          ++r.lost_packets;
           out.repairs.push_back({attempt_us, topo.events().now()});
         }
       }
       ledger.end_burst();
       ledger.settle();
-      // Conservation: every scheduled packet of the burst was priced, lost
-      // with its connection, or torn down in flight — and the last must be
-      // accounted, not ignored.
-      const std::uint64_t accounted =
-          r.scheduled_sampled + r.dropped_in_churn + out.lost_packets;
-      if (accounted < sent) r.dropped_in_churn += sent - accounted;
+      // Every packet sent was priced, lost with its connection, or torn
+      // down in flight — and the last must be accounted, not ignored.  The
+      // sends are counted apart from owned_packets, so a send loop that
+      // drifts from the schedule breaks the packet law.
+      if (accounted(r) < sent) r.dropped_in_churn += sent - accounted(r);
     }
 
     if (sb.churn_after && churn_here && alive(conns[0])) {
@@ -722,8 +728,8 @@ CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
   // Live client connections still hold their counters.
   for (const proto::TcpConn* c : conns) {
     if (c == nullptr) continue;
-    out.client_retransmits += c->retransmits();
-    out.client_syn_retransmits += c->syn_retransmits();
+    r.client_retransmits += c->retransmits();
+    r.client_syn_retransmits += c->syn_retransmits();
   }
   finish_core(out, topo);
   return out;
@@ -771,6 +777,7 @@ CoreRunResult run_rpc_core(const FleetSpec& spec, const BurstCostTable& costs,
     if (flow_core[sb.flow] != core_id) continue;
     const std::size_t k = local_index(owned, sb.flow);
     ++out.result.bursts;
+    out.result.owned_packets += sb.len;
     ledger.begin_burst();
     for (std::uint64_t j = 0; j < sb.len; ++j) {
       xk::Message req(world.client().arena(), 128, 16);
@@ -876,6 +883,26 @@ FleetResult run_fleet(const FleetSpec& spec, const BurstCostTable& costs) {
              std::vector<std::uint32_t>(spec.connections, 0),
              /*core_id=*/0)
       .result;
+}
+
+std::string conservation_error(const FleetResult& r) {
+  const auto n = [](std::uint64_t v) { return std::to_string(v); };
+  std::string err;
+  if (r.owned_packets != accounted(r)) {
+    err = "owned_packets " + n(r.owned_packets) + " != scheduled_sampled " +
+          n(r.scheduled_sampled) + " + dropped_in_churn " +
+          n(r.dropped_in_churn) + " + lost_packets " + n(r.lost_packets);
+  }
+  if (r.packets_sampled != r.scheduled_sampled + r.handshake_sampled) {
+    if (!err.empty()) err += "; ";
+    err += "packets_sampled " + n(r.packets_sampled) +
+           " != scheduled_sampled " + n(r.scheduled_sampled) +
+           " + handshake_sampled " + n(r.handshake_sampled);
+  }
+  if (err.empty()) return err;
+  return "packet conservation violated in row '" +
+         (r.spec.label.empty() ? std::string("unlabeled") : r.spec.label) +
+         "': " + err;
 }
 
 Json fleet_json(const BurstCostTable& costs,

@@ -140,17 +140,24 @@ struct LatencyPercentiles {
   double mean = 0, max = 0;
 };
 
+/// What one world did: the engine fills it for a flat fleet row, each core
+/// of a shard row, and the fleet half of a recovery or LB row.  Its packet
+/// law is checked in one place, conservation_error().
 struct FleetResult {
   FleetSpec spec;                   ///< echoed for reporting
+  /// Packets of the bursts this world executed, counted from the schedule
+  /// (spec.packets on a flat world).
+  std::uint64_t owned_packets = 0;
   std::uint64_t packets_sampled = 0;  ///< inbound frames priced at the server
   std::uint64_t scheduled_sampled = 0;  ///< of which: scheduled data packets
   std::uint64_t handshake_sampled = 0;  ///< of which: churn handshake frames
   /// Scheduled packets that were never priced because their connection was
-  /// torn down with the frame still in flight.  Conservation (enforced by
-  /// bench_fleet_scaling's exit status):
-  ///   spec.packets == scheduled_sampled + dropped_in_churn
-  ///   packets_sampled == scheduled_sampled + handshake_sampled
+  /// torn down with the frame still in flight.
   std::uint64_t dropped_in_churn = 0;
+  std::uint64_t lost_packets = 0;  ///< sends whose connection died under them
+  std::uint64_t reconnects = 0;    ///< re-establishments of dead connections
+  std::uint64_t client_retransmits = 0;  ///< over every client connection
+  std::uint64_t client_syn_retransmits = 0;
   std::uint64_t bursts = 0;           ///< scheduled bursts (flow draws)
   std::uint64_t slow_packets = 0;     ///< routed through the slow path
   std::uint64_t churns = 0;
@@ -159,6 +166,13 @@ struct FleetResult {
   double sim_us = 0;                ///< virtual time the fleet run consumed
   std::uint64_t sample_digest = 0;  ///< FNV-1a over the per-packet samples
 };
+
+/// The packet law every world obeys:
+///   owned_packets   == scheduled_sampled + dropped_in_churn + lost_packets
+///   packets_sampled == scheduled_sampled + handshake_sampled
+/// Empty when `r` is conserved; otherwise a message naming the row and
+/// every counter of each law that does not hold.
+std::string conservation_error(const FleetResult& r);
 
 /// Run one fleet row.  Throws std::runtime_error (naming the row) if the
 /// world stalls before the schedule completes, and std::invalid_argument

@@ -95,8 +95,8 @@ struct Interval {
   std::uint64_t end = 0;
 };
 
-/// What one world measured: its FleetResult view, the tagged samples, and
-/// what a disrupted run's report needs to split them by phase.
+/// What one world measured: its FleetResult, the tagged samples, and what
+/// a disrupted run's report needs to split them by phase.
 struct CoreRunResult {
   FleetResult result;
   std::vector<TaggedSample> samples;
@@ -105,10 +105,6 @@ struct CoreRunResult {
   std::vector<std::uint64_t> delivery_times;  ///< each completed delivery
   std::vector<Interval> repairs;  ///< every lost send and reconnect repair
   std::uint64_t base_us = 0;      ///< schedule time zero, the script origin
-  std::uint64_t lost_packets = 0;  ///< sends whose connection died under them
-  std::uint64_t reconnects = 0;    ///< re-establishments of dead connections
-  std::uint64_t client_retransmits = 0;  ///< over every client connection
-  std::uint64_t client_syn_retransmits = 0;
 };
 
 /// Demux-map sizing for a world holding `flows` connections: the

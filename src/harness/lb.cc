@@ -182,10 +182,6 @@ LbResult run_lb(const LbSpec& spec, const BurstCostTable& costs) {
   LbResult r;
   r.spec = spec;
   r.fleet = core.result;
-  r.lost_packets = core.lost_packets;
-  r.reconnects = core.reconnects;
-  r.client_retransmits = core.client_retransmits;
-  r.client_syn_retransmits = core.client_syn_retransmits;
 
   // Steering verdicts from the LB's rebuild ledger.  Disruption phases:
   // every failed send and repair, plus each window from its start until
@@ -311,16 +307,16 @@ Json lb_json(const BurstCostTable& costs,
         .set("packets_sampled", r.fleet.packets_sampled)
         .set("scheduled_sampled", r.fleet.scheduled_sampled)
         .set("handshake_sampled", r.fleet.handshake_sampled)
-        .set("lost_packets", r.lost_packets)
-        .set("reconnects", r.reconnects)
+        .set("lost_packets", r.fleet.lost_packets)
+        .set("reconnects", r.fleet.reconnects)
         .set("forwards", r.forwards)
         .set("slow_forwards", r.slow_forwards)
         .set("returns_forwarded", r.returns_forwarded)
         .set("drops_no_backend", r.drops_no_backend)
         .set("dark_forwards", r.dark_forwards)
         .set("health_probes", r.health_probes)
-        .set("client_retransmits", r.client_retransmits)
-        .set("client_syn_retransmits", r.client_syn_retransmits)
+        .set("client_retransmits", r.fleet.client_retransmits)
+        .set("client_syn_retransmits", r.fleet.client_syn_retransmits)
         .set("rst_sent", r.rst_sent)
         .set("frames_to_dead", r.frames_to_dead)
         .set("blackout_drops", r.blackout_drops)

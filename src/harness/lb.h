@@ -90,18 +90,13 @@ struct LbSteer {
 
 struct LbResult {
   LbSpec spec;  ///< echoed for reporting
-  /// The fleet-engine view: client->LB frames priced, conn-track stats
-  /// (fleet.cache), overall latency, sim time and sample digest.
-  /// Conservation under chaos (bench-enforced):
-  ///   spec.fleet.packets == fleet.scheduled_sampled + lost_packets
-  ///   fleet.packets_sampled ==
-  ///       fleet.scheduled_sampled + fleet.handshake_sampled
+  /// What the engine did: client->LB frames priced, conn-track stats
+  /// (fleet.cache), overall latency, sim time and sample digest, plus the
+  /// packets lost when a connection died with the byte undelivered (crash
+  /// failover; a drain-only script must lose zero), reconnects and client
+  /// retransmits.  conservation_error(fleet) checks its packet law, which
+  /// holds under chaos (bench-enforced).
   FleetResult fleet;
-
-  /// Scheduled packets whose connection died with the byte undelivered
-  /// (crash failover); a drain-only script must lose zero (bench).
-  std::uint64_t lost_packets = 0;
-  std::uint64_t reconnects = 0;
 
   // LB-tier counters (harvested from the LbHost).
   std::uint64_t forwards = 0;
@@ -113,8 +108,6 @@ struct LbResult {
   std::vector<net::LbRebuild> rebuilds;
 
   // Client/backend-side fallout.
-  std::uint64_t client_retransmits = 0;
-  std::uint64_t client_syn_retransmits = 0;
   std::uint64_t rst_sent = 0;        ///< sum over backend incarnations alive
   std::uint64_t frames_to_dead = 0;  ///< frames that hit a crashed backend
   std::uint64_t blackout_drops = 0;  ///< frames a dark backend link ate

@@ -35,10 +35,6 @@ RecoveryResult run_recovery(const RecoverySpec& rspec,
   RecoveryResult r;
   r.spec = rspec;
   r.fleet = core.result;
-  r.lost_packets = core.lost_packets;
-  r.reconnects = core.reconnects;
-  r.client_retransmits = core.client_retransmits;
-  r.client_syn_retransmits = core.client_syn_retransmits;
 
   // Recovery phases: every failed send and reconnect repair, plus each
   // window from its start to the first completed delivery at or after its
@@ -114,11 +110,11 @@ Json recovery_json(const BurstCostTable& costs,
         .set("scheduled_sampled", r.fleet.scheduled_sampled)
         .set("handshake_sampled", r.fleet.handshake_sampled)
         .set("dropped_in_churn", r.fleet.dropped_in_churn)
-        .set("lost_packets", r.lost_packets)
-        .set("reconnects", r.reconnects)
+        .set("lost_packets", r.fleet.lost_packets)
+        .set("reconnects", r.fleet.reconnects)
         .set("connect_failures", r.connect_failures)
-        .set("client_retransmits", r.client_retransmits)
-        .set("client_syn_retransmits", r.client_syn_retransmits)
+        .set("client_retransmits", r.fleet.client_retransmits)
+        .set("client_syn_retransmits", r.fleet.client_syn_retransmits)
         .set("keepalive_probes_sent", r.keepalive_probes_sent)
         .set("keepalive_reaps", r.keepalive_reaps)
         .set("rst_sent", r.rst_sent)

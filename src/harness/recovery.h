@@ -71,19 +71,14 @@ struct RecoveryWindow {
 
 struct RecoveryResult {
   RecoverySpec spec;
-  /// The fleet-engine view: sampled packet counts, cache stats, overall
-  /// latency, sample digest (byte-identical to run_fleet when the timeline
-  /// is empty and the knobs are off).
+  /// What the engine did: sampled packet counts, losses, reconnects and
+  /// client retransmits, cache stats, overall latency, sample digest
+  /// (byte-identical to run_fleet when the timeline is empty and the knobs
+  /// are off).  conservation_error(fleet) checks its packet law.
   FleetResult fleet;
   std::vector<RecoveryWindow> windows;
 
-  // Conservation: fleet.spec.packets ==
-  //   fleet.scheduled_sampled + fleet.dropped_in_churn + lost_packets.
-  std::uint64_t lost_packets = 0;   ///< scheduled packets that died with a conn
-  std::uint64_t reconnects = 0;     ///< re-establishments after a conn died
   std::uint64_t connect_failures = 0;   ///< SYN-retry exhaustions (client)
-  std::uint64_t client_retransmits = 0; ///< data rexmts across all client conns
-  std::uint64_t client_syn_retransmits = 0;
   std::uint64_t keepalive_probes_sent = 0;  ///< client-side probes
   std::uint64_t keepalive_reaps = 0;        ///< client-side half-open reaps
   std::uint64_t rst_sent = 0;               ///< server RSTs (new incarnation)

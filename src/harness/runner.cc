@@ -144,7 +144,7 @@ Json soak_json(const std::vector<SoakSpec>& specs,
     Json row = Json::object();
     if (i < specs.size()) {
       const SoakSpec& s = specs[i];
-      row.set("kind", s.kind == net::StackKind::kTcpIp ? "tcpip" : "rpc")
+      row.set("kind", net::to_string(s.kind))
           .set("roundtrips_target", s.roundtrips)
           .set("msg_bytes", static_cast<std::uint64_t>(s.msg_bytes))
           .set("chaos", s.chaos);
@@ -198,7 +198,7 @@ Json stream_json(const std::vector<StreamRowSpec>& specs,
     if (i < specs.size()) {
       const StreamRowSpec& s = specs[i];
       row.set("label", s.label)
-          .set("kind", s.kind == net::StackKind::kTcpIp ? "tcpip" : "rpc")
+          .set("kind", net::to_string(s.kind))
           .set("config", s.config.name);
     }
     row.set("bytes", r.bytes)

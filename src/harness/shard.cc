@@ -122,37 +122,34 @@ ShardResult merge_cores(const ShardSpec& spec,
     if (sb.churn_after) consume(churn_owner, b, /*phase=*/1);
   }
 
-  bool cursors_exhausted = true;
+  bool cores_conserved = true;
   for (std::size_t c = 0; c < ncores; ++c) {
-    const FleetResult& fr = per_core[c].result;
     ShardCoreStats& cs = r.cores[c];
     cs.core = static_cast<std::uint32_t>(c);
-    cs.packets_sampled = fr.packets_sampled;
-    cs.scheduled_sampled = fr.scheduled_sampled;
-    cs.handshake_sampled = fr.handshake_sampled;
-    cs.dropped_in_churn = fr.dropped_in_churn;
-    cs.bursts = fr.bursts;
-    cs.slow_packets = fr.slow_packets;
-    cs.churns = fr.churns;
-    cs.cache = fr.cache;
-    cs.service = fr.latency;
+    cs.fleet = std::move(per_core[c].result);
     cs.sojourn = fleet_detail::percentiles(core_sojourn[c]);
     cs.busy_us = service_sum[c];
-    cs.sample_digest = fr.sample_digest;
-    if (cur[c] != per_core[c].samples.size()) cursors_exhausted = false;
-
-    r.packets_sampled += fr.packets_sampled;
-    r.scheduled_sampled += fr.scheduled_sampled;
-    r.handshake_sampled += fr.handshake_sampled;
-    r.dropped_in_churn += fr.dropped_in_churn;
-    r.bursts += fr.bursts;
-    r.slow_packets += fr.slow_packets;
-    r.churns += fr.churns;
-    r.cache.merge(fr.cache);
+    if (cur[c] != per_core[c].samples.size() ||
+        !conservation_error(cs.fleet).empty()) {
+      cores_conserved = false;
+    }
+    r.cache.merge(cs.fleet.cache);
     if (service_sum[c] > service_sum[r.hot_core]) {
       r.hot_core = static_cast<std::uint32_t>(c);
     }
   }
+  const auto sum = [&r](std::uint64_t FleetResult::*counter) {
+    std::uint64_t total = 0;
+    for (const ShardCoreStats& cs : r.cores) total += cs.fleet.*counter;
+    return total;
+  };
+  r.packets_sampled = sum(&FleetResult::packets_sampled);
+  r.scheduled_sampled = sum(&FleetResult::scheduled_sampled);
+  r.handshake_sampled = sum(&FleetResult::handshake_sampled);
+  r.dropped_in_churn = sum(&FleetResult::dropped_in_churn);
+  r.bursts = sum(&FleetResult::bursts);
+  r.slow_packets = sum(&FleetResult::slow_packets);
+  r.churns = sum(&FleetResult::churns);
   for (std::uint32_t c : flow_core) ++r.cores[c].flows;
 
   r.makespan_us = 0;
@@ -170,18 +167,8 @@ ShardResult merge_cores(const ShardSpec& spec,
       r.makespan_us > 0
           ? static_cast<double>(r.scheduled_sampled) / r.makespan_us
           : 0;
-
-  bool counters_match = true;
-  for (const ShardCoreStats& cs : r.cores) {
-    if (cs.scheduled_sampled + cs.handshake_sampled != cs.packets_sampled) {
-      counters_match = false;
-    }
-  }
-  r.conserved = cursors_exhausted && counters_match &&
-                r.scheduled_sampled + r.dropped_in_churn ==
-                    spec.fleet.packets &&
-                r.packets_sampled ==
-                    static_cast<std::uint64_t>(merged_service.size());
+  r.conserved = cores_conserved &&
+                sum(&FleetResult::owned_packets) == spec.fleet.packets;
   return r;
 }
 
@@ -297,20 +284,21 @@ Json shard_json(const BurstCostTable& costs,
           Json::object()
               .set("core", static_cast<std::uint64_t>(c.core))
               .set("flows", static_cast<std::uint64_t>(c.flows))
-              .set("packets_sampled", c.packets_sampled)
-              .set("scheduled_sampled", c.scheduled_sampled)
-              .set("handshake_sampled", c.handshake_sampled)
-              .set("dropped_in_churn", c.dropped_in_churn)
-              .set("bursts", c.bursts)
-              .set("slow_packets", c.slow_packets)
-              .set("churns", c.churns)
-              .set("cache", fleet_detail::cache_json(c.cache))
-              .set("service_us", fleet_detail::percentiles_json(c.service))
+              .set("packets_sampled", c.fleet.packets_sampled)
+              .set("scheduled_sampled", c.fleet.scheduled_sampled)
+              .set("handshake_sampled", c.fleet.handshake_sampled)
+              .set("dropped_in_churn", c.fleet.dropped_in_churn)
+              .set("bursts", c.fleet.bursts)
+              .set("slow_packets", c.fleet.slow_packets)
+              .set("churns", c.fleet.churns)
+              .set("cache", fleet_detail::cache_json(c.fleet.cache))
+              .set("service_us",
+                   fleet_detail::percentiles_json(c.fleet.latency))
               .set("sojourn_us", fleet_detail::percentiles_json(c.sojourn))
               .set("busy_us", c.busy_us)
               .set("utilization", c.utilization)
               .set("max_wait_us", c.max_wait_us)
-              .set("sample_digest", c.sample_digest));
+              .set("sample_digest", c.fleet.sample_digest));
     }
     Json row = fleet_detail::spec_json(r.spec.fleet);
     row.set("cores", static_cast<std::uint64_t>(r.spec.cores))

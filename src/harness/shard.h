@@ -74,25 +74,20 @@ struct ShardSpec {
   double arrival_us = 0;
 };
 
-/// What one core contributed, in the merged row's terms.
+/// What one core contributed: the engine's record of its world, plus the
+/// queueing view the merge adds.
 struct ShardCoreStats {
   std::uint32_t core = 0;
   std::size_t flows = 0;  ///< flows steered here (drawn or not)
-  std::uint64_t packets_sampled = 0;
-  std::uint64_t scheduled_sampled = 0;
-  std::uint64_t handshake_sampled = 0;
-  std::uint64_t dropped_in_churn = 0;
-  std::uint64_t bursts = 0;
-  std::uint64_t slow_packets = 0;
-  std::uint64_t churns = 0;
-  code::FlowCacheStats cache;
-  LatencyPercentiles service;  ///< priced per-packet cost on this core
-  LatencyPercentiles sojourn;  ///< queueing included (== service when
+  /// This core's world as the engine left it; fleet.latency is the priced
+  /// per-packet service cost and fleet.sample_digest hashes this core's
+  /// stream.
+  FleetResult fleet;
+  LatencyPercentiles sojourn;  ///< queueing included (== fleet.latency when
                                ///< arrival_us == 0)
   double busy_us = 0;          ///< total service time executed here
   double utilization = 0;      ///< busy_us / merged makespan
   double max_wait_us = 0;      ///< worst queueing delay (arrival model)
-  std::uint64_t sample_digest = 0;  ///< FNV-1a over this core's stream
 };
 
 struct ShardResult {
@@ -120,9 +115,9 @@ struct ShardResult {
   /// Aggregate scheduled throughput: scheduled_sampled / makespan_us.
   double throughput_mpps = 0;
   std::uint32_t hot_core = 0;  ///< core with the largest busy_us
-  /// True when per-core packet conservation held:
-  ///   fleet.packets == sum(scheduled_sampled) + sum(dropped_in_churn)
-  /// and every core's counters match its sample stream.
+  /// True when every core passes conservation_error(), the merge consumed
+  /// every core's samples, and the cores' owned packets sum to
+  /// spec.fleet.packets.
   bool conserved = false;
 };
 

@@ -51,7 +51,7 @@ void SweepOutcome::extra_json(const std::string& key, Json section) {
 std::string capture_key(net::StackKind kind, const code::StackConfig& ccfg,
                         const code::StackConfig& scfg,
                         std::uint64_t warmup_roundtrips) {
-  std::string key = kind == net::StackKind::kTcpIp ? "tcpip/" : "rpc/";
+  std::string key = std::string(net::to_string(kind)) + "/";
   append_functional_fields(key, ccfg);
   key.push_back('/');
   append_functional_fields(key, scfg);

@@ -23,6 +23,15 @@ code::PacketClassifier make_classifier(StackKind kind) {
 
 }  // namespace
 
+const char* to_string(StackKind k) {
+  switch (k) {
+    case StackKind::kTcpIp: return "tcpip";
+    case StackKind::kRpc: return "rpc";
+    case StackKind::kLb: return "lb";
+  }
+  return "?";
+}
+
 Host::Host(std::string name, StackKind kind, const code::StackConfig& cfg,
            HostAddress self, HostAddress peer, bool is_client,
            xk::EventManager& events, Wire& wire, int wire_port,

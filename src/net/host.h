@@ -40,6 +40,9 @@ namespace l96::net {
 
 enum class StackKind { kTcpIp, kRpc, kLb };
 
+/// "tcpip", "rpc" or "lb": the kind's name in reports and cache keys.
+const char* to_string(StackKind k);
+
 struct HostAddress {
   std::uint32_t ip = 0;
   proto::MacAddr mac{};

@@ -187,8 +187,8 @@ Counters recovery_row(const char* script, bool survival_knobs) {
                                           code::StackConfig::All(), 1);
   const harness::RecoveryResult r = harness::run(rs).recovery.front();
   Counters c = counters(r.fleet);
-  c.lost = r.lost_packets;
-  c.reconnects = r.reconnects;
+  c.lost = r.fleet.lost_packets;
+  c.reconnects = r.fleet.reconnects;
   return c;
 }
 
@@ -210,8 +210,8 @@ Counters lb_counters(const harness::LbSpec& row) {
   const harness::LbResult r = harness::run(rs).lb.front();
   return {r.fleet.sample_digest,     r.fleet.packets_sampled,
           r.fleet.scheduled_sampled, r.fleet.handshake_sampled,
-          0,                         r.lost_packets,
-          r.reconnects,              r.slow_forwards};
+          0,                         r.fleet.lost_packets,
+          r.fleet.reconnects,        r.slow_forwards};
 }
 
 Counters lb_row(std::size_t backends, const char* script) {

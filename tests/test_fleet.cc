@@ -8,6 +8,7 @@
 #include <cmath>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -250,6 +251,53 @@ TEST(FleetTest, ConservationCountersAddUp) {
         << "churn handshakes must be counted separately, not folded into "
            "the scheduled packets";
   }
+}
+
+TEST(FleetTest, ConservationErrorNamesEveryCounterThatBreaksTheLaw) {
+  const harness::FleetResult r =
+      harness::run_fleet(small_spec(), tcp_table());
+  ASSERT_EQ(harness::conservation_error(r), "");
+  EXPECT_EQ(r.owned_packets, r.spec.packets);  // a flat world owns them all
+
+  // Bumping any counter of either law by one breaks it; the message names
+  // the row and the bumped counter, and only the law that broke.
+  struct Counter {
+    const char* name;
+    std::uint64_t harness::FleetResult::*field;
+    bool packet_law;  ///< owned_packets == scheduled + dropped + lost
+    bool sample_law;  ///< packets_sampled == scheduled + handshake
+  };
+  for (const Counter& c : {
+           Counter{"owned_packets", &harness::FleetResult::owned_packets,
+                   true, false},
+           Counter{"scheduled_sampled",
+                   &harness::FleetResult::scheduled_sampled, true, true},
+           Counter{"dropped_in_churn", &harness::FleetResult::dropped_in_churn,
+                   true, false},
+           Counter{"lost_packets", &harness::FleetResult::lost_packets, true,
+                   false},
+           Counter{"packets_sampled", &harness::FleetResult::packets_sampled,
+                   false, true},
+           Counter{"handshake_sampled",
+                   &harness::FleetResult::handshake_sampled, false, true},
+       }) {
+    harness::FleetResult bumped = r;
+    ++(bumped.*c.field);
+    const std::string err = harness::conservation_error(bumped);
+    EXPECT_NE(err.find(c.name), std::string::npos) << err;
+    EXPECT_NE(err.find("'test'"), std::string::npos) << err;
+    EXPECT_EQ(err.find("owned_packets") != std::string::npos, c.packet_law)
+        << err;
+    EXPECT_EQ(err.find("handshake_sampled") != std::string::npos,
+              c.sample_law)
+        << err;
+  }
+}
+
+TEST(FleetTest, StackKindNames) {
+  EXPECT_STREQ(net::to_string(net::StackKind::kTcpIp), "tcpip");
+  EXPECT_STREQ(net::to_string(net::StackKind::kRpc), "rpc");
+  EXPECT_STREQ(net::to_string(net::StackKind::kLb), "lb");
 }
 
 TEST(FleetTest, RejectsMismatchedMachineParams) {

@@ -320,7 +320,7 @@ TEST(LbHarness, ChaosFreeRowConservesAndPinsDigest) {
   const harness::LbSpec s = harness_row("chaos-free", 3);
   const harness::LbResult a = harness::run_lb(s, pin_costs());
   EXPECT_EQ(a.fleet.scheduled_sampled, s.fleet.packets);
-  EXPECT_EQ(a.lost_packets, 0u);
+  EXPECT_EQ(a.fleet.lost_packets, 0u);
   EXPECT_EQ(a.fleet.packets_sampled,
             a.fleet.scheduled_sampled + a.fleet.handshake_sampled);
   EXPECT_EQ(a.slow_forwards, 0u);
@@ -342,8 +342,8 @@ TEST(LbHarness, DrainWindowLosesNoEstablishedFlowPackets) {
   const harness::LbResult r = harness::run_lb(s, pin_costs());
 
   // Drain is hitless by construction: pinned flows ride out the removal.
-  EXPECT_EQ(r.lost_packets, 0u);
-  EXPECT_EQ(r.reconnects, 0u);
+  EXPECT_EQ(r.fleet.lost_packets, 0u);
+  EXPECT_EQ(r.fleet.reconnects, 0u);
   EXPECT_EQ(r.fleet.scheduled_sampled, s.fleet.packets);
   EXPECT_EQ(r.fleet.cache.stale_hits, 0u);
 
@@ -388,7 +388,7 @@ TEST(LbHarness, CrashFailoverIsDetectedSteeredAndRestored) {
 
   // Conservation holds under loss, and the disruption shows up in the
   // phase split.
-  EXPECT_EQ(r.fleet.scheduled_sampled + r.lost_packets, s.fleet.packets);
+  EXPECT_EQ(r.fleet.scheduled_sampled + r.fleet.lost_packets, s.fleet.packets);
   EXPECT_GT(r.disrupted_samples, 0u);
 }
 

@@ -57,8 +57,8 @@ TEST(RecoveryTest, ChaosFreeRunIsByteIdenticalToFleetEngine) {
   EXPECT_EQ(rec.fleet.packets_sampled, fleet.packets_sampled);
   EXPECT_EQ(rec.fleet.scheduled_sampled, fleet.scheduled_sampled);
   EXPECT_DOUBLE_EQ(rec.fleet.latency.p99, fleet.latency.p99);
-  EXPECT_EQ(rec.lost_packets, 0u);
-  EXPECT_EQ(rec.reconnects, 0u);
+  EXPECT_EQ(rec.fleet.lost_packets, 0u);
+  EXPECT_EQ(rec.fleet.reconnects, 0u);
   EXPECT_TRUE(rec.windows.empty());
   EXPECT_EQ(rec.recovery_samples, 0u);
   EXPECT_EQ(rec.steady_samples, rec.fleet.packets_sampled);
@@ -78,7 +78,7 @@ TEST(RecoveryTest, BlackoutWindowIsDarkAndRecovers) {
   // lost to the disruption.
   EXPECT_EQ(r.fleet.spec.packets, r.fleet.scheduled_sampled +
                                       r.fleet.dropped_in_churn +
-                                      r.lost_packets);
+                                      r.fleet.lost_packets);
   EXPECT_GT(r.recovery_samples, 0u);
   EXPECT_GT(r.steady_samples, 0u);
 }
@@ -92,11 +92,11 @@ TEST(RecoveryTest, CrashRebootReconnectsAndPricesTheTail) {
   EXPECT_TRUE(r.windows[0].recovered);
   EXPECT_GE(r.windows[0].ttr_us, 0.0);
   EXPECT_EQ(r.server_incarnation, 2u);
-  EXPECT_GE(r.reconnects, 1u);
+  EXPECT_GE(r.fleet.reconnects, 1u);
   EXPECT_GT(r.frames_to_dead + r.blackout_drops + r.rst_sent, 0u);
   EXPECT_EQ(r.fleet.spec.packets, r.fleet.scheduled_sampled +
                                       r.fleet.dropped_in_churn +
-                                      r.lost_packets);
+                                      r.fleet.lost_packets);
   // The flushed flow cache and the reconnect storm price real work into
   // the recovery phase.
   EXPECT_GT(r.recovery_samples, 0u);

@@ -143,7 +143,37 @@ TEST(ShardTest, OneCoreMatchesFlatRunFleetDigest) {
   EXPECT_DOUBLE_EQ(sharded.latency.mean, flat.latency.mean);
   EXPECT_TRUE(sharded.conserved);
   ASSERT_EQ(sharded.cores.size(), 1u);
-  EXPECT_EQ(sharded.cores[0].sample_digest, flat.sample_digest);
+  // The one core's world is the flat world: every counter matches.
+  const harness::FleetResult& core = sharded.cores[0].fleet;
+  EXPECT_EQ(core.owned_packets, flat.owned_packets);
+  EXPECT_EQ(core.owned_packets, fleet.packets);
+  EXPECT_EQ(core.packets_sampled, flat.packets_sampled);
+  EXPECT_EQ(core.scheduled_sampled, flat.scheduled_sampled);
+  EXPECT_EQ(core.handshake_sampled, flat.handshake_sampled);
+  EXPECT_EQ(core.dropped_in_churn, flat.dropped_in_churn);
+  EXPECT_EQ(core.lost_packets, flat.lost_packets);
+  EXPECT_EQ(core.reconnects, flat.reconnects);
+  EXPECT_EQ(core.client_retransmits, flat.client_retransmits);
+  EXPECT_EQ(core.client_syn_retransmits, flat.client_syn_retransmits);
+  EXPECT_EQ(core.bursts, flat.bursts);
+  EXPECT_EQ(core.slow_packets, flat.slow_packets);
+  EXPECT_EQ(core.churns, flat.churns);
+  EXPECT_EQ(core.cache.lookups, flat.cache.lookups);
+  EXPECT_EQ(core.cache.hits, flat.cache.hits);
+  EXPECT_EQ(core.cache.misses, flat.cache.misses);
+  EXPECT_EQ(core.cache.stale_hits, flat.cache.stale_hits);
+  EXPECT_EQ(core.cache.unkeyed, flat.cache.unkeyed);
+  EXPECT_EQ(core.cache.rules_examined, flat.cache.rules_examined);
+  EXPECT_EQ(core.cache.unmatched_scans, flat.cache.unmatched_scans);
+  EXPECT_DOUBLE_EQ(core.cache.cost_us, flat.cache.cost_us);
+  EXPECT_DOUBLE_EQ(core.latency.p50, flat.latency.p50);
+  EXPECT_DOUBLE_EQ(core.latency.p90, flat.latency.p90);
+  EXPECT_DOUBLE_EQ(core.latency.p99, flat.latency.p99);
+  EXPECT_DOUBLE_EQ(core.latency.p999, flat.latency.p999);
+  EXPECT_DOUBLE_EQ(core.latency.mean, flat.latency.mean);
+  EXPECT_DOUBLE_EQ(core.latency.max, flat.latency.max);
+  EXPECT_DOUBLE_EQ(core.sim_us, flat.sim_us);
+  EXPECT_EQ(core.sample_digest, flat.sample_digest);
 }
 
 TEST(ShardTest, DigestsIdenticalAcrossWorkerCountsAndRuns) {
@@ -162,9 +192,10 @@ TEST(ShardTest, DigestsIdenticalAcrossWorkerCountsAndRuns) {
   EXPECT_DOUBLE_EQ(a[0].makespan_us, b[0].makespan_us);
   EXPECT_DOUBLE_EQ(a[0].sojourn.p999, b[0].sojourn.p999);
   for (std::size_t core = 0; core < 4; ++core) {
-    EXPECT_EQ(a[0].cores[core].sample_digest, b[0].cores[core].sample_digest);
-    EXPECT_EQ(a[0].cores[core].packets_sampled,
-              b[0].cores[core].packets_sampled);
+    EXPECT_EQ(a[0].cores[core].fleet.sample_digest,
+              b[0].cores[core].fleet.sample_digest);
+    EXPECT_EQ(a[0].cores[core].fleet.packets_sampled,
+              b[0].cores[core].fleet.packets_sampled);
   }
 }
 
@@ -182,9 +213,9 @@ TEST(ShardTest, SteeringConservationAcrossCores) {
     std::uint64_t scheduled = 0, packets = 0, bursts = 0;
     std::size_t flows = 0;
     for (const auto& c : r.cores) {
-      scheduled += c.scheduled_sampled;
-      packets += c.packets_sampled;
-      bursts += c.bursts;
+      scheduled += c.fleet.scheduled_sampled;
+      packets += c.fleet.packets_sampled;
+      bursts += c.fleet.bursts;
       flows += c.flows;
     }
     EXPECT_EQ(scheduled, r.scheduled_sampled);
@@ -204,10 +235,10 @@ TEST(ShardTest, ChurnRunsOnFlowZeroOwnerOnly) {
   ASSERT_GT(r.churns, 0u);
   for (const auto& c : r.cores) {
     if (c.core == map[0]) {
-      EXPECT_EQ(c.churns, r.churns);
+      EXPECT_EQ(c.fleet.churns, r.churns);
     } else {
-      EXPECT_EQ(c.churns, 0u);
-      EXPECT_EQ(c.handshake_sampled, 0u);
+      EXPECT_EQ(c.fleet.churns, 0u);
+      EXPECT_EQ(c.fleet.handshake_sampled, 0u);
     }
   }
 }
@@ -244,7 +275,7 @@ TEST(ShardTest, QueueModelExposesHotCoreUnderSkew) {
   EXPECT_GT(hot.utilization, 0.0);
   // The hot core queues; its sojourn tail must exceed its pure service
   // tail, and somebody must have waited.
-  EXPECT_GE(hot.sojourn.p999, hot.service.p999);
+  EXPECT_GE(hot.sojourn.p999, hot.fleet.latency.p999);
   EXPECT_GT(hot.max_wait_us, 0.0);
   // Sojourn == service when the queue model is off.
   EXPECT_DOUBLE_EQ(probe.sojourn.p999, probe.latency.p999);

@@ -143,13 +143,13 @@ int main(int argc, char** argv) {
               "incarnation=%u\n",
               static_cast<unsigned long long>(r.fleet.packets_sampled),
               static_cast<unsigned long long>(r.fleet.scheduled_sampled),
-              static_cast<unsigned long long>(r.lost_packets),
-              static_cast<unsigned long long>(r.reconnects),
+              static_cast<unsigned long long>(r.fleet.lost_packets),
+              static_cast<unsigned long long>(r.fleet.reconnects),
               r.server_incarnation);
   std::printf("  rexmt=%llu syn_rexmt=%llu connect_failures=%llu "
               "ka_probes=%llu ka_reaps=%llu rst=%llu\n",
-              static_cast<unsigned long long>(r.client_retransmits),
-              static_cast<unsigned long long>(r.client_syn_retransmits),
+              static_cast<unsigned long long>(r.fleet.client_retransmits),
+              static_cast<unsigned long long>(r.fleet.client_syn_retransmits),
               static_cast<unsigned long long>(r.connect_failures),
               static_cast<unsigned long long>(r.keepalive_probes_sent),
               static_cast<unsigned long long>(r.keepalive_reaps),
@@ -178,9 +178,9 @@ int main(int argc, char** argv) {
 
   // Exit-enforced invariants.
   int rc = 0;
-  if (r.fleet.spec.packets !=
-      r.fleet.scheduled_sampled + r.fleet.dropped_in_churn + r.lost_packets) {
-    std::fprintf(stderr, "chaos: packet conservation violated\n");
+  if (const std::string violation = harness::conservation_error(r.fleet);
+      !violation.empty()) {
+    std::fprintf(stderr, "chaos: %s\n", violation.c_str());
     rc = 1;
   }
   for (const harness::RecoveryWindow& w : r.windows) {

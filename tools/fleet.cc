@@ -195,14 +195,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     const harness::FleetResult& r = o.fleet.front();
-    // Every scheduled packet is priced or dropped in churn, and every
-    // priced frame is scheduled or handshake traffic.
-    const bool conserved =
-        r.scheduled_sampled + r.dropped_in_churn == spec.packets &&
-        r.scheduled_sampled + r.handshake_sampled == r.packets_sampled;
-    if (!conserved) {
-      std::fprintf(stderr, "fleet: packet conservation violated\n");
-    }
+    const std::string violation = harness::conservation_error(r);
+    const bool conserved = violation.empty();
+    if (!conserved) std::fprintf(stderr, "fleet: %s\n", violation.c_str());
     if (common.json) {
       o.section.dump(std::cout);
       std::cout << "\n";
@@ -297,9 +292,10 @@ int main(int argc, char** argv) {
     std::printf(
         "  core %u: flows=%zu sampled=%llu util=%.3f service_p999=%.2f "
         "sojourn_p999=%.2f max_wait=%.2f digest=%016llx\n",
-        c.core, c.flows, static_cast<unsigned long long>(c.packets_sampled),
-        c.utilization, c.service.p999, c.sojourn.p999, c.max_wait_us,
-        static_cast<unsigned long long>(c.sample_digest));
+        c.core, c.flows,
+        static_cast<unsigned long long>(c.fleet.packets_sampled),
+        c.utilization, c.fleet.latency.p999, c.sojourn.p999, c.max_wait_us,
+        static_cast<unsigned long long>(c.fleet.sample_digest));
   }
   std::printf("  digest=%016llx\n",
               static_cast<unsigned long long>(r.sample_digest));

@@ -145,8 +145,8 @@ int main(int argc, char** argv) {
               "incarnations=%u\n",
               static_cast<unsigned long long>(r.fleet.packets_sampled),
               static_cast<unsigned long long>(r.fleet.scheduled_sampled),
-              static_cast<unsigned long long>(r.lost_packets),
-              static_cast<unsigned long long>(r.reconnects),
+              static_cast<unsigned long long>(r.fleet.lost_packets),
+              static_cast<unsigned long long>(r.fleet.reconnects),
               r.backend_incarnations);
   std::printf("  forwards=%llu slow=%llu returns=%llu no_backend=%llu "
               "dark=%llu probes=%llu\n",
@@ -190,15 +190,16 @@ int main(int argc, char** argv) {
 
   // Exit-enforced invariants.
   int rc = 0;
-  if (row.packets != r.fleet.scheduled_sampled + r.lost_packets) {
-    std::fprintf(stderr, "lb: packet conservation violated\n");
+  if (const std::string violation = harness::conservation_error(r.fleet);
+      !violation.empty()) {
+    std::fprintf(stderr, "lb: %s\n", violation.c_str());
     rc = 1;
   }
   bool any_crash = false;
   for (const harness::LbSteer& w : r.windows) any_crash |= w.window.crash;
-  if (!any_crash && !r.windows.empty() && r.lost_packets != 0) {
+  if (!any_crash && !r.windows.empty() && r.fleet.lost_packets != 0) {
     std::fprintf(stderr, "lb: a crash-free script lost %llu packets\n",
-                 static_cast<unsigned long long>(r.lost_packets));
+                 static_cast<unsigned long long>(r.fleet.lost_packets));
     rc = 1;
   }
   for (const harness::LbSteer& w : r.windows) {

@@ -138,7 +138,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const char* stack_name = kind == net::StackKind::kRpc ? "rpc" : "tcpip";
   for (const auto& o : outcomes) {
     const harness::SideMeasurement& m =
         side == "server" ? o.result.server : o.result.client;
@@ -150,8 +149,8 @@ int main(int argc, char** argv) {
     }
     const sim::MissProfile::Section& s =
         cache == "d" ? profile->dcache : profile->icache;
-    std::cout << o.label << " (" << stack_name << ", " << side << ", "
-              << replay << " replay, " << cache << "-cache)\n";
+    std::cout << o.label << " (" << net::to_string(kind) << ", " << side
+              << ", " << replay << " replay, " << cache << "-cache)\n";
     harness::print_miss_section(std::cout, s, m.instructions, top);
     std::cout << "\n";
   }
