@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "harness/fleet_internal.h"
@@ -130,6 +129,22 @@ ZipfSampler::ZipfSampler(std::size_t n, double s, std::uint64_t seed)
   }
   for (std::size_t k = 0; k < n; ++k) cdf_[k] /= total;
   cdf_.back() = 1.0;  // guard against rounding
+
+  // About one guide point per CDF entry, at most 2^16 of them.  The guide
+  // points g / 2^bits are exact doubles, and cdf_.back() == 1.0 bounds
+  // every scan below n.
+  while (guide_bits_ < 16 && (std::size_t{1} << guide_bits_) < n) {
+    ++guide_bits_;
+  }
+  const std::size_t points = (std::size_t{1} << guide_bits_) + 1;
+  guide_.resize(points);
+  std::size_t k = 0;
+  for (std::size_t g = 0; g < points; ++g) {
+    const double at = std::ldexp(static_cast<double>(g),
+                                 -static_cast<int>(guide_bits_));
+    while (cdf_[k] < at) ++k;
+    guide_[g] = static_cast<std::uint32_t>(k);
+  }
 }
 
 std::size_t ZipfSampler::next() {
@@ -138,8 +153,13 @@ std::size_t ZipfSampler::next() {
   state_ ^= state_ << 25;
   state_ ^= state_ >> 27;
   const std::uint64_t u = state_ * 0x2545F4914F6CDD1DULL;
-  const double r = static_cast<double>(u >> 11) * 0x1.0p-53;
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), r);
+  const std::uint64_t m = u >> 11;  // 53 bits
+  const double r = static_cast<double>(m) * 0x1.0p-53;
+  // guide_[g] <= answer <= guide_[g + 1] because g / 2^bits <= r <
+  // (g + 1) / 2^bits; a bracket with no entry >= r yields guide_[g + 1].
+  const std::size_t g = static_cast<std::size_t>(m >> (53 - guide_bits_));
+  const auto it = std::lower_bound(cdf_.begin() + guide_[g],
+                                   cdf_.begin() + guide_[g + 1], r);
   return static_cast<std::size_t>(it - cdf_.begin());
 }
 
@@ -477,21 +497,26 @@ void finish_core(CoreRunResult& out, Topology& topo) {
   r.sample_digest = fnv1a_samples(flat);
 }
 
-/// The flows `core_id` owns, in ascending global order (the establishment
-/// order, and the local numbering flow_ports assigns ports by).
-std::vector<std::size_t> owned_flows(
-    const std::vector<std::uint32_t>& flow_core, std::uint32_t core_id) {
-  std::vector<std::size_t> owned;
+/// The flows one world owns: `local[i]` numbers global flow i among them
+/// in ascending global order (the establishment order, and the numbering
+/// flow_ports assigns ports by), or is kForeign when another core owns it.
+/// Built once per world, so each burst finds its connection in O(1).
+struct OwnedFlows {
+  static constexpr std::uint32_t kForeign = ~std::uint32_t{0};
+  std::vector<std::uint32_t> local;
+  std::size_t count = 0;
+};
+
+OwnedFlows owned_flows(const std::vector<std::uint32_t>& flow_core,
+                       std::uint32_t core_id) {
+  OwnedFlows owned;
+  owned.local.assign(flow_core.size(), OwnedFlows::kForeign);
   for (std::size_t i = 0; i < flow_core.size(); ++i) {
-    if (flow_core[i] == core_id) owned.push_back(i);
+    if (flow_core[i] == core_id) {
+      owned.local[i] = static_cast<std::uint32_t>(owned.count++);
+    }
   }
   return owned;
-}
-
-std::size_t local_index(const std::vector<std::size_t>& owned,
-                        std::size_t flow) {
-  return static_cast<std::size_t>(
-      std::lower_bound(owned.begin(), owned.end(), flow) - owned.begin());
 }
 
 bool alive(const proto::TcpConn* c) {
@@ -502,9 +527,7 @@ bool alive(const proto::TcpConn* c) {
 /// of the global schedule through `topo`, optionally under `disruption`.
 CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
                            const std::vector<ScheduledBurst>& schedule,
-                           const std::vector<std::uint32_t>& flow_core,
-                           const std::vector<std::size_t>& owned,
-                           std::uint32_t core_id,
+                           const OwnedFlows& owned, std::uint32_t core_id,
                            const Disruption* disruption) {
   CoreRunResult out;
   FleetResult& r = out.result;
@@ -531,7 +554,7 @@ CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
 
   FleetSink sink(topo.events(), timed ? &out.delivery_times : nullptr);
   FleetSource source;
-  topo.serve(sink, owned.size());
+  topo.serve(sink, owned.count);
   const auto connect = [&](std::size_t local) {
     const fleet_detail::FlowPorts ports = flow_ports(local);
     return client.tcp()->connect(topo.server_ip(), ports.client, ports.server,
@@ -541,10 +564,9 @@ CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
   // when the client sees the connection established.
   const auto drain = [&] { topo.run_until([] { return false; }, 500'000); };
 
-  std::vector<proto::TcpConn*> conns(owned.size(), nullptr);
-  for (std::size_t wave = 0; wave < owned.size(); wave += kEstablishWave) {
-    const std::size_t wave_end =
-        std::min(owned.size(), wave + kEstablishWave);
+  std::vector<proto::TcpConn*> conns(owned.count, nullptr);
+  for (std::size_t wave = 0; wave < owned.count; wave += kEstablishWave) {
+    const std::size_t wave_end = std::min(owned.count, wave + kEstablishWave);
     for (std::size_t j = wave; j < wave_end; ++j) conns[j] = connect(j);
     if (!topo.run_until([&] { return source.established >= wave_end; },
                         60'000'000)) {
@@ -630,7 +652,7 @@ CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
 
   std::array<std::uint8_t, 32> payload{};
   payload.fill(0x5A);
-  const bool churn_here = flow_core[0] == core_id;
+  const bool churn_here = owned.local[0] != OwnedFlows::kForeign;
   std::uint64_t scheduled = 0;  // global schedule's sends before this burst
   std::uint64_t sent = 0;       // this world's sends
   for (std::size_t b = 0; b < schedule.size(); ++b) {
@@ -647,9 +669,9 @@ CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
     }
     scheduled += sb.len;
 
-    if (flow_core[sb.flow] == core_id) {
+    if (const std::size_t k = owned.local[sb.flow];
+        k != OwnedFlows::kForeign) {
       // A flow lives on exactly one core, so its burst is ours whole.
-      const std::size_t k = local_index(owned, sb.flow);
       ++r.bursts;
       r.owned_packets += sb.len;
       ledger.begin_burst();
@@ -740,12 +762,10 @@ CoreRunResult run_tcp_core(Topology& topo, const FleetSpec& spec,
 /// no connection machinery, so it never churns or runs disrupted.
 CoreRunResult run_rpc_core(const FleetSpec& spec, const BurstCostTable& costs,
                            const std::vector<ScheduledBurst>& schedule,
-                           const std::vector<std::uint32_t>& flow_core,
-                           const std::vector<std::size_t>& owned,
-                           std::uint32_t core_id) {
-  if (owned.size() > 65'536 - kFleetRpcProcBase) {
+                           const OwnedFlows& owned, std::uint32_t core_id) {
+  if (owned.count > 65'536 - kFleetRpcProcBase) {
     throw std::invalid_argument(
-        "run_fleet_core: " + std::to_string(owned.size()) +
+        "run_fleet_core: " + std::to_string(owned.count) +
         " RPC flows on one core exceed the 16-bit procedure space — use "
         "more cores");
   }
@@ -754,9 +774,9 @@ CoreRunResult run_rpc_core(const FleetSpec& spec, const BurstCostTable& costs,
     return static_cast<std::uint16_t>(kFleetRpcProcBase + j);
   };
 
-  DirectTopology topo(spec, costs, owned.size());
+  DirectTopology topo(spec, costs, owned.count);
   net::World& world = topo.world();
-  for (std::size_t j = 0; j < owned.size(); ++j) {
+  for (std::size_t j = 0; j < owned.count; ++j) {
     world.server().mselect()->register_service(
         proc_of(j), [&world](xk::Message& req) {
           xk::Message reply(world.server().arena(), 0, 1);
@@ -774,8 +794,8 @@ CoreRunResult run_rpc_core(const FleetSpec& spec, const BurstCostTable& costs,
   for (std::size_t b = 0; b < schedule.size(); ++b) {
     const ScheduledBurst& sb = schedule[b];
     ledger.at_burst(b);
-    if (flow_core[sb.flow] != core_id) continue;
-    const std::size_t k = local_index(owned, sb.flow);
+    const std::size_t k = owned.local[sb.flow];
+    if (k == OwnedFlows::kForeign) continue;
     ++out.result.bursts;
     out.result.owned_packets += sb.len;
     ledger.begin_burst();
@@ -835,28 +855,27 @@ CoreRunResult run_fleet_core(const FleetSpec& spec,
     throw std::invalid_argument(
         "run_fleet_core: flow_core must map every connection");
   }
-  const std::vector<std::size_t> owned = owned_flows(flow_core, core_id);
-  if (owned.empty()) {
+  const OwnedFlows owned = owned_flows(flow_core, core_id);
+  if (owned.count == 0) {
     CoreRunResult idle;
     idle.result.spec = spec;
     idle.result.sample_digest = fnv1a_samples({});
     return idle;
   }
   if (spec.kind != net::StackKind::kTcpIp) {
-    return run_rpc_core(spec, costs, schedule, flow_core, owned, core_id);
+    return run_rpc_core(spec, costs, schedule, owned, core_id);
   }
-  DirectTopology topo(spec, costs, owned.size());
-  return run_tcp_core(topo, spec, schedule, flow_core, owned, core_id,
+  DirectTopology topo(spec, costs, owned.count);
+  return run_tcp_core(topo, spec, schedule, owned, core_id,
                       /*disruption=*/nullptr);
 }
 
 CoreRunResult run_tcp_flat(Topology& topo, const FleetSpec& spec,
                            const Disruption& disruption) {
-  std::vector<std::size_t> owned(spec.connections);
-  std::iota(owned.begin(), owned.end(), std::size_t{0});
-  return run_tcp_core(topo, spec, build_schedule(spec),
-                      std::vector<std::uint32_t>(spec.connections, 0), owned,
-                      /*core_id=*/0, &disruption);
+  return run_tcp_core(
+      topo, spec, build_schedule(spec),
+      owned_flows(std::vector<std::uint32_t>(spec.connections, 0), 0),
+      /*core_id=*/0, &disruption);
 }
 
 void validate_fleet_spec(const FleetSpec& spec, const BurstCostTable& costs,
@@ -912,10 +931,12 @@ Json fleet_json(const BurstCostTable& costs,
   Json out_rows = Json::array();
   for (const FleetResult& r : rows) {
     Json row = fleet_detail::spec_json(r.spec);
-    row.set("packets_sampled", r.packets_sampled)
+    row.set("owned_packets", r.owned_packets)
+        .set("packets_sampled", r.packets_sampled)
         .set("scheduled_sampled", r.scheduled_sampled)
         .set("handshake_sampled", r.handshake_sampled)
         .set("dropped_in_churn", r.dropped_in_churn)
+        .set("lost_packets", r.lost_packets)
         .set("bursts", r.bursts)
         .set("slow_packets", r.slow_packets)
         .set("churns", r.churns)

@@ -89,7 +89,10 @@ BurstCostTable measure_burst_costs(net::StackKind kind,
 
 /// Seeded Zipf(s) sampler over {0, ..., n-1}: P(k) proportional to
 /// 1/(k+1)^s (s = 0 is uniform).  Deterministic: xorshift64* over the
-/// seed, inverse-CDF lookup.
+/// seed, inverse-CDF lookup.  A guide table indexed by the top bits of the
+/// 53-bit draw brackets each lookup, so a draw searches only the CDF
+/// entries between two adjacent guide points (the same index a search of
+/// the whole CDF returns).
 class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double s, std::uint64_t seed);
@@ -97,6 +100,9 @@ class ZipfSampler {
 
  private:
   std::vector<double> cdf_;
+  /// guide_[g] = first k with cdf_[k] >= g / 2^guide_bits_.
+  std::vector<std::uint32_t> guide_;
+  unsigned guide_bits_ = 0;
   std::uint64_t state_;
 };
 

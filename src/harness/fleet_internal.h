@@ -126,8 +126,9 @@ class Topology {
   virtual ~Topology() = default;
 
   virtual xk::EventManager& events() = 0;
-  virtual bool run_until(const std::function<bool()>& pred,
-                         std::uint64_t max_us) = 0;
+  bool run_until(xk::PredicateRef pred, std::uint64_t max_us) {
+    return events().run_until(pred, max_us);
+  }
   virtual net::Host& client() = 0;
   /// The hosts that accept the fleet's TCP connections.
   virtual const std::vector<net::Host*>& servers() const = 0;
@@ -163,10 +164,6 @@ class DirectTopology final : public Topology {
   net::World& world() noexcept { return world_; }
 
   xk::EventManager& events() override { return world_.events(); }
-  bool run_until(const std::function<bool()>& pred,
-                 std::uint64_t max_us) override {
-    return world_.run_until(pred, max_us);
-  }
   net::Host& client() override { return world_.client(); }
   const std::vector<net::Host*>& servers() const override { return servers_; }
   std::uint32_t server_ip() override { return world_.server().address().ip; }

@@ -116,8 +116,16 @@ const Json::Object* Json::as_object() const noexcept {
   return std::get_if<Object>(&v_);
 }
 
+const Json::Array* Json::as_array() const noexcept {
+  return std::get_if<Array>(&v_);
+}
+
 const std::string* Json::as_string() const noexcept {
   return std::get_if<std::string>(&v_);
+}
+
+const std::uint64_t* Json::as_uint() const noexcept {
+  return std::get_if<std::uint64_t>(&v_);
 }
 
 std::size_t Json::size() const noexcept {

@@ -64,8 +64,12 @@ class Json {
 
   /// Object entries in insertion order; nullptr when not an object.
   const Object* as_object() const noexcept;
+  /// Array elements; nullptr when not an array.
+  const Array* as_array() const noexcept;
   /// The string payload; nullptr when not a string.
   const std::string* as_string() const noexcept;
+  /// The unsigned counter payload; nullptr when not one.
+  const std::uint64_t* as_uint() const noexcept;
 
   std::size_t size() const noexcept;
 

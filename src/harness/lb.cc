@@ -41,10 +41,6 @@ class LbTopology final : public fleet_detail::Topology {
   net::LbWorld& world() noexcept { return world_; }
 
   xk::EventManager& events() override { return world_.events(); }
-  bool run_until(const std::function<bool()>& pred,
-                 std::uint64_t max_us) override {
-    return world_.run_until(pred, max_us);
-  }
   net::Host& client() override { return world_.client(); }
   const std::vector<net::Host*>& servers() const override { return servers_; }
   std::uint32_t server_ip() override { return world_.vip(); }
@@ -304,9 +300,11 @@ Json lb_json(const BurstCostTable& costs,
                  .set("recover_threshold", static_cast<std::uint64_t>(
                                                s.health.recover_threshold))
                  .set("seed", s.health.seed))
+        .set("owned_packets", r.fleet.owned_packets)
         .set("packets_sampled", r.fleet.packets_sampled)
         .set("scheduled_sampled", r.fleet.scheduled_sampled)
         .set("handshake_sampled", r.fleet.handshake_sampled)
+        .set("dropped_in_churn", r.fleet.dropped_in_churn)
         .set("lost_packets", r.fleet.lost_packets)
         .set("reconnects", r.fleet.reconnects)
         .set("forwards", r.forwards)

@@ -106,6 +106,7 @@ Json recovery_json(const BurstCostTable& costs,
         .set("keepalive_idle_us", r.spec.keepalive_idle_us)
         .set("max_syn_rexmts",
              static_cast<std::uint64_t>(r.spec.max_syn_rexmts))
+        .set("owned_packets", r.fleet.owned_packets)
         .set("packets_sampled", r.fleet.packets_sampled)
         .set("scheduled_sampled", r.fleet.scheduled_sampled)
         .set("handshake_sampled", r.fleet.handshake_sampled)

@@ -143,10 +143,12 @@ ShardResult merge_cores(const ShardSpec& spec,
     for (const ShardCoreStats& cs : r.cores) total += cs.fleet.*counter;
     return total;
   };
+  r.owned_packets = sum(&FleetResult::owned_packets);
   r.packets_sampled = sum(&FleetResult::packets_sampled);
   r.scheduled_sampled = sum(&FleetResult::scheduled_sampled);
   r.handshake_sampled = sum(&FleetResult::handshake_sampled);
   r.dropped_in_churn = sum(&FleetResult::dropped_in_churn);
+  r.lost_packets = sum(&FleetResult::lost_packets);
   r.bursts = sum(&FleetResult::bursts);
   r.slow_packets = sum(&FleetResult::slow_packets);
   r.churns = sum(&FleetResult::churns);
@@ -167,8 +169,7 @@ ShardResult merge_cores(const ShardSpec& spec,
       r.makespan_us > 0
           ? static_cast<double>(r.scheduled_sampled) / r.makespan_us
           : 0;
-  r.conserved = cores_conserved &&
-                sum(&FleetResult::owned_packets) == spec.fleet.packets;
+  r.conserved = cores_conserved && r.owned_packets == spec.fleet.packets;
   return r;
 }
 
@@ -284,10 +285,12 @@ Json shard_json(const BurstCostTable& costs,
           Json::object()
               .set("core", static_cast<std::uint64_t>(c.core))
               .set("flows", static_cast<std::uint64_t>(c.flows))
+              .set("owned_packets", c.fleet.owned_packets)
               .set("packets_sampled", c.fleet.packets_sampled)
               .set("scheduled_sampled", c.fleet.scheduled_sampled)
               .set("handshake_sampled", c.fleet.handshake_sampled)
               .set("dropped_in_churn", c.fleet.dropped_in_churn)
+              .set("lost_packets", c.fleet.lost_packets)
               .set("bursts", c.fleet.bursts)
               .set("slow_packets", c.fleet.slow_packets)
               .set("churns", c.fleet.churns)
@@ -304,10 +307,12 @@ Json shard_json(const BurstCostTable& costs,
     row.set("cores", static_cast<std::uint64_t>(r.spec.cores))
         .set("steering", to_string(r.spec.steering))
         .set("arrival_us", r.spec.arrival_us)
+        .set("owned_packets", r.owned_packets)
         .set("packets_sampled", r.packets_sampled)
         .set("scheduled_sampled", r.scheduled_sampled)
         .set("handshake_sampled", r.handshake_sampled)
         .set("dropped_in_churn", r.dropped_in_churn)
+        .set("lost_packets", r.lost_packets)
         .set("bursts", r.bursts)
         .set("slow_packets", r.slow_packets)
         .set("churns", r.churns)

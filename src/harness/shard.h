@@ -95,10 +95,12 @@ struct ShardResult {
   std::vector<ShardCoreStats> cores;  ///< indexed by core id
 
   // Merged fleet-wide view (global schedule order).
+  std::uint64_t owned_packets = 0;  ///< summed over cores: spec packets
   std::uint64_t packets_sampled = 0;
   std::uint64_t scheduled_sampled = 0;
   std::uint64_t handshake_sampled = 0;
   std::uint64_t dropped_in_churn = 0;
+  std::uint64_t lost_packets = 0;
   std::uint64_t bursts = 0;
   std::uint64_t slow_packets = 0;
   std::uint64_t churns = 0;

@@ -71,8 +71,8 @@ Host::Host(std::string name, StackKind kind, const code::StackConfig& cfg,
 
 void Host::build_stack() {
   lance_ = std::make_unique<proto::Lance>(
-      *ctx_, [this](std::vector<std::uint8_t> frame) {
-        wire_.transmit(wire_port_, std::move(frame));
+      *ctx_, [this](std::span<const std::uint8_t> frame) {
+        wire_.transmit(wire_port_, frame);
       });
   eth_ = std::make_unique<proto::Eth>(*ctx_, *lance_, self_.mac);
 
@@ -218,7 +218,7 @@ void Host::wire_flow_cache_hook() {
   });
 }
 
-void Host::deliver(std::vector<std::uint8_t> frame) {
+void Host::deliver(std::span<const std::uint8_t> frame) {
   if (crashed_) {
     // The NIC is dead: frames that were already in flight when the host
     // went down arrive at nobody.

@@ -69,7 +69,7 @@ class Host {
   ~Host();
 
   /// Frame delivery from the wire (the receive interrupt).
-  void deliver(std::vector<std::uint8_t> frame);
+  void deliver(std::span<const std::uint8_t> frame);
 
   // --- failure domain -------------------------------------------------------
   /// Crash: discard every protocol object (connections, reassembly state,

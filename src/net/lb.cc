@@ -86,8 +86,8 @@ LbHost::LbHost(std::string name, const code::StackConfig& cfg,
 
   upper_ = std::make_unique<Upper>(*ctx_, *this);
   client_lance_ = std::make_unique<proto::Lance>(
-      *ctx_, [this](std::vector<std::uint8_t> frame) {
-        client_wire_.transmit(client_tx_port_, std::move(frame));
+      *ctx_, [this](std::span<const std::uint8_t> frame) {
+        client_wire_.transmit(client_tx_port_, frame);
       });
   client_lance_->attach(upper_.get());
 
@@ -102,8 +102,8 @@ LbHost::LbHost(std::string name, const code::StackConfig& cfg,
     be.mac = link.mac;
     be.lance = std::make_unique<proto::Lance>(
         *ctx_,
-        [w = link.wire, p = link.tx_port](std::vector<std::uint8_t> frame) {
-          w->transmit(p, std::move(frame));
+        [w = link.wire, p = link.tx_port](std::span<const std::uint8_t> frame) {
+          w->transmit(p, frame);
         });
     backends_.push_back(std::move(be));
   }
@@ -200,7 +200,7 @@ void LbHost::arm_capture(code::PathTrace* sink) {
   tx_split_ = 0;
 }
 
-void LbHost::deliver_from_client(std::vector<std::uint8_t> frame) {
+void LbHost::deliver_from_client(std::span<const std::uint8_t> frame) {
   const bool capturing = capture_sink_ != nullptr;
   if (capturing) {
     capture_sink_->clear();
@@ -330,12 +330,12 @@ void LbHost::forward(xk::Message& m) {
 }
 
 void LbHost::deliver_from_backend(std::size_t,
-                                  std::vector<std::uint8_t> frame) {
+                                  std::span<const std::uint8_t> frame) {
   // DSR return leg: the backend already addressed the client's MAC, so
   // the LB is pure switching fabric here — cut through, untraced and
   // unpriced (a real DSR reply never transits the LB at all).
   ++returns_forwarded_;
-  client_wire_.transmit(client_tx_port_, std::move(frame));
+  client_wire_.transmit(client_tx_port_, frame);
 }
 
 // --- LbWorld -----------------------------------------------------------------
@@ -382,18 +382,18 @@ LbWorld::LbWorld(const code::StackConfig& client_cfg,
     return backend_wires_[i]->is_link_up() && !backends_[i]->crashed();
   });
 
-  client_wire_.connect(0, [this](std::vector<std::uint8_t> f) {
-    client_->deliver(std::move(f));
+  client_wire_.connect(0, [this](std::span<const std::uint8_t> f) {
+    client_->deliver(f);
   });
-  client_wire_.connect(1, [this](std::vector<std::uint8_t> f) {
-    lb_->deliver_from_client(std::move(f));
+  client_wire_.connect(1, [this](std::span<const std::uint8_t> f) {
+    lb_->deliver_from_client(f);
   });
   for (std::size_t i = 0; i < options.backends; ++i) {
-    backend_wires_[i]->connect(0, [this, i](std::vector<std::uint8_t> f) {
-      lb_->deliver_from_backend(i, std::move(f));
+    backend_wires_[i]->connect(0, [this, i](std::span<const std::uint8_t> f) {
+      lb_->deliver_from_backend(i, f);
     });
-    backend_wires_[i]->connect(1, [this, i](std::vector<std::uint8_t> f) {
-      backends_[i]->deliver(std::move(f));
+    backend_wires_[i]->connect(1, [this, i](std::span<const std::uint8_t> f) {
+      backends_[i]->deliver(f);
     });
   }
 }
@@ -407,18 +407,6 @@ void LbWorld::start(std::uint64_t target_roundtrips) {
 
 std::uint64_t LbWorld::client_roundtrips() const {
   return client_->tcptest()->roundtrips();
-}
-
-bool LbWorld::run_until(const std::function<bool()>& pred,
-                        std::uint64_t max_us) {
-  const std::uint64_t deadline =
-      max_us == 0 ? ~std::uint64_t{0} : events_.now() + max_us;
-  while (!pred()) {
-    if (events_.pending() == 0) return pred();
-    if (events_.now() >= deadline) return false;
-    events_.advance_to_next();
-  }
-  return true;
 }
 
 bool LbWorld::run_until_roundtrips(std::uint64_t n, std::uint64_t max_us) {

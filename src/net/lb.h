@@ -105,9 +105,10 @@ class LbHost {
 
   /// Frame delivery from the client wire (the receive interrupt on the
   /// client-facing NIC): classify, pin, rewrite, forward.
-  void deliver_from_client(std::vector<std::uint8_t> frame);
+  void deliver_from_client(std::span<const std::uint8_t> frame);
   /// Frame delivery from backend `i`'s wire: cut-through to the client.
-  void deliver_from_backend(std::size_t i, std::vector<std::uint8_t> frame);
+  void deliver_from_backend(std::size_t i,
+                            std::span<const std::uint8_t> frame);
 
   // --- pool management ------------------------------------------------------
   /// Administrative removal: new flows steer away, pinned flows ride out
@@ -269,7 +270,9 @@ class LbWorld {
   /// VIP, and begin the LB's health probes.
   void start(std::uint64_t target_roundtrips);
 
-  bool run_until(const std::function<bool()>& pred, std::uint64_t max_us);
+  bool run_until(xk::PredicateRef pred, std::uint64_t max_us) {
+    return events_.run_until(pred, max_us);
+  }
   bool run_until_roundtrips(std::uint64_t n, std::uint64_t max_us = 0);
   std::uint64_t client_roundtrips() const;
 

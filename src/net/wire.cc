@@ -11,7 +11,7 @@ void Wire::connect(int port, DeliverFn deliver) {
   endpoints_[port] = std::move(deliver);
 }
 
-void Wire::transmit(int port, std::vector<std::uint8_t> frame) {
+void Wire::transmit(int port, std::span<const std::uint8_t> bytes) {
   if (port != 0 && port != 1) throw std::out_of_range("wire has two ports");
   ++frames_;
 
@@ -23,14 +23,16 @@ void Wire::transmit(int port, std::vector<std::uint8_t> frame) {
     return;
   }
 
-  const FaultDecision d = injector_.next(port, frame.size(), events_.now());
+  const FaultDecision d = injector_.next(port, bytes.size(), events_.now());
+  if (d.kind == FaultKind::kDrop) {
+    ++dropped_;
+    // The dropped frame still counts as this direction's "next" frame;
+    // flush any held frame so it is not stranded behind a ghost.
+    release_held(port);
+    return;
+  }
+  Frame frame = take_frame(bytes);
   switch (d.kind) {
-    case FaultKind::kDrop:
-      ++dropped_;
-      // The dropped frame still counts as this direction's "next" frame;
-      // flush any held frame so it is not stranded behind a ghost.
-      release_held(port);
-      return;
     case FaultKind::kCorrupt:
       if (!frame.empty()) frame[d.arg % frame.size()] ^= 0xFF;
       break;
@@ -53,15 +55,27 @@ void Wire::transmit(int port, std::vector<std::uint8_t> frame) {
   }
 
   if (d.kind == FaultKind::kDuplicate) {
-    schedule_delivery(port, frame, 0);  // copy: the original departs below
+    // The duplicate gets its own buffer; the original departs below.
+    schedule_delivery(port, take_frame(frame), 0);
   }
   schedule_delivery(port, std::move(frame),
                     d.kind == FaultKind::kDelay ? d.arg : 0);
   release_held(port);
 }
 
-void Wire::schedule_delivery(int port, std::vector<std::uint8_t> frame,
-                             std::uint64_t extra_us) {
+Wire::Frame Wire::take_frame(std::span<const std::uint8_t> bytes) {
+  if (spare_.empty()) return Frame(bytes.begin(), bytes.end());
+  Frame frame = std::move(spare_.back());
+  spare_.pop_back();
+  frame.assign(bytes.begin(), bytes.end());
+  return frame;
+}
+
+void Wire::recycle(Frame&& frame) {
+  if (spare_.size() < kSpareFrames) spare_.push_back(std::move(frame));
+}
+
+void Wire::schedule_delivery(int port, Frame frame, std::uint64_t extra_us) {
   const int dst = 1 - port;
   // Half-duplex Ethernet: a frame must wait for the medium.  Serialization
   // occupies the wire for frame_time; the controller overhead then runs at
@@ -83,10 +97,11 @@ void Wire::schedule_delivery(int port, std::vector<std::uint8_t> frame,
     // first microsecond).
     if (!link_up_) {
       ++blackout_drops_;
-      return;
+    } else {
+      ++delivered_;
+      if (endpoints_[dst]) endpoints_[dst](f);
     }
-    ++delivered_;
-    if (endpoints_[dst]) endpoints_[dst](std::move(f));
+    recycle(std::move(f));
   };
   static_assert(sizeof(deliver) <= xk::EventHandler::kInlineBytes,
                 "a wire delivery must fit the event slot's inline storage");
@@ -109,7 +124,7 @@ void Wire::set_link(bool up) {
       events_.cancel(held_[port].fallback);
       held_[port].fallback = 0;
     }
-    held_[port].frame.clear();
+    recycle(std::move(held_[port].frame));
     --in_flight_;
     ++blackout_drops_;
   }

@@ -10,10 +10,17 @@
 // and may drop, corrupt, duplicate, reorder, or delay the frame, with full
 // conservation accounting (frames offered + duplicates injected ==
 // delivered + dropped + in flight).
+//
+// Frame buffers: transmit() copies the offered bytes into a buffer the
+// wire owns, and a delivered (or blacked-out) frame's buffer returns to a
+// small free list the next transmit reuses, so a steady exchange moves
+// frames without host allocations.  Every in-flight frame — an injected
+// duplicate included — has its own buffer.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "net/fault.h"
@@ -40,16 +47,22 @@ struct WireParams {
 
 class Wire {
  public:
-  using DeliverFn = std::function<void(std::vector<std::uint8_t>)>;
+  using DeliverFn = std::function<void(std::span<const std::uint8_t>)>;
+
+  /// Spare frame buffers kept for reuse.  Frames past this many in
+  /// flight at once get buffers of their own, freed on arrival.
+  static constexpr std::size_t kSpareFrames = 8;
 
   Wire(xk::EventManager& events, WireParams params = WireParams())
-      : events_(events), params_(params) {}
+      : events_(events), params_(params) {
+    spare_.reserve(kSpareFrames);
+  }
 
   /// Attach endpoint `port` (0 or 1).
   void connect(int port, DeliverFn deliver);
 
-  /// Transmit from `port` to the other endpoint.
-  void transmit(int port, std::vector<std::uint8_t> frame);
+  /// Transmit a copy of `frame` from `port` to the other endpoint.
+  void transmit(int port, std::span<const std::uint8_t> frame);
 
   /// Hard link blackout (chaos timeline), distinct from the FaultPlan's
   /// probabilistic drops: while the link is down every offered frame is
@@ -95,14 +108,19 @@ class Wire {
   const WireParams& params() const noexcept { return params_; }
 
  private:
-  void schedule_delivery(int port, std::vector<std::uint8_t> frame,
-                         std::uint64_t extra_us);
+  using Frame = std::vector<std::uint8_t>;
+
+  void schedule_delivery(int port, Frame frame, std::uint64_t extra_us);
+  /// A wire-owned copy of `bytes`, in a recycled buffer when one is spare.
+  Frame take_frame(std::span<const std::uint8_t> bytes);
+  /// Return a finished frame's buffer to the spare list (when not full).
+  void recycle(Frame&& frame);
   /// Flush the reorder hold slot for `port` (the held frame departs after
   /// whatever was just scheduled).
   void release_held(int port);
 
   struct Held {
-    std::vector<std::uint8_t> frame;
+    Frame frame;
     xk::EventManager::EventId fallback = 0;
     bool active = false;
   };
@@ -113,6 +131,7 @@ class Wire {
   std::uint64_t busy_until_us_ = 0;  ///< half-duplex medium serialization
   FaultInjector injector_;
   Held held_[2];  ///< one reorder hold slot per transmitting port
+  std::vector<Frame> spare_;  ///< recycled frame buffers, <= kSpareFrames
   bool link_up_ = true;
   std::uint64_t frames_ = 0;
   std::uint64_t delivered_ = 0;

@@ -30,11 +30,11 @@ World::World(StackKind kind, const code::StackConfig& client_cfg,
                                    kClientAddr, /*is_client=*/false, events_,
                                    wire_, /*wire_port=*/1,
                                    options.tcp_conn_buckets);
-  wire_.connect(0, [this](std::vector<std::uint8_t> f) {
-    client_->deliver(std::move(f));
+  wire_.connect(0, [this](std::span<const std::uint8_t> f) {
+    client_->deliver(f);
   });
-  wire_.connect(1, [this](std::vector<std::uint8_t> f) {
-    server_->deliver(std::move(f));
+  wire_.connect(1, [this](std::span<const std::uint8_t> f) {
+    server_->deliver(f);
   });
 }
 
@@ -52,18 +52,6 @@ void World::start(std::uint64_t target_roundtrips) {
 std::uint64_t World::client_roundtrips() const {
   return kind_ == StackKind::kTcpIp ? client_->tcptest()->roundtrips()
                                     : client_->xrpctest()->roundtrips();
-}
-
-bool World::run_until(const std::function<bool()>& pred,
-                      std::uint64_t max_us) {
-  const std::uint64_t deadline =
-      max_us == 0 ? ~std::uint64_t{0} : events_.now() + max_us;
-  while (!pred()) {
-    if (events_.pending() == 0) return pred();
-    if (events_.now() >= deadline) return false;
-    events_.advance_to_next();
-  }
-  return true;
 }
 
 bool World::run_until_roundtrips(std::uint64_t n, std::uint64_t max_us) {

@@ -2,7 +2,6 @@
 // the paper's experimental platform (two DEC 3000/600s, Section 4.1).
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "net/host.h"
@@ -46,7 +45,9 @@ class World {
 
   /// Advance virtual time until `pred()` or `max_us` elapsed; returns
   /// whether the predicate became true.
-  bool run_until(const std::function<bool()>& pred, std::uint64_t max_us);
+  bool run_until(xk::PredicateRef pred, std::uint64_t max_us) {
+    return events_.run_until(pred, max_us);
+  }
 
   /// Run until the client has completed `n` roundtrips (absolute count).
   bool run_until_roundtrips(std::uint64_t n, std::uint64_t max_us = 0);

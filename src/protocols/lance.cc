@@ -116,20 +116,20 @@ void Lance::send(xk::Message& m) {
   const std::size_t idx = tx_next_;
   tx_next_ = (tx_next_ + 1) % kRingSize;
 
-  std::vector<std::uint8_t> frame(m.view().begin(), m.view().end());
-  if (frame.size() < kMinFrame) frame.resize(kMinFrame, 0);
-  if (frame.size() > kMaxFrame) {
+  if (m.length() > kMaxFrame) {
     rec.block(fn_send_, blk::kLanceSendRingFull);
     return;  // oversized frame: dropped (counted as an error path)
   }
+  tx_frame_.assign(m.view().begin(), m.view().end());
+  if (tx_frame_.size() < kMinFrame) tx_frame_.resize(kMinFrame, 0);
   touch_buffer(rec, m.sim_addr(), m.length(), /*write=*/false);
 
   rec.block(fn_send_, blk::kLanceSendSetup);
-  update_tx_descriptor(idx, static_cast<std::uint16_t>(frame.size()));
+  update_tx_descriptor(idx, static_cast<std::uint16_t>(tx_frame_.size()));
 
   rec.block(fn_send_, blk::kLanceSendKick);
   ++tx_frames_;
-  transmit_(std::move(frame));
+  transmit_(tx_frame_);
 
   // "Transmission complete" handling (the paper measures 105 us between
   // handing a frame to the chip and this interrupt; the World models that

@@ -22,8 +22,8 @@ namespace l96::proto {
 
 class Lance final : public xk::Protocol {
  public:
-  /// Hands a serialized frame to the wire.
-  using TransmitFn = std::function<void(std::vector<std::uint8_t>)>;
+  /// Hands a serialized frame to the wire (which copies it).
+  using TransmitFn = std::function<void(std::span<const std::uint8_t>)>;
 
   static constexpr std::size_t kRingSize = 16;
   static constexpr std::size_t kMaxFrame = 1518;
@@ -63,6 +63,9 @@ class Lance final : public xk::Protocol {
   SparseRegion shared_;  // [tx ring | rx ring] descriptors
   std::size_t tx_next_ = 0;
   std::size_t rx_next_ = 0;
+  /// The frame being handed to the wire, reused across sends: it holds
+  /// the message bytes zero-padded to kMinFrame.
+  std::vector<std::uint8_t> tx_frame_;
 
   xk::MsgPool pool_;
 

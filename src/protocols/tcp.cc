@@ -685,9 +685,9 @@ void Tcp::output(TcpConn& c, bool force_ack) {
       c.state_ == TcpState::kLastAck;
   if (len > 0 && can_send_data) {
     cancel_persist(c);
-    std::vector<std::uint8_t> data(c.sndbuf_.begin() + offset,
-                                   c.sndbuf_.begin() + offset + len);
-    send_segment(c, c.snd_nxt_, kAck | kPsh, data);
+    seg_payload_.assign(c.sndbuf_.begin() + offset,
+                        c.sndbuf_.begin() + offset + len);
+    send_segment(c, c.snd_nxt_, kAck | kPsh, seg_payload_);
     c.snd_nxt_ += len;
     c.ack_pending_ = false;
     arm_rexmt(c);
@@ -815,8 +815,8 @@ void Tcp::persist_timeout(TcpConn* c) {
   rec.block(fn_timer_, blk::kTimerMain);
   rec.block(fn_input_, blk::kInWindowProbe);
   ++c->window_probes_;
-  std::vector<std::uint8_t> probe(c->sndbuf_.begin(), c->sndbuf_.begin() + 1);
-  send_segment(*c, c->snd_nxt_, kAck, probe);
+  seg_payload_.assign(c->sndbuf_.begin(), c->sndbuf_.begin() + 1);
+  send_segment(*c, c->snd_nxt_, kAck, seg_payload_);
   if (c->persist_backoff_ < 10) ++c->persist_backoff_;
   arm_persist(*c);
 }

@@ -292,6 +292,9 @@ class Tcp final : public xk::Protocol, public IpUpper {
   ConnMapHook conn_map_hook_;
   std::uint32_t iss_gen_ = 1000;
   std::uint32_t rcv_wnd_override_ = ~0u;
+  /// Contiguous copy of the send-buffer bytes a segment carries (the
+  /// buffer is a deque), reused by every output() and window probe.
+  std::vector<std::uint8_t> seg_payload_;
 
   std::uint64_t segs_out_ = 0;
   std::uint64_t segs_in_ = 0;

@@ -38,11 +38,16 @@ inline void touch_buffer(code::Recorder& rec, xk::SimAddr base,
 /// the general map_resolve function is called only on a cache miss.
 /// Without it, every lookup calls the general function, paying the call
 /// overhead and its internal cache probe.
+///
+/// With the recorder off every event below is a no-op, so the lookup is
+/// the map's own resolve (the same MapStats and one-entry cache movement)
+/// without the touched-address scratch list.
 template <typename V>
 std::optional<V> traced_map_lookup(xk::ProtoCtx& ctx, xk::Map<V>& map,
                                    const xk::MapKey& key,
                                    code::FnId resolve_fn) {
   auto& rec = ctx.rec;
+  if (!rec.enabled()) return map.resolve(key);
   const std::uint64_t hits_before = map.stats().cache_hits;
   std::vector<xk::SimAddr> touched;
 

@@ -89,6 +89,17 @@ bool EventManager::advance_to_next() {
   return true;
 }
 
+bool EventManager::run_until(PredicateRef pred, std::uint64_t max_us) {
+  const std::uint64_t deadline =
+      max_us == 0 ? ~std::uint64_t{0} : now_ + max_us;
+  while (!pred()) {
+    if (heap_.empty()) return pred();
+    if (now_ >= deadline) return false;
+    advance_to_next();
+  }
+  return true;
+}
+
 std::uint32_t EventManager::owner_index(std::uint32_t owner) {
   // A world has a handful of failure domains (infrastructure plus one per
   // host), so a linear search beats hashing.

@@ -23,6 +23,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -116,6 +117,28 @@ class EventHandler {
   const Ops* ops_ = nullptr;
 };
 
+/// A non-owning reference to a `bool()` callable: the stop condition a
+/// run_until loop polls after every event.  It binds to a lambda or a
+/// std::function without copying it, so a per-packet wait costs no host
+/// allocation however much the predicate captures.  The callable must
+/// outlive the call the reference is passed to.
+class PredicateRef {
+ public:
+  template <typename F, typename Fn = std::remove_reference_t<F>,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::remove_cv_t<Fn>, PredicateRef> &&
+                std::is_invocable_r_v<bool, Fn&>>>
+  PredicateRef(F&& f) noexcept  // NOLINT(google-explicit-constructor)
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* o) -> bool { return (*static_cast<Fn*>(o))(); }) {}
+
+  bool operator()() const { return call_(obj_); }
+
+ private:
+  void* obj_;
+  bool (*call_)(void*);
+};
+
 class EventManager {
  public:
   using EventId = std::uint64_t;
@@ -162,6 +185,11 @@ class EventManager {
   /// Advance to (and fire) the next pending event, if any; returns whether
   /// an event fired.
   bool advance_to_next();
+  /// Fire events in order until `pred()` holds or `max_us` (0 = no bound)
+  /// of virtual time has elapsed; returns whether the predicate became
+  /// true.  The predicate is polled before each event, so time advances
+  /// only as far as the event that satisfied it.
+  bool run_until(PredicateRef pred, std::uint64_t max_us);
 
   std::uint64_t now() const noexcept { return now_; }
   std::size_t pending() const noexcept { return heap_.size(); }

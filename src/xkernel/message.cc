@@ -6,18 +6,18 @@
 namespace l96::xk {
 
 Message::Message(SimAlloc& arena, std::size_t headroom, std::size_t datalen)
-    : buf_(std::make_shared<detail::MsgBuffer>(arena, headroom + datalen)),
+    : buf_(arena.acquire_chunk(headroom + datalen)),
       off_(headroom),
       len_(datalen) {}
 
 const std::uint8_t* Message::data() const {
   if (!buf_) throw std::logic_error("empty message has no data");
-  return buf_->storage.data() + off_;
+  return buf_->bytes.data() + off_;
 }
 
 std::uint8_t* Message::data() {
   if (!buf_) throw std::logic_error("empty message has no data");
-  return buf_->storage.data() + off_;
+  return buf_->bytes.data() + off_;
 }
 
 std::span<const std::uint8_t> Message::view() const {
@@ -29,7 +29,7 @@ void Message::push(std::span<const std::uint8_t> hdr) {
   if (hdr.size() > off_) throw std::length_error("message headroom exhausted");
   off_ -= hdr.size();
   len_ += hdr.size();
-  std::memcpy(buf_->storage.data() + off_, hdr.data(), hdr.size());
+  std::memcpy(buf_->bytes.data() + off_, hdr.data(), hdr.size());
 }
 
 void Message::pop(std::span<std::uint8_t> out) {
@@ -46,10 +46,10 @@ void Message::peek(std::span<std::uint8_t> out, std::size_t at) const {
 
 void Message::append(std::span<const std::uint8_t> bytes) {
   if (!buf_) throw std::logic_error("append on empty message");
-  if (off_ + len_ + bytes.size() > buf_->storage.size()) {
+  if (off_ + len_ + bytes.size() > buf_->bytes.size()) {
     throw std::length_error("message tailroom exhausted");
   }
-  std::memcpy(buf_->storage.data() + off_ + len_, bytes.data(), bytes.size());
+  std::memcpy(buf_->bytes.data() + off_ + len_, bytes.data(), bytes.size());
   len_ += bytes.size();
 }
 
@@ -95,14 +95,17 @@ SimAddr Message::sim_addr_at(std::size_t i) const {
 bool Message::refresh(SimAlloc& arena, std::size_t headroom,
                       std::size_t datalen, bool shortcut) {
   const std::size_t capacity = headroom + datalen;
-  if (shortcut && buf_ && buf_.use_count() == 1 &&
-      buf_->storage.size() >= capacity) {
+  if (shortcut && buf_ != nullptr && buf_->refs == 1 &&
+      buf_->bytes.size() >= capacity) {
     // Sole owner: reuse the buffer in place — no free(), no malloc().
     off_ = headroom;
     len_ = datalen;
     return true;
   }
-  buf_ = std::make_shared<detail::MsgBuffer>(arena, capacity);
+  // The new buffer is allocated before the old one is freed.
+  HostChunk* fresh = arena.acquire_chunk(capacity);
+  unref(buf_);
+  buf_ = fresh;
   off_ = headroom;
   len_ = datalen;
   return false;

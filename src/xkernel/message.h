@@ -4,7 +4,9 @@
 // view (offset, length) onto a reference-counted buffer with headroom, so
 // push() (prepend a header on the way down) and pop() (strip a header on
 // the way up) are O(header) and never copy the payload.  clone() shares the
-// buffer; split()/join() support BLAST fragmentation and reassembly.
+// buffer; split()/join() support BLAST fragmentation and reassembly.  A
+// buffer is a SimAlloc chunk (xk::HostChunk): the last reference returns
+// it to its arena, which reuses the host storage for the next message.
 //
 // refresh() reproduces the Section-2.2.2 optimization: a message buffer
 // being returned to an interrupt pool would normally be destroyed (free)
@@ -16,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -24,22 +25,6 @@
 #include "xkernel/simalloc.h"
 
 namespace l96::xk {
-
-namespace detail {
-struct MsgBuffer {
-  MsgBuffer(SimAlloc& arena, std::size_t capacity)
-      : storage(capacity), sim(arena.alloc(capacity)), owner(&arena) {}
-  ~MsgBuffer() {
-    if (owner != nullptr) owner->free(sim, storage.size());
-  }
-  MsgBuffer(const MsgBuffer&) = delete;
-  MsgBuffer& operator=(const MsgBuffer&) = delete;
-
-  std::vector<std::uint8_t> storage;
-  SimAddr sim;
-  SimAlloc* owner;
-};
-}  // namespace detail
 
 class Message {
  public:
@@ -49,6 +34,35 @@ class Message {
   /// A fresh message: buffer of `headroom + datalen` bytes, data view
   /// starting after the headroom (zero-filled).
   Message(SimAlloc& arena, std::size_t headroom, std::size_t datalen);
+
+  Message(const Message& o) noexcept
+      : buf_(o.buf_), off_(o.off_), len_(o.len_) {
+    if (buf_ != nullptr) ++buf_->refs;
+  }
+  Message(Message&& o) noexcept
+      : buf_(o.buf_), off_(o.off_), len_(o.len_) {
+    o.buf_ = nullptr;
+  }
+  Message& operator=(const Message& o) noexcept {
+    if (o.buf_ != nullptr) ++o.buf_->refs;
+    unref(buf_);
+    buf_ = o.buf_;
+    off_ = o.off_;
+    len_ = o.len_;
+    return *this;
+  }
+  Message& operator=(Message&& o) noexcept {
+    if (this != &o) {
+      HostChunk* old = buf_;
+      buf_ = o.buf_;
+      off_ = o.off_;
+      len_ = o.len_;
+      o.buf_ = nullptr;
+      unref(old);
+    }
+    return *this;
+  }
+  ~Message() { unref(buf_); }
 
   // --- header operations -------------------------------------------------
   /// Prepend `hdr`; throws std::length_error when headroom is exhausted
@@ -81,7 +95,7 @@ class Message {
   /// Concatenate two messages into a fresh buffer (used by reassembly).
   static Message join(SimAlloc& arena, const Message& a, const Message& b);
 
-  long refcount() const noexcept { return buf_ ? buf_.use_count() : 0; }
+  long refcount() const noexcept { return buf_ != nullptr ? buf_->refs : 0; }
 
   /// Simulated address of the first data byte (for d-cache tracing).
   SimAddr sim_addr() const;
@@ -97,7 +111,12 @@ class Message {
                bool shortcut);
 
  private:
-  std::shared_ptr<detail::MsgBuffer> buf_;
+  /// Drop one reference; the last one returns the chunk to its arena.
+  static void unref(HostChunk* b) noexcept {
+    if (b != nullptr && --b->refs == 0) b->owner->release_chunk(b);
+  }
+
+  HostChunk* buf_ = nullptr;
   std::size_t off_ = 0;
   std::size_t len_ = 0;
 };

@@ -26,4 +26,27 @@ void SimAlloc::free(SimAddr addr, std::uint64_t bytes) {
   free_lists_[cls].push_back(addr);
 }
 
+HostChunk* SimAlloc::acquire_chunk(std::uint64_t bytes) {
+  std::unique_ptr<HostChunk> chunk;
+  if (spare_chunks_.empty()) {
+    chunk = std::make_unique<HostChunk>();
+  } else {
+    chunk = std::move(spare_chunks_.back());
+    spare_chunks_.pop_back();
+  }
+  chunk->bytes.assign(bytes, 0);
+  chunk->sim = alloc(bytes);
+  chunk->refs = 1;
+  chunk->owner = this;
+  return chunk.release();
+}
+
+void SimAlloc::release_chunk(HostChunk* chunk) {
+  std::unique_ptr<HostChunk> owned(chunk);
+  free(owned->sim, owned->bytes.size());
+  if (spare_chunks_.size() < kSpareChunks) {
+    spare_chunks_.push_back(std::move(owned));
+  }
+}
+
 }  // namespace l96::xk

@@ -151,11 +151,11 @@ struct WirePair {
   net::Wire wire{events};
   std::vector<std::vector<std::uint8_t>> rx[2];
   WirePair() {
-    wire.connect(0, [this](std::vector<std::uint8_t> f) {
-      rx[0].push_back(std::move(f));
+    wire.connect(0, [this](std::span<const std::uint8_t> f) {
+      rx[0].emplace_back(f.begin(), f.end());
     });
-    wire.connect(1, [this](std::vector<std::uint8_t> f) {
-      rx[1].push_back(std::move(f));
+    wire.connect(1, [this](std::span<const std::uint8_t> f) {
+      rx[1].emplace_back(f.begin(), f.end());
     });
   }
 };

@@ -152,10 +152,10 @@ TEST(WireSerialization, BackToBackFramesQueueOnTheMedium) {
   xk::EventManager events;
   net::Wire wire(events);
   std::vector<std::uint64_t> arrivals;
-  wire.connect(1, [&](std::vector<std::uint8_t>) {
+  wire.connect(1, [&](std::span<const std::uint8_t>) {
     arrivals.push_back(events.now());
   });
-  wire.connect(0, [](std::vector<std::uint8_t>) {});
+  wire.connect(0, [](std::span<const std::uint8_t>) {});
   // Three minimum frames sent at the same instant.
   for (int i = 0; i < 3; ++i) {
     wire.transmit(0, std::vector<std::uint8_t>(64, 0));
