@@ -341,13 +341,14 @@ sim::MachineTrace Experiment::lower_client(
   return lower.lower(client_trace_);
 }
 
-sim::MachineTrace Experiment::lower_client_prefix(std::size_t count) const {
+sim::MachineTrace Experiment::lower_client_prefix(
+    std::size_t count, const code::StackConfig& cfg) const {
   auto& self = const_cast<Experiment&>(*this);
   self.capture();
   const auto& reg = self.world_->client().registry();
   const code::CodeImage image =
-      build_image(kind_, client_cfg_, reg, client_trace_, params_);
-  return code::Lowering(reg, image, client_cfg_)
+      build_image(kind_, cfg, reg, client_trace_, params_);
+  return code::Lowering(reg, image, cfg)
       .lower(prefix_of(client_trace_, count));
 }
 

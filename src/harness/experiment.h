@@ -235,9 +235,11 @@ class Experiment {
   sim::MachineTrace lower_client(const code::StackConfig& cfg_override) const;
   sim::MachineTrace lower_client() const { return lower_client(client_cfg_); }
 
-  /// Lower only the first `count` events of the client trace (used to count
-  /// instructions between protocol boundaries, Table 3).
-  sim::MachineTrace lower_client_prefix(std::size_t count) const;
+  /// Lower only the first `count` events of the client trace under `cfg`'s
+  /// image (used to count instructions between protocol boundaries, Table
+  /// 3; a sweep's capture is shared by every layout of its trace).
+  sim::MachineTrace lower_client_prefix(std::size_t count,
+                                        const code::StackConfig& cfg) const;
 
   /// Index of the first kCall event naming `fn_name` in the client trace,
   /// or npos.

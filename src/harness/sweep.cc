@@ -135,6 +135,10 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& jobs) {
   return out;
 }
 
+const Experiment& SweepRunner::capture(const SweepJob& job) {
+  return *cache_.get(job.kind, job.client, job.server, job.params).experiment;
+}
+
 // --- JSON emission ---------------------------------------------------------
 
 namespace {
@@ -158,7 +162,11 @@ Json run_json(const sim::RunResult& r) {
       .set("mcpi", r.mcpi())
       .set("icache", cache_json(r.icache))
       .set("dcache", cache_json(r.dcache_combined))
-      .set("bcache", cache_json(r.bcache));
+      .set("bcache", cache_json(r.bcache))
+      .set("stalls", Json::object()
+                         .set("ifetch", r.stalls.ifetch_stall_cycles)
+                         .set("load", r.stalls.load_stall_cycles)
+                         .set("store", r.stalls.store_stall_cycles));
 }
 
 Json side_json(const SideMeasurement& m) {
@@ -170,9 +178,15 @@ Json side_json(const SideMeasurement& m) {
       .set("critical_us", m.critical_us)
       .set("static_hot_words", m.static_hot_words)
       .set("static_total_words", m.static_total_words)
+      .set("footprint",
+           Json::object()
+               .set("unused_fraction", m.footprint.unused_fraction)
+               .set("blocks_fetched", m.footprint.blocks_fetched))
       .set("cold", run_json(m.cold))
       .set("steady", run_json(m.steady));
 }
+
+}  // namespace
 
 Json sweep_json(const std::string& bench, const SweepRunner& runner,
                 const std::vector<SweepJob>& jobs,
@@ -209,8 +223,6 @@ Json sweep_json(const std::string& bench, const SweepRunner& runner,
       .set("captures", runner.captures_performed())
       .set("configs", std::move(configs));
 }
-
-}  // namespace
 
 void write_sweep_json(std::ostream& os, const std::string& bench,
                       const SweepRunner& runner,

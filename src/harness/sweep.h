@@ -129,13 +129,25 @@ class SweepRunner {
   /// run() call.
   std::size_t workers_used() const noexcept { return workers_used_; }
 
+  /// The captured Experiment `job` replays, from the cache (captured first
+  /// if no run() has covered its functional configuration): for analyses
+  /// of the trace itself, such as Table 3's instruction segments.  Its own
+  /// configs are those of the first job with this capture key, so pass
+  /// `job.client` wherever a layout matters.
+  const Experiment& capture(const SweepJob& job);
+
  private:
   unsigned threads_;
   TraceCaptureCache cache_;
   std::size_t workers_used_ = 0;
 };
 
-/// Serialize a finished sweep as JSON (schema "l96.sweep.v1").
+/// A finished sweep as a JSON document (schema "l96.sweep.v1").
+Json sweep_json(const std::string& bench, const SweepRunner& runner,
+                const std::vector<SweepJob>& jobs,
+                const std::vector<SweepOutcome>& outcomes);
+
+/// Serialize sweep_json() to `os`, newline-terminated.
 void write_sweep_json(std::ostream& os, const std::string& bench,
                       const SweepRunner& runner,
                       const std::vector<SweepJob>& jobs,

@@ -212,9 +212,22 @@ TEST(SweepJson, EmitsWellFormedMetrics) {
   for (const char* key :
        {"\"cycles\":", "\"cpi\":", "\"icpi\":", "\"mcpi\":", "\"icache\":",
         "\"dcache\":", "\"bcache\":", "\"misses\":", "\"repl_misses\":",
-        "\"wall_ms\":", "\"capture\":", "\"measure\":", "\"te_us\":"}) {
+        "\"wall_ms\":", "\"capture\":", "\"measure\":", "\"te_us\":",
+        "\"footprint\":", "\"unused_fraction\":", "\"blocks_fetched\":",
+        "\"stalls\":", "\"ifetch\":", "\"load\":", "\"store\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
+  // The steady replay's stall split is emitted and sums to its stall
+  // cycles.
+  const auto& st = outcomes[0].result.client.steady;
+  EXPECT_NE(json.find("\"stalls\":{\"ifetch\":" +
+                      std::to_string(st.stalls.ifetch_stall_cycles) +
+                      ",\"load\":" +
+                      std::to_string(st.stalls.load_stall_cycles) +
+                      ",\"store\":" +
+                      std::to_string(st.stalls.store_stall_cycles) + "}}"),
+            std::string::npos);
+  EXPECT_EQ(st.stalls.total(), st.stall_cycles);
 }
 
 TEST(SweepJson, HandBuiltOutcomesEmitPinnedBytes) {
@@ -247,8 +260,12 @@ TEST(SweepJson, HandBuiltOutcomesEmitPinnedBytes) {
   c.cold.icache = {100, 10, 2, 0};
   c.cold.dcache_combined = {50, 5, 1, 0};
   c.cold.bcache = {15, 3, 0, 0};
+  c.cold.stalls = {300, 150, 50};
+  c.footprint.unused_fraction = 0.125;
+  c.footprint.blocks_fetched = 64;
   c.steady = c.cold;
   c.steady.stall_cycles = 100;
+  c.steady.stalls = {60, 30, 10};
   o.result.server = c;
   o.result.server.config_name = "OUT";
   o.te_samples = {250.125, 1.0 / 3.0};
@@ -263,19 +280,22 @@ TEST(SweepJson, HandBuiltOutcomesEmitPinnedBytes) {
       "\"mcpi\":0.5,\"icache\":{\"accesses\":100,\"misses\":10,"
       "\"repl_misses\":2},\"dcache\":{\"accesses\":50,\"misses\":5,"
       "\"repl_misses\":1},\"bcache\":{\"accesses\":15,\"misses\":3,"
-      "\"repl_misses\":0}}";
+      "\"repl_misses\":0},\"stalls\":{\"ifetch\":300,\"load\":150,"
+      "\"store\":50}}";
   const std::string run_steady =
       "\"steady\":{\"instructions\":1000,\"cycles\":1600,\"issue_cycles\":1500,"
       "\"stall_cycles\":100,\"taken_branches\":40,\"cpi\":1.6,\"icpi\":1.5,"
       "\"mcpi\":0.1,\"icache\":{\"accesses\":100,\"misses\":10,"
       "\"repl_misses\":2},\"dcache\":{\"accesses\":50,\"misses\":5,"
       "\"repl_misses\":1},\"bcache\":{\"accesses\":15,\"misses\":3,"
-      "\"repl_misses\":0}}";
+      "\"repl_misses\":0},\"stalls\":{\"ifetch\":60,\"load\":30,"
+      "\"store\":10}}";
   const auto side = [&](const char* name, const char* cfg) {
     return std::string("\"") + name + "\":{\"config\":\"" + cfg +
            "\",\"instructions\":1000,\"critical_instructions\":600,"
            "\"tp_us\":12.5,\"critical_us\":7.25,\"static_hot_words\":300,"
-           "\"static_total_words\":900," +
+           "\"static_total_words\":900,\"footprint\":{"
+           "\"unused_fraction\":0.125,\"blocks_fetched\":64}," +
            run_cold + "," + run_steady + "}";
   };
   const std::string zero_run =
@@ -284,11 +304,13 @@ TEST(SweepJson, HandBuiltOutcomesEmitPinnedBytes) {
       "\"mcpi\":0,\"icache\":{\"accesses\":0,\"misses\":0,"
       "\"repl_misses\":0},\"dcache\":{\"accesses\":0,\"misses\":0,"
       "\"repl_misses\":0},\"bcache\":{\"accesses\":0,\"misses\":0,"
-      "\"repl_misses\":0}}";
+      "\"repl_misses\":0},\"stalls\":{\"ifetch\":0,\"load\":0,"
+      "\"store\":0}}";
   const std::string zero_side =
       "{\"config\":\"\",\"instructions\":0,\"critical_instructions\":0,"
       "\"tp_us\":0,\"critical_us\":0,\"static_hot_words\":0,"
-      "\"static_total_words\":0,\"cold\":" +
+      "\"static_total_words\":0,\"footprint\":{\"unused_fraction\":0,"
+      "\"blocks_fetched\":0},\"cold\":" +
       zero_run + ",\"steady\":" + zero_run + "}";
   const std::string expected =
       "{\"schema\":\"l96.sweep.v1\",\"bench\":\"pin\\\\bench\","
