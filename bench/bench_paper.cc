@@ -158,10 +158,9 @@ int main() {
     // The paper's task boundaries over the STD capture: entering IP to
     // entering TCP, and entering TCP to delivery above TCP.
     const harness::SweepJob& std_job = jobs[index.at("tcpip/STD")];
-    const harness::Experiment& e = runner.capture(std_job);
+    const harness::Experiment e = runner.capture(std_job);
     auto upto = [&](const char* fn) {
-      return e.lower_client_prefix(e.find_client_call(fn), std_job.client)
-          .size();
+      return e.lower_client_prefix(e.find_client_call(fn)).size();
     };
     const std::size_t n_tcp = upto("tcp_demux");
     const double ip_to_tcp = double(n_tcp - upto("ip_demux"));

@@ -27,8 +27,13 @@ class LowerState {
     sp_ = params_.stack_top;
   }
 
-  MachineTrace run(const PathTrace& trace) {
-    for (const Event& ev : trace.events) {
+  /// Lower `trace`.  When `split` is within it, also note where the
+  /// lowering of events [0, split) ends (mark_*).
+  MachineTrace run(const PathTrace& trace, std::size_t split) {
+    out_.reserve(estimate_size(trace));
+    for (std::size_t i = 0; i < trace.events.size(); ++i) {
+      const Event& ev = trace.events[i];
+      if (i == split) mark(ev);
       switch (ev.kind) {
         case EventKind::kCall:
           flush_block();
@@ -60,10 +65,64 @@ class LowerState {
       }
     }
     flush_block();
+    if (split >= trace.events.size()) note_mark();
     return std::move(out_);
   }
 
+  /// Where the prefix's lowering ends in out_, unless the prefix lowers
+  /// differently (mark_shared false).
+  bool mark_shared = true;
+  std::size_t mark_size = 0;
+  MachineInstr mark_last{};
+
  private:
+  /// Instructions about to be lowered for `trace`: each block's placed
+  /// words, each call's prologue and each epilogue (plus call sequences),
+  /// and each data reference, so the output vector is allocated once.
+  std::size_t estimate_size(const PathTrace& trace) const {
+    std::size_t n = 0;
+    for (const Event& ev : trace.events) {
+      switch (ev.kind) {
+        case EventKind::kCall: {
+          const Function& fn = reg_.fn(ev.fn);
+          n += 2 + fn.prologue_instrs + fn.epilogue_instrs;
+          break;
+        }
+        case EventKind::kBlock:
+          n += 1 + reg_.fn(ev.fn).blocks.at(ev.block).instructions;
+          break;
+        case EventKind::kLoad:
+        case EventKind::kStore:
+          n += 1;
+          break;
+        default:
+          break;
+      }
+    }
+    return n;
+  }
+
+  /// Event `ev` is the first past the prefix.  Every event kind but a data
+  /// reference inside an open block starts by flushing the open block, so
+  /// flushing here changes nothing and leaves out_ exactly as the prefix's
+  /// own lowering ends.  A data reference would instead join the open
+  /// block, which the prefix's lowering emits without it.
+  void mark(const Event& ev) {
+    const bool data = ev.kind == EventKind::kLoad ||
+                      ev.kind == EventKind::kStore;
+    if (block_open_ && data) {
+      mark_shared = false;
+      return;
+    }
+    flush_block();
+    note_mark();
+  }
+
+  void note_mark() {
+    mark_size = out_.size();
+    if (!out_.empty()) mark_last = out_.back();
+  }
+
   // --- emission helpers ----------------------------------------------------
 
   void emit(InstrClass cls, sim::Addr ea = 0, bool taken = false) {
@@ -283,7 +342,27 @@ class LowerState {
 
 sim::MachineTrace Lowering::lower(const PathTrace& trace) const {
   LowerState st(reg_, img_, cfg_, params_);
-  return st.run(trace);
+  return st.run(trace, trace.events.size());
+}
+
+SplitLowering Lowering::lower_split(const PathTrace& trace,
+                                    std::size_t split) const {
+  LowerState st(reg_, img_, cfg_, params_);
+  SplitLowering out;
+  out.trace = st.run(trace, split);
+  if (st.mark_shared) {
+    out.prefix_size = st.mark_size;
+    out.prefix_last = st.mark_last;
+    return out;
+  }
+  PathTrace prefix;
+  prefix.events.assign(trace.events.begin(),
+                       trace.events.begin() +
+                           static_cast<std::ptrdiff_t>(split));
+  out.separate_prefix = lower(prefix);
+  out.prefix_size = out.separate_prefix.size();
+  out.prefix_last = out.separate_prefix.back();
+  return out;
 }
 
 sim::OwnerMap build_owner_map(const CodeRegistry& reg, const CodeImage& img,

@@ -1,6 +1,8 @@
 #include "harness/experiment.h"
 
 #include <cmath>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -26,8 +28,7 @@ std::string capture_context(net::World& world) {
       std::to_string(requested) + " requested roundtrips");
 }
 
-/// The first `count` events of `t` (the pre-transmit critical path, or a
-/// Table 3 protocol-boundary prefix).
+/// The first `count` events of `t` (a Table 3 protocol-boundary prefix).
 code::PathTrace prefix_of(const code::PathTrace& t, std::size_t count) {
   code::PathTrace p;
   p.events.assign(t.events.begin(),
@@ -44,6 +45,21 @@ std::unique_ptr<sim::MissProfiler> make_profiler(const MeasureSpec& spec,
       *spec.registry, image, code::LowerParams{},
       {{"data:arena", xk::SimAlloc::kArenaBase,
         xk::SimAlloc::kArenaBase + 0x100'0000}}));
+}
+
+/// This thread's replay machine, built on first use and rebuilt only when
+/// `params` asks for another memory system or CPU; it lives until the
+/// thread exits (about 1 MB, mostly the b-cache's tag lines).  Every
+/// replay starts with a cold reset, so a reused machine measures exactly
+/// what a fresh one would (tested), without value-initialising the
+/// b-cache's 65,536 lines on every call.
+sim::Machine& thread_machine(const MachineParams& params) {
+  thread_local std::optional<sim::Machine> machine;
+  if (!machine || machine->mem().config() != params.mem ||
+      machine->cpu().config() != params.cpu) {
+    machine.emplace(params.mem, params.cpu);
+  }
+  return *machine;
 }
 
 /// Steady-state replay options (Table 7): warm-up passes with scrubbing
@@ -87,7 +103,30 @@ Experiment::Experiment(net::StackKind kind, code::StackConfig client_cfg,
       client_cfg_(std::move(client_cfg)),
       server_cfg_(std::move(server_cfg)),
       params_(params) {
-  world_ = std::make_unique<net::World>(kind_, client_cfg_, server_cfg_);
+  world_ = std::make_shared<net::World>(kind_, client_cfg_, server_cfg_);
+}
+
+Experiment::Experiment(std::shared_ptr<net::World> world, net::StackKind kind,
+                       code::StackConfig client_cfg,
+                       code::StackConfig server_cfg, MachineParams params)
+    : kind_(kind),
+      client_cfg_(std::move(client_cfg)),
+      server_cfg_(std::move(server_cfg)),
+      params_(params),
+      world_(std::move(world)) {}
+
+Experiment Experiment::reconfigured(code::StackConfig client_cfg,
+                                    code::StackConfig server_cfg,
+                                    MachineParams params) const {
+  const_cast<Experiment&>(*this).capture();
+  Experiment e(world_, kind_, std::move(client_cfg), std::move(server_cfg),
+               params);
+  e.client_trace_ = client_trace_;
+  e.server_trace_ = server_trace_;
+  e.client_split_ = client_split_;
+  e.server_split_ = server_split_;
+  e.captured_ = true;
+  return e;
 }
 
 void Experiment::capture() {
@@ -143,12 +182,12 @@ SideMeasurement measure_side(const MeasureSpec& spec) {
   m.static_hot_words = image.hot_words();
   m.static_total_words = image.total_words();
 
-  code::Lowering lower(reg, image, spec.cfg);
-  const sim::MachineTrace full = lower.lower(trace);
+  // One pass lowers the trace and its critical prefix (see SplitLowering).
+  const code::SplitLowering lowered =
+      code::Lowering(reg, image, spec.cfg).lower_split(trace, spec.split);
+  const sim::MachineTrace& full = lowered.trace;
+  const std::span<const sim::MachineInstr> critical = lowered.prefix();
   m.instructions = full.size();
-
-  const sim::MachineTrace critical =
-      lower.lower(prefix_of(trace, spec.split));
   m.critical_instructions = critical.size();
 
   // Miss attribution: one profiler (owner map shared) drives both full
@@ -156,9 +195,10 @@ SideMeasurement measure_side(const MeasureSpec& spec) {
   // covers exactly one replay and conserves to that replay's CacheStats.
   const std::unique_ptr<sim::MissProfiler> prof = make_profiler(spec, image);
 
-  // One machine serves all three replays.  Each starts with reset_cold(),
-  // so the results equal those of three fresh machines (tested).
-  sim::Machine machine(params.mem, params.cpu);
+  // The thread's machine serves all three replays, and the full trace's
+  // issue timing serves both of its replays.
+  sim::Machine& machine = thread_machine(params);
+  const sim::CpuStats full_timing = machine.cpu().time_trace(full);
 
   // Cold replay: the paper's trace-driven cache simulation (Table 6).
   {
@@ -166,7 +206,7 @@ SideMeasurement measure_side(const MeasureSpec& spec) {
     opts.cold_start = true;
     opts.warmup_passes = 0;
     opts.miss_profiler = prof.get();
-    m.cold = machine.run(full, opts);
+    m.cold = machine.run(full, full_timing, opts);
     if (prof) {
       m.miss_cold =
           std::make_shared<const sim::MissProfile>(prof->snapshot());
@@ -177,14 +217,18 @@ SideMeasurement measure_side(const MeasureSpec& spec) {
   {
     sim::Machine::Options opts = steady;
     opts.miss_profiler = prof.get();
-    m.steady = machine.run(full, opts);
+    m.steady = machine.run(full, full_timing, opts);
     m.tp_us = m.steady.processing_us(params.cpu.frequency_hz);
     if (prof) {
       m.miss_steady =
           std::make_shared<const sim::MissProfile>(prof->snapshot());
     }
   }
-  m.critical = machine.run(critical, steady);
+  // Critical path: the prefix's memory replay, timed as the prefix's own
+  // lowering leaves its final instruction.
+  m.critical = machine.run(
+      critical, machine.cpu().time_trace(critical, lowered.prefix_last),
+      steady);
   m.critical_us = m.critical.processing_us(params.cpu.frequency_hz);
 
   m.footprint = code::footprint_stats(full, image, params.mem.block_bytes);
@@ -243,7 +287,7 @@ StreamMeasurement measure_stream(const StreamSpec& spec) {
   // Same steady-state options as measure_side: position 0 starts from the
   // post-warm-up, post-scrub state and is byte-identical to the steady
   // replay; later positions run back to back with no scrub in between.
-  sim::Machine machine(params.mem, params.cpu);
+  sim::Machine& machine = thread_machine(params);
   sim::Machine::Options opts = steady_options(base);
   opts.miss_profiler = prof.get();
   const std::vector<sim::RunResult> runs =
@@ -341,14 +385,13 @@ sim::MachineTrace Experiment::lower_client(
   return lower.lower(client_trace_);
 }
 
-sim::MachineTrace Experiment::lower_client_prefix(
-    std::size_t count, const code::StackConfig& cfg) const {
+sim::MachineTrace Experiment::lower_client_prefix(std::size_t count) const {
   auto& self = const_cast<Experiment&>(*this);
   self.capture();
   const auto& reg = self.world_->client().registry();
   const code::CodeImage image =
-      build_image(kind_, cfg, reg, client_trace_, params_);
-  return code::Lowering(reg, image, cfg)
+      build_image(kind_, client_cfg_, reg, client_trace_, params_);
+  return code::Lowering(reg, image, client_cfg_)
       .lower(prefix_of(client_trace_, count));
 }
 

@@ -206,6 +206,20 @@ class Experiment {
   Experiment(net::StackKind kind, code::StackConfig client_cfg,
              code::StackConfig server_cfg,
              MachineParams params = MachineParams::defaults());
+  Experiment(const Experiment&) = delete;
+  Experiment& operator=(const Experiment&) = delete;
+  Experiment(Experiment&&) = default;
+  Experiment& operator=(Experiment&&) = default;
+
+  /// This capture under other configs and params (capture() runs first):
+  /// the result shares the captured world and holds copies of the traces,
+  /// and its specs, lowerings and run() use `client_cfg`, `server_cfg` and
+  /// `params`.  Only layout-only config fields and machine params may
+  /// differ; the functional fields and warm-up must be this capture's
+  /// (see harness::capture_key).
+  Experiment reconfigured(code::StackConfig client_cfg,
+                          code::StackConfig server_cfg,
+                          MachineParams params) const;
 
   /// Run the world, capture, lower, replay; fills a ConfigResult.
   ConfigResult run();
@@ -235,11 +249,10 @@ class Experiment {
   sim::MachineTrace lower_client(const code::StackConfig& cfg_override) const;
   sim::MachineTrace lower_client() const { return lower_client(client_cfg_); }
 
-  /// Lower only the first `count` events of the client trace under `cfg`'s
-  /// image (used to count instructions between protocol boundaries, Table
-  /// 3; a sweep's capture is shared by every layout of its trace).
-  sim::MachineTrace lower_client_prefix(std::size_t count,
-                                        const code::StackConfig& cfg) const;
+  /// Lower only the first `count` events of the client trace under this
+  /// config's image (used to count instructions between protocol
+  /// boundaries, Table 3).
+  sim::MachineTrace lower_client_prefix(std::size_t count) const;
 
   /// Index of the first kCall event naming `fn_name` in the client trace,
   /// or npos.
@@ -253,12 +266,17 @@ class Experiment {
   MeasureSpec server_spec() const;
 
  private:
+  Experiment(std::shared_ptr<net::World> world, net::StackKind kind,
+             code::StackConfig client_cfg, code::StackConfig server_cfg,
+             MachineParams params);
+
   net::StackKind kind_;
   code::StackConfig client_cfg_;
   code::StackConfig server_cfg_;
   MachineParams params_;
 
-  std::unique_ptr<net::World> world_;
+  /// Shared by reconfigured() views of one capture.
+  std::shared_ptr<net::World> world_;
   code::PathTrace client_trace_;
   code::PathTrace server_trace_;
   std::size_t client_split_ = 0;

@@ -135,8 +135,9 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& jobs) {
   return out;
 }
 
-const Experiment& SweepRunner::capture(const SweepJob& job) {
-  return *cache_.get(job.kind, job.client, job.server, job.params).experiment;
+Experiment SweepRunner::capture(const SweepJob& job) {
+  return cache_.get(job.kind, job.client, job.server, job.params)
+      .experiment->reconfigured(job.client, job.server, job.params);
 }
 
 // --- JSON emission ---------------------------------------------------------

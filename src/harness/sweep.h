@@ -129,12 +129,12 @@ class SweepRunner {
   /// run() call.
   std::size_t workers_used() const noexcept { return workers_used_; }
 
-  /// The captured Experiment `job` replays, from the cache (captured first
-  /// if no run() has covered its functional configuration): for analyses
-  /// of the trace itself, such as Table 3's instruction segments.  Its own
-  /// configs are those of the first job with this capture key, so pass
-  /// `job.client` wherever a layout matters.
-  const Experiment& capture(const SweepJob& job);
+  /// The capture `job` replays, from the cache (captured first if no run()
+  /// has covered its functional configuration), under `job`'s configs and
+  /// params: for analyses of the trace itself, such as Table 3's
+  /// instruction segments.  The result shares the cached world, so it
+  /// stays valid after the runner is gone.
+  Experiment capture(const SweepJob& job);
 
  private:
   unsigned threads_;

@@ -13,22 +13,23 @@ bool Cpu::can_pair(const MachineInstr& a, const MachineInstr& b) const noexcept 
   return needs_integer_pipe(a.cls) != needs_integer_pipe(b.cls);
 }
 
-CpuStats Cpu::time_trace(const MachineTrace& trace) const {
+template <class At>
+CpuStats Cpu::time(std::size_t n, At at) const {
   CpuStats s;
-  s.instructions = trace.size();
+  s.instructions = n;
 
-  for (std::size_t i = 0; i < trace.size();) {
-    const MachineInstr& a = trace[i];
+  for (std::size_t i = 0; i < n;) {
+    const MachineInstr& a = at(i);
     std::size_t issued = 1;
     const bool dep_ok =
         ((i * 2654435761u) >> 7) % 1000 < cfg_.pair_success_permille;
-    if (i + 1 < trace.size() && dep_ok && can_pair(a, trace[i + 1])) {
+    if (i + 1 < n && dep_ok && can_pair(a, at(i + 1))) {
       issued = 2;
       ++s.dual_issues;
     }
     s.issue_cycles += 1;
     for (std::size_t k = 0; k < issued; ++k) {
-      const MachineInstr& in = trace[i + k];
+      const MachineInstr& in = at(i + k);
       if (is_control(in.cls) && in.taken) {
         ++s.taken_branches;
         s.issue_cycles += cfg_.taken_branch_penalty;
@@ -41,6 +42,21 @@ CpuStats Cpu::time_trace(const MachineTrace& trace) const {
     i += issued;
   }
   return s;
+}
+
+CpuStats Cpu::time_trace(std::span<const MachineInstr> trace) const {
+  return time(trace.size(),
+              [trace](std::size_t i) -> const MachineInstr& {
+                return trace[i];
+              });
+}
+
+CpuStats Cpu::time_trace(std::span<const MachineInstr> trace,
+                         const MachineInstr& last) const {
+  const std::size_t n = trace.size();
+  return time(n, [trace, &last, n](std::size_t i) -> const MachineInstr& {
+    return i + 1 == n ? last : trace[i];
+  });
 }
 
 }  // namespace l96::sim

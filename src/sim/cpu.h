@@ -14,7 +14,9 @@
 // routine, which the code model represents as executed instructions).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "sim/instr.h"
 
@@ -47,6 +49,8 @@ class Cpu {
     /// class-level model cannot see.  1000 = always.
     std::uint32_t pair_success_permille = 300;
     std::uint64_t frequency_hz = 175'000'000;
+
+    bool operator==(const Config&) const = default;
   };
 
   Cpu() = default;
@@ -54,7 +58,13 @@ class Cpu {
 
   /// Compute issue cycles for a whole trace.  Stateless: each call times
   /// its trace from scratch.
-  CpuStats time_trace(const MachineTrace& trace) const;
+  CpuStats time_trace(std::span<const MachineInstr> trace) const;
+  /// As above, with the trace's final instruction replaced by `last`: the
+  /// timing of a prefix as its own lowering leaves it, when a longer
+  /// lowering later rewrote the prefix's terminator.  An empty trace
+  /// times to zero (`last` unread).
+  CpuStats time_trace(std::span<const MachineInstr> trace,
+                      const MachineInstr& last) const;
 
   const Config& config() const noexcept { return cfg_; }
 
@@ -64,6 +74,9 @@ class Cpu {
            c == InstrClass::kNop;
   }
   bool can_pair(const MachineInstr& a, const MachineInstr& b) const noexcept;
+  /// Greedy pairing over instructions 0..n-1, read through `at(i)`.
+  template <class At>
+  CpuStats time(std::size_t n, At at) const;
 
   Config cfg_;
 };

@@ -1,8 +1,11 @@
 #include "sim/machine.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace l96::sim {
 
-void Machine::replay_memory(const MachineTrace& trace) {
+void Machine::replay_memory(std::span<const MachineInstr> trace) {
   // Only the first fetch of a run of PCs in one i-cache block needs a
   // lookup; the rest hit by construction (see MemorySystem::ifetch_resident).
   const Addr block_mask = ~Addr{mem_.config().block_bytes - 1};
@@ -31,7 +34,20 @@ void Machine::replay_memory(const MachineTrace& trace) {
 }
 
 RunResult Machine::run(const MachineTrace& trace, const Options& opts) {
-  return run_stream({&trace}, opts).front();
+  return run(trace, cpu_.time_trace(trace), opts);
+}
+
+RunResult Machine::run(std::span<const MachineInstr> trace,
+                       const CpuStats& timing, const Options& opts) {
+  if (timing.instructions != trace.size()) {
+    throw std::invalid_argument(
+        "Machine::run: timing covers " + std::to_string(timing.instructions) +
+        " instructions, the trace has " + std::to_string(trace.size()));
+  }
+  begin(trace, opts);
+  const RunResult r = measure(trace, timing, opts);
+  mem_.attach_miss_profiler(nullptr);
+  return r;
 }
 
 std::vector<RunResult> Machine::run_stream(
@@ -39,8 +55,33 @@ std::vector<RunResult> Machine::run_stream(
     const MachineTrace* warmup_trace) {
   std::vector<RunResult> out;
   if (seq.empty()) return out;
-  const MachineTrace& warm =
-      warmup_trace != nullptr ? *warmup_trace : *seq.front();
+  begin(warmup_trace != nullptr ? *warmup_trace : *seq.front(), opts);
+
+  out.reserve(seq.size());
+  // A burst repeats one trace, so a position times its trace only when it
+  // differs from the previous position's.
+  const MachineTrace* timed = nullptr;
+  CpuStats timing;
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    if (i > 0) {
+      // No scrub between positions: within a burst the activations run
+      // back to back, so position i inherits position i-1's residue.
+      mem_.reset_stats();
+      if (opts.miss_profiler != nullptr) opts.miss_profiler->advance_position();
+    }
+    if (seq[i] != timed) {
+      timed = seq[i];
+      timing = cpu_.time_trace(*timed);
+    }
+    out.push_back(measure(*seq[i], timing, opts));
+  }
+  mem_.attach_miss_profiler(nullptr);
+  return out;
+}
+
+void Machine::begin(std::span<const MachineInstr> warm, const Options& opts) {
+  // A reused machine keeps no profiler from an earlier, interrupted replay.
+  mem_.attach_miss_profiler(nullptr);
 
   // Cold replay (Table 6): full cold restart, every first touch is a cold
   // miss.  Steady replay (Table 7): warm-up passes below, then reset_stats()
@@ -65,29 +106,20 @@ std::vector<RunResult> Machine::run_stream(
     opts.miss_profiler->reset();
     mem_.attach_miss_profiler(opts.miss_profiler);
   }
-  out.reserve(seq.size());
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    if (i > 0) {
-      // No scrub between positions: within a burst the activations run
-      // back to back, so position i inherits position i-1's residue.
-      mem_.reset_stats();
-      if (opts.miss_profiler != nullptr) opts.miss_profiler->advance_position();
-    }
-    replay_memory(*seq[i]);
-    if (opts.drain_at_end) mem_.drain_writes();
-    out.push_back(collect(*seq[i]));
-  }
-  if (opts.miss_profiler != nullptr) mem_.attach_miss_profiler(nullptr);
-  return out;
 }
 
-RunResult Machine::collect(const MachineTrace& trace) {
-  const CpuStats cpu_stats = cpu_.time_trace(trace);
+RunResult Machine::measure(std::span<const MachineInstr> trace,
+                           const CpuStats& timing, const Options& opts) {
+  replay_memory(trace);
+  if (opts.drain_at_end) mem_.drain_writes();
+  return collect(timing);
+}
 
+RunResult Machine::collect(const CpuStats& timing) const {
   RunResult r;
-  r.instructions = cpu_stats.instructions;
-  r.issue_cycles = cpu_stats.issue_cycles;
-  r.taken_branches = cpu_stats.taken_branches;
+  r.instructions = timing.instructions;
+  r.issue_cycles = timing.issue_cycles;
+  r.taken_branches = timing.taken_branches;
   r.stalls = mem_.stalls();
   r.traffic = mem_.bcache_traffic();
   r.stall_cycles = r.stalls.total();

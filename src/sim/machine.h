@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/cpu.h"
@@ -80,6 +81,16 @@ class Machine {
   RunResult run(const MachineTrace& trace, const Options& opts);
   RunResult run(const MachineTrace& trace) { return run(trace, Options{}); }
 
+  /// As run(), with the trace's issue timing supplied, so a caller that
+  /// replays one trace several times times it once.  `timing` is
+  /// cpu().time_trace(trace), or for a prefix whose final instruction a
+  /// longer lowering rewrote, the timing of the prefix as its own lowering
+  /// leaves it (the memory replay cannot tell the two apart: the rewrite
+  /// keeps the PC and never touches a memory instruction).  Throws
+  /// std::invalid_argument when timing.instructions != trace.size().
+  RunResult run(std::span<const MachineInstr> trace, const CpuStats& timing,
+                const Options& opts);
+
   /// Replay a *sequence* of activations under one continuously-evolving
   /// cache state and return one RunResult per position.  Warm-up (passes +
   /// scrub, from `opts`) replays `warmup_trace` (default: seq.front()) and
@@ -99,8 +110,14 @@ class Machine {
   const Cpu& cpu() const noexcept { return cpu_; }
 
  private:
-  void replay_memory(const MachineTrace& trace);
-  RunResult collect(const MachineTrace& trace);
+  /// Cold restart and warm-up passes over `warm` per `opts`, then attach
+  /// the profiler for the measured replays.
+  void begin(std::span<const MachineInstr> warm, const Options& opts);
+  /// One measured replay of `trace`, priced with its issue `timing`.
+  RunResult measure(std::span<const MachineInstr> trace,
+                    const CpuStats& timing, const Options& opts);
+  void replay_memory(std::span<const MachineInstr> trace);
+  RunResult collect(const CpuStats& timing) const;
 
   MemorySystem mem_;
   Cpu cpu_;

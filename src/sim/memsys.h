@@ -70,6 +70,8 @@ class MemorySystem {
     /// execution).  Matches the paper's note that one i-miss can produce
     /// two b-cache accesses.
     bool ifetch_prefetch_next = true;
+
+    bool operator==(const Config&) const = default;
   };
 
   MemorySystem() : MemorySystem(Config{}) {}

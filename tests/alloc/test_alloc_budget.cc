@@ -1,10 +1,13 @@
-// Host-allocation budget of the fleet frame path.
+// Host-allocation budgets of the fleet frame path and of one Te side
+// measurement.
 //
 // Replaces the global operator new with a counting one, so it runs as its
 // own test executable.  A 4,096-flow LRU row is run at two schedule
 // lengths; the difference in operator new calls, divided by the extra
 // scheduled packets, is the steady-state allocation count per packet (set
-// up, connection establishment and the final report cancel out).
+// up, connection establishment and the final report cancel out).  A
+// measure_side call is counted in bytes, after one warm-up call on the
+// thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,16 +15,19 @@
 #include <cstdlib>
 #include <new>
 
+#include "harness/experiment.h"
 #include "harness/fleet.h"
 
 namespace {
 std::atomic<std::uint64_t> g_news{0};
+std::atomic<std::uint64_t> g_bytes{0};
 }  // namespace
 
 #ifndef L96_SANITIZE
 // Not inlined, so the compiler never pairs a new-expression with free().
 [[gnu::noinline]] void* operator new(std::size_t n) {
   g_news.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -67,6 +73,31 @@ TEST(AllocBudget, FleetFramePathAllocatesAtMostTwoPerScheduledPacket) {
   std::printf("host allocations per scheduled packet: %.3f\n", per_packet);
   RecordProperty("allocs_per_packet", std::to_string(per_packet));
   EXPECT_LE(per_packet, 2.0);
+}
+
+TEST(AllocBudget, MeasureSideAllocatesAtMostAQuarterMegabytePerCall) {
+#ifdef L96_SANITIZE
+  GTEST_SKIP() << "the sanitizer runtime owns operator new";
+#endif
+  harness::Experiment e(net::StackKind::kTcpIp, code::StackConfig::Std(),
+                        code::StackConfig::Std());
+  e.capture();
+  harness::MeasureSpec spec = e.client_spec();
+  harness::measure_side(spec);  // warm-up: the thread's first call
+
+  constexpr std::uint64_t kCalls = 4;
+  const std::uint64_t before = g_bytes.load();
+  for (std::uint64_t k = 0; k < kCalls; ++k) {
+    spec.seed_offset = k;
+    const harness::SideMeasurement m = harness::measure_side(spec);
+    EXPECT_GT(m.critical_instructions, 0u);
+  }
+  const double per_call =
+      static_cast<double>(g_bytes.load() - before) / kCalls;
+  std::printf("host bytes allocated per measure_side call: %.0f\n",
+              per_call);
+  RecordProperty("bytes_per_measure_side", std::to_string(per_call));
+  EXPECT_LE(per_call, 256.0 * 1024);
 }
 
 }  // namespace

@@ -153,5 +153,26 @@ TEST(CpuProperty, IcpiBounds) {
   EXPECT_GT(s2.issue_cycles, s.issue_cycles);
 }
 
+TEST(Cpu, TimingWithAReplacedLastInstructionEqualsTimingTheEditedCopy) {
+  Cpu cpu(always_pair());
+  MachineTrace t;
+  for (int i = 0; i < 9; ++i) {
+    t.push_back(in(i % 3 == 0 ? InstrClass::kLoad : InstrClass::kIAlu));
+  }
+  // A taken branch in place of the final ALU op breaks its pairing with
+  // the load before it and pays the branch penalty.
+  const MachineInstr last = in(InstrClass::kCondBranch, true);
+  MachineTrace edited = t;
+  edited.back() = last;
+  const CpuStats a = cpu.time_trace(t, last);
+  const CpuStats b = cpu.time_trace(edited);
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.issue_cycles, b.issue_cycles);
+  EXPECT_EQ(a.dual_issues, b.dual_issues);
+  EXPECT_EQ(a.taken_branches, b.taken_branches);
+  EXPECT_NE(a.issue_cycles, cpu.time_trace(t).issue_cycles);
+  EXPECT_EQ(cpu.time_trace({}, last).instructions, 0u);
+}
+
 }  // namespace
 }  // namespace l96::sim

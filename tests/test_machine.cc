@@ -1,6 +1,9 @@
 // Tests for trace replay through the whole machine model.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <stdexcept>
+
 #include "sim/machine.h"
 
 namespace l96::sim {
@@ -253,6 +256,19 @@ TEST(MachineReuse, ProfiledRunsOnOneMachineMatchFreshMachines) {
     EXPECT_EQ(steady_profile.icache.stall_cycles,
               own.snapshot().icache.stall_cycles);
   }
+}
+
+TEST(MachineReuse, SuppliedTimingEqualsTimingInsideTheRun) {
+  const MachineTrace t = busy_trace(0x10000, 0x8000'0000);
+  Machine m(small_mem(), Cpu::Config{});
+  const CpuStats timing = m.cpu().time_trace(t);
+  expect_same_run(m.run(t, timing, steady_opts()), m.run(t, steady_opts()));
+  expect_same_run(m.run(t, timing, Machine::Options{}),
+                  m.run(t, Machine::Options{}));
+
+  // Timing of another length is rejected, not silently mixed in.
+  const std::span<const MachineInstr> shorter(t.data(), t.size() - 1);
+  EXPECT_THROW(m.run(shorter, timing, steady_opts()), std::invalid_argument);
 }
 
 // Fetches after the first in an i-cache block skip the lookup but are still

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "harness/sweep.h"
 
@@ -104,6 +105,46 @@ TEST(SweepRunner, CaptureKeyIgnoresLayoutOnlyFields) {
   EXPECT_NE(capture_key(net::StackKind::kTcpIp, StackConfig::Std(),
                         StackConfig::Std(), 32),
             base);
+}
+
+TEST(SweepRunner, CaptureServesTheAskingJobsLayout) {
+  // BAD and STD share one capture; each job's view of it lowers, specs
+  // and runs under that job's own configs, whichever job captured first.
+  SweepJob bad;
+  bad.kind = net::StackKind::kTcpIp;
+  bad.client = bad.server = StackConfig::Bad();
+  SweepJob std_job = bad;
+  std_job.client = std_job.server = StackConfig::Std();
+  SweepRunner runner(1);
+  // Table 3's segments: entering IP to entering TCP, and entering TCP to
+  // delivery above TCP.
+  const auto segments = [&](const SweepJob& job) {
+    const harness::Experiment e = runner.capture(job);
+    const auto upto = [&](const char* fn) {
+      return e.lower_client_prefix(e.find_client_call(fn)).size();
+    };
+    const std::size_t n_tcp = upto("tcp_demux");
+    return std::pair<std::size_t, std::size_t>(
+        n_tcp - upto("ip_demux"), upto("tcptest_recv") - n_tcp);
+  };
+  EXPECT_EQ(segments(bad), (std::pair<std::size_t, std::size_t>(321, 1500)));
+  EXPECT_EQ(segments(std_job),
+            (std::pair<std::size_t, std::size_t>(327, 1516)));
+  EXPECT_EQ(runner.captures_performed(), 1u);
+
+  const harness::Experiment view = runner.capture(std_job);
+  EXPECT_EQ(view.client_spec().cfg.name, "STD");
+  EXPECT_EQ(view.server_spec().cfg.name, "STD");
+  EXPECT_EQ(view.lower_client().size(),
+            harness::Experiment(net::StackKind::kTcpIp, StackConfig::Std(),
+                                StackConfig::Std())
+                .lower_client()
+                .size());
+  harness::Experiment runnable = runner.capture(std_job);
+  EXPECT_EQ(runnable.run().te_us,
+            harness::run_config(net::StackKind::kTcpIp, StackConfig::Std(),
+                                StackConfig::Std())
+                .te_us);
 }
 
 TEST(SweepRunner, TeSamplesMatchSerialPath) {
