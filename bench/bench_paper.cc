@@ -1,19 +1,26 @@
-// Tables 1-9 of the paper from one sweep.
+// Every single-connection result of the paper from one sweep: Tables 1-9,
+// Figure 2, the ablations of Section 3.2's open questions and Section 4.1's
+// throughput check.
 //
 // One SweepRunner::run covers the paper's grid (both stacks x the six
 // layouts, with Table 4's Te sampling; RPC's server runs ALL, Section
-// 4.2), the original TCP/IP stack, and one TCP/IP job per Section-2 change
-// with that change turned off on both sides.  Every table reads those
-// outcomes, and every paper cell comes from harness/paper_ref.h.  Writes
-// bench/out/paper.json: the l96.sweep.v1 rows plus a `scorecard` array with
-// one cell per paper value (measured, paper, measured/paper).
+// 4.2), the original TCP/IP stack, one TCP/IP job per Section-2 change
+// with that change turned off on both sides, and the ablation
+// configurations the grid does not already measure.  Every ablation job is
+// layout-only against a grid capture, so the sweep captures no more than
+// the grid does.  Every table reads those outcomes, and every paper cell
+// comes from harness/paper_ref.h.  Writes bench/out/paper.json: the
+// l96.sweep.v1 rows plus a `scorecard` array with one cell per paper value
+// (measured, paper, measured/paper).
 #include <cstdio>
 #include <map>
 #include <optional>
+#include <span>
 
 #include "harness/paper_ref.h"
 #include "harness/sweep.h"
 #include "harness/tables.h"
+#include "harness/throughput.h"
 
 using namespace l96;
 using harness::fmt;
@@ -50,6 +57,71 @@ const Toggle kToggles[] = {
     {"minor_opts", "Other minor changes", &C::minor_opts},
 };
 
+C cloned(C c, code::LayoutKind layout) {
+  c.cloning = true;
+  c.layout = layout;
+  return c;
+}
+C aggressive(C c) {
+  c.outline_mode = code::OutlineMode::kProfileAggressive;
+  return c;
+}
+C at_connect(C c) {
+  c.clone_at_connect = true;
+  return c;
+}
+
+/// One row of an ablation table.  A row whose configuration the grid
+/// measures reads the grid's job; the others carry their configuration and
+/// become jobs of their own.
+struct Variant {
+  const char* row;
+  const char* job;  ///< job label after the stack prefix
+  std::optional<C> cfg;
+};
+const Variant kLayouts[] = {
+    {"link-order (no cloning)", "OUT", {}},
+    {"linear (invocation order)", "linear",
+     cloned(C::Out(), code::LayoutKind::kLinear)},
+    {"bipartite (paper's winner)", "CLO", {}},
+    {"micro-positioning", "micro-positioning",
+     cloned(C::Out(), code::LayoutKind::kMicroPosition)},
+    {"random", "random", cloned(C::Out(), code::LayoutKind::kRandom)},
+    {"pessimal", "BAD", {}},
+};
+const Variant kOutlining[] = {
+    {"neither", "STD", {}},
+    {"outline only (conservative)", "OUT", {}},
+    {"outline only (profile-aggressive)", "OUT-aggressive",
+     aggressive(C::Out())},
+    {"clone only (no outlining)", "STD+clone",
+     cloned(C::Std(), code::LayoutKind::kBipartite)},
+    {"outline + clone", "CLO", {}},
+    {"aggressive outline + clone", "CLO-aggressive", aggressive(C::Clo())},
+};
+const Variant kConnect[] = {
+    {"CLO (boot-time clones)", "CLO", {}},
+    {"CLO + connect-time specialization", "CLO+connect", at_connect(C::Clo())},
+    {"ALL (boot-time clones)", "ALL", {}},
+    {"ALL + connect-time specialization", "ALL+connect", at_connect(C::All())},
+};
+
+/// The i-cache-size ablation (TCP/IP only): bipartite (CLO) against the
+/// linear layout, by job label.  At the default size its rows are the CLO
+/// and linear jobs.
+const std::uint32_t kCacheKiB[] = {4, 8, 16, 32, 64};
+const std::pair<const char*, C> kCacheLayouts[] = {
+    {"CLO", C::Clo()},
+    {"linear", cloned(C::Out(), code::LayoutKind::kLinear)},
+};
+bool default_icache(std::uint32_t kib) {
+  return kib * 1024 == harness::MachineParams{}.mem.icache_bytes;
+}
+std::string cache_job(const char* job, std::uint32_t kib) {
+  return std::string("tcpip/") + job +
+         (default_icache(kib) ? "" : "@" + std::to_string(kib) + "KiB");
+}
+
 std::vector<harness::SweepJob> paper_jobs() {
   std::vector<harness::SweepJob> jobs;
   for (const Stack& s : kStacks) {
@@ -71,6 +143,34 @@ std::vector<harness::SweepJob> paper_jobs() {
     jobs.push_back({.label = std::string("tcpip/STD-") + t.field,
                     .client = cfg,
                     .server = cfg});
+  }
+  for (const Stack& s : kStacks) {
+    const bool rpc = s.kind == net::StackKind::kRpc;
+    using Rows = std::span<const Variant>;
+    for (Rows table : {Rows(kLayouts), Rows(kOutlining), Rows(kConnect)}) {
+      for (const Variant& v : table) {
+        if (!v.cfg) continue;
+        C cfg = *v.cfg;
+        cfg.name = v.job;
+        jobs.push_back({.label = s.prefix + std::string(v.job),
+                        .kind = s.kind,
+                        .client = cfg,
+                        .server = rpc ? C::All() : cfg});
+      }
+    }
+  }
+  for (const std::uint32_t kib : kCacheKiB) {
+    if (default_icache(kib)) continue;
+    for (const auto& [job, layout] : kCacheLayouts) {
+      C cfg = layout;
+      cfg.name = job;
+      harness::MachineParams params;
+      params.mem.icache_bytes = kib * 1024;
+      jobs.push_back({.label = cache_job(job, kib),
+                      .client = cfg,
+                      .server = cfg,
+                      .params = params});
+    }
   }
   return jobs;
 }
@@ -338,6 +438,118 @@ int main() {
                               value(9, p + "STD", "size"))
                    : "-"});
       }
+    }
+    t.print();
+  }
+
+  {
+    // One character per cache set: '.' untouched, '+' one distinct block
+    // fetched, '#' several distinct blocks competing for the set.
+    const std::pair<const char*, const char*> panels[] = {
+        {"STD", "link order, inline error code (gaps)"},
+        {"OUT", "outlined: mainline compressed"},
+        {"CLO", "outlining + cloning, bipartite layout"},
+        {"ALL", "path-inlined + bipartite"},
+        {"BAD", "pessimal layout (everything aliases)"},
+    };
+    std::printf("Figure 2: i-cache footprint (256 sets, 64 per row)\n");
+    std::printf("'.' untouched   '+' one block   '#' conflicting blocks\n\n");
+    for (const auto& [cfg, caption] : panels) {
+      const std::string label = std::string("tcpip/") + cfg;
+      const auto& client = result(label).client;
+      std::printf("-- %s — %s --\n%s", cfg, caption,
+                  code::footprint_map(
+                      runner.capture(jobs[index.at(label)]).lower_client())
+                      .c_str());
+      std::printf("distinct blocks fetched: %llu, instructions: %llu\n\n",
+                  static_cast<unsigned long long>(
+                      client.footprint.blocks_fetched),
+                  static_cast<unsigned long long>(client.instructions));
+    }
+  }
+
+  // One table per stack over the rows of `variants`.
+  auto ablation = [&](const std::string& title,
+                      const std::vector<std::string>& columns,
+                      std::span<const Variant> variants, auto cells) {
+    for (const Stack& s : kStacks) {
+      harness::Table t(title + " — " + s.title);
+      t.columns(columns);
+      for (const Variant& v : variants) {
+        std::vector<std::string> row{v.row};
+        for (std::string& c : cells(result(s.prefix + std::string(v.job)))) {
+          row.push_back(std::move(c));
+        }
+        t.row(std::move(row));
+      }
+      t.print();
+    }
+  };
+
+  ablation("Ablation: cloning layout strategies",
+           {"Strategy", "Te [us]", "Tp [us]", "mCPI", "i-miss (cold)",
+            "i-repl (cold)"},
+           kLayouts, [](const harness::ConfigResult& r) {
+             return std::vector<std::string>{
+                 fmt(r.te_us), fmt(r.client.tp_us),
+                 fmt(r.client.steady.mcpi(), 2),
+                 count(r.client.cold.icache.misses),
+                 count(r.client.cold.icache.repl_misses)};
+           });
+
+  {
+    harness::Table t(
+        "Ablation: bipartite vs linear layout across i-cache sizes (TCP/IP)");
+    t.columns({"i-cache", "bipartite Tp [us]", "linear Tp [us]",
+               "bipartite mCPI", "linear mCPI"});
+    for (const std::uint32_t kib : kCacheKiB) {
+      const auto& bip = result(cache_job("CLO", kib)).client;
+      const auto& lin = result(cache_job("linear", kib)).client;
+      t.row({std::to_string(kib) + " KiB", fmt(bip.tp_us), fmt(lin.tp_us),
+             fmt(bip.steady.mcpi(), 2), fmt(lin.steady.mcpi(), 2)});
+    }
+    t.print();
+  }
+
+  ablation("Ablation: outlining x cloning",
+           {"Variant", "Te [us]", "mCPI", "iCPI", "taken-br",
+            "hot size [instr]", "unused [%]"},
+           kOutlining, [](const harness::ConfigResult& r) {
+             return std::vector<std::string>{
+                 fmt(r.te_us), fmt(r.client.steady.mcpi(), 2),
+                 fmt(r.client.steady.icpi(), 2),
+                 count(r.client.steady.taken_branches),
+                 count(r.client.static_hot_words),
+                 fmt(100.0 * r.client.footprint.unused_fraction)};
+           });
+
+  ablation("Ablation: connection-time cloning",
+           {"Variant", "Te [us]", "instrs", "hot size", "mCPI"}, kConnect,
+           [](const harness::ConfigResult& r) {
+             return std::vector<std::string>{
+                 fmt(r.te_us), count(r.client.instructions),
+                 count(r.client.static_hot_words),
+                 fmt(r.client.steady.mcpi(), 2)};
+           });
+
+  // Section 4.1: none of the latency techniques may hurt throughput.
+  {
+    harness::Table t("Throughput: TCP bulk transfer (256 KiB)");
+    t.columns({"Version", "goodput [kB/s]", "frames", "rexmt",
+               "per-roundtrip Tp [us]"});
+    for (const C& cfg : {C::Std(), C::Out(), C::Clo(), C::Pin(), C::All()}) {
+      const auto r = harness::measure_tcp_throughput(cfg);
+      t.row({cfg.name, fmt(r.kbytes_per_second), count(r.frames),
+             count(r.retransmits), fmt(r.processing_us)});
+    }
+    t.print();
+  }
+  {
+    harness::Table t("Throughput: RPC 32 x 8 KiB calls (BLAST-fragmented)");
+    t.columns({"Version", "goodput [kB/s]", "frames"});
+    for (const C& cfg : {C::Std(), C::All()}) {
+      const auto r = harness::measure_rpc_throughput(cfg);
+      t.row({cfg.name, fmt(r.kbytes_per_second), count(r.frames)});
     }
     t.print();
   }

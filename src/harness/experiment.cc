@@ -28,6 +28,15 @@ std::string capture_context(net::World& world) {
       std::to_string(requested) + " requested roundtrips");
 }
 
+void append_functional_fields(std::string& key, const code::StackConfig& c) {
+  const bool bits[] = {c.tcb_word_fields,       c.msg_refresh_shortcut,
+                       c.usc_sparse_descriptors, c.inline_map_cache_test,
+                       c.avoid_int_division,     c.careful_inlining,
+                       c.minor_opts,             c.header_prediction,
+                       c.path_inlining};
+  for (bool b : bits) key.push_back(b ? '1' : '0');
+}
+
 /// The first `count` events of `t` (a Table 3 protocol-boundary prefix).
 code::PathTrace prefix_of(const code::PathTrace& t, std::size_t count) {
   code::PathTrace p;
@@ -76,6 +85,17 @@ sim::Machine::Options steady_options(const MeasureSpec& spec) {
 
 }  // namespace
 
+std::string capture_key(net::StackKind kind, const code::StackConfig& ccfg,
+                        const code::StackConfig& scfg,
+                        std::uint64_t warmup_roundtrips) {
+  std::string key = std::string(net::to_string(kind)) + "/";
+  append_functional_fields(key, ccfg);
+  key.push_back('/');
+  append_functional_fields(key, scfg);
+  key += "/w" + std::to_string(warmup_roundtrips);
+  return key;
+}
+
 CaptureResult capture_traces(net::World& world,
                              std::uint64_t warmup_roundtrips) {
   CaptureResult r;
@@ -118,6 +138,15 @@ Experiment::Experiment(std::shared_ptr<net::World> world, net::StackKind kind,
 Experiment Experiment::reconfigured(code::StackConfig client_cfg,
                                     code::StackConfig server_cfg,
                                     MachineParams params) const {
+  const std::string own =
+      capture_key(kind_, client_cfg_, server_cfg_, params_.warmup_roundtrips);
+  const std::string asked =
+      capture_key(kind_, client_cfg, server_cfg, params.warmup_roundtrips);
+  if (asked != own) {
+    throw std::invalid_argument("reconfigured: capture key " + asked +
+                                " differs from the capture's " + own +
+                                " (only layout-only fields may change)");
+  }
   const_cast<Experiment&>(*this).capture();
   Experiment e(world_, kind_, std::move(client_cfg), std::move(server_cfg),
                params);
@@ -374,15 +403,8 @@ MeasureSpec Experiment::server_spec() const {
   return spec;
 }
 
-sim::MachineTrace Experiment::lower_client(
-    const code::StackConfig& cfg_override) const {
-  auto& self = const_cast<Experiment&>(*this);
-  self.capture();
-  const auto& reg = self.world_->client().registry();
-  const code::CodeImage image =
-      build_image(kind_, cfg_override, reg, client_trace_, params_);
-  code::Lowering lower(reg, image, cfg_override);
-  return lower.lower(client_trace_);
+sim::MachineTrace Experiment::lower_client() const {
+  return lower_client_prefix(static_cast<std::size_t>(-1));
 }
 
 sim::MachineTrace Experiment::lower_client_prefix(std::size_t count) const {
@@ -391,8 +413,10 @@ sim::MachineTrace Experiment::lower_client_prefix(std::size_t count) const {
   const auto& reg = self.world_->client().registry();
   const code::CodeImage image =
       build_image(kind_, client_cfg_, reg, client_trace_, params_);
-  return code::Lowering(reg, image, client_cfg_)
-      .lower(prefix_of(client_trace_, count));
+  code::Lowering lower(reg, image, client_cfg_);
+  return count >= client_trace_.events.size()
+             ? lower.lower(client_trace_)
+             : lower.lower(prefix_of(client_trace_, count));
 }
 
 std::size_t Experiment::find_client_call(std::string_view fn_name) const {

@@ -201,6 +201,17 @@ ConfigResult measure_config(const MeasureSpec& client,
 std::vector<double> sample_te(MeasureSpec client, MeasureSpec server,
                               double controller_us, std::uint64_t n);
 
+/// Functional fingerprint of a capture: the stack kind, every field of
+/// either side's config that changes the recorded PathTrace or the registry
+/// contents (the Section-2 toggles, which resize blocks and alter
+/// functional behaviour, and path_inlining, which brackets classifier
+/// misses in slow-path markers), and the warm-up roundtrip count.
+/// Layout-only fields (outlining, cloning, layout strategy, specialization
+/// flags) are absent, so captures that share a key share one trace.
+std::string capture_key(net::StackKind kind, const code::StackConfig& ccfg,
+                        const code::StackConfig& scfg,
+                        std::uint64_t warmup_roundtrips);
+
 class Experiment {
  public:
   Experiment(net::StackKind kind, code::StackConfig client_cfg,
@@ -215,8 +226,8 @@ class Experiment {
   /// the result shares the captured world and holds copies of the traces,
   /// and its specs, lowerings and run() use `client_cfg`, `server_cfg` and
   /// `params`.  Only layout-only config fields and machine params may
-  /// differ; the functional fields and warm-up must be this capture's
-  /// (see harness::capture_key).
+  /// differ: throws std::invalid_argument, naming both keys, when the
+  /// capture_key() of the new configs and warm-up is not this capture's.
   Experiment reconfigured(code::StackConfig client_cfg,
                           code::StackConfig server_cfg,
                           MachineParams params) const;
@@ -244,14 +255,13 @@ class Experiment {
   std::size_t client_tx_split() const noexcept { return client_split_; }
   net::World& world() noexcept { return *world_; }
 
-  /// Lower the client trace under this config's image (exposed for the
-  /// footprint-map figure and ablation benches).
-  sim::MachineTrace lower_client(const code::StackConfig& cfg_override) const;
-  sim::MachineTrace lower_client() const { return lower_client(client_cfg_); }
+  /// Lower the client trace under this config's image (Figure 2's
+  /// footprint maps, trace_dump's machine form).
+  sim::MachineTrace lower_client() const;
 
   /// Lower only the first `count` events of the client trace under this
   /// config's image (used to count instructions between protocol
-  /// boundaries, Table 3).
+  /// boundaries, Table 3); a count past the end lowers the whole trace.
   sim::MachineTrace lower_client_prefix(std::size_t count) const;
 
   /// Index of the first kCall event naming `fn_name` in the client trace,

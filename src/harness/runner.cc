@@ -122,19 +122,6 @@ Outcome run(const SoakRunSpec& spec) {
   return o;
 }
 
-Outcome run(const StreamRunSpec& spec) {
-  Outcome o;
-  o.workers_used = run_rows(
-      spec.rows, spec.common.workers, o.stream, [](const StreamRowSpec& row) {
-        return row.kind == net::StackKind::kTcpIp
-                   ? measure_tcp_throughput(row.config, row.bytes)
-                   : measure_rpc_throughput(row.config, row.calls,
-                                            row.call_bytes);
-      });
-  finish(o, spec.common, stream_json(spec.rows, o.stream));
-  return o;
-}
-
 Json soak_json(const std::vector<SoakSpec>& specs,
                const std::vector<SoakReport>& reports) {
   Json section = emit_section("soak", 1);
@@ -182,33 +169,6 @@ Json soak_json(const std::vector<SoakSpec>& specs,
         .set("server_incarnation",
              static_cast<std::uint64_t>(r.server_incarnation))
         .set("summary", r.summary());
-    rows.push_back(std::move(row));
-  }
-  section.set("rows", std::move(rows));
-  return section;
-}
-
-Json stream_json(const std::vector<StreamRowSpec>& specs,
-                 const std::vector<ThroughputResult>& results) {
-  Json section = emit_section("stream", 1);
-  Json rows = Json::array();
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const ThroughputResult& r = results[i];
-    Json row = Json::object();
-    if (i < specs.size()) {
-      const StreamRowSpec& s = specs[i];
-      row.set("label", s.label)
-          .set("kind", net::to_string(s.kind))
-          .set("config", s.config.name);
-    }
-    row.set("bytes", r.bytes)
-        .set("wire_seconds", r.wire_seconds)
-        .set("processing_us", r.processing_us)
-        .set("proc_seconds", r.proc_seconds)
-        .set("kbytes_per_second", r.kbytes_per_second)
-        .set("frames", r.frames)
-        .set("frames_delivered", r.frames_delivered)
-        .set("retransmits", r.retransmits);
     rows.push_back(std::move(row));
   }
   section.set("rows", std::move(rows));

@@ -29,7 +29,6 @@
 #include "harness/recovery.h"
 #include "harness/shard.h"
 #include "harness/soak.h"
-#include "harness/throughput.h"
 
 namespace l96::harness {
 
@@ -74,22 +73,6 @@ struct SoakRunSpec {
   std::vector<SoakSpec> rows;
 };
 
-/// One throughput-stream row (Section 4.1's "techniques do not hurt
-/// throughput" check, as a spec'd run instead of ad-hoc calls).
-struct StreamRowSpec {
-  std::string label;
-  net::StackKind kind = net::StackKind::kTcpIp;
-  code::StackConfig config;
-  std::uint64_t bytes = 256 * 1024;     ///< TCP: bulk transfer size
-  std::uint64_t calls = 32;             ///< RPC: number of calls
-  std::uint64_t call_bytes = 8 * 1024;  ///< RPC: bytes per call
-};
-
-struct StreamRunSpec {
-  RunnerSpec common;
-  std::vector<StreamRowSpec> rows;
-};
-
 /// What every run() overload returns: the family's typed results (only
 /// the matching vector is populated) plus the uniform envelope.
 struct Outcome {
@@ -104,7 +87,6 @@ struct Outcome {
   std::vector<RecoveryResult> recovery;
   std::vector<LbResult> lb;
   std::vector<SoakReport> soak;
-  std::vector<ThroughputResult> stream;
 };
 
 Outcome run(const FleetRunSpec& spec);
@@ -112,15 +94,11 @@ Outcome run(const ShardRunSpec& spec);
 Outcome run(const RecoveryRunSpec& spec);
 Outcome run(const LbRunSpec& spec);
 Outcome run(const SoakRunSpec& spec);
-Outcome run(const StreamRunSpec& spec);
 
-/// Schema-versioned sections for the soak and stream families
-/// (`l96.soak.v1`, `l96.stream.v1`); the other families' emitters sit
-/// beside their engines (fleet_json / shard_json / recovery_json /
-/// lb_json).
+/// The soak family's schema-versioned section (`l96.soak.v1`); the other
+/// families' emitters sit beside their engines (fleet_json / shard_json /
+/// recovery_json / lb_json).
 Json soak_json(const std::vector<SoakSpec>& specs,
                const std::vector<SoakReport>& reports);
-Json stream_json(const std::vector<StreamRowSpec>& specs,
-                 const std::vector<ThroughputResult>& results);
 
 }  // namespace l96::harness

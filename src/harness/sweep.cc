@@ -17,19 +17,6 @@ double wall_ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-void append_functional_fields(std::string& key, const code::StackConfig& c) {
-  // Every field that changes the recorded PathTrace or the registry
-  // contents: the Section-2 toggles resize blocks and alter functional
-  // behaviour; path_inlining brackets classifier misses in slow-path
-  // markers.  Layout-only fields are deliberately absent.
-  const bool bits[] = {c.tcb_word_fields,       c.msg_refresh_shortcut,
-                       c.usc_sparse_descriptors, c.inline_map_cache_test,
-                       c.avoid_int_division,     c.careful_inlining,
-                       c.minor_opts,             c.header_prediction,
-                       c.path_inlining};
-  for (bool b : bits) key.push_back(b ? '1' : '0');
-}
-
 }  // namespace
 
 void SweepOutcome::extra_json(const std::string& key, Json section) {
@@ -46,17 +33,6 @@ void SweepOutcome::extra_json(const std::string& key, Json section) {
         "(start from json_section())");
   }
   sections_.set(key, std::move(section));
-}
-
-std::string capture_key(net::StackKind kind, const code::StackConfig& ccfg,
-                        const code::StackConfig& scfg,
-                        std::uint64_t warmup_roundtrips) {
-  std::string key = std::string(net::to_string(kind)) + "/";
-  append_functional_fields(key, ccfg);
-  key.push_back('/');
-  append_functional_fields(key, scfg);
-  key += "/w" + std::to_string(warmup_roundtrips);
-  return key;
 }
 
 const TraceCaptureCache::Entry& TraceCaptureCache::get(

@@ -81,12 +81,6 @@ struct SweepOutcome {
   Json sections_ = Json::object();
 };
 
-/// Functional fingerprint of a capture; see the header comment for which
-/// StackConfig fields participate.
-std::string capture_key(net::StackKind kind, const code::StackConfig& ccfg,
-                        const code::StackConfig& scfg,
-                        std::uint64_t warmup_roundtrips);
-
 /// Captures one Experiment per functional configuration; the Experiment
 /// owns the World, so the traces' registries stay valid.
 class TraceCaptureCache {

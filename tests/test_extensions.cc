@@ -1,7 +1,10 @@
 // Tests for the extensions beyond the paper's implemented system:
-// connection-time cloning specialization, layout ablation invariants,
-// and cross-configuration determinism of the whole harness.
+// connection-time cloning specialization, layout, outlining and i-cache-size
+// ablation invariants, and cross-configuration determinism of the whole
+// harness.
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "harness/experiment.h"
 
@@ -87,6 +90,49 @@ TEST(LayoutAblation, MicroPositioningReducesReplacementMisses) {
                                    StackConfig::Out(), StackConfig::Out());
   EXPECT_LE(r_micro.client.cold.icache.repl_misses,
             r_out.client.cold.icache.repl_misses);
+}
+
+// Outlining matters "primarily as a means to greatly improve cloning":
+// outline + clone (CLO) beats clone-only on steady mCPI on both stacks.
+TEST(OutlineAblation, OutliningImprovesCloning) {
+  for (auto kind : {net::StackKind::kTcpIp, net::StackKind::kRpc}) {
+    const StackConfig scfg = kind == net::StackKind::kRpc
+                                 ? StackConfig::All()
+                                 : StackConfig::Clo();
+    StackConfig clone_only = StackConfig::Clo();
+    clone_only.outlining = false;
+    const harness::Experiment e(kind, StackConfig::Clo(), scfg);
+    const auto params = harness::MachineParams::defaults();
+    const auto both = e.reconfigured(StackConfig::Clo(), scfg, params).run();
+    const auto clone = e.reconfigured(clone_only, scfg, params).run();
+    EXPECT_LT(both.client.steady.mcpi(), clone.client.steady.mcpi())
+        << net::to_string(kind);
+  }
+}
+
+// Section 3.2's closing observation: once the path fits the i-cache the
+// layout strategy stops mattering, so the bipartite/linear Tp gap at
+// 64 KiB is below 0.5% and smaller than at the default 8 KiB.
+TEST(CacheSizeAblation, LayoutGapVanishesOnceThePathFits) {
+  StackConfig linear = StackConfig::Clo();
+  linear.layout = code::LayoutKind::kLinear;
+  const harness::Experiment e(net::StackKind::kTcpIp, StackConfig::Clo(),
+                              StackConfig::Clo());
+  auto gap = [&](std::uint32_t kib) {
+    harness::MachineParams params;
+    params.mem.icache_bytes = kib * 1024;
+    const double bip =
+        e.reconfigured(StackConfig::Clo(), StackConfig::Clo(), params)
+            .run()
+            .client.tp_us;
+    const double lin =
+        e.reconfigured(linear, linear, params).run().client.tp_us;
+    return std::abs(bip - lin) / lin;
+  };
+  const double at8 = gap(8);
+  const double at64 = gap(64);
+  EXPECT_LT(at64, at8);
+  EXPECT_LT(at64, 0.005);
 }
 
 TEST(Determinism, IdenticalRunsProduceIdenticalResults) {

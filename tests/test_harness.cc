@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <random>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "harness/experiment.h"
 
@@ -283,12 +285,12 @@ TEST(Analysis, FootprintStatsCountsDistinctWordsAndBlocks) {
 }
 
 TEST(Analysis, BadLayoutShowsConcentratedConflicts) {
-  Experiment e(net::StackKind::kTcpIp, StackConfig::Bad(),
-               StackConfig::Bad());
-  const auto bad_trace = e.lower_client(StackConfig::Bad());
-  const auto all_map =
-      code::footprint_map(e.lower_client(StackConfig::All()));
-  const auto bad_map = code::footprint_map(bad_trace);
+  Experiment bad(net::StackKind::kTcpIp, StackConfig::Bad(),
+                 StackConfig::Bad());
+  Experiment all(net::StackKind::kTcpIp, StackConfig::All(),
+                 StackConfig::All());
+  const auto all_map = code::footprint_map(all.lower_client());
+  const auto bad_map = code::footprint_map(bad.lower_client());
   const auto conflicts = [](const std::string& m) {
     return std::count(m.begin(), m.end(), '#');
   };
@@ -298,6 +300,33 @@ TEST(Analysis, BadLayoutShowsConcentratedConflicts) {
   // BAD concentrates everything on a few sets: more untouched sets overall.
   EXPECT_GT(untouched(bad_map), untouched(all_map));
   EXPECT_GT(conflicts(bad_map), 0);
+}
+
+// A capture may be reconfigured only to configs that share its functional
+// key: STD's trace serves BAD and CLO, while PIN's path-inlining changes
+// what is captured.
+TEST(Analysis, ReconfiguredRefusesAnotherCaptureKey) {
+  const Experiment e(net::StackKind::kTcpIp, StackConfig::Std(),
+                     StackConfig::Std());
+  const auto params = harness::MachineParams::defaults();
+  for (const StackConfig& cfg : {StackConfig::Bad(), StackConfig::Clo()}) {
+    EXPECT_EQ(e.reconfigured(cfg, cfg, params).client_spec().cfg.name,
+              cfg.name);
+  }
+  try {
+    e.reconfigured(StackConfig::Pin(), StackConfig::Pin(), params);
+    FAIL() << "reconfigured accepted PIN over an STD capture";
+  } catch (const std::invalid_argument& ex) {
+    const std::string what = ex.what();
+    const std::string std_key = harness::capture_key(
+        net::StackKind::kTcpIp, StackConfig::Std(), StackConfig::Std(),
+        params.warmup_roundtrips);
+    const std::string pin_key = harness::capture_key(
+        net::StackKind::kTcpIp, StackConfig::Pin(), StackConfig::Pin(),
+        params.warmup_roundtrips);
+    EXPECT_NE(what.find(std_key), std::string::npos) << what;
+    EXPECT_NE(what.find(pin_key), std::string::npos) << what;
+  }
 }
 
 }  // namespace

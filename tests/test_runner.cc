@@ -22,7 +22,6 @@ using harness::RecoveryRunSpec;
 using harness::RecoverySpec;
 using harness::SoakRunSpec;
 using harness::SoakSpec;
-using harness::StreamRunSpec;
 
 const BurstCostTable& tcp_table() {
   static const BurstCostTable table = harness::measure_burst_costs(
@@ -140,20 +139,6 @@ TEST(RunnerTest, SoakWrapperIsByteIdentical) {
   EXPECT_EQ(o.schema, "l96.soak.v1");
   EXPECT_NE(o.section.dump().find("\"schema\":\"l96.soak.v1\""),
             std::string::npos);
-}
-
-TEST(RunnerTest, StreamRunMeasuresThroughput) {
-  StreamRunSpec rs;
-  harness::StreamRowSpec row;
-  row.label = "ALL-tcp";
-  row.kind = net::StackKind::kTcpIp;
-  row.config = code::StackConfig::All();
-  row.bytes = 64 * 1024;
-  rs.rows = {row};
-  const Outcome o = harness::run(rs);
-  ASSERT_EQ(o.stream.size(), 1u);
-  EXPECT_GT(o.stream[0].kbytes_per_second, 0.0);
-  EXPECT_EQ(o.schema, "l96.stream.v1");
 }
 
 TEST(RunnerTest, OutPathWritesSection) {
