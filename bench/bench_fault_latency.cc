@@ -30,7 +30,9 @@
 // te@p = te + p * (err_us + RTO) for p = 5% — the expected roundtrip cost
 // once retransmission recovery is charged.  A soak pair (faults off vs.
 // 5% combined drop+corrupt+duplicate) cross-checks the model with
-// end-to-end measured means.
+// end-to-end measured means.  The bench exits 1, with a FAIL: line on
+// stderr, when a soak cross-check fails or OUT's error-path deltas are all
+// zero.
 //
 // Burst pricing (activation-stream API): the server error activation is
 // additionally priced as the first packet of a burst and as the 5th, after
@@ -169,8 +171,14 @@ int main() {
 
   // End-to-end cross-check: measured soak means, faults off vs. 5%
   // combined drop+corrupt+duplicate (2:2:1), same seed.
-  const double soak_clean = soak_mean_us(0.0, 7);
-  const double soak_fault = soak_mean_us(0.05 / 5.0, 7);
+  double soak_clean = 0, soak_fault = 0;
+  try {
+    soak_clean = soak_mean_us(0.0, 7);
+    soak_fault = soak_mean_us(0.05 / 5.0, 7);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "FAIL: %s\n", e.what());
+    return 1;
+  }
 
   std::vector<harness::SweepJob> jobs;
   std::vector<harness::SweepOutcome> outcomes;

@@ -20,7 +20,7 @@
 //    never produce a wrong match.  O(#tuples) probes per frame — synthetic
 //    production rule sets of thousands of paths share a handful of field
 //    templates, so lookup cost stays flat while the linear scan grows
-//    linearly (bench_classifier_scale).
+//    linearly (bench_fleet's classifier section).
 //
 // Engine selection defaults to kAuto: tuple space once the rule set is
 // large enough to amortize the probe machinery, unless the signature set is
@@ -133,8 +133,8 @@ class PacketClassifier {
                              ClassifyProbeLog* log = nullptr) const;
 
   /// Force one engine regardless of the selection policy — the
-  /// differential tests and bench_classifier_scale run both over the same
-  /// frames and require byte-identical decisions.
+  /// differential tests and bench_fleet's classifier section run both over
+  /// the same frames and require byte-identical decisions.
   ClassifyScan classify_scan_linear(std::span<const std::uint8_t> frame) const;
   ClassifyScan classify_scan_tuple(std::span<const std::uint8_t> frame,
                                    ClassifyProbeLog* log = nullptr) const;

@@ -11,8 +11,8 @@
 // rest of the repo measures for protocol code and the constants ignore.
 // FlowCacheCosts is the repo's one classification cost model and this is
 // how it is measured: single-roundtrip Te (combine_sides) keeps the paper's
-// zero-overhead classifier, and bench_classifier_scale prices PIN/ALL's
-// break-even against CLO from these measurements.
+// zero-overhead classifier, and bench_fleet's classifier section prices
+// PIN/ALL's break-even against CLO from these measurements.
 //
 // measure_classifier_costs() closes the gap with the same methodology the
 // protocol paths use: register the classifier's code model
@@ -87,7 +87,7 @@ ClassifierCostMeasurement measure_classifier_costs(
 /// The canonical probe frames the measurement classifies: a 64-byte frame
 /// that matches the real fast path of `kind` but no generated decoy, and
 /// one (foreign ethertype) that matches nothing.  Exposed for the
-/// differential fuzz tests and bench_classifier_scale.
+/// differential fuzz tests and bench_fleet's classifier section.
 std::vector<std::uint8_t> classifier_match_frame(net::StackKind kind);
 std::vector<std::uint8_t> classifier_nomatch_frame();
 

@@ -815,36 +815,36 @@ CoreRunResult run_rpc_core(const FleetSpec& spec, const BurstCostTable& costs,
   return out;
 }
 
+}  // namespace
+
+namespace fleet_detail {
+
 void check_costs(const FleetSpec& spec, const BurstCostTable& costs,
-                 net::StackKind priced) {
+                 net::StackKind priced, const std::string& who) {
   if (costs.fast_us.empty() || costs.slow_us.size() != costs.fast_us.size()) {
     throw std::invalid_argument(
-        "run_fleet: malformed cost table (needs >= 1 position and equal "
+        who + ": malformed cost table (needs >= 1 position and equal "
         "fast/slow sizes)");
   }
   if (costs.kind != priced) {
     throw std::invalid_argument(
-        "run_fleet: cost table was measured for a different stack kind "
+        who + ": cost table was measured for a different stack kind "
         "(TCP/IP, RPC or LB) than the row's topology prices");
   }
   if (costs.config_name != spec.config.name) {
     throw std::invalid_argument(
-        "run_fleet: cost table measured for " + costs.config_name +
+        who + ": cost table measured for " + costs.config_name +
         " does not match row config " + spec.config.name);
   }
   if (costs.params_key != machine_params_key(spec.params)) {
     throw std::invalid_argument(
-        "run_fleet: cost table was measured under different MachineParams "
+        who + ": cost table was measured under different MachineParams "
         "than row '" +
         (spec.label.empty() ? std::string("unlabeled") : spec.label) +
         "' — measure_burst_costs() once per distinct params (cache-size "
         "sweeps must not reuse the defaults' costs)");
   }
 }
-
-}  // namespace
-
-namespace fleet_detail {
 
 CoreRunResult run_fleet_core(const FleetSpec& spec,
                              const BurstCostTable& costs,
@@ -889,7 +889,7 @@ void validate_fleet_spec(const FleetSpec& spec, const BurstCostTable& costs,
     throw std::invalid_argument(
         "run_fleet: connections and packets must be > 0");
   }
-  check_costs(spec, costs, priced);
+  check_costs(spec, costs, priced, "run_fleet");
 }
 
 }  // namespace fleet_detail
@@ -930,6 +930,7 @@ Json fleet_json(const BurstCostTable& costs,
   section.set("costs", fleet_detail::costs_json(costs));
   Json out_rows = Json::array();
   for (const FleetResult& r : rows) {
+    fleet_detail::check_costs(r.spec, costs, r.spec.kind, "fleet_json");
     Json row = fleet_detail::spec_json(r.spec);
     row.set("owned_packets", r.owned_packets)
         .set("packets_sampled", r.packets_sampled)

@@ -187,6 +187,8 @@ FleetResult run_fleet(const FleetSpec& spec, const BurstCostTable& costs);
 
 /// The rows + shared position-indexed costs as a schema-versioned section
 /// (`l96.fleet.v2`) for SweepOutcome::extra_json / standalone emission.
+/// Throws std::invalid_argument for a row `costs` could not have priced
+/// (another kind, config or params), as run_fleet would.
 Json fleet_json(const BurstCostTable& costs,
                 const std::vector<FleetResult>& rows);
 

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "harness/fleet.h"
@@ -230,9 +231,16 @@ struct PhaseSplit {
 PhaseSplit split_phases(const CoreRunResult& core,
                         const std::vector<Interval>& phases);
 
-/// Shared row validation (path-inlining on, non-empty schedule, cost table
-/// matched to config/params and to `priced`, the kind the row's topology
-/// prices: spec.kind for direct rows, kLb for LB rows).
+/// Throws std::invalid_argument, prefixed with `who`, unless `costs` could
+/// have priced `spec`: a well-formed table measured for `priced` (the kind
+/// the row's topology prices: spec.kind for direct rows, kLb for LB rows),
+/// the row's config and its params.  The engines check it before a row
+/// runs, and the section emitters for each row they write.
+void check_costs(const FleetSpec& spec, const BurstCostTable& costs,
+                 net::StackKind priced, const std::string& who);
+
+/// Shared row validation (path-inlining on, non-empty schedule, and
+/// check_costs).
 void validate_fleet_spec(const FleetSpec& spec, const BurstCostTable& costs,
                          net::StackKind priced);
 

@@ -255,6 +255,7 @@ Json lb_json(const BurstCostTable& costs,
   Json out_rows = Json::array();
   for (const LbResult& r : rows) {
     const LbSpec& s = r.spec;
+    fleet_detail::check_costs(s.fleet, costs, net::StackKind::kLb, "lb_json");
     Json rebuilds = Json::array();
     for (const net::LbRebuild& rb : r.rebuilds) {
       rebuilds.push_back(

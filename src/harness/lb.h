@@ -28,7 +28,7 @@
 //
 // and the result reports per-phase percentiles (steady vs disrupted),
 // packet conservation under loss, per-rebuild remap counts (the Maglev
-// disruption bound bench_lb_failover enforces), and per-window
+// disruption bound bench_fleet's LB section enforces), and per-window
 // time-to-steer-away / time-to-restore — byte-identical for any worker
 // count (enforced by the bench).
 #pragma once
@@ -131,6 +131,7 @@ LbResult run_lb(const LbSpec& spec, const BurstCostTable& costs);
 
 /// The rows + shared costs as a schema-versioned section (`l96.lb.v2`):
 /// each row is the fleet row prefix, then the LB keys, then the results.
+/// Throws std::invalid_argument for a row `costs` could not have priced.
 Json lb_json(const BurstCostTable& costs, const std::vector<LbResult>& rows);
 
 }  // namespace l96::harness

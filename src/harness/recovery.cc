@@ -89,6 +89,8 @@ Json recovery_json(const BurstCostTable& costs,
   section.set("costs", fleet_detail::costs_json(costs));
   Json out_rows = Json::array();
   for (const RecoveryResult& r : rows) {
+    fleet_detail::check_costs(r.spec.fleet, costs, r.spec.fleet.kind,
+                              "recovery_json");
     Json windows = Json::array();
     for (const RecoveryWindow& w : r.windows) {
       windows.push_back(

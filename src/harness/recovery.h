@@ -60,7 +60,8 @@ struct RecoveryWindow {
   std::uint64_t end_abs_us = 0;
   /// Priced server deliveries inside [start, end): must be 0 for blackout
   /// windows (the wire blackholes everything) and for crash windows (the
-  /// dead host discards arrivals) — bench_recovery_latency exit-enforces.
+  /// dead host discards arrivals) — bench_fleet's recovery section
+  /// exit-enforces.
   std::uint64_t samples_in_window = 0;
   bool recovered = false;            ///< a delivery completed after the window
   std::uint64_t first_delivery_abs_us = 0;  ///< when recovered
@@ -103,7 +104,9 @@ RecoveryResult run_recovery(const RecoverySpec& spec,
                             const BurstCostTable& costs);
 
 /// Schema-versioned section (`l96.recovery.v1`) for standalone emission /
-/// SweepOutcome::extra_json.
+/// SweepOutcome::extra_json.  Throws std::invalid_argument for a row
+/// `costs` could not have priced, so one section never labels a row with
+/// another layout's table.
 Json recovery_json(const BurstCostTable& costs,
                    const std::vector<RecoveryResult>& rows);
 

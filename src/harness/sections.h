@@ -23,10 +23,10 @@ struct SectionInfo {
 inline constexpr SectionInfo kSectionManifest[] = {
     {"sweep", 1, "harness::write_sweep_metrics"},
     {"fleet", 2, "harness::fleet_json"},
-    {"classifier", 1, "bench_classifier_scale"},
+    {"classifier", 1, "bench_fleet (classifier section)"},
     {"missmap", 1, "harness::missmap_json"},
     {"recovery", 1, "harness::recovery_json"},
-    {"burst", 1, "bench_burst_amortization"},
+    {"burst", 1, "bench_fleet (burst section)"},
     {"fault", 2, "bench_fault_latency"},
     {"shard", 1, "harness::shard_json"},
     {"lb", 2, "harness::lb_json"},

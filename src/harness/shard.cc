@@ -279,6 +279,8 @@ Json shard_json(const BurstCostTable& costs,
   section.set("costs", fleet_detail::costs_json(costs));
   Json out_rows = Json::array();
   for (const ShardResult& r : rows) {
+    fleet_detail::check_costs(r.spec.fleet, costs, r.spec.fleet.kind,
+                              "shard_json");
     Json per_core = Json::array();
     for (const ShardCoreStats& c : r.cores) {
       per_core.push_back(

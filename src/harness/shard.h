@@ -26,7 +26,7 @@
 //    simulated; worker threads only decide who executes which core);
 //  * cores == 1 reproduces run_fleet byte-for-byte: same schedule, same
 //    world construction, same samples, same sample_digest (tests and
-//    bench_fleet_scaling exit-enforce the pin).
+//    bench_fleet's shard grid exit-enforce the pin).
 //
 // On top of the merged stream sits an optional open-loop queueing view:
 // with arrival_us > 0, scheduled packet g arrives at g * arrival_us and
@@ -34,7 +34,7 @@
 // sojourn = queueing delay + service.  This is the head-of-line view: a
 // Zipf-hot flow pins its core past saturation and that core's sojourn
 // tail explodes while the fleet's median stays flat (the nanoPU
-// single-hot-core scenario), which bench_fleet_scaling demonstrates.
+// single-hot-core scenario), which bench_fleet's shard grid demonstrates.
 #pragma once
 
 #include <cstdint>
@@ -130,7 +130,8 @@ std::vector<std::uint32_t> steer_flows(const FleetSpec& fleet,
                                        std::size_t cores, SteeringPolicy p);
 
 /// Schema-versioned section (`l96.shard.v1`) with the shared costs, merged
-/// rows, and per-core breakdowns.
+/// rows, and per-core breakdowns.  Throws std::invalid_argument for a row
+/// `costs` could not have priced.
 Json shard_json(const BurstCostTable& costs,
                 const std::vector<ShardResult>& rows);
 

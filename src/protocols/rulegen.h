@@ -14,7 +14,8 @@
 //
 // Everything is seeded and uses a local xorshift64* stream: the same
 // (kind, decoys, seed) triple always yields the same classifier, byte for
-// byte, which the determinism checks in bench_classifier_scale rely on.
+// byte, which the determinism checks in bench_fleet's classifier section
+// rely on.
 #pragma once
 
 #include <cstddef>

@@ -2,8 +2,10 @@
 // shard per-core, recovery and LB row carries the counters
 // conservation_error() checks, so a consumer of the sections alone can
 // verify that each row's percentiles cover exactly its scheduled traffic.
+// A section's `costs` must also be the table that priced each of its rows.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -144,6 +146,38 @@ TEST(PacketLawJson, LbRowsCarryTheLaw) {
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(law_error_from_json(rows[0], "lb"), "");
   EXPECT_EQ(counter(rows[0], "owned_packets"), 96u);
+}
+
+// A section labels every row with its one `costs` table, so each emitter
+// refuses a row that table could not have priced: a recovery grid over PIN
+// and ALL written with PIN's table would misprice half its rows.
+TEST(PacketLawJson, EmittersRefuseRowsTheirCostsDidNotPrice) {
+  harness::FleetResult all_row;
+  all_row.spec = churned_fleet("all");
+  harness::FleetResult pin_row = all_row;
+  pin_row.spec.label = "pin";
+  pin_row.spec.config = code::StackConfig::Pin();
+  EXPECT_NO_THROW(harness::fleet_json(tcp_table(), {all_row}));
+  EXPECT_THROW(harness::fleet_json(tcp_table(), {all_row, pin_row}),
+               std::invalid_argument);
+
+  harness::ShardResult shard;
+  shard.spec.fleet = pin_row.spec;
+  EXPECT_THROW(harness::shard_json(tcp_table(), {shard}),
+               std::invalid_argument);
+
+  harness::RecoveryResult rec_all;
+  rec_all.spec.fleet = all_row.spec;
+  harness::RecoveryResult rec_pin;
+  rec_pin.spec.fleet = pin_row.spec;
+  EXPECT_NO_THROW(harness::recovery_json(tcp_table(), {rec_all}));
+  EXPECT_THROW(harness::recovery_json(tcp_table(), {rec_all, rec_pin}),
+               std::invalid_argument);
+
+  // An LB row is priced by a kLb table, never by an endpoint's.
+  harness::LbResult lb;
+  lb.spec.fleet.config = code::StackConfig::All();
+  EXPECT_THROW(harness::lb_json(tcp_table(), {lb}), std::invalid_argument);
 }
 
 }  // namespace
