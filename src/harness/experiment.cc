@@ -46,14 +46,12 @@ code::PathTrace prefix_of(const code::PathTrace& t, std::size_t count) {
   return p;
 }
 
-/// Miss-attribution profiler over `image`, or null when not requested.
-std::unique_ptr<sim::MissProfiler> make_profiler(const MeasureSpec& spec,
-                                                 const code::CodeImage& image) {
-  if (!spec.profile_misses) return nullptr;
-  return std::make_unique<sim::MissProfiler>(code::build_owner_map(
-      *spec.registry, image, code::LowerParams{},
-      {{"data:arena", xk::SimAlloc::kArenaBase,
-        xk::SimAlloc::kArenaBase + 0x100'0000}}));
+/// Miss-attribution owners of `image`: its code regions plus the arena.
+sim::OwnerMap owner_map(const code::CodeRegistry& reg,
+                        const code::CodeImage& image) {
+  return code::build_owner_map(reg, image, code::LowerParams{},
+                               {{"data:arena", xk::SimAlloc::kArenaBase,
+                                 xk::SimAlloc::kArenaBase + 0x100'0000}});
 }
 
 /// This thread's replay machine, built on first use and rebuilt only when
@@ -73,13 +71,14 @@ sim::Machine& thread_machine(const MachineParams& params) {
 
 /// Steady-state replay options (Table 7): warm-up passes with scrubbing
 /// between activations, seeded per side.
-sim::Machine::Options steady_options(const MeasureSpec& spec) {
+sim::Machine::Options steady_options(const MachineParams& params,
+                                     std::uint64_t seed_offset) {
   sim::Machine::Options opts;
   opts.cold_start = true;
-  opts.warmup_passes = spec.params.warmup_passes;
-  opts.scrub_fraction = spec.params.scrub_fraction;
-  opts.scrub_fraction_d = spec.params.scrub_fraction_d;
-  opts.scrub_seed = spec.params.scrub_seed + spec.seed_offset;
+  opts.warmup_passes = params.warmup_passes;
+  opts.scrub_fraction = params.scrub_fraction;
+  opts.scrub_fraction_d = params.scrub_fraction_d;
+  opts.scrub_seed = params.scrub_seed + seed_offset;
   return opts;
 }
 
@@ -192,7 +191,7 @@ code::CodeImage build_image(net::StackKind kind, const code::StackConfig& cfg,
   return b.build();
 }
 
-SideMeasurement measure_side(const MeasureSpec& spec) {
+PreparedSide prepare_side(const MeasureSpec& spec) {
   if (spec.registry == nullptr || spec.trace == nullptr) {
     throw std::invalid_argument(
         "MeasureSpec requires a registry and a trace");
@@ -201,52 +200,73 @@ SideMeasurement measure_side(const MeasureSpec& spec) {
   const code::PathTrace& trace = *spec.trace;
   const code::PathTrace& profile =
       spec.profile != nullptr ? *spec.profile : trace;
-  const MachineParams& params = spec.params;
 
-  SideMeasurement m;
-  m.config_name = spec.cfg.name;
+  PreparedSide side;
+  side.config_name = spec.cfg.name;
+  side.params = spec.params;
 
   const code::CodeImage image =
-      build_image(spec.kind, spec.cfg, reg, profile, params);
-  m.static_hot_words = image.hot_words();
-  m.static_total_words = image.total_words();
+      build_image(spec.kind, spec.cfg, reg, profile, spec.params);
+  side.static_hot_words = image.hot_words();
+  side.static_total_words = image.total_words();
 
-  // One pass lowers the trace and its critical prefix (see SplitLowering).
-  const code::SplitLowering lowered =
+  // One pass lowers the trace and its critical prefix (see SplitLowering),
+  // and each is timed once for all of its replays.
+  side.lowered =
       code::Lowering(reg, image, spec.cfg).lower_split(trace, spec.split);
-  const sim::MachineTrace& full = lowered.trace;
-  const std::span<const sim::MachineInstr> critical = lowered.prefix();
+  const sim::Cpu cpu(spec.params.cpu);
+  side.full_timing = cpu.time_trace(side.lowered.trace);
+  side.critical_timing =
+      cpu.time_trace(side.lowered.prefix(), side.lowered.prefix_last);
+
+  side.footprint = code::footprint_stats(side.lowered.trace, image,
+                                         spec.params.mem.block_bytes);
+  if (spec.profile_misses) side.owners = owner_map(reg, image);
+  return side;
+}
+
+SideMeasurement replay_side(const PreparedSide& side,
+                            std::uint64_t seed_offset) {
+  const sim::MachineTrace& full = side.lowered.trace;
+  const std::span<const sim::MachineInstr> critical = side.lowered.prefix();
+  const MachineParams& params = side.params;
+
+  SideMeasurement m;
+  m.config_name = side.config_name;
   m.instructions = full.size();
   m.critical_instructions = critical.size();
+  m.static_hot_words = side.static_hot_words;
+  m.static_total_words = side.static_total_words;
+  m.footprint = side.footprint;
 
-  // Miss attribution: one profiler (owner map shared) drives both full
-  // replays; Machine::run resets it at measurement start, so each snapshot
-  // covers exactly one replay and conserves to that replay's CacheStats.
-  const std::unique_ptr<sim::MissProfiler> prof = make_profiler(spec, image);
+  // Miss attribution: one profiler drives both full replays; Machine resets
+  // it at measurement start, so each snapshot covers exactly one replay and
+  // conserves to that replay's CacheStats.
+  std::optional<sim::MissProfiler> prof;
+  if (side.owners) prof.emplace(*side.owners);
+  sim::MissProfiler* const profiler = prof ? &*prof : nullptr;
 
-  // The thread's machine serves all three replays, and the full trace's
-  // issue timing serves both of its replays.
+  // The thread's machine serves all three replays.
   sim::Machine& machine = thread_machine(params);
-  const sim::CpuStats full_timing = machine.cpu().time_trace(full);
 
   // Cold replay: the paper's trace-driven cache simulation (Table 6).
   {
     sim::Machine::Options opts;
     opts.cold_start = true;
     opts.warmup_passes = 0;
-    opts.miss_profiler = prof.get();
-    m.cold = machine.run(full, full_timing, opts);
+    opts.miss_profiler = profiler;
+    m.cold = machine.run(full, side.full_timing, opts);
     if (prof) {
-      m.miss_cold =
-          std::make_shared<const sim::MissProfile>(prof->snapshot());
+      m.miss_cold = std::make_shared<const sim::MissProfile>(prof->snapshot());
     }
   }
-  // Steady replay: processing time and CPI (Table 7).
-  const sim::Machine::Options steady = steady_options(spec);
+  // Steady replay: processing time and CPI (Table 7).  The cold replay is
+  // its warm-up pass 1, so it resumes from there.
+  const sim::Machine::Options steady = steady_options(params, seed_offset);
   {
     sim::Machine::Options opts = steady;
-    opts.miss_profiler = prof.get();
-    m.steady = machine.run(full, full_timing, opts);
+    opts.miss_profiler = profiler;
+    m.steady = machine.run_after_cold(full, side.full_timing, opts);
     m.tp_us = m.steady.processing_us(params.cpu.frequency_hz);
     if (prof) {
       m.miss_steady =
@@ -255,13 +275,13 @@ SideMeasurement measure_side(const MeasureSpec& spec) {
   }
   // Critical path: the prefix's memory replay, timed as the prefix's own
   // lowering leaves its final instruction.
-  m.critical = machine.run(
-      critical, machine.cpu().time_trace(critical, lowered.prefix_last),
-      steady);
+  m.critical = machine.run(critical, side.critical_timing, steady);
   m.critical_us = m.critical.processing_us(params.cpu.frequency_hz);
-
-  m.footprint = code::footprint_stats(full, image, params.mem.block_bytes);
   return m;
+}
+
+SideMeasurement measure_side(const MeasureSpec& spec) {
+  return replay_side(prepare_side(spec), spec.seed_offset);
 }
 
 StreamMeasurement measure_stream(const StreamSpec& spec) {
@@ -311,14 +331,15 @@ StreamMeasurement measure_stream(const StreamSpec& spec) {
     }
   }
 
-  const std::unique_ptr<sim::MissProfiler> prof = make_profiler(base, image);
+  std::optional<sim::MissProfiler> prof;
+  if (base.profile_misses) prof.emplace(owner_map(reg, image));
 
   // Same steady-state options as measure_side: position 0 starts from the
   // post-warm-up, post-scrub state and is byte-identical to the steady
   // replay; later positions run back to back with no scrub in between.
   sim::Machine& machine = thread_machine(params);
-  sim::Machine::Options opts = steady_options(base);
-  opts.miss_profiler = prof.get();
+  sim::Machine::Options opts = steady_options(params, base.seed_offset);
+  opts.miss_profiler = prof ? &*prof : nullptr;
   const std::vector<sim::RunResult> runs =
       machine.run_stream(seq, opts, &warm);
 
@@ -354,13 +375,16 @@ ConfigResult measure_config(const MeasureSpec& client,
 
 std::vector<double> sample_te(MeasureSpec client, MeasureSpec server,
                               double controller_us, std::uint64_t n) {
-  client.profile_misses = server.profile_misses = false;
   std::vector<double> out;
+  if (n == 0) return out;
+  client.profile_misses = server.profile_misses = false;
+  const PreparedSide c = prepare_side(client);
+  const PreparedSide s = prepare_side(server);
   out.reserve(n);
   for (std::uint64_t k = 0; k < n; ++k) {
-    client.seed_offset = 100 + k * 7;
-    server.seed_offset = 200 + k * 13;
-    out.push_back(measure_config(client, server, controller_us).te_us);
+    out.push_back(combine_sides(replay_side(c, 100 + k * 7),
+                                replay_side(s, 200 + k * 13), controller_us)
+                      .te_us);
   }
   return out;
 }

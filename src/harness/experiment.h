@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -129,10 +130,40 @@ struct MeasureSpec {
   bool profile_misses = false;
 };
 
-/// Lower spec.trace under spec.cfg's image and replay it cold + steady: the
-/// measurement kernel shared by Experiment, SweepRunner and the benches.
-/// Pure function of the spec; reads the registry and traces only — safe to
-/// call concurrently from multiple threads over the same registry/trace.
+/// What measure_side() computes before its first replay, none of which
+/// depends on the scrub seed: the image's sizes, the lowering of the trace
+/// and of its critical prefix, their issue timings, the footprint and, when
+/// profiling, the owner map.  Self-contained: it borrows nothing from the
+/// spec, so it may outlive the spec's registry and trace.
+struct PreparedSide {
+  std::string config_name;
+  MachineParams params;
+  code::SplitLowering lowered;
+  sim::CpuStats full_timing;
+  sim::CpuStats critical_timing;  ///< the prefix as its own lowering ends
+  code::FootprintStats footprint;
+  std::uint64_t static_hot_words = 0;
+  std::uint64_t static_total_words = 0;
+  /// Set when spec.profile_misses: each replay profiles against it.
+  std::optional<sim::OwnerMap> owners;
+};
+
+/// Build spec.cfg's image and lower spec.trace under it (the first half of
+/// measure_side).  Throws std::invalid_argument when registry or trace is
+/// null.
+PreparedSide prepare_side(const MeasureSpec& spec);
+
+/// Replay a prepared side cold, steady and critical with the scrub seed
+/// params.scrub_seed + seed_offset (the second half of measure_side).
+/// Reads `side` only; safe to call concurrently over one PreparedSide.
+SideMeasurement replay_side(const PreparedSide& side,
+                            std::uint64_t seed_offset);
+
+/// Lower spec.trace under spec.cfg's image and replay it cold + steady:
+/// replay_side(prepare_side(spec), spec.seed_offset), the measurement
+/// kernel shared by Experiment, SweepRunner and the benches.  Pure function
+/// of the spec; reads the registry and traces only — safe to call
+/// concurrently from multiple threads over the same registry/trace.
 /// Throws std::invalid_argument when registry or trace is null.
 SideMeasurement measure_side(const MeasureSpec& spec);
 
@@ -197,7 +228,8 @@ ConfigResult measure_config(const MeasureSpec& client,
 
 /// `n` end-to-end samples (for the mean +/- stddev the paper reports):
 /// sample k replays the client with scrub-seed offset 100+7k and the server
-/// with 200+13k, never profiled, and is measure_config()'s te_us.
+/// with 200+13k, never profiled, and is measure_config()'s te_us.  Each
+/// side is prepared once and replayed per sample.
 std::vector<double> sample_te(MeasureSpec client, MeasureSpec server,
                               double controller_us, std::uint64_t n);
 

@@ -45,6 +45,7 @@ DirectMappedCache::AccessResult DirectMappedCache::miss(Addr addr,
   if (allocate) {
     r.replacement_miss = !ever_seen_.insert(block);
     if (line.epoch == epoch_) {
+      ++evictions_;
       r.evicted = true;
       r.evicted_block = line.block;
       if (line.dirty) {
@@ -80,8 +81,21 @@ void DirectMappedCache::invalidate_line(std::uint32_t index) noexcept {
 
 void DirectMappedCache::reset_cold() {
   ++epoch_;
+  evictions_ = 0;
   ever_seen_.clear();
   stats_.reset();
+}
+
+DirectMappedCache::State DirectMappedCache::state() const {
+  State s;
+  s.lines.reserve(lines_.size());
+  for (const Line& line : lines_) {
+    s.lines.push_back(line.epoch == epoch_
+                          ? LineState{true, line.block, line.dirty != 0}
+                          : LineState{});
+  }
+  s.ever_seen = ever_seen_.sorted();
+  return s;
 }
 
 // --- BlockSet ---------------------------------------------------------------
@@ -123,6 +137,17 @@ void DirectMappedCache::BlockSet::grow() {
     while (slots_[i] != 0) i = (i + 1) & mask;
     slots_[i] = key;
   }
+}
+
+std::vector<Addr> DirectMappedCache::BlockSet::sorted() const {
+  std::vector<Addr> out;
+  out.reserve(size_ + 1);
+  if (has_zero_) out.push_back(0);
+  for (const Addr key : slots_) {
+    if (key != 0) out.push_back(key);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 void DirectMappedCache::BlockSet::clear() noexcept {

@@ -108,6 +108,28 @@ class DirectMappedCache {
 
   const CacheStats& stats() const noexcept { return stats_; }
 
+  /// Allocations since the last reset_cold() that displaced a resident
+  /// line.  Kept out of CacheStats: reset_stats() leaves it, so it covers
+  /// every replay since the cold restart (Machine's warm-up reads it).
+  std::uint64_t evictions_since_cold() const noexcept { return evictions_; }
+
+  /// One line as the model sees it: an invalid line reports block 0 and
+  /// clean, whatever its stale tag holds.
+  struct LineState {
+    bool valid = false;
+    Addr block = 0;
+    bool dirty = false;
+    bool operator==(const LineState&) const = default;
+  };
+  /// Everything of this cache a later access can observe: each line's
+  /// residency and the sorted ever-seen history.  O(lines); for tests.
+  struct State {
+    std::vector<LineState> lines;
+    std::vector<Addr> ever_seen;
+    bool operator==(const State&) const = default;
+  };
+  State state() const;
+
   /// Zero the statistics ONLY: residency and the ever-seen history are
   /// kept, so post-warm-up misses still classify as replacement misses.
   /// This is what the Table 7 steady replay does between its warm-up
@@ -145,6 +167,8 @@ class DirectMappedCache {
     /// Insert `key`; false when it was already present.
     bool insert(Addr key);
     void clear() noexcept;
+    /// The members in ascending order.
+    std::vector<Addr> sorted() const;
 
    private:
     std::size_t slot(Addr key) const noexcept;
@@ -163,6 +187,7 @@ class DirectMappedCache {
   std::uint32_t num_lines_;
   int block_shift_;
   std::uint64_t epoch_ = 1;
+  std::uint64_t evictions_ = 0;
   std::vector<Line> lines_;
   BlockSet ever_seen_;
   CacheStats stats_;

@@ -37,17 +37,33 @@ RunResult Machine::run(const MachineTrace& trace, const Options& opts) {
   return run(trace, cpu_.time_trace(trace), opts);
 }
 
-RunResult Machine::run(std::span<const MachineInstr> trace,
-                       const CpuStats& timing, const Options& opts) {
+namespace {
+
+void check_timing(std::span<const MachineInstr> trace, const CpuStats& timing,
+                  const char* who) {
   if (timing.instructions != trace.size()) {
     throw std::invalid_argument(
-        "Machine::run: timing covers " + std::to_string(timing.instructions) +
-        " instructions, the trace has " + std::to_string(trace.size()));
+        std::string(who) + ": timing covers " +
+        std::to_string(timing.instructions) + " instructions, the trace has " +
+        std::to_string(trace.size()));
   }
-  begin(trace, opts);
-  const RunResult r = measure(trace, timing, opts);
-  mem_.attach_miss_profiler(nullptr);
-  return r;
+}
+
+}  // namespace
+
+RunResult Machine::run(std::span<const MachineInstr> trace,
+                       const CpuStats& timing, const Options& opts) {
+  check_timing(trace, timing, "Machine::run");
+  warm_up(trace, opts);
+  return measure_once(trace, timing, opts);
+}
+
+RunResult Machine::run_after_cold(std::span<const MachineInstr> trace,
+                                  const CpuStats& timing,
+                                  const Options& opts) {
+  check_timing(trace, timing, "Machine::run_after_cold");
+  warm_up_after_cold(trace, opts);
+  return measure_once(trace, timing, opts);
 }
 
 std::vector<RunResult> Machine::run_stream(
@@ -55,7 +71,8 @@ std::vector<RunResult> Machine::run_stream(
     const MachineTrace* warmup_trace) {
   std::vector<RunResult> out;
   if (seq.empty()) return out;
-  begin(warmup_trace != nullptr ? *warmup_trace : *seq.front(), opts);
+  warm_up(warmup_trace != nullptr ? *warmup_trace : *seq.front(), opts);
+  attach_profiler(opts);
 
   out.reserve(seq.size());
   // A burst repeats one trace, so a position times its trace only when it
@@ -79,33 +96,82 @@ std::vector<RunResult> Machine::run_stream(
   return out;
 }
 
-void Machine::begin(std::span<const MachineInstr> warm, const Options& opts) {
+void Machine::warm_up(std::span<const MachineInstr> warm,
+                      const Options& opts) {
   // A reused machine keeps no profiler from an earlier, interrupted replay.
   mem_.attach_miss_profiler(nullptr);
+  cold_replay_ = {};
 
   // Cold replay (Table 6): full cold restart, every first touch is a cold
   // miss.  Steady replay (Table 7): warm-up passes below, then reset_stats()
   // keeps residency + ever-seen history so measured misses on warmed blocks
   // classify as replacement misses.
   if (opts.cold_start) mem_.reset_cold();
+  replay_warm_up(warm, opts, 0);
+}
 
+void Machine::warm_up_after_cold(std::span<const MachineInstr> warm,
+                                 const Options& opts) {
+  if (!opts.cold_start) {
+    throw std::invalid_argument(
+        "Machine::run_after_cold: the steady replay must start cold");
+  }
+  if (cold_replay_.data() != warm.data() ||
+      cold_replay_.size() != warm.size()) {
+    throw std::logic_error(
+        "Machine::run_after_cold: the previous call was not a cold replay "
+        "of this trace");
+  }
+  if (opts.warmup_passes == 0) {
+    warm_up(warm, opts);  // the steady replay is itself a cold replay
+    return;
+  }
+  cold_replay_ = {};
+  replay_warm_up(warm, opts, 1);
+}
+
+void Machine::replay_warm_up(std::span<const MachineInstr> warm,
+                             const Options& opts, std::uint32_t done) {
+  const bool scrub = opts.scrub_fraction > 0.0 || opts.scrub_fraction_d > 0.0;
+  const double d =
+      opts.scrub_fraction_d < 0.0 ? opts.scrub_fraction : opts.scrub_fraction_d;
+  // Passes 2..N rebuild the post-pass-1 state when pass 1 started cold, the
+  // b-cache kept every block it filled and the i-cache restarts empty (the
+  // argument is at Options::warmup_passes); only the last scrub is left.
+  // The memory system never flushes or scrubs the b-cache, so its
+  // eviction count alone tells whether it kept every block.
+  const bool passes_repeat = opts.cold_start && opts.scrub_fraction >= 1.0;
   for (std::uint32_t p = 0; p < opts.warmup_passes; ++p) {
-    replay_memory(warm);
-    mem_.drain_writes();
-    if (opts.scrub_fraction > 0.0 || opts.scrub_fraction_d > 0.0) {
-      const double d = opts.scrub_fraction_d < 0.0 ? opts.scrub_fraction
-                                                   : opts.scrub_fraction_d;
-      mem_.scrub_primary(opts.scrub_fraction, d, opts.scrub_seed + p);
+    if (p >= done) {
+      replay_memory(warm);
+      mem_.drain_writes();
     }
+    if (p == 0 && passes_repeat && mem_.bcache().evictions_since_cold() == 0) {
+      p = opts.warmup_passes - 1;
+    }
+    if (scrub) mem_.scrub_primary(opts.scrub_fraction, d, opts.scrub_seed + p);
   }
   if (opts.warmup_passes > 0) mem_.reset_stats();
+}
 
+void Machine::attach_profiler(const Options& opts) {
   // Attribution covers exactly the measured stream: attach after warm-up,
   // reset so the per-owner sums equal the post-reset aggregate stats.
   if (opts.miss_profiler != nullptr) {
     opts.miss_profiler->reset();
     mem_.attach_miss_profiler(opts.miss_profiler);
   }
+}
+
+RunResult Machine::measure_once(std::span<const MachineInstr> trace,
+                                const CpuStats& timing, const Options& opts) {
+  attach_profiler(opts);
+  const RunResult r = measure(trace, timing, opts);
+  mem_.attach_miss_profiler(nullptr);
+  if (opts.cold_start && opts.warmup_passes == 0 && opts.drain_at_end) {
+    cold_replay_ = trace;
+  }
+  return r;
 }
 
 RunResult Machine::measure(std::span<const MachineInstr> trace,

@@ -57,7 +57,24 @@ class Machine {
     /// Number of warm-up replays before the measured replay.  Warm-up
     /// populates the b-cache (the whole kernel fits in it) and the primary
     /// caches; combined with `scrub_fraction` this models the steady state
-    /// of repeated path invocations with untraced code in between.
+    /// of repeated path invocations with untraced code in between.  Pass p
+    /// replays the trace, drains the write buffer and scrubs with seed
+    /// scrub_seed + p.
+    ///
+    /// Two rules skip passes that rebuild a state the machine already
+    /// holds; neither changes a result.  run_after_cold() takes the cold
+    /// replay just made as pass 1, on any layout.  Passes 2..N are skipped,
+    /// and only the last scrub (seed + N-1) runs, when pass 1 started cold
+    /// (`cold_start`), the b-cache made no eviction since that cold restart
+    /// and the i-cache scrub is total (scrub_fraction >= 1).  Each later
+    /// pass would rebuild exactly the post-pass-1 state: every allocating
+    /// b-cache access hits, so the b-cache, its dirty bits and every
+    /// ever-seen set are fixed; the d-cache allocates on loads only, so
+    /// each set the trace loads ends holding its last loaded block and
+    /// every other set stays invalid; the i-cache restarts empty, so its
+    /// misses (and the sequential-fill block) repeat; the write buffer is
+    /// drained.  Otherwise, as for BAD's conflicting layout, every pass is
+    /// replayed.
     std::uint32_t warmup_passes = 0;
     /// Fraction of primary-cache lines evicted by untraced code between
     /// passes (interrupt handling, context switch, idle thread).  The
@@ -91,6 +108,17 @@ class Machine {
   RunResult run(std::span<const MachineInstr> trace, const CpuStats& timing,
                 const Options& opts);
 
+  /// As run(trace, timing, opts), continuing from the cold replay the
+  /// previous call made: run(trace, timing, o) with o.cold_start, no
+  /// warm-up passes and o.drain_at_end leaves exactly the state opts's
+  /// warm-up pass 1 leaves before its scrub, so that pass is not replayed.
+  /// Equals run(trace, timing, opts) (tested).  Throws std::logic_error
+  /// when the previous call was not such a replay of this very span, and
+  /// std::invalid_argument when opts does not start cold or `timing` does
+  /// not cover the trace.
+  RunResult run_after_cold(std::span<const MachineInstr> trace,
+                           const CpuStats& timing, const Options& opts);
+
   /// Replay a *sequence* of activations under one continuously-evolving
   /// cache state and return one RunResult per position.  Warm-up (passes +
   /// scrub, from `opts`) replays `warmup_trace` (default: seq.front()) and
@@ -106,13 +134,32 @@ class Machine {
       const std::vector<const MachineTrace*>& seq, const Options& opts,
       const MachineTrace* warmup_trace = nullptr);
 
+  /// The state the measured replay of run(warm, opts) starts from: a cold
+  /// restart when opts.cold_start, then the warm-up passes over `warm`.
+  /// Statistics are zeroed after a warm-up; no profiler is attached.
+  void warm_up(std::span<const MachineInstr> warm, const Options& opts);
+  /// The same state, reached as run_after_cold(warm, ...) reaches it: from
+  /// the cold replay of `warm` the previous call made.  Throws as
+  /// run_after_cold() does.
+  void warm_up_after_cold(std::span<const MachineInstr> warm,
+                          const Options& opts);
+
+  /// Mutating the memory system between run() and run_after_cold() breaks
+  /// the latter's precondition; nothing checks it.
   MemorySystem& mem() noexcept { return mem_; }
   const Cpu& cpu() const noexcept { return cpu_; }
 
  private:
-  /// Cold restart and warm-up passes over `warm` per `opts`, then attach
-  /// the profiler for the measured replays.
-  void begin(std::span<const MachineInstr> warm, const Options& opts);
+  /// Warm-up passes `done`..warmup_passes-1 over `warm` (pass 0 is done
+  /// when it is the cold replay), collapsed as warmup_passes describes.
+  void replay_warm_up(std::span<const MachineInstr> warm, const Options& opts,
+                      std::uint32_t done);
+  /// Attach opts.miss_profiler, reset, for the measured replays.
+  void attach_profiler(const Options& opts);
+  /// run()'s measured pass after its warm-up: attach the profiler, measure
+  /// `trace`, detach; remember `trace` when the whole run was a cold replay.
+  RunResult measure_once(std::span<const MachineInstr> trace,
+                         const CpuStats& timing, const Options& opts);
   /// One measured replay of `trace`, priced with its issue `timing`.
   RunResult measure(std::span<const MachineInstr> trace,
                     const CpuStats& timing, const Options& opts);
@@ -121,6 +168,10 @@ class Machine {
 
   MemorySystem mem_;
   Cpu cpu_;
+  /// The trace whose cold replay produced the current state, if the last
+  /// call was one; run_after_cold() continues only from that.  Compared by
+  /// address and length, never read.
+  std::span<const MachineInstr> cold_replay_;
 };
 
 }  // namespace l96::sim

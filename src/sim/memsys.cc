@@ -148,6 +148,14 @@ void MemorySystem::reset_cold() {
   last_imiss_block_ = 0;
 }
 
+MemorySystem::State MemorySystem::state() const {
+  return State{.icache = icache_->state(),
+               .dcache = dcache_->state(),
+               .bcache = bcache_->state(),
+               .last_imiss_block = last_imiss_block_,
+               .wbuf = {wbuf_->entries().begin(), wbuf_->entries().end()}};
+}
+
 void MemorySystem::reset_stats() {
   icache_->reset_stats();
   dcache_->reset_stats();

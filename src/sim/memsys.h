@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "sim/cache.h"
 #include "sim/miss_profiler.h"
@@ -134,6 +135,18 @@ class MemorySystem {
   const MemStallStats& stalls() const noexcept { return stalls_; }
   const BcacheTraffic& bcache_traffic() const noexcept { return traffic_; }
   const Config& config() const noexcept { return cfg_; }
+
+  /// Everything that decides what a later replay measures: the three
+  /// caches' lines and ever-seen histories, the sequential-fill block and
+  /// the buffered writes.  Statistics are not part of it.  O(lines); lets
+  /// tests compare two ways of reaching a state.
+  struct State {
+    DirectMappedCache::State icache, dcache, bcache;
+    Addr last_imiss_block = 0;
+    std::vector<Addr> wbuf;
+    bool operator==(const State&) const = default;
+  };
+  State state() const;
 
  private:
   std::uint32_t bcache_read_penalty(Addr addr);

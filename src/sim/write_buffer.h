@@ -45,6 +45,8 @@ class WriteBuffer {
   std::uint32_t pending() const noexcept {
     return static_cast<std::uint32_t>(entries_.size());
   }
+  /// Buffered block addresses, oldest first.
+  const std::deque<Addr>& entries() const noexcept { return entries_; }
 
   std::uint64_t stores() const noexcept { return stores_; }
   std::uint64_t merges() const noexcept { return merges_; }

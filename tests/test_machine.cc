@@ -3,6 +3,8 @@
 
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "sim/machine.h"
 
@@ -269,6 +271,143 @@ TEST(MachineReuse, SuppliedTimingEqualsTimingInsideTheRun) {
   // Timing of another length is rejected, not silently mixed in.
   const std::span<const MachineInstr> shorter(t.data(), t.size() - 1);
   EXPECT_THROW(m.run(shorter, timing, steady_opts()), std::invalid_argument);
+}
+
+// --- each warm-up state replayed once ---------------------------------------
+
+/// The warm-up `opts` asks for with every pass replayed: a cold restart,
+/// then one single-pass warm-up per pass (a lone pass has nothing to skip).
+void warm_in_full(Machine& m, const MachineTrace& warm,
+                  const Machine::Options& opts) {
+  if (opts.cold_start) m.mem().reset_cold();
+  Machine::Options pass = opts;
+  pass.cold_start = false;
+  pass.warmup_passes = 1;
+  for (std::uint32_t p = 0; p < opts.warmup_passes; ++p) {
+    pass.scrub_seed = opts.scrub_seed + p;
+    m.warm_up(warm, pass);
+  }
+}
+
+/// run(trace, opts) with every warm-up pass replayed.
+RunResult run_in_full(Machine& m, const MachineTrace& trace,
+                      const Machine::Options& opts) {
+  warm_in_full(m, trace, opts);
+  Machine::Options measured = opts;
+  measured.cold_start = false;
+  measured.warmup_passes = 0;
+  return m.run(trace, measured);
+}
+
+void expect_same_state(const MemorySystem::State& a,
+                       const MemorySystem::State& b) {
+  EXPECT_TRUE(a.icache == b.icache) << "i-cache lines or ever-seen set";
+  EXPECT_TRUE(a.dcache == b.dcache) << "d-cache lines or ever-seen set";
+  EXPECT_TRUE(a.bcache == b.bcache) << "b-cache lines or ever-seen set";
+  EXPECT_EQ(a.last_imiss_block, b.last_imiss_block);
+  EXPECT_EQ(a.wbuf, b.wbuf);
+}
+
+struct WarmCase {
+  std::string name;
+  MemorySystem::Config mem;
+  MachineTrace trace;
+  Machine::Options opts;
+};
+
+// busy_trace's data blocks lie 64 KiB apart, so they collide in
+// small_mem()'s 64 KiB b-cache; with the data at 0x8008'0000 the default
+// 2 MB b-cache holds every block the trace touches.
+std::vector<WarmCase> warm_cases() {
+  const MachineTrace clean = busy_trace(0x10000, 0x8008'0000);
+  std::vector<WarmCase> cases;
+  for (std::uint32_t w : {0u, 1u, 2u, 5u}) {
+    Machine::Options o = steady_opts();
+    o.warmup_passes = w;
+    cases.push_back({std::to_string(w) + " passes", {}, clean, o});
+  }
+  Machine::Options warm = steady_opts();
+  warm.cold_start = false;
+  cases.push_back({"warm start", {}, clean, warm});
+  // A partly scrubbed i-cache keeps some blocks, so a later pass's last
+  // i-miss comes earlier than the cold pass's.
+  Machine::Options half = steady_opts();
+  half.scrub_fraction = 0.5;
+  cases.push_back({"i-scrub 0.5", {}, straight_line(0x10000, 2048, 4), half});
+  cases.push_back({"b-cache conflicts", small_mem(),
+                   busy_trace(0x10000, 0x8000'0000), steady_opts()});
+  // One instruction loading a block of its own b-cache set: after a cold
+  // pass the set holds the data; a later pass finds the data in the
+  // unscrubbed d-cache, so its fetch leaves the code in the set instead.
+  Machine::Options keep_d = steady_opts();
+  keep_d.scrub_fraction_d = 0.0;
+  cases.push_back({"b-cache conflicts", small_mem(),
+                   {{0x10000, InstrClass::kLoad, 0x8001'0000, false}}, keep_d});
+  return cases;
+}
+
+TEST(MachineWarmUp, CollapsedPassesEqualEveryPassReplayed) {
+  const MachineTrace other = busy_trace(0x11000, 0x8000'0040);
+  for (const WarmCase& c : warm_cases()) {
+    SCOPED_TRACE(c.name);
+    // Both machines first replay another trace, so a warm start sees state.
+    Machine got(c.mem, Cpu::Config{});
+    Machine want(c.mem, Cpu::Config{});
+    got.run(other, steady_opts());
+    want.run(other, steady_opts());
+    got.warm_up(c.trace, c.opts);
+    warm_in_full(want, c.trace, c.opts);
+    expect_same_state(got.mem().state(), want.mem().state());
+
+    got.run(other, steady_opts());
+    want.run(other, steady_opts());
+    expect_same_run(got.run(c.trace, c.opts), run_in_full(want, c.trace, c.opts));
+    expect_same_state(got.mem().state(), want.mem().state());
+
+    if (!c.opts.cold_start) continue;
+    // The same state reached from a cold replay.
+    got.run(c.trace, Machine::Options{});
+    const bool conflicts = got.mem().bcache().evictions_since_cold() > 0;
+    EXPECT_EQ(conflicts, c.name == "b-cache conflicts");
+    got.warm_up_after_cold(c.trace, c.opts);
+    warm_in_full(want, c.trace, c.opts);
+    expect_same_state(got.mem().state(), want.mem().state());
+
+    const CpuStats timing = got.cpu().time_trace(c.trace);
+    got.run(c.trace, Machine::Options{});
+    expect_same_run(got.run_after_cold(c.trace, timing, c.opts),
+                    run_in_full(want, c.trace, c.opts));
+  }
+}
+
+TEST(MachineWarmUp, RunAfterColdContinuesOnlyFromAColdReplayOfItsTrace) {
+  const MachineTrace t = busy_trace(0x10000, 0x8008'0000);
+  const MachineTrace copy = t;
+  Machine m;
+  const CpuStats timing = m.cpu().time_trace(t);
+  EXPECT_THROW(m.run_after_cold(t, timing, steady_opts()), std::logic_error);
+  m.run(copy, Machine::Options{});  // equal contents, another span
+  EXPECT_THROW(m.run_after_cold(t, timing, steady_opts()), std::logic_error);
+  m.run(t, steady_opts());
+  EXPECT_THROW(m.run_after_cold(t, timing, steady_opts()), std::logic_error);
+  Machine::Options undrained;
+  undrained.drain_at_end = false;
+  m.run(t, undrained);
+  EXPECT_THROW(m.run_after_cold(t, timing, steady_opts()), std::logic_error);
+
+  m.run(t, Machine::Options{});
+  Machine::Options warm = steady_opts();
+  warm.cold_start = false;
+  EXPECT_THROW(m.run_after_cold(t, timing, warm), std::invalid_argument);
+  m.run_after_cold(t, timing, steady_opts());
+  EXPECT_THROW(m.run_after_cold(t, timing, steady_opts()), std::logic_error);
+
+  // No warm-up passes: the steady replay is a cold replay itself.
+  Machine::Options none = steady_opts();
+  none.warmup_passes = 0;
+  m.run(t, Machine::Options{});
+  Machine fresh;
+  expect_same_run(m.run_after_cold(t, timing, none), fresh.run(t, none));
 }
 
 // Fetches after the first in an i-cache block skip the lookup but are still

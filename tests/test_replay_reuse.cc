@@ -8,6 +8,10 @@
 //  * One lowering per side: Lowering::lower_split yields the critical
 //    prefix's lowering from the full trace's, and it must equal lowering
 //    the prefix on its own, instruction for instruction.
+//  * Each warm-up state replayed once: the steady replay resumes from the
+//    cold replay, and conflict-free warm-up passes 2..N collapse to their
+//    last scrub.  The memory state a measured pass starts from, and every
+//    result, must equal replaying every pass.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -58,7 +62,31 @@ void expect_same_section(const sim::MissProfile::Section& a,
   EXPECT_EQ(a.repl_misses, b.repl_misses);
   EXPECT_EQ(a.stall_cycles, b.stall_cycles);
   EXPECT_EQ(a.carryover_hits, b.carryover_hits);
-  EXPECT_EQ(a.owners.size(), b.owners.size());
+  ASSERT_EQ(a.owners.size(), b.owners.size());
+  for (std::size_t i = 0; i < a.owners.size(); ++i) {
+    EXPECT_EQ(a.owners[i].owner, b.owners[i].owner);
+    EXPECT_EQ(a.owners[i].misses, b.owners[i].misses);
+    EXPECT_EQ(a.owners[i].repl_misses, b.owners[i].repl_misses);
+    EXPECT_EQ(a.owners[i].stall_cycles, b.owners[i].stall_cycles);
+    EXPECT_EQ(a.owners[i].carryover_hits, b.owners[i].carryover_hits);
+  }
+  ASSERT_EQ(a.conflicts.size(), b.conflicts.size());
+  for (std::size_t i = 0; i < a.conflicts.size(); ++i) {
+    EXPECT_EQ(a.conflicts[i].victim, b.conflicts[i].victim);
+    EXPECT_EQ(a.conflicts[i].evictor, b.conflicts[i].evictor);
+    EXPECT_EQ(a.conflicts[i].count, b.conflicts[i].count);
+  }
+  ASSERT_EQ(a.sets.size(), b.sets.size());
+  for (std::size_t i = 0; i < a.sets.size(); ++i) {
+    EXPECT_EQ(a.sets[i].set, b.sets[i].set);
+    EXPECT_EQ(a.sets[i].misses, b.sets[i].misses);
+    EXPECT_EQ(a.sets[i].owners, b.sets[i].owners);
+  }
+  ASSERT_EQ(a.positions.size(), b.positions.size());
+  for (std::size_t i = 0; i < a.positions.size(); ++i) {
+    EXPECT_EQ(a.positions[i].misses, b.positions[i].misses);
+    EXPECT_EQ(a.positions[i].stall_cycles, b.positions[i].stall_cycles);
+  }
 }
 
 void expect_same_profile(const std::shared_ptr<const sim::MissProfile>& a,
@@ -96,6 +124,17 @@ void expect_same_stream(const StreamMeasurement& a,
     EXPECT_EQ(a.positions[i].tp_us, b.positions[i].tp_us);
   }
   expect_same_profile(a.miss, b.miss);
+}
+
+/// measure_side's steady replay options.
+sim::Machine::Options steady_of(const harness::MachineParams& p,
+                                std::uint64_t seed_offset) {
+  sim::Machine::Options o;
+  o.warmup_passes = p.warmup_passes;
+  o.scrub_fraction = p.scrub_fraction;
+  o.scrub_fraction_d = p.scrub_fraction_d;
+  o.scrub_seed = p.scrub_seed + seed_offset;
+  return o;
 }
 
 /// `f()` on a new thread, whose first replay builds a fresh machine.
@@ -255,11 +294,8 @@ TEST(SplitLowering, CriticalPrefixMatchesItsOwnLoweringOnEveryPaperSide) {
         // replay of the prefix's own lowering, its issue timing included.
         const sim::MachineTrace own =
             lower.lower(first_events(*spec.trace, spec.split));
-        sim::Machine::Options steady;
-        steady.warmup_passes = spec.params.warmup_passes;
-        steady.scrub_fraction = spec.params.scrub_fraction;
-        steady.scrub_fraction_d = spec.params.scrub_fraction_d;
-        steady.scrub_seed = spec.params.scrub_seed + spec.seed_offset;
+        const sim::Machine::Options steady =
+            steady_of(spec.params, spec.seed_offset);
         sim::Machine fresh(spec.params.mem, spec.params.cpu);
         const SideMeasurement m = harness::measure_side(spec);
         EXPECT_EQ(m.critical_instructions, own.size());
@@ -328,6 +364,136 @@ TEST(SplitLowering, EverySplitOfTheClassifierTraces) {
     }
   }
   EXPECT_GT(separate, 0u);
+}
+
+// --- each warm-up state replayed once -------------------------------------
+
+/// The warm-up `opts` asks for with every pass replayed: a cold restart,
+/// then one single-pass warm-up per pass (a lone pass has nothing to skip).
+void warm_in_full(sim::Machine& m, std::span<const sim::MachineInstr> warm,
+                  const sim::Machine::Options& opts) {
+  if (opts.cold_start) m.mem().reset_cold();
+  sim::Machine::Options pass = opts;
+  pass.cold_start = false;
+  pass.warmup_passes = 1;
+  for (std::uint32_t p = 0; p < opts.warmup_passes; ++p) {
+    pass.scrub_seed = opts.scrub_seed + p;
+    m.warm_up(warm, pass);
+  }
+}
+
+/// run(trace, timing, opts) with every warm-up pass replayed.
+sim::RunResult run_in_full(sim::Machine& m,
+                           std::span<const sim::MachineInstr> trace,
+                           const sim::CpuStats& timing,
+                           const sim::Machine::Options& opts) {
+  warm_in_full(m, trace, opts);
+  sim::Machine::Options measured = opts;
+  measured.cold_start = false;
+  measured.warmup_passes = 0;
+  return m.run(trace, timing, measured);
+}
+
+void expect_same_state(const sim::MemorySystem::State& a,
+                       const sim::MemorySystem::State& b) {
+  EXPECT_TRUE(a.icache == b.icache) << "i-cache lines or ever-seen set";
+  EXPECT_TRUE(a.dcache == b.dcache) << "d-cache lines or ever-seen set";
+  EXPECT_TRUE(a.bcache == b.bcache) << "b-cache lines or ever-seen set";
+  EXPECT_EQ(a.last_imiss_block, b.last_imiss_block);
+  EXPECT_EQ(a.wbuf, b.wbuf);
+}
+
+TEST(WarmUpOnce, EveryPaperSideEqualsReplayingEveryPass) {
+  std::size_t collapsed = 0, fallback = 0;
+  for (net::StackKind kind : {net::StackKind::kTcpIp, net::StackKind::kRpc}) {
+    for (const StackConfig& cfg : harness::paper_configs()) {
+      harness::Experiment e(kind, cfg, cfg);
+      e.capture();
+      for (MeasureSpec spec : {e.client_spec(), e.server_spec()}) {
+        const std::string side = std::string(net::to_string(kind)) + "/" +
+                                 cfg.name +
+                                 (spec.seed_offset == 0 ? " client" : " server");
+        spec.profile_misses = true;
+        const harness::PreparedSide prepared = harness::prepare_side(spec);
+        const sim::MachineTrace& full = prepared.lowered.trace;
+        const std::span<const sim::MachineInstr> critical =
+            prepared.lowered.prefix();
+        sim::Machine m(spec.params.mem, spec.params.cpu);
+
+        // Only BAD's conflicting layout evicts from the b-cache, so only
+        // BAD replays every pass.
+        m.run(full, prepared.full_timing, sim::Machine::Options{});
+        const std::uint64_t full_evictions =
+            m.mem().bcache().evictions_since_cold();
+        m.run(critical, prepared.critical_timing, sim::Machine::Options{});
+        const std::uint64_t critical_evictions =
+            m.mem().bcache().evictions_since_cold();
+        if (cfg.name == "BAD") {
+          EXPECT_GT(full_evictions, 0u) << side;
+          EXPECT_GT(critical_evictions, 0u) << side;
+          ++fallback;
+        } else {
+          EXPECT_EQ(full_evictions, 0u) << side;
+          EXPECT_EQ(critical_evictions, 0u) << side;
+          ++collapsed;
+        }
+
+        for (std::uint64_t seed : {0u, 1u, 9001u}) {
+          SCOPED_TRACE(side + " seed offset " + std::to_string(seed));
+          const sim::Machine::Options steady = steady_of(spec.params, seed);
+
+          // The state each measured pass starts from.
+          m.run(full, prepared.full_timing, sim::Machine::Options{});
+          m.warm_up_after_cold(full, steady);
+          const sim::MemorySystem::State steady_state = m.mem().state();
+          EXPECT_FALSE(steady_state.bcache.ever_seen.empty());
+          warm_in_full(m, full, steady);
+          expect_same_state(steady_state, m.mem().state());
+
+          m.warm_up(critical, steady);
+          const sim::MemorySystem::State critical_state = m.mem().state();
+          warm_in_full(m, critical, steady);
+          expect_same_state(critical_state, m.mem().state());
+
+          // Every result and both miss profiles.
+          const SideMeasurement got = harness::replay_side(prepared, seed);
+          sim::MissProfiler prof(*prepared.owners);
+          sim::Machine::Options cold;
+          cold.miss_profiler = &prof;
+          expect_same_run(got.cold, m.run(full, prepared.full_timing, cold));
+          expect_same_profile(
+              got.miss_cold,
+              std::make_shared<const sim::MissProfile>(prof.snapshot()));
+          sim::Machine::Options profiled = steady;
+          profiled.miss_profiler = &prof;
+          expect_same_run(got.steady,
+                          run_in_full(m, full, prepared.full_timing, profiled));
+          expect_same_profile(
+              got.miss_steady,
+              std::make_shared<const sim::MissProfile>(prof.snapshot()));
+          expect_same_run(got.critical, run_in_full(m, critical,
+                                                    prepared.critical_timing,
+                                                    steady));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(collapsed, 20u);
+  EXPECT_EQ(fallback, 4u);
+}
+
+TEST(WarmUpOnce, SampleTeEqualsOneMeasureConfigPerSample) {
+  const harness::Experiment& e = tcpip_std();
+  MeasureSpec c = e.client_spec();
+  MeasureSpec s = e.server_spec();
+  const std::vector<double> got = harness::sample_te(c, s, 210.0, 3);
+  ASSERT_EQ(got.size(), 3u);
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    c.seed_offset = 100 + k * 7;
+    s.seed_offset = 200 + k * 13;
+    EXPECT_EQ(got[k], harness::measure_config(c, s, 210.0).te_us);
+  }
+  EXPECT_TRUE(harness::sample_te(c, s, 210.0, 0).empty());
 }
 
 }  // namespace

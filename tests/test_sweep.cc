@@ -4,11 +4,15 @@
 // order, and the JSON metrics emission must be well-formed.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <utility>
 
+#include "harness/runner.h"
 #include "harness/sweep.h"
 
 namespace l96 {
@@ -77,10 +81,33 @@ TEST(SweepRunner, CapturesEachFunctionalTraceOnce) {
 TEST(SweepRunner, RunsOnMultipleWorkerThreads) {
   SweepRunner runner(2);
   ASSERT_GE(runner.thread_count(), 2u);
+  // Six jobs on the runner's pool, and both workers must pick up work: jobs
+  // 0 and 1 each wait until the other has started, which only a second
+  // worker can do.  (Even on a single hardware core the pool spawns two OS
+  // threads.)  The wait times out instead of hanging if it never ends.
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  bool met = true;
+  const std::size_t used =
+      harness::run_indexed_jobs(6, runner.thread_count(), [&](std::size_t i) {
+        if (i >= 2) return;
+        std::unique_lock<std::mutex> lk(mu);
+        ++started;
+        cv.notify_all();
+        if (!cv.wait_for(lk, std::chrono::seconds(30),
+                         [&] { return started == 2; })) {
+          met = false;
+        }
+      });
+  EXPECT_TRUE(met);
+  EXPECT_EQ(used, 2u);
+  // The runner reports its own sweep's count from that pool.  A sweep's
+  // jobs may all finish before the second worker starts, so the count is
+  // between one and the thread count.
   runner.run(table8_jobs());
-  // Six jobs across two workers; both must have picked up work.  (Even on a
-  // single hardware core the pool spawns two OS threads.)
-  EXPECT_GE(runner.workers_used(), 2u);
+  EXPECT_GE(runner.workers_used(), 1u);
+  EXPECT_LE(runner.workers_used(), runner.thread_count());
 }
 
 TEST(SweepRunner, CaptureKeyIgnoresLayoutOnlyFields) {
