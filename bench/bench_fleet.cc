@@ -632,15 +632,8 @@ void recovery_grid(Checks& checks) {
 
   for (const auto& r : rows) {
     const char* name = label_of(r).c_str();
-    checks.expect_conserved(r.fleet);
-    for (const auto& w : r.windows) {
-      checks.expect(w.samples_in_window == 0,
-                    "%s priced %llu deliveries inside a %s window", name,
-                    static_cast<unsigned long long>(w.samples_in_window),
-                    w.window.crash ? "crash" : "blackout");
-      checks.expect(w.recovered && w.ttr_us >= 0 && std::isfinite(w.ttr_us),
-                    "%s window never recovered (ttr=%.1f)", name, w.ttr_us);
-    }
+    const std::string verdict = harness::recovery_error(r);
+    checks.expect(verdict.empty(), "%s", verdict.c_str());
     // One-behind thrashes on the 8-flow interleave even in steady state
     // (its steady p999 is the miss path), so the contrast is asserted for
     // LRU, whose steady phase is all warm hits: the crash must price the

@@ -1,5 +1,6 @@
 #include "harness/argparse.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -9,7 +10,7 @@ namespace l96::harness {
 namespace {
 
 template <typename T>
-bool parse_unsigned(const std::string& s, T* out) {
+bool parse_uint(const std::string& s, T* out) {
   if (s.empty()) return false;
   char* end = nullptr;
   errno = 0;
@@ -31,6 +32,10 @@ bool parse_double(const std::string& s, double* out) {
 }
 
 }  // namespace
+
+bool parse_unsigned(const std::string& s, std::uint64_t* out) {
+  return parse_uint(s, out);
+}
 
 ArgParser::ArgParser(std::string prog, std::string summary)
     : prog_(std::move(prog)), summary_(std::move(summary)) {}
@@ -69,14 +74,14 @@ void ArgParser::add_option(const std::string& name,
                            const std::string& value_name,
                            const std::string& help, std::uint64_t* out) {
   add_valued(name, value_name, help,
-             [out](const std::string& v) { return parse_unsigned(v, out); });
+             [out](const std::string& v) { return parse_uint(v, out); });
 }
 
 void ArgParser::add_option(const std::string& name,
                            const std::string& value_name,
                            const std::string& help, unsigned* out) {
   add_valued(name, value_name, help,
-             [out](const std::string& v) { return parse_unsigned(v, out); });
+             [out](const std::string& v) { return parse_uint(v, out); });
 }
 
 void ArgParser::add_option(const std::string& name,
@@ -97,6 +102,18 @@ void ArgParser::add_positional(const std::string& name,
                                const std::string& help,
                                std::function<bool(const std::string&)> set) {
   pos_.push_back({name, help, std::move(set)});
+}
+
+void ArgParser::add_positional(const std::string& name,
+                               const std::string& help, std::uint64_t* out) {
+  add_positional(name, help,
+                 [out](const std::string& v) { return parse_uint(v, out); });
+}
+
+void ArgParser::add_positional(const std::string& name,
+                               const std::string& help, double* out) {
+  add_positional(name, help,
+                 [out](const std::string& v) { return parse_double(v, out); });
 }
 
 std::string ArgParser::help() const {
@@ -156,6 +173,7 @@ bool ArgParser::parse(int argc, char** argv, std::ostream& err) {
         }
       }
       if (match == nullptr) return fail("unknown flag '" + arg + "'");
+      given_.push_back(match->name.substr(2));
       if (match->flag != nullptr) {
         *match->flag = true;
         continue;
@@ -174,6 +192,7 @@ bool ArgParser::parse(int argc, char** argv, std::ostream& err) {
       return fail("unexpected argument '" + arg + "'");
     }
     Pos& p = pos_[next_pos++];
+    given_.push_back(p.name);
     if (!p.set(arg)) {
       return fail("invalid value '" + arg + "' for <" + p.name + ">");
     }
@@ -185,8 +204,11 @@ bool ArgParser::parse(int argc, char** argv) {
   return parse(argc, argv, std::cerr);
 }
 
+bool ArgParser::given(const std::string& name) const {
+  return std::find(given_.begin(), given_.end(), name) != given_.end();
+}
+
 void CommonCliArgs::add_to(ArgParser& parser) {
-  parser.add_option("seed", "N", "deterministic schedule seed", &seed);
   parser.add_option("workers", "N",
                     "worker threads (0 = hardware concurrency)", &workers);
   parser.add_flag("json", "emit the JSON section to stdout", &json);

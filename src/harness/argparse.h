@@ -12,7 +12,7 @@
 //    unparseable values print a one-line error plus the usage to stderr
 //    and fail the parse (callers exit 2, the historical convention).
 //
-// The shared tool surface (--seed/--workers/--json/--out) is declared once
+// The shared tool surface (--workers/--json/--out) is declared once
 // via CommonCliArgs::add_to so every tool spells it identically.
 #pragma once
 
@@ -55,6 +55,11 @@ class ArgParser {
   /// the parse with a uniform error naming the positional.
   void add_positional(const std::string& name, const std::string& help,
                       std::function<bool(const std::string&)> set);
+  /// Typed positionals, parsed as strictly as the typed options.
+  void add_positional(const std::string& name, const std::string& help,
+                      std::uint64_t* out);
+  void add_positional(const std::string& name, const std::string& help,
+                      double* out);
 
   /// Parse argv.  Returns true when the tool should proceed; false when it
   /// should exit (help_shown() distinguishes `--help`, exit 0, from a
@@ -63,6 +68,9 @@ class ArgParser {
   bool parse(int argc, char** argv);  ///< errors to std::cerr
 
   bool help_shown() const noexcept { return help_shown_; }
+  /// True when the last parse() met the flag or option `name` (no leading
+  /// "--") or reached the positional `name`.
+  bool given(const std::string& name) const;
   /// The generated help text (usage, options, positionals).
   std::string help() const;
 
@@ -89,11 +97,17 @@ class ArgParser {
   std::vector<Opt> opts_;
   std::vector<Pos> pos_;
   bool help_shown_ = false;
+  std::vector<std::string> given_;
 };
 
+/// The strict parser behind the typed unsigned overloads, for custom
+/// setters: true only when `s` is one whole unsigned decimal number that
+/// fits *out.
+bool parse_unsigned(const std::string& s, std::uint64_t* out);
+
 /// The flag surface every harness tool shares, declared in one place.
+/// A tool that takes a seed takes it as a positional, so it is not here.
 struct CommonCliArgs {
-  std::uint64_t seed = 1;
   unsigned workers = 0;  ///< 0 = hardware concurrency
   bool json = false;     ///< emit the JSON section to stdout
   std::string out;       ///< also write the JSON section to this path

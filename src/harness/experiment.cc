@@ -226,7 +226,7 @@ PreparedSide prepare_side(const MeasureSpec& spec) {
 }
 
 SideMeasurement replay_side(const PreparedSide& side,
-                            std::uint64_t seed_offset) {
+                            std::uint64_t seed_offset, bool profile_misses) {
   const sim::MachineTrace& full = side.lowered.trace;
   const std::span<const sim::MachineInstr> critical = side.lowered.prefix();
   const MachineParams& params = side.params;
@@ -243,7 +243,7 @@ SideMeasurement replay_side(const PreparedSide& side,
   // it at measurement start, so each snapshot covers exactly one replay and
   // conserves to that replay's CacheStats.
   std::optional<sim::MissProfiler> prof;
-  if (side.owners) prof.emplace(*side.owners);
+  if (profile_misses && side.owners) prof.emplace(*side.owners);
   sim::MissProfiler* const profiler = prof ? &*prof : nullptr;
 
   // The thread's machine serves all three replays.
@@ -375,16 +375,23 @@ ConfigResult measure_config(const MeasureSpec& client,
 
 std::vector<double> sample_te(MeasureSpec client, MeasureSpec server,
                               double controller_us, std::uint64_t n) {
-  std::vector<double> out;
-  if (n == 0) return out;
+  if (n == 0) return {};
   client.profile_misses = server.profile_misses = false;
-  const PreparedSide c = prepare_side(client);
-  const PreparedSide s = prepare_side(server);
+  return sample_te(prepare_side(client), prepare_side(server), controller_us,
+                   n);
+}
+
+std::vector<double> sample_te(const PreparedSide& client,
+                              const PreparedSide& server,
+                              double controller_us, std::uint64_t n) {
+  std::vector<double> out;
   out.reserve(n);
   for (std::uint64_t k = 0; k < n; ++k) {
-    out.push_back(combine_sides(replay_side(c, 100 + k * 7),
-                                replay_side(s, 200 + k * 13), controller_us)
-                      .te_us);
+    out.push_back(
+        combine_sides(replay_side(client, 100 + k * 7, false),
+                      replay_side(server, 200 + k * 13, false),
+                      controller_us)
+            .te_us);
   }
   return out;
 }

@@ -154,10 +154,13 @@ struct PreparedSide {
 PreparedSide prepare_side(const MeasureSpec& spec);
 
 /// Replay a prepared side cold, steady and critical with the scrub seed
-/// params.scrub_seed + seed_offset (the second half of measure_side).
-/// Reads `side` only; safe to call concurrently over one PreparedSide.
+/// params.scrub_seed + seed_offset (the second half of measure_side),
+/// profiling misses when the side carries an owner map and
+/// `profile_misses` is set.  Reads `side` only; safe to call concurrently
+/// over one PreparedSide.
 SideMeasurement replay_side(const PreparedSide& side,
-                            std::uint64_t seed_offset);
+                            std::uint64_t seed_offset,
+                            bool profile_misses = true);
 
 /// Lower spec.trace under spec.cfg's image and replay it cold + steady:
 /// replay_side(prepare_side(spec), spec.seed_offset), the measurement
@@ -231,6 +234,12 @@ ConfigResult measure_config(const MeasureSpec& client,
 /// with 200+13k, never profiled, and is measure_config()'s te_us.  Each
 /// side is prepared once and replayed per sample.
 std::vector<double> sample_te(MeasureSpec client, MeasureSpec server,
+                              double controller_us, std::uint64_t n);
+/// The same samples from sides already prepared, so a caller that also
+/// measures the configuration prepares each side once.  Never profiled,
+/// even when a side carries an owner map.
+std::vector<double> sample_te(const PreparedSide& client,
+                              const PreparedSide& server,
                               double controller_us, std::uint64_t n);
 
 /// Functional fingerprint of a capture: the stack kind, every field of

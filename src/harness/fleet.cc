@@ -338,6 +338,30 @@ Json costs_json(const BurstCostTable& costs) {
       .set("params_key", costs.params_key);
 }
 
+std::string row_name(const FleetSpec& spec) {
+  return "row '" +
+         (spec.label.empty() ? std::string("unlabeled") : spec.label) + "'";
+}
+
+std::string window_name(const FleetSpec& spec, std::size_t i,
+                        const net::ChaosWindow& w, std::uint64_t start_abs_us,
+                        std::uint64_t end_abs_us) {
+  const char* kind = w.crash ? "crash" : (w.drain ? "drain" : "blackout");
+  std::string name = row_name(spec) + " " + kind + " window " +
+                     std::to_string(i) + " [" + std::to_string(start_abs_us) +
+                     ", " + std::to_string(end_abs_us) + ")us";
+  if (w.target == net::ChaosTarget::kBackend ||
+      w.target == net::ChaosTarget::kBackendLink) {
+    name += " on backend" + std::to_string(w.index);
+  }
+  return name;
+}
+
+void add_clause(std::string& err, const std::string& clause) {
+  if (!err.empty()) err += "; ";
+  err += clause;
+}
+
 }  // namespace fleet_detail
 
 namespace {
@@ -913,15 +937,15 @@ std::string conservation_error(const FleetResult& r) {
           n(r.dropped_in_churn) + " + lost_packets " + n(r.lost_packets);
   }
   if (r.packets_sampled != r.scheduled_sampled + r.handshake_sampled) {
-    if (!err.empty()) err += "; ";
-    err += "packets_sampled " + n(r.packets_sampled) +
-           " != scheduled_sampled " + n(r.scheduled_sampled) +
-           " + handshake_sampled " + n(r.handshake_sampled);
+    fleet_detail::add_clause(err, "packets_sampled " + n(r.packets_sampled) +
+                                      " != scheduled_sampled " +
+                                      n(r.scheduled_sampled) +
+                                      " + handshake_sampled " +
+                                      n(r.handshake_sampled));
   }
   if (err.empty()) return err;
-  return "packet conservation violated in row '" +
-         (r.spec.label.empty() ? std::string("unlabeled") : r.spec.label) +
-         "': " + err;
+  return "packet conservation violated in " + fleet_detail::row_name(r.spec) +
+         ": " + err;
 }
 
 Json fleet_json(const BurstCostTable& costs,

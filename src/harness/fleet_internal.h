@@ -231,6 +231,18 @@ struct PhaseSplit {
 PhaseSplit split_phases(const CoreRunResult& core,
                         const std::vector<Interval>& phases);
 
+// Pieces of the row verdicts (conservation_error, recovery_error,
+// lb_error).
+/// "row 'LABEL'" ("row 'unlabeled'" when the label is empty).
+std::string row_name(const FleetSpec& spec);
+/// "row 'LABEL' crash window 1 [START, END)us", with " on backendN" for a
+/// backend-targeted window: how a verdict names window `i` of a row.
+std::string window_name(const FleetSpec& spec, std::size_t i,
+                        const net::ChaosWindow& w, std::uint64_t start_abs_us,
+                        std::uint64_t end_abs_us);
+/// Appends `clause` to `err`, separated by "; ".
+void add_clause(std::string& err, const std::string& clause);
+
 /// Throws std::invalid_argument, prefixed with `who`, unless `costs` could
 /// have priced `spec`: a well-formed table measured for `priced` (the kind
 /// the row's topology prices: spec.kind for direct rows, kLb for LB rows),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "harness/fleet_internal.h"
 #include "protocols/lance.h"
@@ -246,6 +247,28 @@ LbResult run_lb(const LbSpec& spec, const BurstCostTable& costs) {
     r.backend_incarnations += world.backend(i).incarnation();
   }
   return r;
+}
+
+std::string lb_error(const LbResult& r) {
+  std::string err = conservation_error(r.fleet);
+  bool any_crash = false;
+  for (const LbSteer& w : r.windows) any_crash |= w.window.crash;
+  if (!any_crash && !r.windows.empty() && r.fleet.lost_packets != 0) {
+    fleet_detail::add_clause(
+        err, fleet_detail::row_name(r.spec.fleet) +
+                 ": a crash-free script lost " +
+                 std::to_string(r.fleet.lost_packets) + " packets");
+  }
+  for (std::size_t i = 0; i < r.windows.size(); ++i) {
+    const LbSteer& w = r.windows[i];
+    const std::string window = fleet_detail::window_name(
+        r.spec.fleet, i, w.window, w.start_abs_us, w.end_abs_us);
+    if (!w.steered_away) {
+      fleet_detail::add_clause(err, window + " never steered away from");
+    }
+    if (!w.restored) fleet_detail::add_clause(err, window + " never restored");
+  }
+  return err;
 }
 
 Json lb_json(const BurstCostTable& costs,

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "harness/fleet.h"
@@ -128,6 +129,12 @@ struct LbResult {
 /// the world stalls, and std::invalid_argument when the spec is malformed
 /// or the cost table is not an LB table for its config/params.
 LbResult run_lb(const LbSpec& spec, const BurstCostTable& costs);
+
+/// The row's verdict: "" when it holds, otherwise one message naming the
+/// row and each failure — conservation_error(r.fleet), packets lost by a
+/// script with no crash window, or a window never steered away from or
+/// never restored.
+std::string lb_error(const LbResult& r);
 
 /// The rows + shared costs as a schema-versioned section (`l96.lb.v2`):
 /// each row is the fleet row prefix, then the LB keys, then the results.

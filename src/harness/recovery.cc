@@ -1,7 +1,9 @@
 #include "harness/recovery.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "harness/fleet_internal.h"
 
@@ -81,6 +83,24 @@ RecoveryResult run_recovery(const RecoverySpec& rspec,
       world.server().purged_events() + world.client().purged_events();
   r.server_incarnation = world.server().incarnation();
   return r;
+}
+
+std::string recovery_error(const RecoveryResult& r) {
+  std::string err = conservation_error(r.fleet);
+  for (std::size_t i = 0; i < r.windows.size(); ++i) {
+    const RecoveryWindow& w = r.windows[i];
+    const std::string window = fleet_detail::window_name(
+        r.spec.fleet, i, w.window, w.start_abs_us, w.end_abs_us);
+    if (w.samples_in_window != 0) {
+      fleet_detail::add_clause(err, window + " priced " +
+                                        std::to_string(w.samples_in_window) +
+                                        " deliveries inside it");
+    }
+    if (!w.recovered || !(w.ttr_us >= 0) || !std::isfinite(w.ttr_us)) {
+      fleet_detail::add_clause(err, window + " never recovered");
+    }
+  }
+  return err;
 }
 
 Json recovery_json(const BurstCostTable& costs,

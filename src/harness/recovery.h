@@ -103,6 +103,11 @@ struct RecoveryResult {
 RecoveryResult run_recovery(const RecoverySpec& spec,
                             const BurstCostTable& costs);
 
+/// The row's verdict: "" when it holds, otherwise one message naming the
+/// row and each failure — conservation_error(r.fleet), a window that
+/// priced a delivery inside it, or a window never recovered from.
+std::string recovery_error(const RecoveryResult& r);
+
 /// Schema-versioned section (`l96.recovery.v1`) for standalone emission /
 /// SweepOutcome::extra_json.  Throws std::invalid_argument for a row
 /// `costs` could not have priced, so one section never labels a row with

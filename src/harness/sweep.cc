@@ -90,9 +90,15 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& jobs) {
       sspec.cfg = job.server;
       cspec.params = sspec.params = job.params;
       cspec.profile_misses = sspec.profile_misses = job.profile_misses;
-      out[i].result = measure_config(cspec, sspec, e.controller_us());
-      out[i].te_samples =
-          sample_te(cspec, sspec, e.controller_us(), job.te_sample_count);
+      // Each side is prepared once: the result replays it (profiled when
+      // the job asks), the Te samples replay it unprofiled.
+      const PreparedSide client = prepare_side(cspec);
+      const PreparedSide server = prepare_side(sspec);
+      out[i].result = combine_sides(replay_side(client, cspec.seed_offset),
+                                    replay_side(server, sspec.seed_offset),
+                                    e.controller_us());
+      out[i].te_samples = sample_te(client, server, e.controller_us(),
+                                    job.te_sample_count);
       if (job.profile_misses) {
         out[i].extra_json("missmap", missmap_json(out[i].result));
       }

@@ -18,8 +18,9 @@
 //  * Worker pool: lowering and simulation are pure functions of
 //    (registry, trace, config, params) — see measure_side() — so jobs run
 //    concurrently on the shared run_indexed_jobs pool over the captures.
-//    Each job is measure_config() / sample_te() over the capture's specs
-//    with the job's cfg, params and profiling swapped in, so the numbers
+//    Each job prepares each side of the capture's specs once, with the
+//    job's cfg, params and profiling swapped in, and replays it for both
+//    measure_config()'s result and sample_te()'s samples, so the numbers
 //    are byte-identical to the serial Experiment path; results are stored
 //    by job index, keeping the order deterministic.
 //

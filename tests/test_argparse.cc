@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "harness/argparse.h"
@@ -104,6 +105,28 @@ TEST(ArgParseTest, MissingAndInvalidValuesFail) {
     std::ostringstream err;
     EXPECT_FALSE(p.parse(static_cast<int>(argv.size()), argv.data(), err));
   }
+  // Typed positionals parse as strictly as typed options.
+  for (const auto& [count, skew, ok] :
+       std::vector<std::tuple<std::string, std::string, bool>>{
+           {"12", "1.5", true},
+           {"12x", "1.5", false},
+           {"-3", "1.5", false},
+           {"12", "abc", false},
+           {"12", "1.5x", false}}) {
+    ArgParser p("demo", "demo tool");
+    double s = 0;
+    p.add_positional("count", "a number", &n);
+    p.add_positional("skew", "a real", &s);
+    std::vector<std::string> args = {"demo", count, skew};
+    auto argv = argv_of(args);
+    std::ostringstream err;
+    EXPECT_EQ(p.parse(static_cast<int>(argv.size()), argv.data(), err), ok)
+        << count << " " << skew;
+    if (ok) {
+      EXPECT_EQ(n, 12u);
+      EXPECT_EQ(s, 1.5);
+    }
+  }
 }
 
 TEST(ArgParseTest, ExcessPositionalFails) {
@@ -152,15 +175,41 @@ TEST(ArgParseTest, CommonCliArgsRegisterUniformSurface) {
   ArgParser p("demo", "demo tool");
   CommonCliArgs common;
   common.add_to(p);
-  std::vector<std::string> args = {"demo", "--seed",    "99", "--workers",
-                                   "3",    "--json",    "--out",
-                                   "bench/out/x.json"};
+  std::vector<std::string> args = {"demo", "--workers", "3", "--json",
+                                   "--out", "bench/out/x.json"};
   auto argv = argv_of(args);
   ASSERT_TRUE(p.parse(static_cast<int>(argv.size()), argv.data()));
-  EXPECT_EQ(common.seed, 99u);
   EXPECT_EQ(common.workers, 3u);
   EXPECT_TRUE(common.json);
   EXPECT_EQ(common.out, "bench/out/x.json");
+}
+
+TEST(ArgParseTest, GivenNamesOnlyWhatTheCommandLineSet) {
+  ArgParser p("demo", "demo tool");
+  bool verbose = false;
+  std::uint64_t n = 0;
+  std::string mode, size;
+  p.add_flag("verbose", "talk more", &verbose);
+  p.add_option("n", "N", "a count", &n);
+  p.add_option("unused", "X", "never given", &mode);
+  p.add_positional("mode", "first positional", [&](const std::string& v) {
+    mode = v;
+    return true;
+  });
+  p.add_positional("size", "second positional", [&](const std::string& v) {
+    size = v;
+    return true;
+  });
+  std::vector<std::string> args = {"demo", "--n", "0", "fast", "--verbose"};
+  auto argv = argv_of(args);
+  ASSERT_TRUE(p.parse(static_cast<int>(argv.size()), argv.data()));
+  // Given at its default value still counts as given.
+  EXPECT_TRUE(p.given("n"));
+  EXPECT_TRUE(p.given("verbose"));
+  EXPECT_TRUE(p.given("mode"));
+  EXPECT_FALSE(p.given("size"));
+  EXPECT_FALSE(p.given("unused"));
+  EXPECT_FALSE(p.given("--n"));
 }
 
 }  // namespace

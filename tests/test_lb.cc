@@ -419,5 +419,78 @@ TEST(LbHarness, RunnerOverloadEmitsSchemaAndIsWorkerInvariant) {
             std::string::npos);
 }
 
+// lb_error over hand-built results: one clean row, then one broken rule at
+// a time.
+harness::LbResult clean_lb() {
+  harness::LbResult r;
+  r.spec.fleet.label = "PIN/lru/b4";
+  r.fleet.spec = r.spec.fleet;
+  r.fleet.owned_packets = r.fleet.scheduled_sampled = 10;
+  r.fleet.packets_sampled = 10;
+  harness::LbSteer drain;
+  drain.window.drain = true;
+  drain.window.target = net::ChaosTarget::kBackend;
+  drain.window.index = 1;
+  drain.start_abs_us = 100;
+  drain.end_abs_us = 200;
+  drain.steered_away = drain.restored = true;
+  drain.tta_us = 0;
+  drain.ttr_us = 0;
+  r.windows = {drain};
+  return r;
+}
+
+bool has(const std::string& s, const std::string& part) {
+  return s.find(part) != std::string::npos;
+}
+
+TEST(LbError, CleanRowPasses) {
+  EXPECT_EQ(harness::lb_error(clean_lb()), "");
+}
+
+TEST(LbError, CrashFreeScriptMustLoseNothing) {
+  harness::LbResult r = clean_lb();
+  r.fleet.owned_packets = 12;  // 10 priced + 2 lost: conserved
+  r.fleet.lost_packets = 2;
+  const std::string err = harness::lb_error(r);
+  EXPECT_TRUE(has(err, "row 'PIN/lru/b4': a crash-free script lost 2 "
+                       "packets"))
+      << err;
+  EXPECT_FALSE(has(err, "conservation")) << err;
+
+  // A crash may lose packets; a row with no script has no windows to lose
+  // them in.
+  harness::LbResult crashed = r;
+  crashed.windows[0].window.drain = false;
+  crashed.windows[0].window.crash = true;
+  EXPECT_EQ(harness::lb_error(crashed), "");
+  harness::LbResult quiet = r;
+  quiet.windows.clear();
+  EXPECT_EQ(harness::lb_error(quiet), "");
+}
+
+TEST(LbError, NamesTheWindowNeverSteeredAwayOrRestored) {
+  harness::LbResult r = clean_lb();
+  r.windows[0].steered_away = false;
+  std::string err = harness::lb_error(r);
+  EXPECT_EQ(err,
+            "row 'PIN/lru/b4' drain window 0 [100, 200)us on backend1 never "
+            "steered away from");
+
+  r = clean_lb();
+  r.windows[0].restored = false;
+  err = harness::lb_error(r);
+  EXPECT_EQ(err,
+            "row 'PIN/lru/b4' drain window 0 [100, 200)us on backend1 never "
+            "restored");
+}
+
+TEST(LbError, CarriesThePacketLaw) {
+  harness::LbResult r = clean_lb();
+  r.fleet.packets_sampled = 9;
+  EXPECT_TRUE(has(harness::lb_error(r),
+                  "packet conservation violated in row 'PIN/lru/b4'"));
+}
+
 }  // namespace
 }  // namespace l96

@@ -5,6 +5,7 @@
 // guards.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -174,6 +175,79 @@ TEST(RecoveryTest, RejectsClientCrashAndRpc) {
   rpc.fleet.kind = net::StackKind::kRpc;
   EXPECT_THROW(harness::run_recovery(rpc, tcp_table()),
                std::invalid_argument);
+}
+
+// recovery_error over hand-built results: one clean row, then one broken
+// rule at a time.
+RecoveryResult clean_recovery() {
+  RecoveryResult r;
+  r.spec.fleet.label = "chaos/lru";
+  r.fleet.spec = r.spec.fleet;
+  r.fleet.owned_packets = r.fleet.scheduled_sampled = 10;
+  r.fleet.packets_sampled = 10;
+  harness::RecoveryWindow blackout;
+  blackout.start_abs_us = 100;
+  blackout.end_abs_us = 200;
+  blackout.recovered = true;
+  blackout.ttr_us = 5;
+  harness::RecoveryWindow crash = blackout;
+  crash.window.crash = true;
+  crash.window.target = net::ChaosTarget::kServer;
+  crash.start_abs_us = 300;
+  crash.end_abs_us = 400;
+  r.windows = {blackout, crash};
+  return r;
+}
+
+bool has(const std::string& s, const std::string& part) {
+  return s.find(part) != std::string::npos;
+}
+
+TEST(RecoveryError, CleanRowPasses) {
+  EXPECT_EQ(harness::recovery_error(clean_recovery()), "");
+}
+
+TEST(RecoveryError, NamesTheWindowThatPricedADelivery) {
+  RecoveryResult r = clean_recovery();
+  r.windows[1].samples_in_window = 3;
+  const std::string err = harness::recovery_error(r);
+  EXPECT_TRUE(has(err, "row 'chaos/lru' crash window 1 [300, 400)us"))
+      << err;
+  EXPECT_TRUE(has(err, "priced 3 deliveries inside it")) << err;
+  EXPECT_FALSE(has(err, "window 0")) << err;
+}
+
+TEST(RecoveryError, NamesTheWindowNeverRecoveredFrom) {
+  const auto broken = [](void (*mutate)(harness::RecoveryWindow&)) {
+    RecoveryResult r = clean_recovery();
+    mutate(r.windows[0]);
+    return harness::recovery_error(r);
+  };
+  for (const std::string& err : {
+           broken([](harness::RecoveryWindow& w) { w.recovered = false; }),
+           broken([](harness::RecoveryWindow& w) { w.ttr_us = -1; }),
+           broken([](harness::RecoveryWindow& w) {
+             w.ttr_us = std::numeric_limits<double>::infinity();
+           }),
+       }) {
+    EXPECT_TRUE(has(err, "row 'chaos/lru' blackout window 0 [100, 200)us "
+                         "never recovered"))
+        << err;
+    EXPECT_FALSE(has(err, "window 1")) << err;
+  }
+}
+
+TEST(RecoveryError, CarriesThePacketLawAndEveryFailure) {
+  RecoveryResult r = clean_recovery();
+  r.fleet.owned_packets = 11;
+  r.windows[0].samples_in_window = 1;
+  r.windows[1].recovered = false;
+  const std::string err = harness::recovery_error(r);
+  EXPECT_TRUE(has(err, "packet conservation violated in row 'chaos/lru'"))
+      << err;
+  EXPECT_TRUE(has(err, "blackout window 0 [100, 200)us priced 1")) << err;
+  EXPECT_TRUE(has(err, "crash window 1 [300, 400)us never recovered"))
+      << err;
 }
 
 }  // namespace

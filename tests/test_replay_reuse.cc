@@ -496,5 +496,21 @@ TEST(WarmUpOnce, SampleTeEqualsOneMeasureConfigPerSample) {
   EXPECT_TRUE(harness::sample_te(c, s, 210.0, 0).empty());
 }
 
+// The sweep prepares each side once, with profiling when a job asks for a
+// miss map; the samples it draws from those sides match the unprofiled
+// spec path bit for bit.
+TEST(WarmUpOnce, SampleTeOverProfiledPreparedSidesMatchesSpecs) {
+  const harness::Experiment& e = tcpip_std();
+  MeasureSpec c = e.client_spec();
+  MeasureSpec s = e.server_spec();
+  const std::vector<double> want = harness::sample_te(c, s, 210.0, 3);
+  c.profile_misses = s.profile_misses = true;
+  const harness::PreparedSide pc = harness::prepare_side(c);
+  const harness::PreparedSide ps = harness::prepare_side(s);
+  ASSERT_TRUE(pc.owners.has_value());
+  EXPECT_EQ(harness::sample_te(pc, ps, 210.0, 3), want);
+  EXPECT_TRUE(harness::sample_te(pc, ps, 210.0, 0).empty());
+}
+
 }  // namespace
 }  // namespace l96

@@ -16,7 +16,6 @@
 //   --json                emit the l96.missmap.v1 sections as JSON instead
 //   --out FILE            also write the JSON sections to FILE
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -73,8 +72,7 @@ int main(int argc, char** argv) {
                     });
   parser.add_option("top", "N", "rows per table (default 10, > 0)",
                     [&](const std::string& v) {
-                      top = std::strtoull(v.c_str(), nullptr, 10);
-                      return top > 0;
+                      return harness::parse_unsigned(v, &top) && top > 0;
                     });
   parser.add_option("workers", "N",
                     "sweep worker threads (0 = hardware concurrency)",

@@ -1,6 +1,6 @@
 // Chaos soak CLI: run one seeded soak and print its deterministic digest.
 //
-//   soak [--chaos] [--seed N] [--workers N] [--json] [--out FILE]
+//   soak [--chaos] [--workers N] [--json] [--out FILE]
 //        [tcp|rpc] [roundtrips] [seed] [rate%] [msg_bytes]
 //
 // `rate%` is the combined drop+corrupt+duplicate percentage, split evenly
@@ -11,7 +11,6 @@
 // section to stdout instead of the summary line; --out also writes it to
 // FILE.  Exit status is 0 iff the soak was clean.
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -43,29 +42,16 @@ int main(int argc, char** argv) {
                           return v == "tcp";
                         });
   parser.add_positional("roundtrips", "request/response count (default 5000)",
-                        [&](const std::string& v) {
-                          spec.roundtrips = std::strtoull(v.c_str(), nullptr, 10);
-                          return true;
-                        });
+                        &spec.roundtrips);
   parser.add_positional("seed", "fault-plan seed (default 1)",
-                        [&](const std::string& v) {
-                          common.seed = std::strtoull(v.c_str(), nullptr, 10);
-                          return true;
-                        });
+                        &spec.plan.seed);
   parser.add_positional("rate%", "combined drop+corrupt+duplicate %, "
                                  "split 2:2:1 (default 5)",
-                        [&](const std::string& v) {
-                          rate_pct = std::strtod(v.c_str(), nullptr);
-                          return true;
-                        });
+                        &rate_pct);
   parser.add_positional("msg_bytes", "request payload bytes (default 32)",
-                        [&](const std::string& v) {
-                          spec.msg_bytes = std::strtoull(v.c_str(), nullptr, 10);
-                          return true;
-                        });
+                        &spec.msg_bytes);
   if (!parser.parse(argc, argv)) return parser.help_shown() ? 0 : 2;
 
-  spec.plan.seed = common.seed;
   const double unit = rate_pct / 100.0 / 5.0;
   for (int p = 0; p < 2; ++p) {
     spec.plan.rates[p].drop = 2 * unit;
