@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace l96::code {
@@ -31,16 +32,12 @@ sim::Addr round_up(sim::Addr a, std::uint64_t align) {
 // ---------------------------------------------------------------------------
 
 const FnPlacement& CodeImage::placement(FnId fn, bool in_path) const {
-  if (in_path) {
-    auto it = composite_.find(fn);
-    if (it != composite_.end()) return it->second;
-  }
+  if (in_path && composite_of(fn) != -1) return composite_[fn];
   return standalone_.at(fn);
 }
 
 int CodeImage::composite_of(FnId fn) const noexcept {
-  auto it = member_of_.find(fn);
-  return it == member_of_.end() ? -1 : it->second;
+  return fn < member_of_.size() ? member_of_[fn] : -1;
 }
 
 void CodeImage::export_regions(const CodeRegistry& reg,
@@ -71,12 +68,11 @@ void CodeImage::export_regions(const CodeRegistry& reg,
   };
 
   for (FnId f = 0; f < standalone_.size(); ++f) {
-    add_placement(f, standalone_[f], member_of_.contains(f));
+    add_placement(f, standalone_[f], composite_of(f) != -1);
   }
   for (const Function& fn : reg.functions()) {
-    auto it = composite_.find(fn.id);
-    if (it != composite_.end()) {
-      add_placement(fn.id, it->second, /*standalone_copy=*/false);
+    if (composite_of(fn.id) != -1) {
+      add_placement(fn.id, composite_[fn.id], /*standalone_copy=*/false);
     }
   }
 }
@@ -619,7 +615,12 @@ void ImageBuilder::finalize(std::vector<Unit>& units, CodeImage& img) {
     }
 
     if (u.is_composite) {
-      // Build a composite FnPlacement per member.
+      // Build a composite FnPlacement per member; an image without path
+      // members allocates no composite table.
+      if (img.member_of_.empty()) {
+        img.composite_.resize(reg_.size());
+        img.member_of_.assign(reg_.size(), -1);
+      }
       for (FnId f : u.fns) {
         FnPlacement pl;
         pl.composite = u.composite_id;

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "code/config.h"
@@ -87,9 +86,10 @@ class CodeImage {
 
  private:
   friend class ImageBuilder;
-  std::vector<FnPlacement> standalone_;              // by FnId
-  std::unordered_map<FnId, FnPlacement> composite_;  // path members only
-  std::unordered_map<FnId, int> member_of_;
+  std::vector<FnPlacement> standalone_;  // by FnId
+  /// By FnId, both empty when the image has no path members.
+  std::vector<FnPlacement> composite_;  ///< meaningful for members only
+  std::vector<int> member_of_;  ///< composite id, -1 standalone
   std::uint64_t hot_words_ = 0;
   std::uint64_t total_words_ = 0;
   sim::Addr hot_base_ = 0;

@@ -211,13 +211,20 @@ PreparedSide prepare_side(const MeasureSpec& spec) {
   side.static_total_words = image.total_words();
 
   // One pass lowers the trace and its critical prefix (see SplitLowering),
-  // and each is timed once for all of its replays.
+  // and one scan times both for all of their replays.
   side.lowered =
       code::Lowering(reg, image, spec.cfg).lower_split(trace, spec.split);
+  const code::SplitLowering& low = side.lowered;
   const sim::Cpu cpu(spec.params.cpu);
-  side.full_timing = cpu.time_trace(side.lowered.trace);
-  side.critical_timing =
-      cpu.time_trace(side.lowered.prefix(), side.lowered.prefix_last);
+  if (low.separate_prefix.empty()) {
+    const sim::Cpu::SplitTiming t =
+        cpu.time_split(low.trace, low.prefix_size, low.prefix_last);
+    side.full_timing = t.trace;
+    side.critical_timing = t.prefix;
+  } else {
+    side.full_timing = cpu.time_trace(low.trace);
+    side.critical_timing = cpu.time_trace(low.separate_prefix);
+  }
 
   side.footprint = code::footprint_stats(side.lowered.trace, image,
                                          spec.params.mem.block_bytes);
@@ -248,6 +255,9 @@ SideMeasurement replay_side(const PreparedSide& side,
 
   // The thread's machine serves all three replays.
   sim::Machine& machine = thread_machine(params);
+  // A critical prefix that is the trace's own first instructions resumes
+  // from a checkpoint of the cold replay; one lowered on its own cannot.
+  const bool shared_prefix = side.lowered.separate_prefix.empty();
 
   // Cold replay: the paper's trace-driven cache simulation (Table 6).
   {
@@ -255,7 +265,9 @@ SideMeasurement replay_side(const PreparedSide& side,
     opts.cold_start = true;
     opts.warmup_passes = 0;
     opts.miss_profiler = profiler;
-    m.cold = machine.run(full, side.full_timing, opts);
+    m.cold = shared_prefix ? machine.run_cold(full, side.full_timing, opts,
+                                              critical.size())
+                           : machine.run(full, side.full_timing, opts);
     if (prof) {
       m.miss_cold = std::make_shared<const sim::MissProfile>(prof->snapshot());
     }
@@ -275,7 +287,10 @@ SideMeasurement replay_side(const PreparedSide& side,
   }
   // Critical path: the prefix's memory replay, timed as the prefix's own
   // lowering leaves its final instruction.
-  m.critical = machine.run(critical, side.critical_timing, steady);
+  m.critical =
+      shared_prefix
+          ? machine.run_from_checkpoint(critical, side.critical_timing, steady)
+          : machine.run(critical, side.critical_timing, steady);
   m.critical_us = m.critical.processing_us(params.cpu.frequency_hz);
   return m;
 }

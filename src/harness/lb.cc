@@ -5,6 +5,7 @@
 #include <string>
 
 #include "harness/fleet_internal.h"
+#include "harness/recovery.h"
 #include "protocols/lance.h"
 
 namespace l96::harness {
@@ -169,6 +170,10 @@ LbResult run_lb(const LbSpec& spec, const BurstCostTable& costs) {
         "run_lb: fleet.churn_every must be 0 (LB rows do not churn)");
   }
   spec.chaos.validate();
+  if (const std::string e = script_error(spec.chaos, spec.backends);
+      !e.empty()) {
+    throw std::invalid_argument("run_lb: " + e);
+  }
 
   LbTopology topo(spec, costs);
   fleet_detail::Disruption disruption;

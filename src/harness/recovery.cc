@@ -9,6 +9,38 @@
 
 namespace l96::harness {
 
+std::string script_error(const net::ChaosTimeline& chaos,
+                         std::size_t backends) {
+  using net::ChaosKind;
+  using net::ChaosTarget;
+  for (const net::ChaosEvent& e : chaos.events()) {
+    const bool backend = e.target == ChaosTarget::kBackend ||
+                         e.target == ChaosTarget::kBackendLink;
+    const bool drain =
+        e.kind == ChaosKind::kDrain || e.kind == ChaosKind::kUndrain;
+    std::string why;
+    if (backends == 0 && (backend || drain)) {
+      why = "names a backend; only an LB row has backends";
+    } else if (backends == 0 && e.kind == ChaosKind::kHostCrash &&
+               e.target == ChaosTarget::kClient) {
+      why = "crashes the client, the row's measuring instrument";
+    } else if (backends > 0 && backend && e.index >= backends) {
+      why = "names a backend outside the row's pool of " +
+            std::to_string(backends);
+    } else if (backends > 0 && (e.target == ChaosTarget::kClient ||
+                                e.target == ChaosTarget::kServer)) {
+      why = "names a host an LB row does not have (targets are :backendN)";
+    }
+    if (!why.empty()) {
+      return "script event \"" +
+             net::ChaosTimeline().add(e.at_us, e.kind, e.target, e.index)
+                 .str() +
+             "\" " + why;
+    }
+  }
+  return "";
+}
+
 RecoveryResult run_recovery(const RecoverySpec& rspec,
                             const BurstCostTable& costs) {
   const FleetSpec& spec = rspec.fleet;
@@ -19,13 +51,8 @@ RecoveryResult run_recovery(const RecoverySpec& rspec,
   }
   fleet_detail::validate_fleet_spec(spec, costs, spec.kind);
   rspec.chaos.validate();
-  for (const net::ChaosEvent& e : rspec.chaos.events()) {
-    if (e.kind == net::ChaosKind::kHostCrash &&
-        e.target == net::ChaosTarget::kClient) {
-      throw std::invalid_argument(
-          "run_recovery: the script must not crash the client (it is the "
-          "measuring instrument)");
-    }
+  if (const std::string e = script_error(rspec.chaos, 0); !e.empty()) {
+    throw std::invalid_argument("run_recovery: " + e);
   }
 
   fleet_detail::DirectTopology topo(spec, costs, spec.connections);

@@ -97,9 +97,19 @@ struct RecoveryResult {
   std::uint64_t recovery_samples = 0;
 };
 
+/// Whether a row can run every event of `chaos`: "" when it can, otherwise
+/// one message naming the first event it cannot.  `backends` == 0 checks a
+/// recovery row's two-host world, which has no backends to crash, cut off
+/// or drain and whose client must not crash (it is the measuring
+/// instrument); otherwise an LB row's pool of `backends`, whose events name
+/// backends below that count and never the client or server.  The order
+/// and pairing of the events are ChaosTimeline::validate()'s to check.
+std::string script_error(const net::ChaosTimeline& chaos,
+                         std::size_t backends);
+
 /// Run one recovery row.  TCP/IP only (the RPC fleet has no reconnect
-/// machinery to measure); the script must not crash the client (it is the
-/// measuring instrument) — both violations throw std::invalid_argument.
+/// machinery to measure), and script_error(spec.chaos, 0) must be "" —
+/// both violations throw std::invalid_argument.
 RecoveryResult run_recovery(const RecoverySpec& spec,
                             const BurstCostTable& costs);
 

@@ -59,24 +59,30 @@ class Cpu {
   /// Compute issue cycles for a whole trace.  Stateless: each call times
   /// its trace from scratch.
   CpuStats time_trace(std::span<const MachineInstr> trace) const;
-  /// As above, with the trace's final instruction replaced by `last`: the
-  /// timing of a prefix as its own lowering leaves it, when a longer
-  /// lowering later rewrote the prefix's terminator.  An empty trace
-  /// times to zero (`last` unread).
-  CpuStats time_trace(std::span<const MachineInstr> trace,
-                      const MachineInstr& last) const;
+
+  struct SplitTiming {
+    CpuStats trace;
+    CpuStats prefix;
+  };
+  /// time_trace(trace), and the timing of its first `prefix` instructions
+  /// with the last of them replaced by `prefix_last` (a prefix as its own
+  /// lowering leaves it, when a longer lowering rewrote its terminator),
+  /// from one scan.  Taken-branch and multiply charges are per-instruction
+  /// sums, and the prefix's pairing decisions are the trace's until its
+  /// last two instructions, so the scan copies its tally there and decides
+  /// those two on their own.  An empty prefix times to zero (`prefix_last`
+  /// unread).  Throws std::invalid_argument when `prefix` exceeds the
+  /// trace.
+  SplitTiming time_split(std::span<const MachineInstr> trace,
+                         std::size_t prefix,
+                         const MachineInstr& prefix_last) const;
 
   const Config& config() const noexcept { return cfg_; }
 
  private:
-  static bool needs_integer_pipe(InstrClass c) noexcept {
-    return c == InstrClass::kIAlu || c == InstrClass::kIMul ||
-           c == InstrClass::kNop;
-  }
-  bool can_pair(const MachineInstr& a, const MachineInstr& b) const noexcept;
-  /// Greedy pairing over instructions 0..n-1, read through `at(i)`.
-  template <class At>
-  CpuStats time(std::size_t n, At at) const;
+  /// Whether a group starting at instruction `i`, `a`, issues `b` with it.
+  bool pairs(std::size_t i, const MachineInstr& a,
+             const MachineInstr& b) const noexcept;
 
   Config cfg_;
 };

@@ -66,6 +66,31 @@ RunResult Machine::run_after_cold(std::span<const MachineInstr> trace,
   return measure_once(trace, timing, opts);
 }
 
+RunResult Machine::run_cold(std::span<const MachineInstr> trace,
+                            const CpuStats& timing, const Options& opts,
+                            std::size_t checkpoint_at) {
+  check_timing(trace, timing, "Machine::run_cold");
+  if (!opts.cold_start || opts.warmup_passes != 0) {
+    throw std::invalid_argument(
+        "Machine::run_cold: the options ask for more than a cold replay");
+  }
+  if (checkpoint_at > trace.size()) {
+    throw std::invalid_argument(
+        "Machine::run_cold: checkpoint after instruction " +
+        std::to_string(checkpoint_at) + " of " + std::to_string(trace.size()));
+  }
+  warm_up(trace, opts);
+  return measure_once(trace, timing, opts, checkpoint_at);
+}
+
+RunResult Machine::run_from_checkpoint(std::span<const MachineInstr> prefix,
+                                       const CpuStats& timing,
+                                       const Options& opts) {
+  check_timing(prefix, timing, "Machine::run_from_checkpoint");
+  warm_up_from_checkpoint(prefix, opts);
+  return measure_once(prefix, timing, opts);
+}
+
 std::vector<RunResult> Machine::run_stream(
     const std::vector<const MachineTrace*>& seq, const Options& opts,
     const MachineTrace* warmup_trace) {
@@ -98,6 +123,12 @@ std::vector<RunResult> Machine::run_stream(
 
 void Machine::warm_up(std::span<const MachineInstr> warm,
                       const Options& opts) {
+  checkpointed_.reset();
+  restart(warm, opts);
+}
+
+void Machine::restart(std::span<const MachineInstr> warm,
+                      const Options& opts) {
   // A reused machine keeps no profiler from an earlier, interrupted replay.
   mem_.attach_miss_profiler(nullptr);
   cold_replay_ = {};
@@ -123,11 +154,34 @@ void Machine::warm_up_after_cold(std::span<const MachineInstr> warm,
         "of this trace");
   }
   if (opts.warmup_passes == 0) {
-    warm_up(warm, opts);  // the steady replay is itself a cold replay
+    restart(warm, opts);  // the steady replay is itself a cold replay
     return;
   }
   cold_replay_ = {};
   replay_warm_up(warm, opts, 1);
+}
+
+void Machine::warm_up_from_checkpoint(std::span<const MachineInstr> prefix,
+                                      const Options& opts) {
+  if (!opts.cold_start) {
+    throw std::invalid_argument(
+        "Machine::run_from_checkpoint: the steady replay must start cold");
+  }
+  if (!checkpointed_ || checkpointed_->data() != prefix.data() ||
+      checkpointed_->size() != prefix.size()) {
+    throw std::logic_error(
+        "Machine::run_from_checkpoint: the last cold replay saved no "
+        "checkpoint after this prefix");
+  }
+  if (opts.warmup_passes == 0) {
+    restart(prefix, opts);  // the measured pass is the cold replay itself
+    return;
+  }
+  // Pass 1 is the prefix's cold replay: the checkpoint, then its drain.
+  cold_replay_ = {};
+  mem_.restore(checkpoint_);
+  mem_.drain_writes();
+  replay_warm_up(prefix, opts, 1);
 }
 
 void Machine::replay_warm_up(std::span<const MachineInstr> warm,
@@ -164,9 +218,19 @@ void Machine::attach_profiler(const Options& opts) {
 }
 
 RunResult Machine::measure_once(std::span<const MachineInstr> trace,
-                                const CpuStats& timing, const Options& opts) {
+                                const CpuStats& timing, const Options& opts,
+                                std::size_t checkpoint_at) {
   attach_profiler(opts);
-  const RunResult r = measure(trace, timing, opts);
+  std::size_t replayed = 0;
+  if (checkpoint_at <= trace.size()) {
+    // Splitting the replay only re-looks-up the block the split falls in,
+    // which is resident: the same hit either way.
+    checkpointed_ = trace.first(checkpoint_at);
+    replay_memory(*checkpointed_);
+    mem_.save(checkpoint_);
+    replayed = checkpoint_at;
+  }
+  const RunResult r = measure(trace.subspan(replayed), timing, opts);
   mem_.attach_miss_profiler(nullptr);
   if (opts.cold_start && opts.warmup_passes == 0 && opts.drain_at_end) {
     cold_replay_ = trace;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -61,9 +62,13 @@ class Machine {
     /// replays the trace, drains the write buffer and scrubs with seed
     /// scrub_seed + p.
     ///
-    /// Two rules skip passes that rebuild a state the machine already
-    /// holds; neither changes a result.  run_after_cold() takes the cold
-    /// replay just made as pass 1, on any layout.  Passes 2..N are skipped,
+    /// Three rules skip passes that rebuild a state the machine already
+    /// holds; none changes a result.  run_after_cold() takes the cold
+    /// replay just made as pass 1, on any layout.  run_from_checkpoint()
+    /// takes pass 1 of a prefix of that replay's trace from the checkpoint
+    /// run_cold() saved after the prefix's last instruction: restored and
+    /// drained, it is the state the prefix's own cold pass leaves before
+    /// its scrub, on any layout.  Passes 2..N are skipped,
     /// and only the last scrub (seed + N-1) runs, when pass 1 started cold
     /// (`cold_start`), the b-cache made no eviction since that cold restart
     /// and the i-cache scrub is total (scrub_fraction >= 1).  Each later
@@ -119,6 +124,30 @@ class Machine {
   RunResult run_after_cold(std::span<const MachineInstr> trace,
                            const CpuStats& timing, const Options& opts);
 
+  /// As run(trace, timing, opts) for a cold replay (opts.cold_start, no
+  /// warm-up passes), saving a checkpoint of the memory system after the
+  /// trace's first `checkpoint_at` instructions: the state, statistics
+  /// included, a cold replay of that prefix reaches before its drain.  The
+  /// checkpoint's buffers belong to the machine and are reused.  Throws
+  /// std::invalid_argument when opts is not a cold replay or
+  /// `checkpoint_at` exceeds the trace.
+  RunResult run_cold(std::span<const MachineInstr> trace,
+                     const CpuStats& timing, const Options& opts,
+                     std::size_t checkpoint_at);
+
+  /// As run(prefix, timing, opts), resuming from the checkpoint run_cold()
+  /// saved: restoring it and draining the write buffer leaves exactly the
+  /// state opts's warm-up pass 1 leaves before its scrub, so that pass is
+  /// not replayed (with no warm-up passes the measured pass is the cold
+  /// replay itself, and is replayed).  Equals run(prefix, timing, opts)
+  /// (tested).  Throws std::logic_error unless `prefix` is the very span
+  /// the last run_cold() checkpointed, with nothing but run_after_cold()
+  /// and run_from_checkpoint() called since (run(), run_stream() and
+  /// warm_up() drop the checkpoint), and std::invalid_argument as
+  /// run_after_cold() does.
+  RunResult run_from_checkpoint(std::span<const MachineInstr> prefix,
+                                const CpuStats& timing, const Options& opts);
+
   /// Replay a *sequence* of activations under one continuously-evolving
   /// cache state and return one RunResult per position.  Warm-up (passes +
   /// scrub, from `opts`) replays `warmup_trace` (default: seq.front()) and
@@ -143,13 +172,20 @@ class Machine {
   /// run_after_cold() does.
   void warm_up_after_cold(std::span<const MachineInstr> warm,
                           const Options& opts);
+  /// The same state, reached as run_from_checkpoint(prefix, ...) reaches
+  /// it.  Throws as run_from_checkpoint() does.
+  void warm_up_from_checkpoint(std::span<const MachineInstr> prefix,
+                               const Options& opts);
 
   /// Mutating the memory system between run() and run_after_cold() breaks
-  /// the latter's precondition; nothing checks it.
+  /// the latter's precondition; nothing checks it.  The checkpoint is a
+  /// copy, so run_from_checkpoint() does not depend on the current state.
   MemorySystem& mem() noexcept { return mem_; }
   const Cpu& cpu() const noexcept { return cpu_; }
 
  private:
+  /// warm_up() without dropping the checkpoint.
+  void restart(std::span<const MachineInstr> warm, const Options& opts);
   /// Warm-up passes `done`..warmup_passes-1 over `warm` (pass 0 is done
   /// when it is the cold replay), collapsed as warmup_passes describes.
   void replay_warm_up(std::span<const MachineInstr> warm, const Options& opts,
@@ -158,8 +194,11 @@ class Machine {
   void attach_profiler(const Options& opts);
   /// run()'s measured pass after its warm-up: attach the profiler, measure
   /// `trace`, detach; remember `trace` when the whole run was a cold replay.
+  /// Saves the checkpoint after `checkpoint_at` instructions when that is
+  /// within the trace.
   RunResult measure_once(std::span<const MachineInstr> trace,
-                         const CpuStats& timing, const Options& opts);
+                         const CpuStats& timing, const Options& opts,
+                         std::size_t checkpoint_at = SIZE_MAX);
   /// One measured replay of `trace`, priced with its issue `timing`.
   RunResult measure(std::span<const MachineInstr> trace,
                     const CpuStats& timing, const Options& opts);
@@ -172,6 +211,10 @@ class Machine {
   /// call was one; run_after_cold() continues only from that.  Compared by
   /// address and length, never read.
   std::span<const MachineInstr> cold_replay_;
+  /// The prefix run_cold() saved `checkpoint_` after, while it may be
+  /// restored; compared by address and length, never read.
+  std::optional<std::span<const MachineInstr>> checkpointed_;
+  MemorySystem::Checkpoint checkpoint_;
 };
 
 }  // namespace l96::sim

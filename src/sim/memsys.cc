@@ -156,6 +156,26 @@ MemorySystem::State MemorySystem::state() const {
                .wbuf = {wbuf_->entries().begin(), wbuf_->entries().end()}};
 }
 
+void MemorySystem::save(Checkpoint& c) const {
+  icache_->save(c.icache);
+  dcache_->save(c.dcache);
+  bcache_->save(c.bcache);
+  wbuf_->save(c.wbuf);
+  c.stalls = stalls_;
+  c.traffic = traffic_;
+  c.last_imiss_block = last_imiss_block_;
+}
+
+void MemorySystem::restore(const Checkpoint& c) {
+  icache_->restore(c.icache);
+  dcache_->restore(c.dcache);
+  bcache_->restore(c.bcache);
+  wbuf_->restore(c.wbuf);
+  stalls_ = c.stalls;
+  traffic_ = c.traffic;
+  last_imiss_block_ = c.last_imiss_block;
+}
+
 void MemorySystem::reset_stats() {
   icache_->reset_stats();
   dcache_->reset_stats();

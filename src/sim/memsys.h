@@ -148,6 +148,24 @@ class MemorySystem {
   };
   State state() const;
 
+  /// A saved copy of the whole memory system: each cache's valid lines,
+  /// ever-seen history, statistics and eviction count, the write buffer's
+  /// entries and counters, the stall and traffic totals and the
+  /// sequential-fill block.  Its buffers are reused by later saves.
+  struct Checkpoint {
+    DirectMappedCache::Checkpoint icache, dcache, bcache;
+    WriteBuffer::Checkpoint wbuf;
+    MemStallStats stalls;
+    BcacheTraffic traffic;
+    Addr last_imiss_block = 0;
+  };
+  /// O(lines filled since each cache's last reset) plus the ever-seen
+  /// histories; see DirectMappedCache::save().
+  void save(Checkpoint& c) const;
+  /// Return to the saved state and statistics, whatever is held now.  The
+  /// attached miss profiler, if any, is neither saved nor touched.
+  void restore(const Checkpoint& c);
+
  private:
   std::uint32_t bcache_read_penalty(Addr addr);
 

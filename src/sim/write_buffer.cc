@@ -34,6 +34,22 @@ void WriteBuffer::drain() {
   }
 }
 
+void WriteBuffer::save(Checkpoint& c) const {
+  c.entries.assign(entries_.begin(), entries_.end());
+  c.stores = stores_;
+  c.merges = merges_;
+  c.allocations = allocations_;
+  c.forced_retires = forced_retires_;
+}
+
+void WriteBuffer::restore(const Checkpoint& c) {
+  entries_.assign(c.entries.begin(), c.entries.end());
+  stores_ = c.stores;
+  merges_ = c.merges;
+  allocations_ = c.allocations;
+  forced_retires_ = c.forced_retires;
+}
+
 void WriteBuffer::reset() {
   entries_.clear();
   stores_ = merges_ = allocations_ = forced_retires_ = 0;

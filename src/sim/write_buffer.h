@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <vector>
 
 #include "sim/cache.h"
 
@@ -58,6 +59,15 @@ class WriteBuffer {
   void reset_stats() noexcept {
     stores_ = merges_ = allocations_ = forced_retires_ = 0;
   }
+
+  /// The buffered entries and the counters, saved; reused by later saves.
+  struct Checkpoint {
+    std::vector<Addr> entries;
+    std::uint64_t stores = 0, merges = 0, allocations = 0, forced_retires = 0;
+  };
+  void save(Checkpoint& c) const;
+  /// Return to the saved entries and counters; retires nothing.
+  void restore(const Checkpoint& c);
 
  private:
   Addr block_of(Addr a) const noexcept {

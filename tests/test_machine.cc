@@ -410,6 +410,129 @@ TEST(MachineWarmUp, RunAfterColdContinuesOnlyFromAColdReplayOfItsTrace) {
   expect_same_run(m.run_after_cold(t, timing, none), fresh.run(t, none));
 }
 
+// --- the critical prefix resumed from the cold replay's checkpoint ---------
+
+/// Resume the first `k` instructions of `t` from run_cold()'s checkpoint, as
+/// measure_side does (cold replay, steady replay, then the prefix), against
+/// a fresh machine replaying the prefix's every pass: the state before the
+/// measured pass, and the result.
+void expect_resumes(const MemorySystem::Config& mem, const MachineTrace& t,
+                    std::size_t k, const Machine::Options& opts) {
+  SCOPED_TRACE("prefix of " + std::to_string(k));
+  const MachineTrace own(t.begin(), t.begin() + static_cast<long>(k));
+  const std::span<const MachineInstr> prefix(t.data(), k);
+  Machine got(mem, Cpu::Config{});
+  Machine want(mem, Cpu::Config{});
+  const CpuStats timing = got.cpu().time_trace(t);
+  const CpuStats prefix_timing = got.cpu().time_trace(prefix);
+
+  got.run_cold(t, timing, Machine::Options{}, k);
+  got.run_after_cold(t, timing, opts);
+  got.warm_up_from_checkpoint(prefix, opts);
+  warm_in_full(want, own, opts);
+  expect_same_state(got.mem().state(), want.mem().state());
+
+  got.run_cold(t, timing, Machine::Options{}, k);
+  got.run_after_cold(t, timing, opts);
+  expect_same_run(got.run_from_checkpoint(prefix, prefix_timing, opts),
+                  run_in_full(want, own, opts));
+}
+
+TEST(MachineCheckpoint, PrefixesOfEveryLengthResumeAsTheirOwnReplay) {
+  const MachineTrace t = busy_trace(0x10000, 0x8008'0000);
+  Machine::Options one = steady_opts();
+  one.warmup_passes = 1;
+  Machine::Options none = steady_opts();
+  none.warmup_passes = 0;
+  for (const Machine::Options& opts : {steady_opts(), one, none}) {
+    SCOPED_TRACE(std::to_string(opts.warmup_passes) + " passes");
+    for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                          t.size() / 2, t.size() - 1, t.size()}) {
+      expect_resumes(MemorySystem::Config{}, t, k, opts);
+    }
+  }
+}
+
+// busy_trace evicts from small_mem()'s b-cache, so the checkpoint carries
+// evictions and dirty lines, and the passes after it are replayed in full.
+TEST(MachineCheckpoint, ConflictingTracesFallBackToEveryPass) {
+  const MachineTrace busy = busy_trace(0x10000, 0x8000'0000);
+  Machine::Options keep_d = steady_opts();
+  keep_d.scrub_fraction_d = 0.0;
+  const MachineTrace one_load = {
+      {0x10000, InstrClass::kLoad, 0x8001'0000, false},
+      {0x10004, InstrClass::kIAlu, 0, false}};
+  for (std::size_t k : {busy.size() / 2, busy.size()}) {
+    Machine m(small_mem(), Cpu::Config{});
+    m.run(MachineTrace(busy.begin(), busy.begin() + static_cast<long>(k)),
+          Machine::Options{});
+    EXPECT_GT(m.mem().bcache().evictions_since_cold(), 0u);
+    expect_resumes(small_mem(), busy, k, steady_opts());
+  }
+  for (std::size_t k : {std::size_t{1}, std::size_t{2}}) {
+    Machine m(small_mem(), Cpu::Config{});
+    m.run(MachineTrace(one_load.begin(),
+                       one_load.begin() + static_cast<long>(k)),
+          Machine::Options{});
+    EXPECT_GT(m.mem().bcache().evictions_since_cold(), 0u);
+    expect_resumes(small_mem(), one_load, k, keep_d);
+  }
+}
+
+TEST(MachineCheckpoint, RestoresOnlyThePrefixTheLastColdReplaySaved) {
+  const MachineTrace t = busy_trace(0x10000, 0x8008'0000);
+  const MachineTrace copy = t;
+  const std::span<const MachineInstr> prefix(t.data(), 100);
+  const std::span<const MachineInstr> shorter(t.data(), 99);
+  Machine m;
+  const CpuStats timing = m.cpu().time_trace(t);
+  const CpuStats prefix_timing = m.cpu().time_trace(prefix);
+  const Machine::Options steady = steady_opts();
+  const auto resume = [&] {
+    return m.run_from_checkpoint(prefix, prefix_timing, steady);
+  };
+  EXPECT_THROW(resume(), std::logic_error);  // nothing saved yet
+
+  m.run_cold(t, timing, Machine::Options{}, prefix.size());
+  EXPECT_THROW(m.run_from_checkpoint(std::span(copy.data(), 100),
+                                     prefix_timing, steady),
+               std::logic_error);  // equal contents, another span
+  EXPECT_THROW(m.run_from_checkpoint(shorter, m.cpu().time_trace(shorter),
+                                     steady),
+               std::logic_error);
+  Machine::Options warm = steady;
+  warm.cold_start = false;
+  EXPECT_THROW(m.run_from_checkpoint(prefix, prefix_timing, warm),
+               std::invalid_argument);
+  EXPECT_THROW(m.run_from_checkpoint(prefix, timing, steady),
+               std::invalid_argument);
+
+  // The steady replay may come in between, and the checkpoint, a copy,
+  // serves any number of resumes.
+  m.run_after_cold(t, timing, steady);
+  Machine fresh;
+  const RunResult want = fresh.run(prefix, prefix_timing, steady);
+  expect_same_run(resume(), want);
+  expect_same_run(resume(), want);
+
+  m.run(t, Machine::Options{});
+  EXPECT_THROW(resume(), std::logic_error);
+  m.run_cold(t, timing, Machine::Options{}, prefix.size());
+  m.run_stream({&t}, steady);
+  EXPECT_THROW(resume(), std::logic_error);
+  m.run_cold(t, timing, Machine::Options{}, prefix.size());
+  m.warm_up(t, steady);
+  EXPECT_THROW(resume(), std::logic_error);
+
+  // run_cold() checkpoints only a cold replay, inside its trace.
+  EXPECT_THROW(m.run_cold(t, timing, steady, 10), std::invalid_argument);
+  EXPECT_THROW(m.run_cold(t, timing, warm, 10), std::invalid_argument);
+  EXPECT_THROW(m.run_cold(t, timing, Machine::Options{}, t.size() + 1),
+               std::invalid_argument);
+  EXPECT_THROW(m.run_cold(prefix, timing, Machine::Options{}, 10),
+               std::invalid_argument);
+}
+
 // Fetches after the first in an i-cache block skip the lookup but are still
 // hits: counted in the stats and reported to an attached profiler.
 TEST(Machine, FetchesWithinABlockAreHitsSeenByTheProfiler) {

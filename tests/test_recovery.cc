@@ -177,6 +177,31 @@ TEST(RecoveryTest, RejectsClientCrashAndRpc) {
                std::invalid_argument);
 }
 
+// script_error: the one check the recovery engine, the LB engine and the
+// fleet CLI share, naming the first event a row cannot run.
+TEST(ScriptError, NamesTheFirstEventTheRowCannotRun) {
+  const auto error = [](const char* script, std::size_t backends) {
+    return harness::script_error(net::ChaosTimeline::parse(script), backends);
+  };
+  const char* blackout = "link_down@2000 link_up@52000";
+  EXPECT_EQ(error(blackout, 0), "");
+  EXPECT_EQ(error(blackout, 4), "");
+  EXPECT_EQ(error("crash@100:server reboot@200:server", 0), "");
+  EXPECT_EQ(error("drain@100:backend3 undrain@200:backend3", 4), "");
+
+  std::string e = error("crash@100:client reboot@200:client", 0);
+  EXPECT_NE(e.find("\"crash@100:client\""), std::string::npos) << e;
+  e = error("drain@100:backend5 undrain@200:backend5", 2);
+  EXPECT_NE(e.find("\"drain@100:backend5\""), std::string::npos) << e;
+  EXPECT_NE(e.find("pool of 2"), std::string::npos) << e;
+  e = error("drain@100:backend0 undrain@200:backend0", 0);
+  EXPECT_NE(e.find("\"drain@100:backend0\""), std::string::npos) << e;
+  e = error("link_down@100:backend1 link_up@200:backend1", 0);
+  EXPECT_NE(e.find("\"link_down@100:backend1\""), std::string::npos) << e;
+  e = error("crash@100:server reboot@200:server", 4);
+  EXPECT_NE(e.find("\"crash@100:server\""), std::string::npos) << e;
+}
+
 // recovery_error over hand-built results: one clean row, then one broken
 // rule at a time.
 RecoveryResult clean_recovery() {

@@ -9,9 +9,10 @@
 //    prefix's lowering from the full trace's, and it must equal lowering
 //    the prefix on its own, instruction for instruction.
 //  * Each warm-up state replayed once: the steady replay resumes from the
-//    cold replay, and conflict-free warm-up passes 2..N collapse to their
-//    last scrub.  The memory state a measured pass starts from, and every
-//    result, must equal replaying every pass.
+//    cold replay, the critical replay from a checkpoint the cold replay
+//    saved after the critical prefix, and conflict-free warm-up passes
+//    2..N collapse to their last scrub.  The memory state a measured pass
+//    starts from, and every result, must equal replaying every pass.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -480,6 +481,100 @@ TEST(WarmUpOnce, EveryPaperSideEqualsReplayingEveryPass) {
   }
   EXPECT_EQ(collapsed, 20u);
   EXPECT_EQ(fallback, 4u);
+}
+
+// Every paper side's critical prefix is the start of its full trace, so
+// the critical replay resumes from the cold replay's checkpoint.
+TEST(WarmUpOnce, CriticalResumesFromTheColdCheckpoint) {
+  for (net::StackKind kind : {net::StackKind::kTcpIp, net::StackKind::kRpc}) {
+    for (const StackConfig& cfg : harness::paper_configs()) {
+      harness::Experiment e(kind, cfg, cfg);
+      e.capture();
+      for (MeasureSpec spec : {e.client_spec(), e.server_spec()}) {
+        const std::string side = std::string(net::to_string(kind)) + "/" +
+                                 cfg.name +
+                                 (spec.seed_offset == 0 ? " client" : " server");
+        spec.profile_misses = true;
+        const harness::PreparedSide prepared = harness::prepare_side(spec);
+        ASSERT_TRUE(prepared.lowered.separate_prefix.empty()) << side;
+        const sim::MachineTrace& full = prepared.lowered.trace;
+        const std::span<const sim::MachineInstr> critical =
+            prepared.lowered.prefix();
+        sim::Machine m(spec.params.mem, spec.params.cpu);
+
+        for (std::uint64_t seed : {0u, 1u, 9001u}) {
+          SCOPED_TRACE(side + " seed offset " + std::to_string(seed));
+          const sim::Machine::Options steady = steady_of(spec.params, seed);
+
+          // The state the measured critical pass starts from, resumed as
+          // replay_side resumes it, against a fresh cold prefix replay's.
+          m.run_cold(full, prepared.full_timing, sim::Machine::Options{},
+                     critical.size());
+          m.run_after_cold(full, prepared.full_timing, steady);
+          m.warm_up_from_checkpoint(critical, steady);
+          sim::Machine fresh(spec.params.mem, spec.params.cpu);
+          fresh.warm_up(critical, steady);
+          expect_same_state(m.mem().state(), fresh.mem().state());
+
+          // The cold replay that saved the checkpoint, its miss profile
+          // and the critical replay.
+          const SideMeasurement got = harness::replay_side(prepared, seed);
+          sim::MissProfiler prof(*prepared.owners);
+          sim::Machine::Options cold;
+          cold.miss_profiler = &prof;
+          expect_same_run(got.cold,
+                          fresh.run(full, prepared.full_timing, cold));
+          expect_same_profile(
+              got.miss_cold,
+              std::make_shared<const sim::MissProfile>(prof.snapshot()));
+          expect_same_run(
+              got.critical,
+              fresh.run(critical, prepared.critical_timing, steady));
+        }
+      }
+    }
+  }
+}
+
+// A split on a data reference inside an open block lowers the prefix on
+// its own; that side has no checkpoint to resume from, and its critical
+// replay keeps the cold prefix pass.
+TEST(WarmUpOnce, SeparatePrefixKeepsItsColdPass) {
+  const StackConfig cfg = StackConfig::All();
+  code::CodeRegistry reg;
+  proto::register_common_code(reg, cfg);
+  proto::register_tcpip_code(reg, cfg);
+  proto::register_classifier_code(reg, cfg);
+  code::FlowLookupResult miss;
+  miss.scanned = true;
+  miss.scan_matched = true;
+  miss.rules_examined = 3;
+  code::Recorder rec;
+  code::PathTrace trace;
+  rec.enable(&trace);
+  proto::trace_classification(rec, reg, miss, {},
+                              proto::flow_cache_entry_addr(0));
+  rec.disable();
+
+  MeasureSpec spec;
+  spec.kind = net::StackKind::kTcpIp;
+  spec.cfg = cfg;
+  spec.registry = &reg;
+  spec.trace = &trace;
+  std::size_t separate = 0;
+  for (spec.split = 0; spec.split <= trace.events.size(); ++spec.split) {
+    const harness::PreparedSide prepared = harness::prepare_side(spec);
+    if (prepared.lowered.separate_prefix.empty()) continue;
+    ++separate;
+    SCOPED_TRACE("split " + std::to_string(spec.split));
+    const sim::MachineTrace& own = prepared.lowered.separate_prefix;
+    sim::Machine fresh(spec.params.mem, spec.params.cpu);
+    const SideMeasurement got = harness::replay_side(prepared, 3);
+    expect_same_run(got.cold, fresh.run(prepared.lowered.trace,
+                                        sim::Machine::Options{}));
+    expect_same_run(got.critical, fresh.run(own, steady_of(spec.params, 3)));
+  }
+  EXPECT_GT(separate, 0u);
 }
 
 TEST(WarmUpOnce, SampleTeEqualsOneMeasureConfigPerSample) {

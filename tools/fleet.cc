@@ -46,7 +46,9 @@
 // Exit status: 0 on success; 1 on a failed run or a broken row invariant
 // (packet conservation, a shard invariant, recovery_error or lb_error);
 // 2 on usage errors, including a setting the selected row kind does not
-// read (e.g. --cores with --script, or rpc with --lb).
+// read (e.g. --cores with --script, or rpc with --lb) and a script event
+// the row cannot run (harness::script_error: a backend outside the LB
+// pool, a client crash in a recovery row).
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -55,6 +57,7 @@
 
 #include "harness/argparse.h"
 #include "harness/classify.h"
+#include "harness/recovery.h"
 #include "harness/runner.h"
 
 namespace {
@@ -455,6 +458,13 @@ int main(int argc, char** argv) {
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "fleet: %s\n\n%s", e.what(), parser.help().c_str());
     return 2;
+  }
+  if (kind != kFleetRow) {
+    const std::string error = harness::script_error(chaos, lb_backends);
+    if (!error.empty()) {
+      std::fprintf(stderr, "fleet: %s\n", error.c_str());
+      return 2;
+    }
   }
 
   if (kind == kLbRow) {
