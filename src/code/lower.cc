@@ -27,13 +27,20 @@ class LowerState {
     sp_ = params_.stack_top;
   }
 
-  /// Lower `trace`.  When `split` is within it, also note where the
-  /// lowering of events [0, split) ends (mark_*).
+  /// Lower `trace`, noting where the prefix split at event `split` ends
+  /// (mark_*; see SplitLowering).
   MachineTrace run(const PathTrace& trace, std::size_t split) {
     out_.reserve(estimate_size(trace));
+    bool marked = false;
     for (std::size_t i = 0; i < trace.events.size(); ++i) {
       const Event& ev = trace.events[i];
-      if (i == split) mark(ev);
+      if (!marked && i >= split && !joins_open_block(ev)) {
+        // Every other event starts by flushing the open block, so
+        // flushing here leaves out_ as the prefix's own lowering ends.
+        flush_block();
+        note_mark();
+        marked = true;
+      }
       switch (ev.kind) {
         case EventKind::kCall:
           flush_block();
@@ -65,13 +72,11 @@ class LowerState {
       }
     }
     flush_block();
-    if (split >= trace.events.size()) note_mark();
+    if (!marked) note_mark();
     return std::move(out_);
   }
 
-  /// Where the prefix's lowering ends in out_, unless the prefix lowers
-  /// differently (mark_shared false).
-  bool mark_shared = true;
+  /// Where the prefix's lowering ends in out_.
   std::size_t mark_size = 0;
   MachineInstr mark_last{};
 
@@ -102,20 +107,10 @@ class LowerState {
     return n;
   }
 
-  /// Event `ev` is the first past the prefix.  Every event kind but a data
-  /// reference inside an open block starts by flushing the open block, so
-  /// flushing here changes nothing and leaves out_ exactly as the prefix's
-  /// own lowering ends.  A data reference would instead join the open
-  /// block, which the prefix's lowering emits without it.
-  void mark(const Event& ev) {
-    const bool data = ev.kind == EventKind::kLoad ||
-                      ev.kind == EventKind::kStore;
-    if (block_open_ && data) {
-      mark_shared = false;
-      return;
-    }
-    flush_block();
-    note_mark();
+  /// A data reference inside an open block belongs to that block.
+  bool joins_open_block(const Event& ev) const {
+    return block_open_ &&
+           (ev.kind == EventKind::kLoad || ev.kind == EventKind::kStore);
   }
 
   void note_mark() {
@@ -350,18 +345,8 @@ SplitLowering Lowering::lower_split(const PathTrace& trace,
   LowerState st(reg_, img_, cfg_, params_);
   SplitLowering out;
   out.trace = st.run(trace, split);
-  if (st.mark_shared) {
-    out.prefix_size = st.mark_size;
-    out.prefix_last = st.mark_last;
-    return out;
-  }
-  PathTrace prefix;
-  prefix.events.assign(trace.events.begin(),
-                       trace.events.begin() +
-                           static_cast<std::ptrdiff_t>(split));
-  out.separate_prefix = lower(prefix);
-  out.prefix_size = out.separate_prefix.size();
-  out.prefix_last = out.separate_prefix.back();
+  out.prefix_size = st.mark_size;
+  out.prefix_last = st.mark_last;
   return out;
 }
 

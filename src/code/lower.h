@@ -66,25 +66,22 @@ sim::OwnerMap build_owner_map(const CodeRegistry& reg, const CodeImage& img,
 /// One trace lowered together with a prefix of its events (the critical
 /// path before the transmit point), in a single pass.
 ///
-/// The prefix's own lowering, lower(first `split` events), is the first
-/// `prefix_size` instructions of `trace` with the final one replaced by
-/// `prefix_last`: the rest of the trace may rewrite that terminator (its
-/// class and taken flag; never its PC, and never a memory instruction).
-/// Only when the split falls on a data reference inside an open block does
-/// the prefix lower differently; it is then lowered on its own into
-/// `separate_prefix` (never empty then: the open block is in it).
+/// A basic block runs whole, so a split that falls on data references
+/// joining an open block ends where that block flushes: the prefix is the
+/// first s' events, where s' is the split moved past those references.
+/// Their own lowering, lower(first s' events), is the first `prefix_size`
+/// instructions of `trace` with the final one replaced by `prefix_last`:
+/// the rest of the trace may rewrite that terminator (its class and taken
+/// flag; never its PC, and never a memory instruction).
 struct SplitLowering {
   sim::MachineTrace trace;  ///< the whole trace's lowering
   std::size_t prefix_size = 0;
   sim::MachineInstr prefix_last{};  ///< meaningful when prefix_size > 0
-  sim::MachineTrace separate_prefix;
 
   /// The prefix's instructions; its final one is `prefix_last` in the
   /// prefix's own lowering.
   std::span<const sim::MachineInstr> prefix() const noexcept {
-    return separate_prefix.empty()
-               ? std::span<const sim::MachineInstr>(trace).first(prefix_size)
-               : std::span<const sim::MachineInstr>(separate_prefix);
+    return std::span<const sim::MachineInstr>(trace).first(prefix_size);
   }
 };
 
@@ -96,7 +93,8 @@ class Lowering {
 
   sim::MachineTrace lower(const PathTrace& trace) const;
   /// lower(trace) plus the lowering of its first `split` events (all of
-  /// them when `split` exceeds the trace).
+  /// them when `split` exceeds the trace), the split moved to a block end
+  /// as SplitLowering describes.
   SplitLowering lower_split(const PathTrace& trace, std::size_t split) const;
 
  private:

@@ -215,16 +215,10 @@ PreparedSide prepare_side(const MeasureSpec& spec) {
   side.lowered =
       code::Lowering(reg, image, spec.cfg).lower_split(trace, spec.split);
   const code::SplitLowering& low = side.lowered;
-  const sim::Cpu cpu(spec.params.cpu);
-  if (low.separate_prefix.empty()) {
-    const sim::Cpu::SplitTiming t =
-        cpu.time_split(low.trace, low.prefix_size, low.prefix_last);
-    side.full_timing = t.trace;
-    side.critical_timing = t.prefix;
-  } else {
-    side.full_timing = cpu.time_trace(low.trace);
-    side.critical_timing = cpu.time_trace(low.separate_prefix);
-  }
+  const sim::Cpu::SplitTiming t = sim::Cpu(spec.params.cpu).time_split(
+      low.trace, low.prefix_size, low.prefix_last);
+  side.full_timing = t.trace;
+  side.critical_timing = t.prefix;
 
   side.footprint = code::footprint_stats(side.lowered.trace, image,
                                          spec.params.mem.block_bytes);
@@ -235,13 +229,13 @@ PreparedSide prepare_side(const MeasureSpec& spec) {
 SideMeasurement replay_side(const PreparedSide& side,
                             std::uint64_t seed_offset, bool profile_misses) {
   const sim::MachineTrace& full = side.lowered.trace;
-  const std::span<const sim::MachineInstr> critical = side.lowered.prefix();
+  const std::size_t critical = side.lowered.prefix_size;
   const MachineParams& params = side.params;
 
   SideMeasurement m;
   m.config_name = side.config_name;
   m.instructions = full.size();
-  m.critical_instructions = critical.size();
+  m.critical_instructions = critical;
   m.static_hot_words = side.static_hot_words;
   m.static_total_words = side.static_total_words;
   m.footprint = side.footprint;
@@ -251,47 +245,25 @@ SideMeasurement replay_side(const PreparedSide& side,
   // conserves to that replay's CacheStats.
   std::optional<sim::MissProfiler> prof;
   if (profile_misses && side.owners) prof.emplace(*side.owners);
-  sim::MissProfiler* const profiler = prof ? &*prof : nullptr;
+  sim::Machine::Options steady = steady_options(params, seed_offset);
+  steady.miss_profiler = prof ? &*prof : nullptr;
 
-  // The thread's machine serves all three replays.
-  sim::Machine& machine = thread_machine(params);
-  // A critical prefix that is the trace's own first instructions resumes
-  // from a checkpoint of the cold replay; one lowered on its own cannot.
-  const bool shared_prefix = side.lowered.separate_prefix.empty();
-
-  // Cold replay: the paper's trace-driven cache simulation (Table 6).
-  {
-    sim::Machine::Options opts;
-    opts.cold_start = true;
-    opts.warmup_passes = 0;
-    opts.miss_profiler = profiler;
-    m.cold = shared_prefix ? machine.run_cold(full, side.full_timing, opts,
-                                              critical.size())
-                           : machine.run(full, side.full_timing, opts);
-    if (prof) {
-      m.miss_cold = std::make_shared<const sim::MissProfile>(prof->snapshot());
-    }
-  }
-  // Steady replay: processing time and CPI (Table 7).  The cold replay is
-  // its warm-up pass 1, so it resumes from there.
-  const sim::Machine::Options steady = steady_options(params, seed_offset);
-  {
-    sim::Machine::Options opts = steady;
-    opts.miss_profiler = profiler;
-    m.steady = machine.run_after_cold(full, side.full_timing, opts);
-    m.tp_us = m.steady.processing_us(params.cpu.frequency_hz);
-    if (prof) {
-      m.miss_steady =
-          std::make_shared<const sim::MissProfile>(prof->snapshot());
-    }
-  }
-  // Critical path: the prefix's memory replay, timed as the prefix's own
-  // lowering leaves its final instruction.
-  m.critical =
-      shared_prefix
-          ? machine.run_from_checkpoint(critical, side.critical_timing, steady)
-          : machine.run(critical, side.critical_timing, steady);
+  // The thread's machine serves all three replays: cold (Table 6), steady
+  // (Table 7) and the critical prefix, timed as its own lowering leaves its
+  // final instruction.
+  sim::SideRuns runs = thread_machine(params).run_side(
+      full, side.full_timing, critical, side.critical_timing, steady);
+  m.cold = runs.cold;
+  m.steady = runs.steady;
+  m.critical = runs.critical;
+  m.tp_us = m.steady.processing_us(params.cpu.frequency_hz);
   m.critical_us = m.critical.processing_us(params.cpu.frequency_hz);
+  if (prof) {
+    m.miss_cold =
+        std::make_shared<const sim::MissProfile>(std::move(*runs.cold_profile));
+    m.miss_steady = std::make_shared<const sim::MissProfile>(
+        std::move(*runs.steady_profile));
+  }
   return m;
 }
 

@@ -179,7 +179,8 @@ SideMeasurement measure_side(const MeasureSpec& spec);
 /// already paid.
 struct StreamSpec {
   /// Image, registry, params, scrub seed and warm-up activation all come
-  /// from `base`; base.trace is the default burst activation.
+  /// from `base`; base.trace is the default burst activation.  Streams
+  /// lower whole traces, so base.split is not read.
   MeasureSpec base;
   /// Number of back-to-back replays of base.trace (ignored when
   /// `activations` is non-empty).  Must be >= 1.

@@ -109,7 +109,6 @@ BurstCostTable measure_burst_costs(net::StackKind kind,
     // is that replay's cost); the image profile stays the fast capture.
     slow_stream.base.trace = &slow_trace;
     slow_stream.base.profile = &e.server_trace();
-    slow_stream.base.split = sspec.split + 1;  // one marker prepended
     slow_stream.activations.assign(p, sspec.trace);
     slow_stream.activations.push_back(&slow_trace);
     const StreamMeasurement slow = measure_stream(slow_stream);

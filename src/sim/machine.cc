@@ -58,37 +58,59 @@ RunResult Machine::run(std::span<const MachineInstr> trace,
   return measure_once(trace, timing, opts);
 }
 
-RunResult Machine::run_after_cold(std::span<const MachineInstr> trace,
-                                  const CpuStats& timing,
-                                  const Options& opts) {
-  check_timing(trace, timing, "Machine::run_after_cold");
-  warm_up_after_cold(trace, opts);
-  return measure_once(trace, timing, opts);
-}
-
-RunResult Machine::run_cold(std::span<const MachineInstr> trace,
-                            const CpuStats& timing, const Options& opts,
-                            std::size_t checkpoint_at) {
-  check_timing(trace, timing, "Machine::run_cold");
-  if (!opts.cold_start || opts.warmup_passes != 0) {
+SideRuns Machine::run_side(std::span<const MachineInstr> trace,
+                           const CpuStats& timing, std::size_t prefix_size,
+                           const CpuStats& prefix_timing,
+                           const Options& steady) {
+  check_timing(trace, timing, "Machine::run_side");
+  if (prefix_size > trace.size()) {
     throw std::invalid_argument(
-        "Machine::run_cold: the options ask for more than a cold replay");
+        "Machine::run_side: prefix of " + std::to_string(prefix_size) +
+        " instructions, the trace has " + std::to_string(trace.size()));
   }
-  if (checkpoint_at > trace.size()) {
+  const std::span<const MachineInstr> prefix = trace.first(prefix_size);
+  check_timing(prefix, prefix_timing, "Machine::run_side (prefix)");
+  if (!steady.cold_start) {
     throw std::invalid_argument(
-        "Machine::run_cold: checkpoint after instruction " +
-        std::to_string(checkpoint_at) + " of " + std::to_string(trace.size()));
+        "Machine::run_side: the steady replay must start cold");
   }
-  warm_up(trace, opts);
-  return measure_once(trace, timing, opts, checkpoint_at);
-}
+  SideRuns out;
+  MissProfiler* const profiler = steady.miss_profiler;
 
-RunResult Machine::run_from_checkpoint(std::span<const MachineInstr> prefix,
-                                       const CpuStats& timing,
-                                       const Options& opts) {
-  check_timing(prefix, timing, "Machine::run_from_checkpoint");
-  warm_up_from_checkpoint(prefix, opts);
-  return measure_once(prefix, timing, opts);
+  // Cold replay (Table 6).  Splitting it at the checkpoint only re-looks-up
+  // the block the split falls in, which is resident: the same hit either
+  // way.
+  Options cold;
+  cold.miss_profiler = profiler;
+  warm_up(trace, cold);
+  attach_profiler(cold);
+  replay_memory(prefix);
+  mem_.save(checkpoint_);
+  out.cold = measure(trace.subspan(prefix_size), timing, cold);
+  mem_.attach_miss_profiler(nullptr);
+  if (profiler != nullptr) out.cold_profile = profiler->snapshot();
+
+  // Steady replay (Table 7): the cold replay, drained, is its pass 1.
+  if (steady.warmup_passes == 0) {
+    warm_up(trace, steady);
+  } else {
+    replay_warm_up(trace, steady, 1);
+  }
+  out.steady = measure_once(trace, timing, steady);
+  if (profiler != nullptr) out.steady_profile = profiler->snapshot();
+
+  // Critical replay: the checkpoint, drained, is the prefix's pass 1.
+  Options critical = steady;
+  critical.miss_profiler = nullptr;
+  if (critical.warmup_passes == 0) {
+    warm_up(prefix, critical);
+  } else {
+    mem_.restore(checkpoint_);
+    mem_.drain_writes();
+    replay_warm_up(prefix, critical, 1);
+  }
+  out.critical = measure_once(prefix, prefix_timing, critical);
+  return out;
 }
 
 std::vector<RunResult> Machine::run_stream(
@@ -123,15 +145,8 @@ std::vector<RunResult> Machine::run_stream(
 
 void Machine::warm_up(std::span<const MachineInstr> warm,
                       const Options& opts) {
-  checkpointed_.reset();
-  restart(warm, opts);
-}
-
-void Machine::restart(std::span<const MachineInstr> warm,
-                      const Options& opts) {
   // A reused machine keeps no profiler from an earlier, interrupted replay.
   mem_.attach_miss_profiler(nullptr);
-  cold_replay_ = {};
 
   // Cold replay (Table 6): full cold restart, every first touch is a cold
   // miss.  Steady replay (Table 7): warm-up passes below, then reset_stats()
@@ -139,49 +154,6 @@ void Machine::restart(std::span<const MachineInstr> warm,
   // classify as replacement misses.
   if (opts.cold_start) mem_.reset_cold();
   replay_warm_up(warm, opts, 0);
-}
-
-void Machine::warm_up_after_cold(std::span<const MachineInstr> warm,
-                                 const Options& opts) {
-  if (!opts.cold_start) {
-    throw std::invalid_argument(
-        "Machine::run_after_cold: the steady replay must start cold");
-  }
-  if (cold_replay_.data() != warm.data() ||
-      cold_replay_.size() != warm.size()) {
-    throw std::logic_error(
-        "Machine::run_after_cold: the previous call was not a cold replay "
-        "of this trace");
-  }
-  if (opts.warmup_passes == 0) {
-    restart(warm, opts);  // the steady replay is itself a cold replay
-    return;
-  }
-  cold_replay_ = {};
-  replay_warm_up(warm, opts, 1);
-}
-
-void Machine::warm_up_from_checkpoint(std::span<const MachineInstr> prefix,
-                                      const Options& opts) {
-  if (!opts.cold_start) {
-    throw std::invalid_argument(
-        "Machine::run_from_checkpoint: the steady replay must start cold");
-  }
-  if (!checkpointed_ || checkpointed_->data() != prefix.data() ||
-      checkpointed_->size() != prefix.size()) {
-    throw std::logic_error(
-        "Machine::run_from_checkpoint: the last cold replay saved no "
-        "checkpoint after this prefix");
-  }
-  if (opts.warmup_passes == 0) {
-    restart(prefix, opts);  // the measured pass is the cold replay itself
-    return;
-  }
-  // Pass 1 is the prefix's cold replay: the checkpoint, then its drain.
-  cold_replay_ = {};
-  mem_.restore(checkpoint_);
-  mem_.drain_writes();
-  replay_warm_up(prefix, opts, 1);
 }
 
 void Machine::replay_warm_up(std::span<const MachineInstr> warm,
@@ -218,23 +190,10 @@ void Machine::attach_profiler(const Options& opts) {
 }
 
 RunResult Machine::measure_once(std::span<const MachineInstr> trace,
-                                const CpuStats& timing, const Options& opts,
-                                std::size_t checkpoint_at) {
+                                const CpuStats& timing, const Options& opts) {
   attach_profiler(opts);
-  std::size_t replayed = 0;
-  if (checkpoint_at <= trace.size()) {
-    // Splitting the replay only re-looks-up the block the split falls in,
-    // which is resident: the same hit either way.
-    checkpointed_ = trace.first(checkpoint_at);
-    replay_memory(*checkpointed_);
-    mem_.save(checkpoint_);
-    replayed = checkpoint_at;
-  }
-  const RunResult r = measure(trace.subspan(replayed), timing, opts);
+  const RunResult r = measure(trace, timing, opts);
   mem_.attach_miss_profiler(nullptr);
-  if (opts.cold_start && opts.warmup_passes == 0 && opts.drain_at_end) {
-    cold_replay_ = trace;
-  }
   return r;
 }
 

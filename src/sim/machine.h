@@ -48,6 +48,17 @@ struct RunResult {
   }
 };
 
+/// Machine::run_side()'s three replays of one side.
+struct SideRuns {
+  RunResult cold;      ///< Table 6: the whole trace from cold caches
+  RunResult steady;    ///< Table 7: the whole trace in steady state
+  RunResult critical;  ///< the prefix in steady state
+  /// Miss attribution of the cold and steady replays; set when the steady
+  /// options carry a profiler.
+  std::optional<MissProfile> cold_profile;
+  std::optional<MissProfile> steady_profile;
+};
+
 class Machine {
  public:
   struct Options {
@@ -62,24 +73,22 @@ class Machine {
     /// replays the trace, drains the write buffer and scrubs with seed
     /// scrub_seed + p.
     ///
-    /// Three rules skip passes that rebuild a state the machine already
-    /// holds; none changes a result.  run_after_cold() takes the cold
-    /// replay just made as pass 1, on any layout.  run_from_checkpoint()
-    /// takes pass 1 of a prefix of that replay's trace from the checkpoint
-    /// run_cold() saved after the prefix's last instruction: restored and
-    /// drained, it is the state the prefix's own cold pass leaves before
-    /// its scrub, on any layout.  Passes 2..N are skipped,
-    /// and only the last scrub (seed + N-1) runs, when pass 1 started cold
-    /// (`cold_start`), the b-cache made no eviction since that cold restart
-    /// and the i-cache scrub is total (scrub_fraction >= 1).  Each later
-    /// pass would rebuild exactly the post-pass-1 state: every allocating
-    /// b-cache access hits, so the b-cache, its dirty bits and every
-    /// ever-seen set are fixed; the d-cache allocates on loads only, so
-    /// each set the trace loads ends holding its last loaded block and
-    /// every other set stays invalid; the i-cache restarts empty, so its
-    /// misses (and the sequential-fill block) repeat; the write buffer is
-    /// drained.  Otherwise, as for BAD's conflicting layout, every pass is
-    /// replayed.
+    /// Two rules skip passes that rebuild a state the machine already
+    /// holds; none changes a result.  run_side() takes its cold replay as
+    /// pass 1 of the steady replay, and the checkpoint that replay saved
+    /// after the prefix, drained, as pass 1 of the critical replay: each is
+    /// the state that pass leaves before its scrub, on any layout.  Passes
+    /// 2..N are skipped, and only the last scrub (seed + N-1) runs, when
+    /// pass 1 started cold (`cold_start`), the b-cache made no eviction
+    /// since that cold restart and the i-cache scrub is total
+    /// (scrub_fraction >= 1).  Each later pass would rebuild exactly the
+    /// post-pass-1 state: every allocating b-cache access hits, so the
+    /// b-cache, its dirty bits and every ever-seen set are fixed; the
+    /// d-cache allocates on loads only, so each set the trace loads ends
+    /// holding its last loaded block and every other set stays invalid;
+    /// the i-cache restarts empty, so its misses (and the sequential-fill
+    /// block) repeat; the write buffer is drained.  Otherwise, as for BAD's
+    /// conflicting layout, every pass is replayed.
     std::uint32_t warmup_passes = 0;
     /// Fraction of primary-cache lines evicted by untraced code between
     /// passes (interrupt handling, context switch, idle thread).  The
@@ -113,40 +122,21 @@ class Machine {
   RunResult run(std::span<const MachineInstr> trace, const CpuStats& timing,
                 const Options& opts);
 
-  /// As run(trace, timing, opts), continuing from the cold replay the
-  /// previous call made: run(trace, timing, o) with o.cold_start, no
-  /// warm-up passes and o.drain_at_end leaves exactly the state opts's
-  /// warm-up pass 1 leaves before its scrub, so that pass is not replayed.
-  /// Equals run(trace, timing, opts) (tested).  Throws std::logic_error
-  /// when the previous call was not such a replay of this very span, and
-  /// std::invalid_argument when opts does not start cold or `timing` does
-  /// not cover the trace.
-  RunResult run_after_cold(std::span<const MachineInstr> trace,
-                           const CpuStats& timing, const Options& opts);
-
-  /// As run(trace, timing, opts) for a cold replay (opts.cold_start, no
-  /// warm-up passes), saving a checkpoint of the memory system after the
-  /// trace's first `checkpoint_at` instructions: the state, statistics
-  /// included, a cold replay of that prefix reaches before its drain.  The
-  /// checkpoint's buffers belong to the machine and are reused.  Throws
-  /// std::invalid_argument when opts is not a cold replay or
-  /// `checkpoint_at` exceeds the trace.
-  RunResult run_cold(std::span<const MachineInstr> trace,
-                     const CpuStats& timing, const Options& opts,
-                     std::size_t checkpoint_at);
-
-  /// As run(prefix, timing, opts), resuming from the checkpoint run_cold()
-  /// saved: restoring it and draining the write buffer leaves exactly the
-  /// state opts's warm-up pass 1 leaves before its scrub, so that pass is
-  /// not replayed (with no warm-up passes the measured pass is the cold
-  /// replay itself, and is replayed).  Equals run(prefix, timing, opts)
-  /// (tested).  Throws std::logic_error unless `prefix` is the very span
-  /// the last run_cold() checkpointed, with nothing but run_after_cold()
-  /// and run_from_checkpoint() called since (run(), run_stream() and
-  /// warm_up() drop the checkpoint), and std::invalid_argument as
-  /// run_after_cold() does.
-  RunResult run_from_checkpoint(std::span<const MachineInstr> prefix,
-                                const CpuStats& timing, const Options& opts);
+  /// One side's three replays (see DESIGN.md §5), in this order: a cold
+  /// replay of `trace` (Table 6), saving a checkpoint of the memory system
+  /// after its first `prefix_size` instructions; run(trace, timing,
+  /// steady), taking the cold replay as its warm-up pass 1; and
+  /// run(prefix, prefix_timing, o) for the prefix, with o = steady minus
+  /// the profiler, taking the checkpoint, drained, as its pass 1.  Each
+  /// equals its run() on a fresh machine (tested); with no warm-up passes
+  /// the steady and critical replays are cold replays themselves.
+  /// steady.miss_profiler, when set, profiles the cold and steady replays.
+  /// Throws std::invalid_argument when `prefix_size` exceeds the trace,
+  /// either timing does not cover its span, or `steady` does not start
+  /// cold.
+  SideRuns run_side(std::span<const MachineInstr> trace,
+                    const CpuStats& timing, std::size_t prefix_size,
+                    const CpuStats& prefix_timing, const Options& steady);
 
   /// Replay a *sequence* of activations under one continuously-evolving
   /// cache state and return one RunResult per position.  Warm-up (passes +
@@ -167,38 +157,21 @@ class Machine {
   /// restart when opts.cold_start, then the warm-up passes over `warm`.
   /// Statistics are zeroed after a warm-up; no profiler is attached.
   void warm_up(std::span<const MachineInstr> warm, const Options& opts);
-  /// The same state, reached as run_after_cold(warm, ...) reaches it: from
-  /// the cold replay of `warm` the previous call made.  Throws as
-  /// run_after_cold() does.
-  void warm_up_after_cold(std::span<const MachineInstr> warm,
-                          const Options& opts);
-  /// The same state, reached as run_from_checkpoint(prefix, ...) reaches
-  /// it.  Throws as run_from_checkpoint() does.
-  void warm_up_from_checkpoint(std::span<const MachineInstr> prefix,
-                               const Options& opts);
 
-  /// Mutating the memory system between run() and run_after_cold() breaks
-  /// the latter's precondition; nothing checks it.  The checkpoint is a
-  /// copy, so run_from_checkpoint() does not depend on the current state.
   MemorySystem& mem() noexcept { return mem_; }
   const Cpu& cpu() const noexcept { return cpu_; }
 
  private:
-  /// warm_up() without dropping the checkpoint.
-  void restart(std::span<const MachineInstr> warm, const Options& opts);
   /// Warm-up passes `done`..warmup_passes-1 over `warm` (pass 0 is done
   /// when it is the cold replay), collapsed as warmup_passes describes.
   void replay_warm_up(std::span<const MachineInstr> warm, const Options& opts,
                       std::uint32_t done);
   /// Attach opts.miss_profiler, reset, for the measured replays.
   void attach_profiler(const Options& opts);
-  /// run()'s measured pass after its warm-up: attach the profiler, measure
-  /// `trace`, detach; remember `trace` when the whole run was a cold replay.
-  /// Saves the checkpoint after `checkpoint_at` instructions when that is
-  /// within the trace.
+  /// The measured pass after a warm-up: attach the profiler, measure
+  /// `trace`, detach.
   RunResult measure_once(std::span<const MachineInstr> trace,
-                         const CpuStats& timing, const Options& opts,
-                         std::size_t checkpoint_at = SIZE_MAX);
+                         const CpuStats& timing, const Options& opts);
   /// One measured replay of `trace`, priced with its issue `timing`.
   RunResult measure(std::span<const MachineInstr> trace,
                     const CpuStats& timing, const Options& opts);
@@ -207,13 +180,7 @@ class Machine {
 
   MemorySystem mem_;
   Cpu cpu_;
-  /// The trace whose cold replay produced the current state, if the last
-  /// call was one; run_after_cold() continues only from that.  Compared by
-  /// address and length, never read.
-  std::span<const MachineInstr> cold_replay_;
-  /// The prefix run_cold() saved `checkpoint_` after, while it may be
-  /// restored; compared by address and length, never read.
-  std::optional<std::span<const MachineInstr>> checkpointed_;
+  /// run_side()'s prefix checkpoint; its buffers are reused.
   MemorySystem::Checkpoint checkpoint_;
 };
 

@@ -1,6 +1,7 @@
 // Tests for trace replay through the whole machine model.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -308,6 +309,61 @@ void expect_same_state(const MemorySystem::State& a,
   EXPECT_EQ(a.wbuf, b.wbuf);
 }
 
+void expect_same_section(const MissProfile::Section& a,
+                         const MissProfile::Section& b) {
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.repl_misses, b.repl_misses);
+  EXPECT_EQ(a.stall_cycles, b.stall_cycles);
+  ASSERT_EQ(a.owners.size(), b.owners.size());
+  for (std::size_t i = 0; i < a.owners.size(); ++i) {
+    EXPECT_EQ(a.owners[i].owner, b.owners[i].owner);
+    EXPECT_EQ(a.owners[i].misses, b.owners[i].misses);
+    EXPECT_EQ(a.owners[i].repl_misses, b.owners[i].repl_misses);
+    EXPECT_EQ(a.owners[i].stall_cycles, b.owners[i].stall_cycles);
+  }
+  EXPECT_EQ(a.conflicts.size(), b.conflicts.size());
+  EXPECT_EQ(a.sets.size(), b.sets.size());
+}
+
+void expect_same_profile(const std::optional<MissProfile>& a,
+                         const MissProfile& b) {
+  ASSERT_TRUE(a.has_value());
+  expect_same_section(a->icache, b.icache);
+  expect_same_section(a->dcache, b.dcache);
+}
+
+/// run_side() over `t` with a prefix of `k` instructions, against a fresh
+/// machine replaying each of its replays one pass at a time: every result,
+/// both miss profiles and the state run_side() leaves.
+void expect_side(const MemorySystem::Config& mem, const MachineTrace& t,
+                 std::size_t k, const Machine::Options& opts) {
+  SCOPED_TRACE("prefix of " + std::to_string(k));
+  const MachineTrace own(t.begin(), t.begin() + static_cast<long>(k));
+  OwnerMap map;
+  map.add_region(0x10000, 0x20000, map.add_owner("code"), OwnerSegment::kHot);
+  map.add_region(0x8000'0000, 0x8100'0000, map.add_owner("data"),
+                 OwnerSegment::kData);
+  map.seal();
+  MissProfiler prof(map);
+  Machine::Options profiled = opts;
+  profiled.miss_profiler = &prof;
+
+  Machine got(mem, Cpu::Config{});
+  const SideRuns runs =
+      got.run_side(t, got.cpu().time_trace(t), k,
+                   got.cpu().time_trace(own), profiled);
+
+  Machine want(mem, Cpu::Config{});
+  Machine::Options cold;
+  cold.miss_profiler = &prof;
+  expect_same_run(runs.cold, want.run(t, cold));
+  expect_same_profile(runs.cold_profile, prof.snapshot());
+  expect_same_run(runs.steady, run_in_full(want, t, profiled));
+  expect_same_profile(runs.steady_profile, prof.snapshot());
+  expect_same_run(runs.critical, run_in_full(want, own, opts));
+  expect_same_state(got.mem().state(), want.mem().state());
+}
+
 struct WarmCase {
   std::string name;
   MemorySystem::Config mem;
@@ -365,78 +421,47 @@ TEST(MachineWarmUp, CollapsedPassesEqualEveryPassReplayed) {
     expect_same_state(got.mem().state(), want.mem().state());
 
     if (!c.opts.cold_start) continue;
-    // The same state reached from a cold replay.
+    // The same passes taken from run_side()'s cold replay, and from its
+    // checkpoint after the whole trace.
     got.run(c.trace, Machine::Options{});
     const bool conflicts = got.mem().bcache().evictions_since_cold() > 0;
     EXPECT_EQ(conflicts, c.name == "b-cache conflicts");
-    got.warm_up_after_cold(c.trace, c.opts);
-    warm_in_full(want, c.trace, c.opts);
-    expect_same_state(got.mem().state(), want.mem().state());
-
-    const CpuStats timing = got.cpu().time_trace(c.trace);
-    got.run(c.trace, Machine::Options{});
-    expect_same_run(got.run_after_cold(c.trace, timing, c.opts),
-                    run_in_full(want, c.trace, c.opts));
+    expect_side(c.mem, c.trace, c.trace.size(), c.opts);
   }
 }
 
-TEST(MachineWarmUp, RunAfterColdContinuesOnlyFromAColdReplayOfItsTrace) {
+TEST(MachineSide, ChecksItsArgumentsAndReplaysNoPassesCold) {
   const MachineTrace t = busy_trace(0x10000, 0x8008'0000);
-  const MachineTrace copy = t;
+  const std::span<const MachineInstr> prefix(t.data(), 100);
   Machine m;
   const CpuStats timing = m.cpu().time_trace(t);
-  EXPECT_THROW(m.run_after_cold(t, timing, steady_opts()), std::logic_error);
-  m.run(copy, Machine::Options{});  // equal contents, another span
-  EXPECT_THROW(m.run_after_cold(t, timing, steady_opts()), std::logic_error);
-  m.run(t, steady_opts());
-  EXPECT_THROW(m.run_after_cold(t, timing, steady_opts()), std::logic_error);
-  Machine::Options undrained;
-  undrained.drain_at_end = false;
-  m.run(t, undrained);
-  EXPECT_THROW(m.run_after_cold(t, timing, steady_opts()), std::logic_error);
-
-  m.run(t, Machine::Options{});
-  Machine::Options warm = steady_opts();
+  const CpuStats prefix_timing = m.cpu().time_trace(prefix);
+  const Machine::Options steady = steady_opts();
+  EXPECT_THROW(m.run_side(t, timing, t.size() + 1, timing, steady),
+               std::invalid_argument);
+  EXPECT_THROW(m.run_side(t, prefix_timing, 100, prefix_timing, steady),
+               std::invalid_argument);
+  EXPECT_THROW(m.run_side(t, timing, 100, timing, steady),
+               std::invalid_argument);
+  EXPECT_THROW(m.run_side(t, timing, 99, prefix_timing, steady),
+               std::invalid_argument);
+  Machine::Options warm = steady;
   warm.cold_start = false;
-  EXPECT_THROW(m.run_after_cold(t, timing, warm), std::invalid_argument);
-  m.run_after_cold(t, timing, steady_opts());
-  EXPECT_THROW(m.run_after_cold(t, timing, steady_opts()), std::logic_error);
+  EXPECT_THROW(m.run_side(t, timing, 100, prefix_timing, warm),
+               std::invalid_argument);
 
-  // No warm-up passes: the steady replay is a cold replay itself.
-  Machine::Options none = steady_opts();
+  // No warm-up passes: the steady and critical replays are cold replays.
+  Machine::Options none = steady;
   none.warmup_passes = 0;
-  m.run(t, Machine::Options{});
+  const SideRuns runs = m.run_side(t, timing, 100, prefix_timing, none);
   Machine fresh;
-  expect_same_run(m.run_after_cold(t, timing, none), fresh.run(t, none));
+  expect_same_run(runs.steady, fresh.run(t, none));
+  expect_same_run(runs.critical, fresh.run(prefix, prefix_timing, none));
+  EXPECT_FALSE(runs.cold_profile.has_value());
+  EXPECT_FALSE(runs.steady_profile.has_value());
 }
 
 // --- the critical prefix resumed from the cold replay's checkpoint ---------
-
-/// Resume the first `k` instructions of `t` from run_cold()'s checkpoint, as
-/// measure_side does (cold replay, steady replay, then the prefix), against
-/// a fresh machine replaying the prefix's every pass: the state before the
-/// measured pass, and the result.
-void expect_resumes(const MemorySystem::Config& mem, const MachineTrace& t,
-                    std::size_t k, const Machine::Options& opts) {
-  SCOPED_TRACE("prefix of " + std::to_string(k));
-  const MachineTrace own(t.begin(), t.begin() + static_cast<long>(k));
-  const std::span<const MachineInstr> prefix(t.data(), k);
-  Machine got(mem, Cpu::Config{});
-  Machine want(mem, Cpu::Config{});
-  const CpuStats timing = got.cpu().time_trace(t);
-  const CpuStats prefix_timing = got.cpu().time_trace(prefix);
-
-  got.run_cold(t, timing, Machine::Options{}, k);
-  got.run_after_cold(t, timing, opts);
-  got.warm_up_from_checkpoint(prefix, opts);
-  warm_in_full(want, own, opts);
-  expect_same_state(got.mem().state(), want.mem().state());
-
-  got.run_cold(t, timing, Machine::Options{}, k);
-  got.run_after_cold(t, timing, opts);
-  expect_same_run(got.run_from_checkpoint(prefix, prefix_timing, opts),
-                  run_in_full(want, own, opts));
-}
 
 TEST(MachineCheckpoint, PrefixesOfEveryLengthResumeAsTheirOwnReplay) {
   const MachineTrace t = busy_trace(0x10000, 0x8008'0000);
@@ -448,7 +473,7 @@ TEST(MachineCheckpoint, PrefixesOfEveryLengthResumeAsTheirOwnReplay) {
     SCOPED_TRACE(std::to_string(opts.warmup_passes) + " passes");
     for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                           t.size() / 2, t.size() - 1, t.size()}) {
-      expect_resumes(MemorySystem::Config{}, t, k, opts);
+      expect_side(MemorySystem::Config{}, t, k, opts);
     }
   }
 }
@@ -467,7 +492,7 @@ TEST(MachineCheckpoint, ConflictingTracesFallBackToEveryPass) {
     m.run(MachineTrace(busy.begin(), busy.begin() + static_cast<long>(k)),
           Machine::Options{});
     EXPECT_GT(m.mem().bcache().evictions_since_cold(), 0u);
-    expect_resumes(small_mem(), busy, k, steady_opts());
+    expect_side(small_mem(), busy, k, steady_opts());
   }
   for (std::size_t k : {std::size_t{1}, std::size_t{2}}) {
     Machine m(small_mem(), Cpu::Config{});
@@ -475,62 +500,8 @@ TEST(MachineCheckpoint, ConflictingTracesFallBackToEveryPass) {
                        one_load.begin() + static_cast<long>(k)),
           Machine::Options{});
     EXPECT_GT(m.mem().bcache().evictions_since_cold(), 0u);
-    expect_resumes(small_mem(), one_load, k, keep_d);
+    expect_side(small_mem(), one_load, k, keep_d);
   }
-}
-
-TEST(MachineCheckpoint, RestoresOnlyThePrefixTheLastColdReplaySaved) {
-  const MachineTrace t = busy_trace(0x10000, 0x8008'0000);
-  const MachineTrace copy = t;
-  const std::span<const MachineInstr> prefix(t.data(), 100);
-  const std::span<const MachineInstr> shorter(t.data(), 99);
-  Machine m;
-  const CpuStats timing = m.cpu().time_trace(t);
-  const CpuStats prefix_timing = m.cpu().time_trace(prefix);
-  const Machine::Options steady = steady_opts();
-  const auto resume = [&] {
-    return m.run_from_checkpoint(prefix, prefix_timing, steady);
-  };
-  EXPECT_THROW(resume(), std::logic_error);  // nothing saved yet
-
-  m.run_cold(t, timing, Machine::Options{}, prefix.size());
-  EXPECT_THROW(m.run_from_checkpoint(std::span(copy.data(), 100),
-                                     prefix_timing, steady),
-               std::logic_error);  // equal contents, another span
-  EXPECT_THROW(m.run_from_checkpoint(shorter, m.cpu().time_trace(shorter),
-                                     steady),
-               std::logic_error);
-  Machine::Options warm = steady;
-  warm.cold_start = false;
-  EXPECT_THROW(m.run_from_checkpoint(prefix, prefix_timing, warm),
-               std::invalid_argument);
-  EXPECT_THROW(m.run_from_checkpoint(prefix, timing, steady),
-               std::invalid_argument);
-
-  // The steady replay may come in between, and the checkpoint, a copy,
-  // serves any number of resumes.
-  m.run_after_cold(t, timing, steady);
-  Machine fresh;
-  const RunResult want = fresh.run(prefix, prefix_timing, steady);
-  expect_same_run(resume(), want);
-  expect_same_run(resume(), want);
-
-  m.run(t, Machine::Options{});
-  EXPECT_THROW(resume(), std::logic_error);
-  m.run_cold(t, timing, Machine::Options{}, prefix.size());
-  m.run_stream({&t}, steady);
-  EXPECT_THROW(resume(), std::logic_error);
-  m.run_cold(t, timing, Machine::Options{}, prefix.size());
-  m.warm_up(t, steady);
-  EXPECT_THROW(resume(), std::logic_error);
-
-  // run_cold() checkpoints only a cold replay, inside its trace.
-  EXPECT_THROW(m.run_cold(t, timing, steady, 10), std::invalid_argument);
-  EXPECT_THROW(m.run_cold(t, timing, warm, 10), std::invalid_argument);
-  EXPECT_THROW(m.run_cold(t, timing, Machine::Options{}, t.size() + 1),
-               std::invalid_argument);
-  EXPECT_THROW(m.run_cold(prefix, timing, Machine::Options{}, 10),
-               std::invalid_argument);
 }
 
 // Fetches after the first in an i-cache block skip the lookup but are still

@@ -6,13 +6,16 @@
 //    must equal the same measurement on a fresh machine — a new thread's
 //    first call builds one.
 //  * One lowering per side: Lowering::lower_split yields the critical
-//    prefix's lowering from the full trace's, and it must equal lowering
-//    the prefix on its own, instruction for instruction.
-//  * Each warm-up state replayed once: the steady replay resumes from the
+//    prefix's lowering from the full trace's.  A split on data references
+//    joining an open block moves to that block's end (no production split
+//    does); the prefix must equal lowering its events on their own,
+//    instruction for instruction.
+//  * Each warm-up state replayed once: one Machine::run_side call replays
+//    a side cold, steady and critical.  The steady replay resumes from the
 //    cold replay, the critical replay from a checkpoint the cold replay
 //    saved after the critical prefix, and conflict-free warm-up passes
-//    2..N collapse to their last scrub.  The memory state a measured pass
-//    starts from, and every result, must equal replaying every pass.
+//    2..N collapse to their last scrub.  Every result, both miss profiles
+//    and the state the call leaves must equal replaying every pass.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -21,6 +24,7 @@
 #include "code/classifier.h"
 #include "harness/experiment.h"
 #include "harness/sweep.h"
+#include "net/lb.h"
 #include "protocols/stack_code.h"
 
 namespace l96 {
@@ -90,12 +94,16 @@ void expect_same_section(const sim::MissProfile::Section& a,
   }
 }
 
+void expect_same_profile(const sim::MissProfile& a,
+                         const sim::MissProfile& b) {
+  expect_same_section(a.icache, b.icache);
+  expect_same_section(a.dcache, b.dcache);
+}
+
 void expect_same_profile(const std::shared_ptr<const sim::MissProfile>& a,
                          const std::shared_ptr<const sim::MissProfile>& b) {
   ASSERT_EQ(a == nullptr, b == nullptr);
-  if (a == nullptr) return;
-  expect_same_section(a->icache, b->icache);
-  expect_same_section(a->dcache, b->dcache);
+  if (a != nullptr) expect_same_profile(*a, *b);
 }
 
 void expect_same_side(const SideMeasurement& a, const SideMeasurement& b) {
@@ -245,29 +253,46 @@ void expect_same_instr(const sim::MachineInstr& a, const sim::MachineInstr& b) {
   EXPECT_EQ(a.taken, b.taken);
 }
 
-/// lower_split(trace, split) against lowering the whole trace and the first
-/// `split` events each on its own.  Returns whether the prefix was shared
-/// with the whole trace's lowering.
-bool expect_split_matches(const code::Lowering& lower,
+/// Where lower_split moves `split`: past the data references joining the
+/// block open there.  A block is open when the last event before the split
+/// that is not a data reference is a block event.
+std::size_t block_end(const code::PathTrace& t, std::size_t split) {
+  const auto data = [&t](std::size_t i) {
+    return t.events[i].kind == code::EventKind::kLoad ||
+           t.events[i].kind == code::EventKind::kStore;
+  };
+  std::size_t end = std::min(split, t.events.size());
+  std::size_t open = end;
+  while (open > 0 && data(open - 1)) --open;
+  if (open == 0 || t.events[open - 1].kind != code::EventKind::kBlock) {
+    return end;
+  }
+  while (end < t.events.size() && data(end)) ++end;
+  return end;
+}
+
+/// lower_split(trace, split) against lowering the whole trace, and the
+/// first block_end(trace, split) events on their own: the prefix is the
+/// whole lowering's first prefix_size instructions and equals their own
+/// lowering, final instruction included.
+void expect_split_matches(const code::Lowering& lower,
                           const code::PathTrace& trace, std::size_t split) {
   const code::SplitLowering s = lower.lower_split(trace, split);
   const sim::MachineTrace whole = lower.lower(trace);
-  const sim::MachineTrace own = lower.lower(first_events(trace, split));
-  EXPECT_EQ(s.trace.size(), whole.size());
-  for (std::size_t i = 0; i < std::min(s.trace.size(), whole.size()); ++i) {
+  const sim::MachineTrace own =
+      lower.lower(first_events(trace, block_end(trace, split)));
+  ASSERT_EQ(s.trace.size(), whole.size());
+  for (std::size_t i = 0; i < whole.size(); ++i) {
     expect_same_instr(s.trace[i], whole[i]);
   }
-  const std::span<const sim::MachineInstr> prefix = s.prefix();
-  EXPECT_EQ(s.prefix_size, own.size());
-  EXPECT_EQ(prefix.size(), own.size());
-  const bool shared = s.separate_prefix.empty();
-  if (prefix.size() != own.size()) return shared;
+  ASSERT_EQ(s.prefix_size, own.size());
+  ASSERT_EQ(s.prefix().data(), s.trace.data());
   for (std::size_t i = 0; i + 1 < own.size(); ++i) {
     SCOPED_TRACE("instruction " + std::to_string(i));
-    expect_same_instr(prefix[i], own[i]);
+    expect_same_instr(whole[i], own[i]);
   }
   if (!own.empty()) {
-    const sim::MachineInstr& last = prefix.back();
+    const sim::MachineInstr& last = whole[own.size() - 1];
     expect_same_instr(s.prefix_last, own.back());
     // The memory replay reads the full trace's copy of the final
     // instruction: same PC, and a memory operation only if unchanged.
@@ -275,7 +300,14 @@ bool expect_split_matches(const code::Lowering& lower,
     EXPECT_EQ(sim::is_memory(last.cls), sim::is_memory(own.back().cls));
     if (sim::is_memory(last.cls)) expect_same_instr(last, own.back());
   }
-  return shared;
+}
+
+/// A production split: it falls on no data reference joining an open
+/// block, so the prefix is exactly lower(first `split` events).
+void expect_split_stays(const code::Lowering& lower,
+                        const code::PathTrace& trace, std::size_t split) {
+  EXPECT_EQ(block_end(trace, split), std::min(split, trace.events.size()));
+  expect_split_matches(lower, trace, split);
 }
 
 TEST(SplitLowering, CriticalPrefixMatchesItsOwnLoweringOnEveryPaperSide) {
@@ -289,7 +321,7 @@ TEST(SplitLowering, CriticalPrefixMatchesItsOwnLoweringOnEveryPaperSide) {
         const code::CodeImage image = harness::build_image(
             kind, cfg, *spec.registry, *spec.trace, spec.params);
         const code::Lowering lower(*spec.registry, image, cfg);
-        EXPECT_TRUE(expect_split_matches(lower, *spec.trace, spec.split));
+        expect_split_stays(lower, *spec.trace, spec.split);
 
         // measure_side's critical replay equals a fresh machine's steady
         // replay of the prefix's own lowering, its issue timing included.
@@ -306,9 +338,47 @@ TEST(SplitLowering, CriticalPrefixMatchesItsOwnLoweringOnEveryPaperSide) {
   }
 }
 
+// measure_lb_costs' fast and slow sides: the LB's transmit point ends its
+// kick block too.
+TEST(SplitLowering, LbSplitsStay) {
+  for (const StackConfig& cfg : {StackConfig::Pin(), StackConfig::All()}) {
+    SCOPED_TRACE(cfg.name);
+    net::LbWorldOptions opts;
+    opts.backends = 2;
+    net::LbWorld world(cfg, cfg, cfg, opts);
+    world.start(1'000'000);
+    ASSERT_TRUE(world.run_until_roundtrips(
+        harness::MachineParams{}.warmup_roundtrips, 60'000'000));
+    const auto capture = [&world](code::PathTrace& t) {
+      world.lb().arm_capture(&t);
+      EXPECT_TRUE(world.run_until(
+          [&world] { return world.lb().capture_complete(); }, 10'000'000));
+      return world.lb().tx_split();
+    };
+    code::PathTrace fast, slow;
+    const std::size_t fast_split = capture(fast);
+    for (std::size_t b = 0; b < world.backend_count(); ++b) {
+      world.lb().conn_track().invalidate_path(static_cast<int>(b));
+    }
+    const std::size_t slow_split = capture(slow);
+    EXPECT_GT(fast_split, 0u);
+    EXPECT_LT(fast_split, fast.events.size());
+    EXPECT_GT(slow_split, 0u);
+    EXPECT_LT(slow_split, slow.events.size());
+
+    const code::CodeRegistry& reg = world.lb().registry();
+    const code::CodeImage image = harness::build_image(
+        net::StackKind::kLb, cfg, reg, fast, harness::MachineParams{});
+    const code::Lowering lower(reg, image, cfg);
+    expect_split_stays(lower, fast, fast_split);
+    expect_split_stays(lower, slow, slow_split);
+  }
+}
+
 TEST(SplitLowering, BurstCostSlowTraceWithMarkers) {
   // measure_burst_costs' slow activation: the server trace bracketed by
-  // slow-path markers, split one event later, under the fast trace's image.
+  // slow-path markers, under the fast trace's image.  Burst costing lowers
+  // it whole; split one event later, it keeps the server's split.
   harness::Experiment e(net::StackKind::kTcpIp, StackConfig::All(),
                         StackConfig::All());
   e.capture();
@@ -323,15 +393,15 @@ TEST(SplitLowering, BurstCostSlowTraceWithMarkers) {
   const code::CodeImage image = harness::build_image(
       spec.kind, spec.cfg, *spec.registry, *spec.trace, spec.params);
   const code::Lowering lower(*spec.registry, image, spec.cfg);
-  EXPECT_TRUE(expect_split_matches(lower, slow, spec.split + 1));
-  expect_split_matches(lower, slow, slow.events.size());
-  expect_split_matches(lower, slow, slow.events.size() + 5);
+  expect_split_stays(lower, slow, spec.split + 1);
+  expect_split_stays(lower, slow, slow.events.size());
+  expect_split_stays(lower, slow, slow.events.size() + 5);
 }
 
 TEST(SplitLowering, EverySplitOfTheClassifierTraces) {
   // measure_classifier_costs' activations replay with split 0; checking
-  // every split of them also reaches a data reference inside an open
-  // block, where the prefix is lowered on its own.
+  // every split of them also reaches data references inside an open
+  // block, where the split moves to the block's end.
   const StackConfig cfg = StackConfig::All();
   code::CodeRegistry reg;
   proto::register_common_code(reg, cfg);
@@ -354,17 +424,18 @@ TEST(SplitLowering, EverySplitOfTheClassifierTraces) {
   proto::trace_classification(rec, reg, miss, {}, entry);
   rec.disable();
 
-  std::size_t separate = 0;
+  std::size_t moved = 0;
   for (const code::PathTrace* t : {&t_hit, &t_miss}) {
     const code::CodeImage image = harness::build_image(
         net::StackKind::kTcpIp, cfg, reg, *t, harness::MachineParams{});
     const code::Lowering lower(reg, image, cfg);
     for (std::size_t split = 0; split <= t->events.size(); ++split) {
       SCOPED_TRACE("split " + std::to_string(split));
-      if (!expect_split_matches(lower, *t, split)) ++separate;
+      expect_split_matches(lower, *t, split);
+      if (block_end(*t, split) > split) ++moved;
     }
   }
-  EXPECT_GT(separate, 0u);
+  EXPECT_GT(moved, 0u);
 }
 
 // --- each warm-up state replayed once -------------------------------------
@@ -404,6 +475,52 @@ void expect_same_state(const sim::MemorySystem::State& a,
   EXPECT_EQ(a.wbuf, b.wbuf);
 }
 
+/// Machine::run_side over a prepared side against `want`, a second machine
+/// replaying the side's cold, steady and critical replays one run() at a
+/// time, each warm-up pass on its own when `every_pass`: every result, both
+/// miss profiles and the state run_side leaves.  replay_side reports the
+/// same replays.
+void expect_side_replays(const harness::PreparedSide& prepared,
+                         std::uint64_t seed, sim::Machine& got,
+                         sim::Machine& want, bool every_pass) {
+  const sim::MachineTrace& full = prepared.lowered.trace;
+  const std::span<const sim::MachineInstr> critical =
+      prepared.lowered.prefix();
+  const sim::Machine::Options steady = steady_of(prepared.params, seed);
+  sim::MissProfiler prof(*prepared.owners);
+  sim::Machine::Options profiled = steady;
+  profiled.miss_profiler = &prof;
+  const sim::SideRuns runs =
+      got.run_side(full, prepared.full_timing, critical.size(),
+                   prepared.critical_timing, profiled);
+
+  const auto run = [&](std::span<const sim::MachineInstr> t,
+                       const sim::CpuStats& timing,
+                       const sim::Machine::Options& opts) {
+    return every_pass ? run_in_full(want, t, timing, opts)
+                      : want.run(t, timing, opts);
+  };
+  sim::Machine::Options cold;
+  cold.miss_profiler = &prof;
+  expect_same_run(runs.cold, want.run(full, prepared.full_timing, cold));
+  ASSERT_TRUE(runs.cold_profile && runs.steady_profile);
+  expect_same_profile(*runs.cold_profile, prof.snapshot());
+  expect_same_run(runs.steady, run(full, prepared.full_timing, profiled));
+  expect_same_profile(*runs.steady_profile, prof.snapshot());
+  expect_same_run(runs.critical,
+                  run(critical, prepared.critical_timing, steady));
+  const sim::MemorySystem::State left = got.mem().state();
+  EXPECT_FALSE(left.bcache.ever_seen.empty());
+  expect_same_state(left, want.mem().state());
+
+  const SideMeasurement m = harness::replay_side(prepared, seed);
+  expect_same_run(m.cold, runs.cold);
+  expect_same_run(m.steady, runs.steady);
+  expect_same_run(m.critical, runs.critical);
+  expect_same_profile(*m.miss_cold, *runs.cold_profile);
+  expect_same_profile(*m.miss_steady, *runs.steady_profile);
+}
+
 TEST(WarmUpOnce, EveryPaperSideEqualsReplayingEveryPass) {
   std::size_t collapsed = 0, fallback = 0;
   for (net::StackKind kind : {net::StackKind::kTcpIp, net::StackKind::kRpc}) {
@@ -439,42 +556,10 @@ TEST(WarmUpOnce, EveryPaperSideEqualsReplayingEveryPass) {
           ++collapsed;
         }
 
+        sim::Machine want(spec.params.mem, spec.params.cpu);
         for (std::uint64_t seed : {0u, 1u, 9001u}) {
           SCOPED_TRACE(side + " seed offset " + std::to_string(seed));
-          const sim::Machine::Options steady = steady_of(spec.params, seed);
-
-          // The state each measured pass starts from.
-          m.run(full, prepared.full_timing, sim::Machine::Options{});
-          m.warm_up_after_cold(full, steady);
-          const sim::MemorySystem::State steady_state = m.mem().state();
-          EXPECT_FALSE(steady_state.bcache.ever_seen.empty());
-          warm_in_full(m, full, steady);
-          expect_same_state(steady_state, m.mem().state());
-
-          m.warm_up(critical, steady);
-          const sim::MemorySystem::State critical_state = m.mem().state();
-          warm_in_full(m, critical, steady);
-          expect_same_state(critical_state, m.mem().state());
-
-          // Every result and both miss profiles.
-          const SideMeasurement got = harness::replay_side(prepared, seed);
-          sim::MissProfiler prof(*prepared.owners);
-          sim::Machine::Options cold;
-          cold.miss_profiler = &prof;
-          expect_same_run(got.cold, m.run(full, prepared.full_timing, cold));
-          expect_same_profile(
-              got.miss_cold,
-              std::make_shared<const sim::MissProfile>(prof.snapshot()));
-          sim::Machine::Options profiled = steady;
-          profiled.miss_profiler = &prof;
-          expect_same_run(got.steady,
-                          run_in_full(m, full, prepared.full_timing, profiled));
-          expect_same_profile(
-              got.miss_steady,
-              std::make_shared<const sim::MissProfile>(prof.snapshot()));
-          expect_same_run(got.critical, run_in_full(m, critical,
-                                                    prepared.critical_timing,
-                                                    steady));
+          expect_side_replays(prepared, seed, m, want, /*every_pass=*/true);
         }
       }
     }
@@ -483,8 +568,8 @@ TEST(WarmUpOnce, EveryPaperSideEqualsReplayingEveryPass) {
   EXPECT_EQ(fallback, 4u);
 }
 
-// Every paper side's critical prefix is the start of its full trace, so
-// the critical replay resumes from the cold replay's checkpoint.
+// Every paper side's critical replay resumes from the cold replay's
+// checkpoint, and equals a fresh machine's replay of the prefix.
 TEST(WarmUpOnce, CriticalResumesFromTheColdCheckpoint) {
   for (net::StackKind kind : {net::StackKind::kTcpIp, net::StackKind::kRpc}) {
     for (const StackConfig& cfg : harness::paper_configs()) {
@@ -496,85 +581,15 @@ TEST(WarmUpOnce, CriticalResumesFromTheColdCheckpoint) {
                                  (spec.seed_offset == 0 ? " client" : " server");
         spec.profile_misses = true;
         const harness::PreparedSide prepared = harness::prepare_side(spec);
-        ASSERT_TRUE(prepared.lowered.separate_prefix.empty()) << side;
-        const sim::MachineTrace& full = prepared.lowered.trace;
-        const std::span<const sim::MachineInstr> critical =
-            prepared.lowered.prefix();
         sim::Machine m(spec.params.mem, spec.params.cpu);
-
         for (std::uint64_t seed : {0u, 1u, 9001u}) {
           SCOPED_TRACE(side + " seed offset " + std::to_string(seed));
-          const sim::Machine::Options steady = steady_of(spec.params, seed);
-
-          // The state the measured critical pass starts from, resumed as
-          // replay_side resumes it, against a fresh cold prefix replay's.
-          m.run_cold(full, prepared.full_timing, sim::Machine::Options{},
-                     critical.size());
-          m.run_after_cold(full, prepared.full_timing, steady);
-          m.warm_up_from_checkpoint(critical, steady);
           sim::Machine fresh(spec.params.mem, spec.params.cpu);
-          fresh.warm_up(critical, steady);
-          expect_same_state(m.mem().state(), fresh.mem().state());
-
-          // The cold replay that saved the checkpoint, its miss profile
-          // and the critical replay.
-          const SideMeasurement got = harness::replay_side(prepared, seed);
-          sim::MissProfiler prof(*prepared.owners);
-          sim::Machine::Options cold;
-          cold.miss_profiler = &prof;
-          expect_same_run(got.cold,
-                          fresh.run(full, prepared.full_timing, cold));
-          expect_same_profile(
-              got.miss_cold,
-              std::make_shared<const sim::MissProfile>(prof.snapshot()));
-          expect_same_run(
-              got.critical,
-              fresh.run(critical, prepared.critical_timing, steady));
+          expect_side_replays(prepared, seed, m, fresh, /*every_pass=*/false);
         }
       }
     }
   }
-}
-
-// A split on a data reference inside an open block lowers the prefix on
-// its own; that side has no checkpoint to resume from, and its critical
-// replay keeps the cold prefix pass.
-TEST(WarmUpOnce, SeparatePrefixKeepsItsColdPass) {
-  const StackConfig cfg = StackConfig::All();
-  code::CodeRegistry reg;
-  proto::register_common_code(reg, cfg);
-  proto::register_tcpip_code(reg, cfg);
-  proto::register_classifier_code(reg, cfg);
-  code::FlowLookupResult miss;
-  miss.scanned = true;
-  miss.scan_matched = true;
-  miss.rules_examined = 3;
-  code::Recorder rec;
-  code::PathTrace trace;
-  rec.enable(&trace);
-  proto::trace_classification(rec, reg, miss, {},
-                              proto::flow_cache_entry_addr(0));
-  rec.disable();
-
-  MeasureSpec spec;
-  spec.kind = net::StackKind::kTcpIp;
-  spec.cfg = cfg;
-  spec.registry = &reg;
-  spec.trace = &trace;
-  std::size_t separate = 0;
-  for (spec.split = 0; spec.split <= trace.events.size(); ++spec.split) {
-    const harness::PreparedSide prepared = harness::prepare_side(spec);
-    if (prepared.lowered.separate_prefix.empty()) continue;
-    ++separate;
-    SCOPED_TRACE("split " + std::to_string(spec.split));
-    const sim::MachineTrace& own = prepared.lowered.separate_prefix;
-    sim::Machine fresh(spec.params.mem, spec.params.cpu);
-    const SideMeasurement got = harness::replay_side(prepared, 3);
-    expect_same_run(got.cold, fresh.run(prepared.lowered.trace,
-                                        sim::Machine::Options{}));
-    expect_same_run(got.critical, fresh.run(own, steady_of(spec.params, 3)));
-  }
-  EXPECT_GT(separate, 0u);
 }
 
 TEST(WarmUpOnce, SampleTeEqualsOneMeasureConfigPerSample) {
