@@ -93,11 +93,7 @@ void DirectMappedCache::reset_cold() {
 DirectMappedCache::State DirectMappedCache::state() const {
   State s;
   s.lines.reserve(lines_.size());
-  for (const Line& line : lines_) {
-    s.lines.push_back(line.epoch == epoch_
-                          ? LineState{true, line.block, line.dirty != 0}
-                          : LineState{});
-  }
+  for (std::uint32_t i = 0; i < num_lines_; ++i) s.lines.push_back(line(i));
   s.ever_seen = ever_seen_.sorted();
   return s;
 }

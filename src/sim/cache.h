@@ -112,6 +112,14 @@ class DirectMappedCache {
   /// Count a read hit on a line the caller knows is resident, without
   /// looking it up (the replay's repeated fetches from one i-cache block).
   void count_hit() noexcept { ++stats_.accesses; }
+  /// Add accesses whose outcomes the caller knows without a lookup (a pass
+  /// priced from a miss log); they change no line.
+  void count(const CacheStats& more) noexcept {
+    stats_.accesses += more.accesses;
+    stats_.misses += more.misses;
+    stats_.repl_misses += more.repl_misses;
+    stats_.writebacks += more.writebacks;
+  }
 
   /// True if the block containing `addr` is currently resident.
   bool contains(Addr addr) const noexcept {
@@ -148,6 +156,12 @@ class DirectMappedCache {
     bool dirty = false;
     bool operator==(const LineState&) const = default;
   };
+  /// Line `index` as the model sees it.
+  LineState line(std::uint32_t index) const noexcept {
+    const Line& l = lines_[index];
+    return l.epoch == epoch_ ? LineState{true, l.block, l.dirty != 0}
+                             : LineState{};
+  }
   /// Everything of this cache a later access can observe: each line's
   /// residency and the sorted ever-seen history.  O(lines); for tests.
   struct State {

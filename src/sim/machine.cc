@@ -39,6 +39,11 @@ RunResult Machine::run(const MachineTrace& trace, const Options& opts) {
 
 namespace {
 
+double dscrub_fraction(const Machine::Options& opts) {
+  return opts.scrub_fraction_d < 0.0 ? opts.scrub_fraction
+                                     : opts.scrub_fraction_d;
+}
+
 void check_timing(std::span<const MachineInstr> trace, const CpuStats& timing,
                   const char* who) {
   if (timing.instructions != trace.size()) {
@@ -77,26 +82,34 @@ SideRuns Machine::run_side(std::span<const MachineInstr> trace,
   SideRuns out;
   MissProfiler* const profiler = steady.miss_profiler;
 
-  // Cold replay (Table 6).  Splitting it at the checkpoint only re-looks-up
-  // the block the split falls in, which is resident: the same hit either
-  // way.
+  // Cold replay (Table 6), logging its misses.  Splitting it at the
+  // checkpoint only re-looks-up the block the split falls in, which is
+  // resident: the same hit either way.
   Options cold;
   cold.miss_profiler = profiler;
   warm_up(trace, cold);
   attach_profiler(cold);
+  log_.imisses.clear();
+  log_.dmisses.clear();
+  mem_.attach_miss_log(&log_);
   replay_memory(prefix);
   mem_.save(checkpoint_);
-  out.cold = measure(trace.subspan(prefix_size), timing, cold);
+  mem_.mark_log(prefix_end_);
+  replay_memory(trace.subspan(prefix_size));
+  mem_.mark_log(trace_end_);
+  mem_.attach_miss_log(nullptr);
+  mem_.drain_writes();
+  out.cold = collect(timing);
   mem_.attach_miss_profiler(nullptr);
   if (profiler != nullptr) out.cold_profile = profiler->snapshot();
 
   // Steady replay (Table 7): the cold replay, drained, is its pass 1.
   if (steady.warmup_passes == 0) {
     warm_up(trace, steady);
+    out.steady = measure_once(trace, timing, steady);
   } else {
-    replay_warm_up(trace, steady, 1);
+    out.steady = measure_after_pass_one(trace, timing, trace_end_, steady);
   }
-  out.steady = measure_once(trace, timing, steady);
   if (profiler != nullptr) out.steady_profile = profiler->snapshot();
 
   // Critical replay: the checkpoint, drained, is the prefix's pass 1.
@@ -104,13 +117,33 @@ SideRuns Machine::run_side(std::span<const MachineInstr> trace,
   critical.miss_profiler = nullptr;
   if (critical.warmup_passes == 0) {
     warm_up(prefix, critical);
+    out.critical = measure_once(prefix, prefix_timing, critical);
   } else {
     mem_.restore(checkpoint_);
     mem_.drain_writes();
-    replay_warm_up(prefix, critical, 1);
+    out.critical =
+        measure_after_pass_one(prefix, prefix_timing, prefix_end_, critical);
   }
-  out.critical = measure_once(prefix, prefix_timing, critical);
   return out;
+}
+
+RunResult Machine::measure_after_pass_one(
+    std::span<const MachineInstr> trace, const CpuStats& timing,
+    const MemorySystem::MissLog::Mark& logged, const Options& opts) {
+  if (!passes_repeat(opts)) {
+    replay_warm_up(trace, opts, 1);
+    return measure_once(trace, timing, opts);
+  }
+  // Every pass after pass 1 repeats it, the measured one included: price
+  // that one from pass 1's log after the last scrub (seed + N-1).
+  mem_.reset_stats();
+  attach_profiler(opts);
+  mem_.price_logged_pass(log_, logged, dscrub_fraction(opts),
+                         opts.scrub_seed + opts.warmup_passes - 1,
+                         opts.drain_at_end);
+  const RunResult r = collect(timing);
+  mem_.attach_miss_profiler(nullptr);
+  return r;
 }
 
 std::vector<RunResult> Machine::run_stream(
@@ -145,8 +178,10 @@ std::vector<RunResult> Machine::run_stream(
 
 void Machine::warm_up(std::span<const MachineInstr> warm,
                       const Options& opts) {
-  // A reused machine keeps no profiler from an earlier, interrupted replay.
+  // A reused machine keeps no profiler or miss log from an earlier,
+  // interrupted replay.
   mem_.attach_miss_profiler(nullptr);
+  mem_.attach_miss_log(nullptr);
 
   // Cold replay (Table 6): full cold restart, every first touch is a cold
   // miss.  Steady replay (Table 7): warm-up passes below, then reset_stats()
@@ -159,25 +194,26 @@ void Machine::warm_up(std::span<const MachineInstr> warm,
 void Machine::replay_warm_up(std::span<const MachineInstr> warm,
                              const Options& opts, std::uint32_t done) {
   const bool scrub = opts.scrub_fraction > 0.0 || opts.scrub_fraction_d > 0.0;
-  const double d =
-      opts.scrub_fraction_d < 0.0 ? opts.scrub_fraction : opts.scrub_fraction_d;
-  // Passes 2..N rebuild the post-pass-1 state when pass 1 started cold, the
-  // b-cache kept every block it filled and the i-cache restarts empty (the
-  // argument is at Options::warmup_passes); only the last scrub is left.
-  // The memory system never flushes or scrubs the b-cache, so its
-  // eviction count alone tells whether it kept every block.
-  const bool passes_repeat = opts.cold_start && opts.scrub_fraction >= 1.0;
+  const double d = dscrub_fraction(opts);
   for (std::uint32_t p = 0; p < opts.warmup_passes; ++p) {
     if (p >= done) {
       replay_memory(warm);
       mem_.drain_writes();
     }
-    if (p == 0 && passes_repeat && mem_.bcache().evictions_since_cold() == 0) {
-      p = opts.warmup_passes - 1;
-    }
+    if (p == 0 && passes_repeat(opts)) p = opts.warmup_passes - 1;
     if (scrub) mem_.scrub_primary(opts.scrub_fraction, d, opts.scrub_seed + p);
   }
   if (opts.warmup_passes > 0) mem_.reset_stats();
+}
+
+bool Machine::passes_repeat(const Options& opts) const {
+  // Pass 1 started cold, the b-cache kept every block it filled and the
+  // i-cache restarts empty: the argument is at Options::warmup_passes.
+  // The memory system never flushes or scrubs the b-cache, so its
+  // eviction count alone tells whether it kept every block.
+  return opts.warmup_passes > 0 && opts.cold_start &&
+         opts.scrub_fraction >= 1.0 &&
+         mem_.bcache().evictions_since_cold() == 0;
 }
 
 void Machine::attach_profiler(const Options& opts) {

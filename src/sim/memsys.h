@@ -13,8 +13,8 @@
 // retire an entry.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/cache.h"
@@ -86,9 +86,9 @@ class MemorySystem {
   /// caches are split, so no data access in between can have evicted it:
   /// the fetch is counted as an i-cache hit without a lookup.
   void ifetch_resident(Addr pc) {
-    icache_->count_hit();
+    icache_.count_hit();
     if (profiler_ != nullptr) {
-      profiler_->on_hit(ProfiledCache::kICache, pc, icache_->block_of(pc));
+      profiler_->on_hit(ProfiledCache::kICache, pc, icache_.block_of(pc));
     }
   }
 
@@ -128,10 +128,50 @@ class MemorySystem {
   void attach_miss_profiler(MissProfiler* p) noexcept { profiler_ = p; }
   MissProfiler* miss_profiler() const noexcept { return profiler_; }
 
-  const DirectMappedCache& icache() const noexcept { return *icache_; }
-  const DirectMappedCache& dcache() const noexcept { return *dcache_; }
-  const DirectMappedCache& bcache() const noexcept { return *bcache_; }
-  const WriteBuffer& wbuf() const noexcept { return *wbuf_; }
+  /// The i- and d-cache misses of a cold replay, in order: what
+  /// price_logged_pass() prices a later pass from.
+  struct MissLog {
+    struct Miss {
+      Addr addr = 0;        ///< the missing pc or load address
+      Addr victim = 0;      ///< the block the fill displaced, if `evicted`
+      bool evicted = false;
+      bool probed = false;  ///< i-miss: fetch-ahead probed the next block
+    };
+    std::vector<Miss> imisses, dmisses;
+
+    /// How far the logged replay had got at one point: the misses logged,
+    /// the fetches and loads made, and the write buffer's entries and
+    /// counters (before any drain).
+    struct Mark {
+      std::size_t imisses = 0, dmisses = 0;
+      std::uint64_t fetches = 0, loads = 0;
+      WriteBuffer::Checkpoint wbuf;
+    };
+  };
+  /// Append every later i- and d-cache miss to `log` (nullptr stops).
+  /// Not owned.
+  void attach_miss_log(MissLog* log) noexcept { log_ = log; }
+  /// Record where the attached log's replay stands.
+  void mark_log(MissLog::Mark& m) const;
+  /// Count the pass that replays the logged replay's trace up to `upto`
+  /// again, after scrub_primary(1.0, dfraction, seed), without replaying
+  /// it; drain at its end when `drain`.  The log must come from a replay
+  /// that started at reset_cold(); the memory system must hold that
+  /// replay's state at `upto`, drained, with no b-cache eviction since
+  /// the cold restart.  Then every b-cache fill and write-back hits, the
+  /// i-cache and the write buffer repeat the logged pass, and only the
+  /// first load into each d-cache set depends on the scrub (DESIGN.md §5).
+  /// The misses reach an attached profiler in log order (its hits do not:
+  /// on a single replay on_hit() records nothing), and the memory system
+  /// ends in the state that replaying the pass leaves: the one it holds
+  /// now.
+  void price_logged_pass(const MissLog& log, const MissLog::Mark& upto,
+                         double dfraction, std::uint64_t seed, bool drain);
+
+  const DirectMappedCache& icache() const noexcept { return icache_; }
+  const DirectMappedCache& dcache() const noexcept { return dcache_; }
+  const DirectMappedCache& bcache() const noexcept { return bcache_; }
+  const WriteBuffer& wbuf() const noexcept { return wbuf_; }
   const MemStallStats& stalls() const noexcept { return stalls_; }
   const BcacheTraffic& bcache_traffic() const noexcept { return traffic_; }
   const Config& config() const noexcept { return cfg_; }
@@ -143,6 +183,7 @@ class MemorySystem {
   struct State {
     DirectMappedCache::State icache, dcache, bcache;
     Addr last_imiss_block = 0;
+    bool imissed = false;  ///< an i-miss since the cold restart
     std::vector<Addr> wbuf;
     bool operator==(const State&) const = default;
   };
@@ -158,6 +199,7 @@ class MemorySystem {
     MemStallStats stalls;
     BcacheTraffic traffic;
     Addr last_imiss_block = 0;
+    bool imissed = false;
   };
   /// O(lines filled since each cache's last reset) plus the ever-seen
   /// histories; see DirectMappedCache::save().
@@ -168,16 +210,25 @@ class MemorySystem {
 
  private:
   std::uint32_t bcache_read_penalty(Addr addr);
+  /// The b-cache write of a block the write buffer retired.
+  void write_back(Addr block) {
+    bcache_.write(block);
+    ++traffic_.from_writes;
+  }
 
   Config cfg_;
-  std::unique_ptr<DirectMappedCache> icache_;
-  std::unique_ptr<DirectMappedCache> dcache_;
-  std::unique_ptr<DirectMappedCache> bcache_;
-  std::unique_ptr<WriteBuffer> wbuf_;
+  DirectMappedCache icache_;
+  DirectMappedCache dcache_;
+  DirectMappedCache bcache_;
+  WriteBuffer wbuf_;
   MemStallStats stalls_;
   BcacheTraffic traffic_;
+  /// The block of the last i-miss, when `imissed_`: the sequential-fill
+  /// rule's reference.
   Addr last_imiss_block_ = 0;
+  bool imissed_ = false;
   MissProfiler* profiler_ = nullptr;
+  MissLog* log_ = nullptr;
 };
 
 }  // namespace l96::sim

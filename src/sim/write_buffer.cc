@@ -1,7 +1,5 @@
 #include "sim/write_buffer.h"
 
-#include <algorithm>
-
 namespace l96::sim {
 
 WriteBuffer::StoreResult WriteBuffer::store(Addr addr) {
@@ -9,33 +7,38 @@ WriteBuffer::StoreResult WriteBuffer::store(Addr addr) {
   const Addr block = block_of(addr);
 
   StoreResult r;
-  if (std::find(entries_.begin(), entries_.end(), block) != entries_.end()) {
-    r.merged = true;
-    ++merges_;
-    return r;
+  for (std::uint32_t i = 0; i < size_; ++i) {
+    if (ring_[slot(i)] == block) {
+      r.merged = true;
+      ++merges_;
+      return r;
+    }
   }
 
-  if (entries_.size() >= cfg_.depth) {
-    const Addr oldest = entries_.front();
-    entries_.pop_front();
-    retire_(oldest);
+  if (size_ >= cfg_.depth) {
+    r.retired = ring_[head_];
+    head_ = slot(1);
+    --size_;
     r.forced_retire = true;
     ++forced_retires_;
   }
-  entries_.push_back(block);
+  ring_[slot(size_++)] = block;
   ++allocations_;
   return r;
 }
 
-void WriteBuffer::drain() {
-  while (!entries_.empty()) {
-    retire_(entries_.front());
-    entries_.pop_front();
-  }
+std::vector<Addr> WriteBuffer::entries() const {
+  std::vector<Addr> out;
+  out.reserve(size_);
+  for (std::uint32_t i = 0; i < size_; ++i) out.push_back(ring_[slot(i)]);
+  return out;
 }
 
 void WriteBuffer::save(Checkpoint& c) const {
-  c.entries.assign(entries_.begin(), entries_.end());
+  c.entries.clear();
+  for (std::uint32_t i = 0; i < size_; ++i) {
+    c.entries.push_back(ring_[slot(i)]);
+  }
   c.stores = stores_;
   c.merges = merges_;
   c.allocations = allocations_;
@@ -43,7 +46,9 @@ void WriteBuffer::save(Checkpoint& c) const {
 }
 
 void WriteBuffer::restore(const Checkpoint& c) {
-  entries_.assign(c.entries.begin(), c.entries.end());
+  head_ = 0;
+  size_ = 0;
+  for (const Addr block : c.entries) ring_[slot(size_++)] = block;
   stores_ = c.stores;
   merges_ = c.merges;
   allocations_ = c.allocations;
@@ -51,7 +56,7 @@ void WriteBuffer::restore(const Checkpoint& c) {
 }
 
 void WriteBuffer::reset() {
-  entries_.clear();
+  head_ = size_ = 0;
   stores_ = merges_ = allocations_ = forced_retires_ = 0;
 }
 

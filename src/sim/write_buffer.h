@@ -7,11 +7,12 @@
 // store to a new block allocates an entry (counted as a miss, because it
 // eventually produces a b-cache write).  When all entries are full the
 // oldest is retired to the b-cache, stalling the CPU for the retire latency.
+//
+// The buffer only queues blocks: store() and drain() hand each retired
+// block back to the caller, which issues the b-cache write.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "sim/cache.h"
@@ -25,29 +26,28 @@ class WriteBuffer {
     std::uint32_t block_bytes = 32;
   };
 
-  /// Called when an entry retires; receives the block address.  The memory
-  /// hierarchy uses this to issue the b-cache write.
-  using RetireFn = std::function<void(Addr)>;
-
-  explicit WriteBuffer(Config cfg, RetireFn retire)
-      : cfg_(cfg), retire_(std::move(retire)) {}
+  explicit WriteBuffer(Config cfg) : cfg_(cfg), ring_(cfg.depth) {}
 
   struct StoreResult {
     bool merged = false;        ///< store merged into an existing entry
     bool forced_retire = false; ///< buffer was full; oldest entry retired
+    Addr retired = 0;           ///< the retired block, when forced_retire
   };
 
   /// Present a store to the buffer.
   StoreResult store(Addr addr);
 
-  /// Retire every pending entry (e.g. at a memory barrier or end of trace).
-  void drain();
-
-  std::uint32_t pending() const noexcept {
-    return static_cast<std::uint32_t>(entries_.size());
+  /// Retire every pending entry, oldest first, handing each block to
+  /// `retire` (e.g. at a memory barrier or end of trace).
+  template <typename Retire>
+  void drain(Retire&& retire) {
+    for (std::uint32_t i = 0; i < size_; ++i) retire(ring_[slot(i)]);
+    head_ = size_ = 0;
   }
+
+  std::uint32_t pending() const noexcept { return size_; }
   /// Buffered block addresses, oldest first.
-  const std::deque<Addr>& entries() const noexcept { return entries_; }
+  std::vector<Addr> entries() const;
 
   std::uint64_t stores() const noexcept { return stores_; }
   std::uint64_t merges() const noexcept { return merges_; }
@@ -73,10 +73,16 @@ class WriteBuffer {
   Addr block_of(Addr a) const noexcept {
     return a / cfg_.block_bytes * cfg_.block_bytes;
   }
+  /// The ring slot of the i-th oldest entry.
+  std::uint32_t slot(std::uint32_t i) const noexcept {
+    const std::uint32_t s = head_ + i;
+    return s < cfg_.depth ? s : s - cfg_.depth;
+  }
 
   Config cfg_;
-  RetireFn retire_;
-  std::deque<Addr> entries_;  // FIFO of buffered block addresses
+  std::vector<Addr> ring_;  ///< `depth` slots; the FIFO starts at head_
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
   std::uint64_t stores_ = 0;
   std::uint64_t merges_ = 0;
   std::uint64_t allocations_ = 0;

@@ -274,6 +274,56 @@ TEST(MachineReuse, SuppliedTimingEqualsTimingInsideTheRun) {
   EXPECT_THROW(m.run(shorter, timing, steady_opts()), std::invalid_argument);
 }
 
+void expect_same_side(const SideRuns& a, const SideRuns& b) {
+  expect_same_run(a.cold, b.cold);
+  expect_same_run(a.steady, b.steady);
+  expect_same_run(a.critical, b.critical);
+}
+
+// A side's cold replay logs its misses for its measured passes; sides
+// interleaved with run() and run_stream() on one machine, over two traces
+// and two memory systems (the small one evicts from the b-cache, so its
+// sides replay every pass), must each equal a fresh machine's.
+TEST(MachineReuse, SidesBetweenOtherReplaysMatchFreshMachines) {
+  const MachineTrace a = busy_trace(0x10000, 0x8000'0000);
+  const MachineTrace b = busy_trace(0x11000, 0x8008'0040);
+  for (const MemorySystem::Config& mem :
+       {MemorySystem::Config{}, small_mem()}) {
+    SCOPED_TRACE(mem.bcache_bytes);
+    const auto side = [](Machine& m, const MachineTrace& t, std::size_t k) {
+      const std::span<const MachineInstr> prefix(t.data(), k);
+      return m.run_side(t, m.cpu().time_trace(t), k,
+                        m.cpu().time_trace(prefix), steady_opts());
+    };
+    const auto fresh_side = [&](const MachineTrace& t, std::size_t k) {
+      Machine fresh(mem, Cpu::Config{});
+      return side(fresh, t, k);
+    };
+    const auto fresh_run = [&](const MachineTrace& t,
+                               const Machine::Options& o) {
+      Machine fresh(mem, Cpu::Config{});
+      return fresh.run(t, o);
+    };
+    Machine used(mem, Cpu::Config{});
+    expect_same_side(side(used, a, a.size() / 2), fresh_side(a, a.size() / 2));
+    expect_same_run(used.run(b, steady_opts()), fresh_run(b, steady_opts()));
+    expect_same_side(side(used, b, b.size()), fresh_side(b, b.size()));
+    const std::vector<RunResult> stream =
+        used.run_stream({&a, &b}, steady_opts());
+    Machine fresh(mem, Cpu::Config{});
+    const std::vector<RunResult> want =
+        fresh.run_stream({&a, &b}, steady_opts());
+    ASSERT_EQ(stream.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      expect_same_run(stream[i], want[i]);
+    }
+    expect_same_side(side(used, a, 7), fresh_side(a, 7));
+    expect_same_run(used.run(a, Machine::Options{}),
+                    fresh_run(a, Machine::Options{}));
+    expect_same_side(side(used, b, 1), fresh_side(b, 1));
+  }
+}
+
 // --- each warm-up state replayed once ---------------------------------------
 
 /// The warm-up `opts` asks for with every pass replayed: a cold restart,
@@ -306,6 +356,7 @@ void expect_same_state(const MemorySystem::State& a,
   EXPECT_TRUE(a.dcache == b.dcache) << "d-cache lines or ever-seen set";
   EXPECT_TRUE(a.bcache == b.bcache) << "b-cache lines or ever-seen set";
   EXPECT_EQ(a.last_imiss_block, b.last_imiss_block);
+  EXPECT_EQ(a.imissed, b.imissed);
   EXPECT_EQ(a.wbuf, b.wbuf);
 }
 
@@ -334,10 +385,12 @@ void expect_same_profile(const std::optional<MissProfile>& a,
 
 /// run_side() over `t` with a prefix of `k` instructions, against a fresh
 /// machine replaying each of its replays one pass at a time: every result,
-/// both miss profiles and the state run_side() leaves.
+/// both miss profiles (when `profiled`) and the state run_side() leaves.
 void expect_side(const MemorySystem::Config& mem, const MachineTrace& t,
-                 std::size_t k, const Machine::Options& opts) {
-  SCOPED_TRACE("prefix of " + std::to_string(k));
+                 std::size_t k, const Machine::Options& opts,
+                 bool profiled = true) {
+  SCOPED_TRACE("prefix of " + std::to_string(k) +
+               (profiled ? ", profiled" : ", unprofiled"));
   const MachineTrace own(t.begin(), t.begin() + static_cast<long>(k));
   OwnerMap map;
   map.add_region(0x10000, 0x20000, map.add_owner("code"), OwnerSegment::kHot);
@@ -345,21 +398,29 @@ void expect_side(const MemorySystem::Config& mem, const MachineTrace& t,
                  OwnerSegment::kData);
   map.seal();
   MissProfiler prof(map);
-  Machine::Options profiled = opts;
-  profiled.miss_profiler = &prof;
+  Machine::Options steady = opts;
+  if (profiled) steady.miss_profiler = &prof;
 
   Machine got(mem, Cpu::Config{});
   const SideRuns runs =
       got.run_side(t, got.cpu().time_trace(t), k,
-                   got.cpu().time_trace(own), profiled);
+                   got.cpu().time_trace(own), steady);
 
   Machine want(mem, Cpu::Config{});
   Machine::Options cold;
-  cold.miss_profiler = &prof;
+  cold.miss_profiler = steady.miss_profiler;
   expect_same_run(runs.cold, want.run(t, cold));
-  expect_same_profile(runs.cold_profile, prof.snapshot());
-  expect_same_run(runs.steady, run_in_full(want, t, profiled));
-  expect_same_profile(runs.steady_profile, prof.snapshot());
+  if (profiled) {
+    expect_same_profile(runs.cold_profile, prof.snapshot());
+  } else {
+    EXPECT_FALSE(runs.cold_profile.has_value());
+  }
+  expect_same_run(runs.steady, run_in_full(want, t, steady));
+  if (profiled) {
+    expect_same_profile(runs.steady_profile, prof.snapshot());
+  } else {
+    EXPECT_FALSE(runs.steady_profile.has_value());
+  }
   expect_same_run(runs.critical, run_in_full(want, own, opts));
   expect_same_state(got.mem().state(), want.mem().state());
 }
@@ -502,6 +563,128 @@ TEST(MachineCheckpoint, ConflictingTracesFallBackToEveryPass) {
     EXPECT_GT(m.mem().bcache().evictions_since_cold(), 0u);
     expect_side(small_mem(), one_load, k, keep_d);
   }
+}
+
+// --- measured passes priced from the cold replay's miss log -----------------
+
+MachineInstr alu(Addr pc) { return {pc, InstrClass::kIAlu, 0, false}; }
+MachineInstr jump(Addr pc) { return {pc, InstrClass::kJump, 0, true}; }
+MachineInstr load(Addr pc, Addr ea) {
+  return {pc, InstrClass::kLoad, ea, false};
+}
+MachineInstr store(Addr pc, Addr ea) {
+  return {pc, InstrClass::kStore, ea, false};
+}
+
+struct PricedCase {
+  std::string name;
+  MachineTrace trace;
+  std::vector<std::size_t> prefixes;
+  Machine::Options opts = steady_opts();
+};
+
+std::vector<PricedCase> priced_cases() {
+  std::vector<PricedCase> cases;
+  // The cold pass misses 0x10020, then 0x10000: the measured pass's first
+  // miss, 0x10020 again, is the sequential successor of the last.
+  cases.push_back({"sequential restart",
+                   {alu(0x10020), alu(0x10024), jump(0x10028), alu(0x10000),
+                    alu(0x10004)},
+                   {3, 5}});
+  // The misses on 0x10000 and 0x10400 probe 0x10020 and 0x10420; only the
+  // suffix fetches 0x10020, so its probe hits the b-cache in the steady
+  // pass and misses in the critical one.
+  cases.push_back({"probe of a suffix block",
+                   {alu(0x10000), jump(0x10004), alu(0x10400), jump(0x10404),
+                    alu(0x10020), alu(0x10024)},
+                   {4, 6}});
+  // Stores to ten blocks of a 4-deep buffer, one per instruction, around
+  // loads: a prefix of 7 ends with four entries pending.
+  MachineTrace writes = {load(0x10000, 0x8000'0000)};
+  for (Addr i = 0; i < 10; ++i) {
+    writes.push_back(store(0x10004 + 4 * i, 0x8000'4000 + 32 * i));
+  }
+  writes.push_back(load(0x1002C, 0x8000'0008));
+  cases.push_back({"writes pending at the prefix end", writes, {7, 11, 12}});
+  MachineTrace no_loads = straight_line(0x10000, 300);
+  for (std::size_t i = 0; i < no_loads.size(); i += 3) {
+    no_loads[i].cls = InstrClass::kStore;
+  }
+  cases.push_back({"no loads", no_loads, {0, 1, 150, 299, 300}});
+  cases.push_back(
+      {"no stores", straight_line(0x10000, 300, 4), {0, 1, 150, 299, 300}});
+  cases.push_back(
+      {"one instruction", {load(0x10000, 0x8000'0000)}, {0, 1}});
+  const MachineTrace busy = busy_trace(0x10000, 0x8008'0000);
+  const std::vector<std::size_t> busy_prefixes = {0, 1, busy.size() / 2,
+                                                  busy.size() - 1, busy.size()};
+  for (const double d : {0.0, 1.0}) {
+    PricedCase c{"d-scrub " + std::to_string(d), busy, busy_prefixes};
+    c.opts.scrub_fraction_d = d;
+    cases.push_back(c);
+  }
+  PricedCase undrained{"no drain at the end", busy, busy_prefixes};
+  undrained.opts.drain_at_end = false;
+  cases.push_back(undrained);
+  return cases;
+}
+
+TEST(MachineSide, PricedPassesEqualEveryPassReplayed) {
+  for (const PricedCase& c : priced_cases()) {
+    SCOPED_TRACE(c.name);
+    // The default b-cache keeps every block, so the passes are priced.
+    Machine m;
+    m.run(c.trace, Machine::Options{});
+    EXPECT_EQ(m.mem().bcache().evictions_since_cold(), 0u);
+    for (const std::size_t k : c.prefixes) {
+      expect_side(MemorySystem::Config{}, c.trace, k, c.opts);
+      expect_side(MemorySystem::Config{}, c.trace, k, c.opts,
+                  /*profiled=*/false);
+    }
+  }
+}
+
+// What each branch of the priced pass sees, on the cases built for it.
+TEST(MachineSide, PricedPassesTakeEachBranch) {
+  const MemorySystem::Config mem;
+  const std::vector<PricedCase> cases = priced_cases();
+  const auto trace = [&cases](const std::string& name) -> const MachineTrace& {
+    for (const PricedCase& c : cases) {
+      if (c.name == name) return c.trace;
+    }
+    throw std::out_of_range(name);
+  };
+  const auto side = [](const MachineTrace& t, std::size_t k) {
+    Machine m;
+    const std::span<const MachineInstr> prefix(t.data(), k);
+    return m.run_side(t, m.cpu().time_trace(t), k,
+                      m.cpu().time_trace(prefix), steady_opts());
+  };
+  // Sequential to the cold pass's last miss: one b_hit_seq_cycles fill.
+  const SideRuns seq = side(trace("sequential restart"), 5);
+  EXPECT_EQ(seq.steady.stalls.ifetch_stall_cycles,
+            mem.b_hit_seq_cycles + mem.b_hit_cycles);
+  EXPECT_EQ(side(trace("sequential restart"), 3)
+                .critical.stalls.ifetch_stall_cycles,
+            mem.b_hit_cycles);
+  // Three probes in the steady pass, of which 0x10020 hits; both of the
+  // critical pass's miss.
+  const SideRuns probe = side(trace("probe of a suffix block"), 4);
+  EXPECT_EQ(probe.steady.bcache.misses, 2u);
+  EXPECT_EQ(probe.critical.bcache.misses, 2u);
+  EXPECT_EQ(probe.critical.bcache.accesses, 4u);
+  // Four writes pending when the cold pass reaches the prefix's end.
+  Machine m;
+  Machine::Options undrained;
+  undrained.drain_at_end = false;
+  const MachineTrace& writes_trace = trace("writes pending at the prefix end");
+  m.run(MachineTrace(writes_trace.begin(), writes_trace.begin() + 7),
+        undrained);
+  EXPECT_EQ(m.mem().wbuf().pending(), 4u);
+  const SideRuns writes = side(writes_trace, 7);
+  EXPECT_EQ(writes.critical.traffic.from_writes, 6u);
+  EXPECT_EQ(writes.critical.stalls.store_stall_cycles,
+            2u * mem.wbuf_retire_cycles);
 }
 
 // Fetches after the first in an i-cache block skip the lookup but are still

@@ -47,6 +47,21 @@ TEST(MemSys, SequentialFillDiscount) {
   EXPECT_EQ(m.ifetch(0x2020), 5u);   // sequential successor: discounted
 }
 
+// "No previous miss" is a state of its own, not block 0: a miss on block
+// 32 right after a miss on block 0 is a sequential fill.
+TEST(MemSys, SequentialFillAfterAMissOnBlockZero) {
+  MemorySystem m(small_cfg());
+  EXPECT_FALSE(m.state().imissed);
+  m.ifetch(0x00);
+  m.ifetch(0x20);
+  EXPECT_TRUE(m.state().imissed);
+  m.scrub_primary(1.0, 1.0, 1);
+  EXPECT_EQ(m.ifetch(0x00), 10u);  // follows the miss on block 32
+  EXPECT_EQ(m.ifetch(0x20), 5u);   // follows the miss on block 0
+  m.reset_cold();
+  EXPECT_FALSE(m.state().imissed);
+}
+
 TEST(MemSys, PrefetchProbesBcacheButDoesNotInstall) {
   MemorySystem m(small_cfg());
   m.ifetch(0x3000);

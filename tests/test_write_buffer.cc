@@ -9,10 +9,23 @@
 namespace l96::sim {
 namespace {
 
+/// A 4-deep buffer whose store() and drain() record each retired block.
 struct Fixture {
+  struct Recording : WriteBuffer {
+    explicit Recording(std::vector<Addr>& r)
+        : WriteBuffer(Config{.depth = 4, .block_bytes = 32}), retired(r) {}
+    StoreResult store(Addr a) {
+      const StoreResult r = WriteBuffer::store(a);
+      if (r.forced_retire) retired.push_back(r.retired);
+      return r;
+    }
+    void drain() {
+      WriteBuffer::drain([this](Addr a) { retired.push_back(a); });
+    }
+    std::vector<Addr>& retired;
+  };
   std::vector<Addr> retired;
-  WriteBuffer wb{WriteBuffer::Config{.depth = 4, .block_bytes = 32},
-                 [this](Addr a) { retired.push_back(a); }};
+  Recording wb{retired};
 };
 
 TEST(WriteBuffer, AllocatesNewEntries) {
