@@ -1,11 +1,11 @@
-// google-benchmark microbenchmarks over the real primitives: Internet
-// checksum, message header operations, cache-simulator throughput, trace
-// lowering, and a full ping-pong roundtrip of each stack.
+// google-benchmark microbenchmarks over two primitives nothing else times:
+// the Internet checksum and message header push/pop.  perfbench times the
+// cache simulator's replay, lowering and a stack roundtrip per layer.
 #include <benchmark/benchmark.h>
 
-#include "harness/experiment.h"
+#include <array>
+
 #include "protocols/wire_format.h"
-#include "sim/machine.h"
 #include "xkernel/message.h"
 
 using namespace l96;
@@ -34,59 +34,6 @@ void BM_MessagePushPop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MessagePushPop);
-
-void BM_CacheSimThroughput(benchmark::State& state) {
-  sim::MemorySystem mem;
-  std::uint64_t pc = 0x10000;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mem.ifetch(pc));
-    pc += 4;
-    if (pc > 0x40000) pc = 0x10000;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CacheSimThroughput);
-
-void BM_TraceReplay(benchmark::State& state) {
-  sim::MachineTrace t;
-  for (int i = 0; i < 4096; ++i) {
-    t.push_back({0x10000 + 4ull * i,
-                 i % 4 == 0 ? sim::InstrClass::kLoad : sim::InstrClass::kIAlu,
-                 0x80000000ull + 8ull * i, false});
-  }
-  sim::Machine m;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m.run(t));
-  }
-  state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_TraceReplay);
-
-void BM_PingPongRoundtrip(benchmark::State& state) {
-  const auto kind = state.range(0) == 0 ? net::StackKind::kTcpIp
-                                        : net::StackKind::kRpc;
-  net::World world(kind, code::StackConfig::Std(), code::StackConfig::All());
-  world.start(~std::uint64_t{0});
-  world.run_until_roundtrips(4);
-  std::uint64_t target = 4;
-  for (auto _ : state) {
-    ++target;
-    world.run_until_roundtrips(target);
-  }
-  state.SetLabel(state.range(0) == 0 ? "TCP/IP" : "RPC");
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PingPongRoundtrip)->Arg(0)->Arg(1);
-
-void BM_ExperimentLowering(benchmark::State& state) {
-  harness::Experiment e(net::StackKind::kTcpIp, code::StackConfig::All(),
-                        code::StackConfig::All());
-  e.run();  // capture once
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(e.lower_client());
-  }
-}
-BENCHMARK(BM_ExperimentLowering);
 
 }  // namespace
 

@@ -1,6 +1,7 @@
 // Every single-connection result of the paper from one sweep: Tables 1-9,
-// Figure 2, the ablations of Section 3.2's open questions and Section 4.1's
-// throughput check.
+// Figure 2, the ablations of Section 3.2's open questions, Section 4.1's
+// throughput check, and two sections that explain the layout and outlining
+// results: miss attribution and fault latency.
 //
 // One SweepRunner::run covers the paper's grid (both stacks x the six
 // layouts, with Table 4's Te sampling; RPC's server runs ALL, Section
@@ -9,15 +10,35 @@
 // configurations the grid does not already measure.  Every ablation job is
 // layout-only against a grid capture, so the sweep captures no more than
 // the grid does.  Every table reads those outcomes, and every paper cell
-// comes from harness/paper_ref.h.  Writes bench/out/paper.json: the
-// l96.sweep.v1 rows plus a `scorecard` array with one cell per paper value
-// (measured, paper, measured/paper).
+// comes from harness/paper_ref.h.
+//
+// Miss attribution: the six TCP/IP grid jobs are profiled
+// (`profile_misses`), which changes none of their numbers.  Its tables
+// show which functions miss in the client i-cache and which pairs
+// conflict; the pessimal BAD layout has a dominant function-vs-function
+// pair, and the bipartite CLO layout must split it.
+//
+// Fault latency: one bad-checksum receive activation per side is captured
+// from the grid's cached STD and ALL worlds and replayed under the image
+// the clean capture laid out, pricing the outlined error path under
+// STD/OUT/CLO/ALL against the grid's clean rows.
+//
+// Writes bench/out/paper.json: the l96.sweep.v1 rows (the six TCP/IP grid
+// rows with an l96.missmap.v1 section, plus one `tcpip/<cfg>+fault` row per
+// fault-latency layout with an l96.fault.v2 section) and a `scorecard`
+// array with one cell per paper value (measured, paper, measured/paper).
+// Exits 1, with a FAIL: line on stderr, after writing the JSON when a
+// profile is missing, when CLO does not split BAD's dominant conflict pair,
+// when OUT's error-path deltas are all zero or when the soak cross-check
+// fails.
 #include <cstdio>
 #include <map>
 #include <optional>
 #include <span>
+#include <stdexcept>
 
 #include "harness/paper_ref.h"
+#include "harness/soak.h"
 #include "harness/sweep.h"
 #include "harness/tables.h"
 #include "harness/throughput.h"
@@ -131,7 +152,9 @@ std::vector<harness::SweepJob> paper_jobs() {
                       .kind = s.kind,
                       .client = cfg,
                       .server = rpc ? C::All() : cfg,
-                      .te_sample_count = rpc ? 5u : 10u});
+                      .te_sample_count = rpc ? 5u : 10u,
+                      // The miss-attribution section reads these profiles.
+                      .profile_misses = !rpc});
     }
   }
   jobs.push_back({.label = "tcpip/Original",
@@ -185,12 +208,372 @@ long long delta(std::uint64_t from, std::uint64_t to) {
   return static_cast<long long>(from) - static_cast<long long>(to);
 }
 
+// --- Miss attribution --------------------------------------------------------
+
+/// First i-cache conflict pair between two distinct, known function owners
+/// (conflict rows are sorted by count desc, so this is the dominant one);
+/// nullptr when the profile has none.
+const sim::MissProfile::ConflictRow* top_function_pair(
+    const sim::MissProfile::Section& s) {
+  for (const auto& c : s.conflicts) {
+    if (c.victim == c.evictor) continue;
+    if (c.victim == sim::kUnknownOwner || c.evictor == sim::kUnknownOwner) {
+      continue;
+    }
+    if (c.victim_name.rfind("data:", 0) == 0 ||
+        c.evictor_name.rfind("data:", 0) == 0) {
+      continue;
+    }
+    return &c;
+  }
+  return nullptr;
+}
+
+/// Eviction count between two named owners, both directions summed.
+std::uint64_t pair_count(const sim::MissProfile::Section& s,
+                         const std::string& a, const std::string& b) {
+  std::uint64_t n = 0;
+  for (const auto& c : s.conflicts) {
+    if ((c.victim_name == a && c.evictor_name == b) ||
+        (c.victim_name == b && c.evictor_name == a)) {
+      n += c.count;
+    }
+  }
+  return n;
+}
+
+std::string pair_label(const sim::MissProfile::ConflictRow* c) {
+  if (c == nullptr) return "-";
+  return c->victim_name + "<-" + c->evictor_name;
+}
+
+/// One table per replay (steady, cold) of the profiled TCP/IP grid rows'
+/// client i-cache attribution, then the check that CLO splits BAD's
+/// dominant conflict pair: its count under CLO, both directions summed,
+/// must be at most 10% of BAD's.  False, with a FAIL: line, when a row has
+/// no profile or the check fails.
+bool miss_attribution(const auto& result) {
+  for (const bool cold : {false, true}) {
+    const char* replay = cold ? "cold" : "steady";
+    harness::Table t(std::string("Miss attribution (client i-cache, ") +
+                     replay + " replay)");
+    t.columns({"Version", "misses", "repl", "cold", "mCPI(i)", "fns",
+               "top conflict pair", "count"});
+    for (const C& cfg : harness::paper_configs()) {
+      const harness::SideMeasurement& m = result("tcpip/" + cfg.name).client;
+      const auto& prof = cold ? m.miss_cold : m.miss_steady;
+      if (!prof) {
+        std::fprintf(stderr, "FAIL: %s has no %s miss profile\n",
+                     cfg.name.c_str(), replay);
+        return false;
+      }
+      const sim::MissProfile::Section& s = prof->icache;
+      const auto* top = top_function_pair(s);
+      t.row({cfg.name, count(s.misses), count(s.repl_misses),
+             count(s.misses - s.repl_misses),
+             fmt(m.instructions == 0
+                     ? 0.0
+                     : static_cast<double>(s.stall_cycles) /
+                           static_cast<double>(m.instructions),
+                 4),
+             count(s.owners.size()), pair_label(top),
+             top != nullptr ? count(top->count) : "-"});
+    }
+    t.print();
+  }
+
+  const auto& bad = result("tcpip/BAD").client.miss_steady->icache;
+  const auto& clo = result("tcpip/CLO").client.miss_steady->icache;
+  const auto* bad_top = top_function_pair(bad);
+  if (bad_top == nullptr || bad_top->count == 0) {
+    std::fprintf(stderr,
+                 "FAIL: BAD steady replay has no function-vs-function "
+                 "i-cache conflict pair — the pessimal layout is not "
+                 "creating conflicts\n");
+    return false;
+  }
+  const std::uint64_t bad_n =
+      pair_count(bad, bad_top->victim_name, bad_top->evictor_name);
+  const std::uint64_t clo_n =
+      pair_count(clo, bad_top->victim_name, bad_top->evictor_name);
+  std::printf(
+      "BAD dominant i-cache conflict pair: %s <- %s, %llu evictions "
+      "(both directions); same pair under CLO: %llu\n\n",
+      bad_top->victim_name.c_str(), bad_top->evictor_name.c_str(),
+      static_cast<unsigned long long>(bad_n),
+      static_cast<unsigned long long>(clo_n));
+  if (clo_n * 10 > bad_n) {
+    std::fprintf(stderr,
+                 "FAIL: bipartite layout did not split BAD's dominant "
+                 "conflict pair (CLO %llu > 10%% of BAD %llu)\n",
+                 static_cast<unsigned long long>(clo_n),
+                 static_cast<unsigned long long>(bad_n));
+    return false;
+  }
+  return true;
+}
+
+// --- Fault latency -----------------------------------------------------------
+//
+// The paper outlines rarely-executed blocks to keep the mainline compact
+// (Section 3.1), but the outlined code still runs when a fault occurs, and
+// then from cold, discontiguous lines.  A forced single-byte corruption of
+// the TCP header (offset 40 = eth 14 + ip 20 + 6, inside the sequence
+// field: checksummed but invisible to the packet classifier, so
+// path-inlined configs still enter through the fast path) makes the
+// receive activation take the outlined kInBadCksum block and drop the
+// segment.  That activation is captured once per side and replayed under
+// the image the clean capture laid out (MeasureSpec::profile), as it would
+// run in production.  TCP/IP only: RPC's BLAST checksum drop is the same
+// outlined early return and adds no layout variety.
+//
+// Per layout: the clean Te, each side's error-activation cycles, its
+// iCPI/mCPI deltas against the clean activation, the server's error
+// activation priced as the 5th packet of a burst (after four clean ones
+// warmed the caches), and the rate model
+//   te@p = te + p * ((err_us C + err_us S) / 2 + RTO)   for p = 5%
+// with its burst-amortized variant te + p * (errS@b4 + RTO).  A soak pair
+// (faults off vs. drop 2% + corrupt 2% + duplicate 1% per direction)
+// cross-checks the model with measured end-to-end means.
+
+// Byte 6 of the TCP header (sequence number): checksummed, not classified.
+constexpr std::uint32_t kCorruptOffset = 40;
+
+// Client retransmission timeout that recovers a dropped segment; used by
+// the te@5% rate model (matches Tcp's initial rexmt of 200 ms).
+constexpr double kRtoUs = 200'000.0;
+
+struct ErrorTraces {
+  code::PathTrace client;
+  code::PathTrace server;
+  std::size_t client_split = 0;
+  std::size_t server_split = 0;
+};
+
+/// Capture one bad-checksum receive activation per side of a captured
+/// world: at entry the client has just processed an echo and its next
+/// request is in flight.
+ErrorTraces capture_error_traces(net::World& w) {
+  ErrorTraces et;
+
+  // Client side: the next server->client transmit is the echo of the
+  // in-flight request; corrupt it and record the client activation that
+  // receives it (checksum fails, segment dropped, no transmit — so the
+  // whole activation is critical-path).
+  w.wire().injector().force(1, net::FaultKind::kCorrupt, kCorruptOffset,
+                            /*has_arg=*/true);
+  w.client().arm_capture(&et.client);
+  if (!w.run_until([&] { return w.client().capture_complete(); },
+                   10'000'000)) {
+    throw std::runtime_error("client error-path capture did not complete");
+  }
+  et.client_split = w.client().tx_split();
+  // The drop is recovered by the retransmission timer; restabilize.
+  if (!w.run_until_roundtrips(w.client_roundtrips() + 4)) {
+    throw std::runtime_error("recovery after client error capture stalled");
+  }
+
+  // Server side: at this point the next request is already in flight
+  // (clean, its transmit preceded the force), so the forced corrupt hits
+  // the request *after* it — step one roundtrip before arming so the
+  // corrupted frame is the next server delivery.
+  const std::uint64_t rt = w.client_roundtrips();
+  w.wire().injector().force(0, net::FaultKind::kCorrupt, kCorruptOffset,
+                            /*has_arg=*/true);
+  if (!w.run_until_roundtrips(rt + 1)) {
+    throw std::runtime_error("pre-arm roundtrip before server capture stalled");
+  }
+  w.server().arm_capture(&et.server);
+  if (!w.run_until([&] { return w.server().capture_complete(); },
+                   10'000'000)) {
+    throw std::runtime_error("server error-path capture did not complete");
+  }
+  et.server_split = w.server().tx_split();
+  if (!w.run_until_roundtrips(w.client_roundtrips() + 4)) {
+    throw std::runtime_error("recovery after server error capture stalled");
+  }
+  return et;
+}
+
+double soak_mean_us(double rate_each, std::uint64_t seed) {
+  harness::SoakSpec s;
+  s.kind = net::StackKind::kTcpIp;
+  s.roundtrips = 800;
+  s.plan.seed = seed;
+  s.plan.start_after_frames = 4;
+  for (int p = 0; p < 2; ++p) {
+    s.plan.rates[p].drop = rate_each * 2;
+    s.plan.rates[p].corrupt = rate_each * 2;
+    s.plan.rates[p].duplicate = rate_each;
+  }
+  const harness::SoakReport r = harness::run_soak(s);
+  if (!r.ok()) {
+    throw std::runtime_error("soak cross-check failed: " + r.summary());
+  }
+  return r.mean_roundtrip_us;
+}
+
+/// The fault-latency table and soak line.  The clean side of each row is
+/// the grid's `tcpip/<cfg>` row; the error activations come from the
+/// runner's cached worlds (STD, OUT and CLO share the STD world; ALL
+/// records path-inlining markers in its own).  Appends one
+/// `tcpip/<cfg>+fault` job and row per layout.  False, with a FAIL: line,
+/// when the soak cross-check fails or OUT's error-path deltas are all zero.
+bool fault_latency(harness::SweepRunner& runner,
+                   std::vector<harness::SweepJob>& jobs,
+                   std::vector<harness::SweepOutcome>& outcomes,
+                   const std::map<std::string, std::size_t>& index) {
+  // End-to-end cross-check: measured soak means, faults off vs. 5%
+  // combined drop+corrupt+duplicate (2:2:1), same seed.
+  double soak_clean = 0, soak_fault = 0;
+  try {
+    soak_clean = soak_mean_us(0.0, 7);
+    soak_fault = soak_mean_us(0.05 / 5.0, 7);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "FAIL: %s\n", e.what());
+    return false;
+  }
+
+  auto job = [&](const std::string& cfg) -> const harness::SweepJob& {
+    return jobs[index.at("tcpip/" + cfg)];
+  };
+  const ErrorTraces std_err =
+      capture_error_traces(runner.capture(job("STD")).world());
+  const ErrorTraces all_err =
+      capture_error_traces(runner.capture(job("ALL")).world());
+
+  harness::Table t(
+      "Fault latency: outlined error-path cost per corrupted inbound "
+      "segment (TCP kInBadCksum)");
+  t.columns({"Version", "te [us]", "err-cyc C", "err-cyc S", "dI-CPI C",
+             "dM-CPI C", "dI-CPI S", "dM-CPI S", "errS@b4 [us]",
+             "te@5% [us]"});
+
+  std::vector<harness::SweepJob> fault_jobs;
+  std::vector<harness::SweepOutcome> fault_rows;
+  bool out_deltas_nonzero = false;
+  for (const C& cfg : {C::Std(), C::Out(), C::Clo(), C::All()}) {
+    const harness::SweepJob& clean_job = job(cfg.name);
+    const harness::ConfigResult& clean =
+        outcomes[index.at(clean_job.label)].result;
+    const ErrorTraces& err = cfg.path_inlining ? all_err : std_err;
+    const harness::Experiment e = runner.capture(clean_job);
+
+    // The error activation replayed under the image the *clean* profile
+    // laid out: off-profile execution, the paper's outlining worst case.
+    harness::MeasureSpec cspec = e.client_spec();
+    harness::MeasureSpec sspec = e.server_spec();
+    cspec.profile = &e.client_trace();
+    cspec.trace = &err.client;
+    cspec.split = err.client_split;
+    sspec.profile = &e.server_trace();
+    sspec.trace = &err.server;
+    sspec.split = err.server_split;
+    const auto err_c = harness::measure_side(cspec);
+    const auto err_s = harness::measure_side(sspec);
+
+    // The server's error activation priced under a *burst's* cache state
+    // (stream API): as the first packet of a burst, and as the 5th, after
+    // four clean packets of the same burst warmed the caches.
+    harness::StreamSpec err_first;
+    err_first.base = e.server_spec();
+    err_first.base.profile = &e.server_trace();
+    err_first.activations = {&err.server};
+    const double err_s_first_us =
+        harness::measure_stream(err_first).steady_us();
+    harness::StreamSpec err_mid = err_first;
+    err_mid.activations.assign(4, &e.server_trace());
+    err_mid.activations.push_back(&err.server);
+    const double err_s_burst_us = harness::measure_stream(err_mid).steady_us();
+
+    harness::SweepOutcome fault_o;
+    fault_o.label = clean_job.label + "+fault";
+    fault_o.result = harness::combine_sides(err_c, err_s, e.controller_us());
+
+    const double icpi_dc = err_c.steady.icpi() - clean.client.steady.icpi();
+    const double mcpi_dc = err_c.steady.mcpi() - clean.client.steady.mcpi();
+    const double icpi_ds = err_s.steady.icpi() - clean.server.steady.icpi();
+    const double mcpi_ds = err_s.steady.mcpi() - clean.server.steady.mcpi();
+    // Rate model: each faulted frame wastes one error activation on the
+    // receiving side plus one retransmission timeout before recovery.
+    const double te_at_5pct =
+        clean.te_us + 0.05 * ((err_c.tp_us + err_s.tp_us) / 2.0 + kRtoUs);
+    // Burst-amortized variant of the same model: under batched delivery
+    // most faulted frames land mid-burst, where the clean predecessors
+    // already paid the cache warm-up the error path shares.
+    const double te_at_5pct_burst =
+        clean.te_us + 0.05 * (err_s_burst_us + kRtoUs);
+
+    // Every penalty figure, typed and schema-versioned.
+    fault_o.extra_json(
+        "fault",
+        harness::emit_section("fault", 2)
+            .set("corrupt_offset", std::uint64_t{kCorruptOffset})
+            .set("rto_us", kRtoUs)
+            .set("penalty",
+                 harness::Json::object()
+                     .set("client",
+                          harness::Json::object()
+                              .set("cycles", err_c.steady.cycles())
+                              .set("us", err_c.tp_us)
+                              .set("icpi_delta", icpi_dc)
+                              .set("mcpi_delta", mcpi_dc))
+                     .set("server",
+                          harness::Json::object()
+                              .set("cycles", err_s.steady.cycles())
+                              .set("us", err_s.tp_us)
+                              .set("icpi_delta", icpi_ds)
+                              .set("mcpi_delta", mcpi_ds)))
+            .set("expected_te_us_at_5pct", te_at_5pct)
+            .set("burst",
+                 harness::Json::object()
+                     .set("err_us_server_first_in_burst", err_s_first_us)
+                     .set("err_us_server_in_burst", err_s_burst_us)
+                     .set("expected_te_us_at_5pct_burst", te_at_5pct_burst))
+            .set("soak_mean_us",
+                 harness::Json::object()
+                     .set("clean", soak_clean)
+                     .set("faulted", soak_fault)));
+
+    if (cfg.name == "OUT" && err_c.steady.cycles() > 0 &&
+        (icpi_dc != 0.0 || mcpi_dc != 0.0 || icpi_ds != 0.0 ||
+         mcpi_ds != 0.0)) {
+      out_deltas_nonzero = true;
+    }
+
+    t.row({cfg.name, fmt(clean.te_us), count(err_c.steady.cycles()),
+           count(err_s.steady.cycles()), fmt(icpi_dc, 3), fmt(mcpi_dc, 3),
+           fmt(icpi_ds, 3), fmt(mcpi_ds, 3), fmt(err_s_burst_us, 2),
+           fmt(te_at_5pct)});
+
+    harness::SweepJob fault_job = clean_job;
+    fault_job.label = fault_o.label;
+    fault_jobs.push_back(std::move(fault_job));
+    fault_rows.push_back(std::move(fault_o));
+  }
+  t.print();
+  std::printf(
+      "soak cross-check (800 roundtrips, seed 7): faults-off mean %.1f us, "
+      "5%% faults mean %.1f us\n",
+      soak_clean, soak_fault);
+
+  jobs.insert(jobs.end(), fault_jobs.begin(), fault_jobs.end());
+  outcomes.insert(outcomes.end(), fault_rows.begin(), fault_rows.end());
+  if (!out_deltas_nonzero) {
+    std::fprintf(stderr,
+                 "FAIL: OUT error-path deltas are all zero — outlined "
+                 "blocks did not change the replay\n");
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main() {
-  const auto jobs = paper_jobs();
+  auto jobs = paper_jobs();
   harness::SweepRunner runner;
-  const auto outcomes = runner.run(jobs);
+  auto outcomes = runner.run(jobs);
   std::map<std::string, std::size_t> index;
   for (std::size_t i = 0; i < jobs.size(); ++i) index[jobs[i].label] = i;
   auto at = [&](const std::string& label) -> const harness::SweepOutcome& {
@@ -554,6 +937,9 @@ int main() {
     t.print();
   }
 
+  const bool missmap_ok = miss_attribution(result);
+  const bool fault_ok = fault_latency(runner, jobs, outcomes, index);
+
   // One scorecard cell per paper value; `measured` and `ratio` are null
   // where the repo has no counterpart, `ratio` also where the paper's
   // value is 0.
@@ -575,5 +961,5 @@ int main() {
   harness::Json doc = harness::sweep_json("paper", runner, jobs, outcomes);
   doc.set("scorecard", std::move(cells));
   harness::write_json_file("bench/out/paper.json", doc);
-  return 0;
+  return missmap_ok && fault_ok ? 0 : 1;
 }

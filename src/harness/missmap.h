@@ -1,6 +1,6 @@
 // Rendering of sim::MissProfile snapshots: the `l96.missmap.v1` JSON
-// section attached to sweep rows, and the text tables the missmap CLI and
-// bench_miss_attribution print.
+// section attached to sweep rows, and the text tables the missmap CLI
+// prints.
 //
 // JSON shape (schema "l96.missmap.v1"):
 //   {"schema":"l96.missmap.v1",

@@ -27,7 +27,7 @@ inline constexpr SectionInfo kSectionManifest[] = {
     {"missmap", 1, "harness::missmap_json"},
     {"recovery", 1, "harness::recovery_json"},
     {"burst", 1, "bench_fleet (burst section)"},
-    {"fault", 2, "bench_fault_latency"},
+    {"fault", 2, "bench_paper (fault section)"},
     {"shard", 1, "harness::shard_json"},
     {"lb", 2, "harness::lb_json"},
     {"soak", 1, "harness::run(SoakRunSpec)"},

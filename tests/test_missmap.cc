@@ -290,11 +290,15 @@ TEST(OwnerMap, LookupAndDescribe) {
 
 TEST(SweepMissMap, ProfiledJobEmitsSection) {
   harness::SweepRunner runner(2);
-  std::vector<harness::SweepJob> jobs(2);
+  std::vector<harness::SweepJob> jobs(3);
   jobs[0].client = jobs[0].server = StackConfig::Std();
   jobs[0].profile_misses = true;
+  jobs[0].te_sample_count = 3;
   jobs[1].client = jobs[1].server = StackConfig::Clo();
   // jobs[1] unprofiled: same functional capture, no missmap section.
+  // jobs[2]: jobs[0]'s unprofiled twin.
+  jobs[2] = jobs[0];
+  jobs[2].profile_misses = false;
   const auto outcomes = runner.run(jobs);
   // profile_misses must not fragment the trace-capture cache.
   EXPECT_EQ(runner.captures_performed(), 1u);
@@ -310,6 +314,26 @@ TEST(SweepMissMap, ProfiledJobEmitsSection) {
             std::string::npos);
   // Exactly one row carries the section.
   EXPECT_EQ(s.find("l96.missmap.v1"), s.rfind("l96.missmap.v1"));
+
+  // Profiling moves no number: the twin's row is the profiled row without
+  // its missmap section, Te samples included.  Wall clock and capture reuse
+  // describe the run, not the measurement, so both rows clear them.
+  auto row = [&](std::size_t i) {
+    harness::SweepOutcome o = outcomes[i];
+    o.trace_reused = false;
+    o.capture_wall_ms = o.measure_wall_ms = 0;
+    std::ostringstream row_os;
+    harness::write_sweep_json(row_os, "missmap_test", runner, {jobs[i]}, {o});
+    return row_os.str();
+  };
+  const std::string profiled = row(0);
+  const std::string twin = row(2);
+  EXPECT_NE(twin.find("\"te_samples\":["), std::string::npos);
+  // The section is the row's last key and the row the document's last value.
+  const std::size_t missmap = profiled.find(",\"missmap\":");
+  ASSERT_NE(missmap, std::string::npos);
+  ASSERT_TRUE(profiled.ends_with("}]}\n"));
+  EXPECT_EQ(profiled.substr(0, missmap) + "}]}\n", twin);
 }
 
 TEST(SweepMissMap, ExtraJsonRequiresSchemaSection) {

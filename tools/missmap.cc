@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
       "missmap", "cache-miss attribution maps for the paper configurations");
   parser.add_option("stack", "tcpip|rpc", "protocol stack (default tcpip)",
                     [&](const std::string& v) {
+                      if (v != "tcpip" && v != "rpc") return false;
                       kind = v == "rpc" ? net::StackKind::kRpc
                                         : net::StackKind::kTcpIp;
                       return true;
