@@ -106,8 +106,7 @@ Json emit_section(const std::string& name, int version,
                   Json body = Json::object());
 
 /// Write `j` plus a trailing newline to `path`, creating its parent
-/// directories: how benches, run() and write_sweep_metrics put JSON on
-/// disk.  Throws std::runtime_error naming the path when the file cannot be
+/// directories: how benches and run() put JSON on disk.  Throws std::runtime_error naming the path when the file cannot be
 /// opened or the write fails (so nothing reports a file it never wrote).
 void write_json_file(const std::filesystem::path& path, const Json& j);
 

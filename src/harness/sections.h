@@ -21,7 +21,7 @@ struct SectionInfo {
 
 /// Every l96.*.vN section in the repo, one row per (name, version).
 inline constexpr SectionInfo kSectionManifest[] = {
-    {"sweep", 1, "harness::write_sweep_metrics"},
+    {"sweep", 1, "harness::sweep_json"},
     {"fleet", 2, "harness::fleet_json"},
     {"classifier", 1, "bench_fleet (classifier section)"},
     {"missmap", 1, "harness::missmap_json"},

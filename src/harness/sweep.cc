@@ -215,14 +215,4 @@ void write_sweep_json(std::ostream& os, const std::string& bench,
   os << '\n';
 }
 
-std::string write_sweep_metrics(const std::string& bench,
-                                const SweepRunner& runner,
-                                const std::vector<SweepJob>& jobs,
-                                const std::vector<SweepOutcome>& outcomes,
-                                const std::string& out_dir) {
-  const std::string path = out_dir + "/" + bench + ".json";
-  write_json_file(path, sweep_json(bench, runner, jobs, outcomes));
-  return path;
-}
-
 }  // namespace l96::harness

@@ -24,10 +24,11 @@
 //    are byte-identical to the serial Experiment path; results are stored
 //    by job index, keeping the order deterministic.
 //
-//  * Structured metrics: write_sweep_metrics() emits one JSON file per
-//    bench (bench/out/<bench>.json) with cycles, CPI, iCPI, mCPI, per-cache
-//    miss breakdowns and per-stage wall clock, so the perf trajectory is
-//    machine-readable instead of stdout-only.  Schema: DESIGN.md §3.
+//  * Structured metrics: sweep_json() is the finished sweep as one JSON
+//    document with cycles, CPI, iCPI, mCPI, per-cache miss breakdowns and
+//    per-stage wall clock, so the perf trajectory is machine-readable
+//    instead of stdout-only; bench_paper writes it to bench/out/paper.json
+//    with write_json_file().  Schema: DESIGN.md §3.
 #pragma once
 
 #include <cstdint>
@@ -147,13 +148,5 @@ void write_sweep_json(std::ostream& os, const std::string& bench,
                       const SweepRunner& runner,
                       const std::vector<SweepJob>& jobs,
                       const std::vector<SweepOutcome>& outcomes);
-
-/// Write the JSON to `<out_dir>/<bench>.json` (directories are created).
-/// Returns the path written.
-std::string write_sweep_metrics(const std::string& bench,
-                                const SweepRunner& runner,
-                                const std::vector<SweepJob>& jobs,
-                                const std::vector<SweepOutcome>& outcomes,
-                                const std::string& out_dir = "bench/out");
 
 }  // namespace l96::harness

@@ -52,10 +52,6 @@ DirectMappedCache::AccessResult DirectMappedCache::miss(Addr addr,
         r.writeback = true;
         ++stats_.writebacks;
       }
-    } else if (fills_.size() < num_lines_) {
-      fills_.push_back(line_index(addr));
-    } else {
-      fills_overflowed_ = true;
     }
     line.block = block;
     line.epoch = epoch_;
@@ -84,7 +80,7 @@ void DirectMappedCache::invalidate_line(std::uint32_t index) noexcept {
 }
 
 void DirectMappedCache::reset_cold() {
-  new_epoch();
+  ++epoch_;
   evictions_ = 0;
   ever_seen_.clear();
   stats_.reset();
@@ -96,38 +92,6 @@ DirectMappedCache::State DirectMappedCache::state() const {
   for (std::uint32_t i = 0; i < num_lines_; ++i) s.lines.push_back(line(i));
   s.ever_seen = ever_seen_.sorted();
   return s;
-}
-
-void DirectMappedCache::save(Checkpoint& c) const {
-  c.lines.clear();
-  auto keep = [&](std::uint32_t index) {
-    const Line& line = lines_[index];
-    if (line.epoch == epoch_) {
-      c.lines.push_back({index, line.block, line.dirty != 0});
-    }
-  };
-  if (fills_overflowed_) {
-    for (std::uint32_t i = 0; i < num_lines_; ++i) keep(i);
-  } else {
-    for (const std::uint32_t i : fills_) keep(i);
-  }
-  c.ever_seen = ever_seen_;
-  c.stats = stats_;
-  c.evictions = evictions_;
-}
-
-void DirectMappedCache::restore(const Checkpoint& c) {
-  new_epoch();
-  for (const Checkpoint::SavedLine& s : c.lines) {
-    Line& line = lines_[s.index];
-    line.block = s.block;
-    line.epoch = epoch_;
-    line.dirty = s.dirty ? 1 : 0;
-    fills_.push_back(s.index);
-  }
-  ever_seen_.assign(c.ever_seen);
-  stats_ = c.stats;
-  evictions_ = c.evictions;
 }
 
 // --- BlockSet ---------------------------------------------------------------
@@ -168,18 +132,6 @@ void DirectMappedCache::BlockSet::grow() {
     std::size_t i = slot(key);
     while (slots_[i] != 0) i = (i + 1) & mask;
     slots_[i] = key;
-  }
-}
-
-void DirectMappedCache::BlockSet::assign(const BlockSet& o) {
-  if (o.slots_.size() >= slots_.size()) {
-    *this = o;
-    return;
-  }
-  clear();
-  has_zero_ = o.has_zero_;
-  for (const Addr key : o.slots_) {
-    if (key != 0) insert(key);
   }
 }
 

@@ -46,8 +46,7 @@ enum class WritePolicy {
 /// epoch equals the cache's current one, so reset_cold() and flush() start a
 /// new epoch in O(1) instead of walking every line (the 2 MB b-cache has
 /// 65,536 of them).  The epoch is 63 bits wide and advances by one per
-/// reset, so it cannot wrap.  For the same reason the cache lists the lines
-/// it fills within an epoch: save() visits those instead of every line.
+/// reset, so it cannot wrap.
 class DirectMappedCache {
  private:
   /// Open-addressed set of block addresses (linear probing, power-of-two
@@ -59,9 +58,6 @@ class DirectMappedCache {
     /// Insert `key`; false when it was already present.
     bool insert(Addr key);
     void clear() noexcept;
-    /// Become a copy of `o`, keeping this table when it is the larger, so
-    /// a set restored from a smaller checkpoint need not grow again.
-    void assign(const BlockSet& o);
     /// The members in ascending order.
     std::vector<Addr> sorted() const;
 
@@ -126,6 +122,11 @@ class DirectMappedCache {
     const Line& line = lines_[line_index(addr)];
     return line.epoch == epoch_ && line.block == block_of(addr);
   }
+  /// True if the block containing `addr` was resident at some point since
+  /// the last reset_cold(): a miss on it now is a replacement miss.
+  bool ever_held(Addr addr) const noexcept {
+    return ever_seen_.contains(block_of(addr));
+  }
 
   /// Invalidate a specific line index.  Used to model evictions caused by
   /// untraced code between path invocations.
@@ -139,7 +140,7 @@ class DirectMappedCache {
   /// Drop all lines but keep the ever-seen history (so subsequent misses
   /// still count as replacement misses).  Models a context switch flushing
   /// the cache without restarting the experiment.
-  void flush() noexcept { new_epoch(); }
+  void flush() noexcept { ++epoch_; }
 
   const CacheStats& stats() const noexcept { return stats_; }
 
@@ -170,28 +171,6 @@ class DirectMappedCache {
     bool operator==(const State&) const = default;
   };
   State state() const;
-
-  /// A saved copy of everything a later access or stats() can observe: the
-  /// valid lines, the ever-seen history, the statistics and the eviction
-  /// count.  Its buffers are reused by the next save() into it.
-  struct Checkpoint {
-    struct SavedLine {
-      std::uint32_t index = 0;
-      Addr block = 0;
-      bool dirty = false;
-    };
-    std::vector<SavedLine> lines;
-    BlockSet ever_seen;
-    CacheStats stats;
-    std::uint64_t evictions = 0;
-  };
-  /// Save this cache into `c`.  O(lines filled since the last reset_cold()
-  /// or flush()) plus the ever-seen history, never O(lines) unless more
-  /// fills than lines were made in between.
-  void save(Checkpoint& c) const;
-  /// Return to the state save() recorded in `c`.  Starts a new epoch, so
-  /// it is O(saved lines) whatever the cache holds now.
-  void restore(const Checkpoint& c);
 
   /// Zero the statistics ONLY: residency and the ever-seen history are
   /// kept, so post-warm-up misses still classify as replacement misses.
@@ -232,18 +211,6 @@ class DirectMappedCache {
   std::vector<Line> lines_;
   BlockSet ever_seen_;
   CacheStats stats_;
-  /// Lines that became valid in this epoch (with repeats when a scrubbed
-  /// line refills); past num_lines_ entries the list stops and save()
-  /// walks every line instead.
-  std::vector<std::uint32_t> fills_;
-  bool fills_overflowed_ = false;
-
-  /// Start a new epoch: every line invalid, the fill list empty.
-  void new_epoch() noexcept {
-    ++epoch_;
-    fills_.clear();
-    fills_overflowed_ = false;
-  }
 };
 
 }  // namespace l96::sim

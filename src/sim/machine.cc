@@ -44,6 +44,28 @@ double dscrub_fraction(const Machine::Options& opts) {
                                      : opts.scrub_fraction_d;
 }
 
+RunResult collect(const CpuStats& timing, const MemorySystem::Counts& c) {
+  RunResult r;
+  r.instructions = timing.instructions;
+  r.issue_cycles = timing.issue_cycles;
+  r.taken_branches = timing.taken_branches;
+  r.stalls = c.stalls;
+  r.traffic = c.traffic;
+  r.stall_cycles = r.stalls.total();
+  r.icache = c.icache;
+  r.bcache = c.bcache;
+
+  // Combined d-cache/write-buffer column (Table 6): reads go through the
+  // d-cache, writes through the write buffer.  A merged write counts as a
+  // hit; a write that allocated an entry (and therefore eventually writes a
+  // block to the b-cache) counts as a miss.
+  r.dcache_reads = c.dcache;
+  r.dcache_combined.accesses = c.dcache.accesses + c.stores;
+  r.dcache_combined.misses = c.dcache.misses + c.store_allocations;
+  r.dcache_combined.repl_misses = c.dcache.repl_misses;
+  return r;
+}
+
 void check_timing(std::span<const MachineInstr> trace, const CpuStats& timing,
                   const char* who) {
   if (timing.instructions != trace.size()) {
@@ -81,10 +103,12 @@ SideRuns Machine::run_side(std::span<const MachineInstr> trace,
   }
   SideRuns out;
   MissProfiler* const profiler = steady.miss_profiler;
+  Options critical = steady;
+  critical.miss_profiler = nullptr;
 
-  // Cold replay (Table 6), logging its misses.  Splitting it at the
-  // checkpoint only re-looks-up the block the split falls in, which is
-  // resident: the same hit either way.
+  // Cold replay (Table 6), logging its misses.  Splitting it at the prefix
+  // mark only re-looks-up the block the split falls in, which is resident:
+  // the same hit either way.
   Options cold;
   cold.miss_profiler = profiler;
   warm_up(trace, cold);
@@ -93,57 +117,44 @@ SideRuns Machine::run_side(std::span<const MachineInstr> trace,
   log_.dmisses.clear();
   mem_.attach_miss_log(&log_);
   replay_memory(prefix);
-  mem_.save(checkpoint_);
-  mem_.mark_log(prefix_end_);
+  mem_.mark_log(mark_);
+  // The state here, drained, is the critical replay's pass 1: price its
+  // measured pass now when the passes after pass 1 repeat it.
+  const bool critical_priced = passes_repeat(critical);
+  if (critical_priced) out.critical = price_pass(prefix_timing, critical);
   replay_memory(trace.subspan(prefix_size));
-  mem_.mark_log(trace_end_);
+  mem_.mark_log(mark_);
   mem_.attach_miss_log(nullptr);
   mem_.drain_writes();
-  out.cold = collect(timing);
+  out.cold = collect(timing, mem_.counts());
   mem_.attach_miss_profiler(nullptr);
   if (profiler != nullptr) out.cold_profile = profiler->snapshot();
 
   // Steady replay (Table 7): the cold replay, drained, is its pass 1.
   if (steady.warmup_passes == 0) {
-    warm_up(trace, steady);
-    out.steady = measure_once(trace, timing, steady);
+    out.steady = run(trace, timing, steady);
+  } else if (passes_repeat(steady)) {
+    out.steady = price_pass(timing, steady);
   } else {
-    out.steady = measure_after_pass_one(trace, timing, trace_end_, steady);
+    replay_warm_up(trace, steady, 1);
+    out.steady = measure_once(trace, timing, steady);
   }
   if (profiler != nullptr) out.steady_profile = profiler->snapshot();
 
-  // Critical replay: the checkpoint, drained, is the prefix's pass 1.
-  Options critical = steady;
-  critical.miss_profiler = nullptr;
-  if (critical.warmup_passes == 0) {
-    warm_up(prefix, critical);
-    out.critical = measure_once(prefix, prefix_timing, critical);
-  } else {
-    mem_.restore(checkpoint_);
-    mem_.drain_writes();
-    out.critical =
-        measure_after_pass_one(prefix, prefix_timing, prefix_end_, critical);
-  }
+  // Critical replay, unless priced at the mark: from a cold restart.
+  if (!critical_priced) out.critical = run(prefix, prefix_timing, critical);
   return out;
 }
 
-RunResult Machine::measure_after_pass_one(
-    std::span<const MachineInstr> trace, const CpuStats& timing,
-    const MemorySystem::MissLog::Mark& logged, const Options& opts) {
-  if (!passes_repeat(opts)) {
-    replay_warm_up(trace, opts, 1);
-    return measure_once(trace, timing, opts);
-  }
+RunResult Machine::price_pass(const CpuStats& timing,
+                              const Options& opts) const {
   // Every pass after pass 1 repeats it, the measured one included: price
   // that one from pass 1's log after the last scrub (seed + N-1).
-  mem_.reset_stats();
-  attach_profiler(opts);
-  mem_.price_logged_pass(log_, logged, dscrub_fraction(opts),
-                         opts.scrub_seed + opts.warmup_passes - 1,
-                         opts.drain_at_end);
-  const RunResult r = collect(timing);
-  mem_.attach_miss_profiler(nullptr);
-  return r;
+  if (opts.miss_profiler != nullptr) opts.miss_profiler->reset();
+  return collect(timing, mem_.price_logged_pass(
+                             log_, mark_, dscrub_fraction(opts),
+                             opts.scrub_seed + opts.warmup_passes - 1,
+                             opts.drain_at_end, opts.miss_profiler));
 }
 
 std::vector<RunResult> Machine::run_stream(
@@ -210,10 +221,12 @@ bool Machine::passes_repeat(const Options& opts) const {
   // Pass 1 started cold, the b-cache kept every block it filled and the
   // i-cache restarts empty: the argument is at Options::warmup_passes.
   // The memory system never flushes or scrubs the b-cache, so its
-  // eviction count alone tells whether it kept every block.
+  // eviction count, with those the drain ending pass 1 would make, tells
+  // whether it kept every block.
   return opts.warmup_passes > 0 && opts.cold_start &&
          opts.scrub_fraction >= 1.0 &&
-         mem_.bcache().evictions_since_cold() == 0;
+         mem_.bcache().evictions_since_cold() == 0 &&
+         !mem_.drain_would_evict();
 }
 
 void Machine::attach_profiler(const Options& opts) {
@@ -237,31 +250,7 @@ RunResult Machine::measure(std::span<const MachineInstr> trace,
                            const CpuStats& timing, const Options& opts) {
   replay_memory(trace);
   if (opts.drain_at_end) mem_.drain_writes();
-  return collect(timing);
-}
-
-RunResult Machine::collect(const CpuStats& timing) const {
-  RunResult r;
-  r.instructions = timing.instructions;
-  r.issue_cycles = timing.issue_cycles;
-  r.taken_branches = timing.taken_branches;
-  r.stalls = mem_.stalls();
-  r.traffic = mem_.bcache_traffic();
-  r.stall_cycles = r.stalls.total();
-  r.icache = mem_.icache().stats();
-  r.bcache = mem_.bcache().stats();
-
-  // Combined d-cache/write-buffer column (Table 6): reads go through the
-  // d-cache, writes through the write buffer.  A merged write counts as a
-  // hit; a write that allocated an entry (and therefore eventually writes a
-  // block to the b-cache) counts as a miss.
-  const CacheStats& d = mem_.dcache().stats();
-  const WriteBuffer& w = mem_.wbuf();
-  r.dcache_reads = d;
-  r.dcache_combined.accesses = d.accesses + w.stores();
-  r.dcache_combined.misses = d.misses + w.allocations();
-  r.dcache_combined.repl_misses = d.repl_misses;
-  return r;
+  return collect(timing, mem_.counts());
 }
 
 }  // namespace l96::sim

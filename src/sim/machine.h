@@ -75,21 +75,21 @@ class Machine {
     ///
     /// Rules skip passes whose outcome the machine already knows; none
     /// changes a result.  run_side() takes its cold replay as pass 1 of the
-    /// steady replay, and the checkpoint that replay saved after the
-    /// prefix, drained, as pass 1 of the critical replay: each is the state
-    /// that pass leaves before its scrub, on any layout.  Every later pass
-    /// repeats pass 1 when pass 1 started cold (`cold_start`), the b-cache
-    /// made no eviction since that cold restart and the i-cache scrub is
-    /// total (scrub_fraction >= 1): every allocating b-cache access hits,
-    /// so the b-cache, its dirty bits and every ever-seen set are fixed;
-    /// the d-cache allocates on loads only, so each set the trace loads
-    /// ends holding its last loaded block and every other set stays
-    /// invalid; the i-cache restarts empty, so its misses (and the
-    /// sequential-fill block) repeat; the write buffer restarts empty and
-    /// is drained.  Then passes 2..N are skipped and only the last scrub
-    /// (seed + N-1) runs, and run_side() prices its measured passes from
-    /// its cold replay's miss log instead of replaying them (see
-    /// MemorySystem::price_logged_pass).  Otherwise, as for BAD's
+    /// steady replay, and the same replay at the prefix mark, drained, as
+    /// pass 1 of the critical replay: each is the state that pass leaves
+    /// before its scrub, on any layout.  Every later pass repeats pass 1
+    /// when pass 1 started cold (`cold_start`), the b-cache made no
+    /// eviction since that cold restart, draining the buffered writes
+    /// included, and the i-cache scrub is total (scrub_fraction >= 1):
+    /// every allocating b-cache access hits, so the b-cache, its dirty bits
+    /// and every ever-seen set are fixed; the d-cache allocates on loads
+    /// only, so each set the trace loads ends holding its last loaded block
+    /// and every other set stays invalid; the i-cache restarts empty, so
+    /// its misses (and the sequential-fill block) repeat; the write buffer
+    /// restarts empty and is drained.  Then passes 2..N are skipped and
+    /// only the last scrub (seed + N-1) runs, and run_side() prices its
+    /// measured passes from its cold replay's miss log instead of replaying
+    /// them (see MemorySystem::price_logged_pass).  Otherwise, as for BAD's
     /// conflicting layout, every pass is replayed.
     std::uint32_t warmup_passes = 0;
     /// Fraction of primary-cache lines evicted by untraced code between
@@ -124,18 +124,18 @@ class Machine {
   RunResult run(std::span<const MachineInstr> trace, const CpuStats& timing,
                 const Options& opts);
 
-  /// One side's three replays (see DESIGN.md §5), in this order: a cold
-  /// replay of `trace` (Table 6), saving a checkpoint of the memory system
-  /// after its first `prefix_size` instructions and logging its misses;
-  /// run(trace, timing, steady), taking the cold replay as its warm-up
-  /// pass 1; and run(prefix, prefix_timing, o) for the prefix, with
-  /// o = steady minus the profiler, taking the checkpoint, drained, as its
-  /// pass 1.  When the passes after pass 1 repeat it (see warmup_passes),
-  /// the steady and critical measured passes are priced from the cold
-  /// replay's miss log, up to its end and up to the checkpoint; otherwise
-  /// they are replayed.  Each result equals its run() on a fresh machine
-  /// (tested), as does the state the call leaves; with no warm-up passes
-  /// the steady and critical replays are cold replays themselves.
+  /// One side's three replays (see DESIGN.md §5): a cold replay of
+  /// `trace` (Table 6), logging its misses; run(trace, timing, steady),
+  /// taking the cold replay as its warm-up pass 1; and run(prefix,
+  /// prefix_timing, o) for the prefix, with o = steady minus the profiler.
+  /// When the passes after pass 1 repeat it (see warmup_passes), the
+  /// steady measured pass is priced from the cold replay's miss log, and
+  /// the critical one from the log up to the prefix, at the moment the
+  /// cold replay reaches the prefix's end; otherwise they are replayed,
+  /// the critical one from a cold restart.  Each result equals its run()
+  /// on a fresh machine (tested); with no warm-up passes the steady and
+  /// critical replays are cold replays themselves.  The state the call
+  /// leaves is unspecified: every replay starts with a cold restart.
   /// steady.miss_profiler, when set, profiles the cold and steady replays.
   /// Throws std::invalid_argument when `prefix_size` exceeds the trace,
   /// either timing does not cover its span, or `steady` does not start
@@ -173,15 +173,11 @@ class Machine {
   void replay_warm_up(std::span<const MachineInstr> warm, const Options& opts,
                       std::uint32_t done);
   /// Whether the warm-up passes after pass 1 repeat it, judged on the
-  /// state pass 1 left (see warmup_passes).
+  /// state pass 1 left, drained or not (see warmup_passes).
   bool passes_repeat(const Options& opts) const;
-  /// Warm-up passes 2..N over `trace` and the measured pass, from the
-  /// state warm-up pass 1 leaves before its scrub; `logged` marks where
-  /// pass 1 ends in log_, for when the passes repeat.
-  RunResult measure_after_pass_one(std::span<const MachineInstr> trace,
-                                   const CpuStats& timing,
-                                   const MemorySystem::MissLog::Mark& logged,
-                                   const Options& opts);
+  /// The measured pass when passes_repeat(opts): priced from log_ up to
+  /// mark_, which pass 1 logged; changes nothing but opts.miss_profiler.
+  RunResult price_pass(const CpuStats& timing, const Options& opts) const;
   /// Attach opts.miss_profiler, reset, for the measured replays.
   void attach_profiler(const Options& opts);
   /// The measured pass after a warm-up: attach the profiler, measure
@@ -192,15 +188,13 @@ class Machine {
   RunResult measure(std::span<const MachineInstr> trace,
                     const CpuStats& timing, const Options& opts);
   void replay_memory(std::span<const MachineInstr> trace);
-  RunResult collect(const CpuStats& timing) const;
 
   MemorySystem mem_;
   Cpu cpu_;
-  /// run_side()'s prefix checkpoint, its cold replay's miss log and where
-  /// the prefix and the trace end in it; their buffers are reused.
-  MemorySystem::Checkpoint checkpoint_;
+  /// run_side()'s cold replay's miss log and where the prefix, then the
+  /// trace, ends in it; their buffers are reused.
   MemorySystem::MissLog log_;
-  MemorySystem::MissLog::Mark prefix_end_, trace_end_;
+  MemorySystem::MissLog::Mark mark_;
 };
 
 }  // namespace l96::sim

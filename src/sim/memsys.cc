@@ -160,39 +160,68 @@ void MemorySystem::mark_log(MissLog::Mark& m) const {
   wbuf_.save(m.wbuf);
 }
 
-void MemorySystem::price_logged_pass(const MissLog& log,
-                                     const MissLog::Mark& upto,
-                                     double dfraction, std::uint64_t seed,
-                                     bool drain) {
+MemorySystem::Counts MemorySystem::counts() const {
+  return Counts{.icache = icache_.stats(),
+                .dcache = dcache_.stats(),
+                .bcache = bcache_.stats(),
+                .stalls = stalls_,
+                .traffic = traffic_,
+                .stores = wbuf_.stores(),
+                .store_allocations = wbuf_.allocations()};
+}
+
+bool MemorySystem::drain_would_evict() const {
+  bool evicts = false;
+  wbuf_.for_each([&](Addr block) {
+    const std::uint32_t set = bcache_.line_index(block);
+    const DirectMappedCache::LineState held = bcache_.line(set);
+    evicts = evicts || (held.valid && held.block != block);
+    wbuf_.for_each([&](Addr other) {
+      evicts = evicts || (other != block && bcache_.line_index(other) == set);
+    });
+  });
+  return evicts;
+}
+
+MemorySystem::Counts MemorySystem::price_logged_pass(
+    const MissLog& log, const MissLog::Mark& upto, double dfraction,
+    std::uint64_t seed, bool drain, MissProfiler* profiler) const {
+  Counts c;
   // The i-cache restarts empty, so it misses, evicts and probes as the
   // logged pass did; every fill hits the b-cache, sequential or not, and a
-  // probe hits when the b-cache holds the block now.  All misses are
+  // probe hits when the drained state holds the block: the b-cache holds
+  // it now or a buffered write will allocate it.  All misses are
   // replacement misses: the logged pass saw every block.
+  Addr last_block = last_imiss_block_;
+  bool imissed = imissed_;
   std::uint64_t probes = 0;
   for (std::size_t k = 0; k < upto.imisses; ++k) {
     const MissLog::Miss& m = log.imisses[k];
     const Addr block = icache_.block_of(m.addr);
-    const bool sequential =
-        imissed_ && block == last_imiss_block_ + cfg_.block_bytes;
-    last_imiss_block_ = block;
-    imissed_ = true;
+    const bool sequential = imissed && block == last_block + cfg_.block_bytes;
+    last_block = block;
+    imissed = true;
     const std::uint32_t stall =
         sequential ? cfg_.b_hit_seq_cycles : cfg_.b_hit_cycles;
-    stalls_.ifetch_stall_cycles += stall;
+    c.stalls.ifetch_stall_cycles += stall;
     if (m.probed) {
-      bcache_.probe(block + cfg_.block_bytes);
+      const Addr next = block + cfg_.block_bytes;
       ++probes;
+      if (!bcache_.contains(next) && !wbuf_.holds(next)) {
+        ++c.bcache.misses;
+        if (bcache_.ever_held(next)) ++c.bcache.repl_misses;
+      }
     }
-    if (profiler_ != nullptr) {
-      profiler_->on_miss(ProfiledCache::kICache, m.addr, block,
-                         icache_.line_index(m.addr), true, m.evicted,
-                         m.victim, stall);
+    if (profiler != nullptr) {
+      profiler->on_miss(ProfiledCache::kICache, m.addr, block,
+                        icache_.line_index(m.addr), true, m.evicted, m.victim,
+                        stall);
     }
   }
-  icache_.count({.accesses = upto.fetches,
-                 .misses = upto.imisses,
-                 .repl_misses = upto.imisses});
-  traffic_.from_ifetch += upto.imisses + probes;
+  c.icache = {.accesses = upto.fetches,
+              .misses = upto.imisses,
+              .repl_misses = upto.imisses};
+  c.traffic.from_ifetch = upto.imisses + probes;
 
   // The d-cache allocates on loads only, so a load that follows another
   // into its set meets the line the logged pass met.  A miss that evicted
@@ -218,23 +247,25 @@ void MemorySystem::price_logged_pass(const MissLog& log,
       victim = start.block;
     }
     ++dmisses;
-    if (profiler_ != nullptr) {
-      profiler_->on_miss(ProfiledCache::kDCache, m.addr, block, set, true,
-                         evicted, victim, cfg_.b_hit_cycles);
+    if (profiler != nullptr) {
+      profiler->on_miss(ProfiledCache::kDCache, m.addr, block, set, true,
+                        evicted, victim, cfg_.b_hit_cycles);
     }
   }
-  dcache_.count(
-      {.accesses = upto.loads, .misses = dmisses, .repl_misses = dmisses});
-  stalls_.load_stall_cycles += dmisses * cfg_.b_hit_cycles;
-  traffic_.from_data += dmisses;
+  c.dcache = {.accesses = upto.loads, .misses = dmisses, .repl_misses = dmisses};
+  c.stalls.load_stall_cycles = dmisses * cfg_.b_hit_cycles;
+  c.traffic.from_data = dmisses;
 
-  // The write buffer restarts empty and sees the same stores.
-  wbuf_.restore(upto.wbuf);
+  // The write buffer restarts empty and sees the same stores; the blocks
+  // it retires, forced or drained, are all in the b-cache.
   const std::uint64_t forced = upto.wbuf.forced_retires;
-  stalls_.store_stall_cycles += forced * cfg_.wbuf_retire_cycles;
-  traffic_.from_writes += forced;
-  bcache_.count({.accesses = upto.imisses + dmisses + forced});
-  if (drain) drain_writes();
+  const std::uint64_t drained = drain ? upto.wbuf.entries.size() : 0;
+  c.stores = upto.wbuf.stores;
+  c.store_allocations = upto.wbuf.allocations;
+  c.stalls.store_stall_cycles = forced * cfg_.wbuf_retire_cycles;
+  c.traffic.from_writes = forced + drained;
+  c.bcache.accesses = upto.imisses + probes + dmisses + forced + drained;
+  return c;
 }
 
 void MemorySystem::reset_cold() {
@@ -255,28 +286,6 @@ MemorySystem::State MemorySystem::state() const {
                .last_imiss_block = last_imiss_block_,
                .imissed = imissed_,
                .wbuf = wbuf_.entries()};
-}
-
-void MemorySystem::save(Checkpoint& c) const {
-  icache_.save(c.icache);
-  dcache_.save(c.dcache);
-  bcache_.save(c.bcache);
-  wbuf_.save(c.wbuf);
-  c.stalls = stalls_;
-  c.traffic = traffic_;
-  c.last_imiss_block = last_imiss_block_;
-  c.imissed = imissed_;
-}
-
-void MemorySystem::restore(const Checkpoint& c) {
-  icache_.restore(c.icache);
-  dcache_.restore(c.dcache);
-  bcache_.restore(c.bcache);
-  wbuf_.restore(c.wbuf);
-  stalls_ = c.stalls;
-  traffic_ = c.traffic;
-  last_imiss_block_ = c.last_imiss_block;
-  imissed_ = c.imissed;
 }
 
 void MemorySystem::reset_stats() {

@@ -55,7 +55,7 @@ class MemorySystem {
     std::uint32_t dcache_bytes = 8 * 1024;
     std::uint32_t bcache_bytes = 2 * 1024 * 1024;
     std::uint32_t block_bytes = 32;
-    std::uint32_t wbuf_depth = 4;
+    std::uint32_t wbuf_depth = 4;  ///< at least 1
     /// Primary miss satisfied by the b-cache (paper: 10 cycles).
     std::uint32_t b_hit_cycles = 12;
     /// b-cache fill of the block sequentially following the previous
@@ -153,20 +153,39 @@ class MemorySystem {
   void attach_miss_log(MissLog* log) noexcept { log_ = log; }
   /// Record where the attached log's replay stands.
   void mark_log(MissLog::Mark& m) const;
-  /// Count the pass that replays the logged replay's trace up to `upto`
-  /// again, after scrub_primary(1.0, dfraction, seed), without replaying
-  /// it; drain at its end when `drain`.  The log must come from a replay
-  /// that started at reset_cold(); the memory system must hold that
-  /// replay's state at `upto`, drained, with no b-cache eviction since
-  /// the cold restart.  Then every b-cache fill and write-back hits, the
-  /// i-cache and the write buffer repeat the logged pass, and only the
-  /// first load into each d-cache set depends on the scrub (DESIGN.md §5).
-  /// The misses reach an attached profiler in log order (its hits do not:
-  /// on a single replay on_hit() records nothing), and the memory system
-  /// ends in the state that replaying the pass leaves: the one it holds
-  /// now.
-  void price_logged_pass(const MissLog& log, const MissLog::Mark& upto,
-                         double dfraction, std::uint64_t seed, bool drain);
+
+  /// What the memory system counted since its last reset: what a RunResult
+  /// reports of it.
+  struct Counts {
+    CacheStats icache, dcache, bcache;
+    MemStallStats stalls;
+    BcacheTraffic traffic;
+    std::uint64_t stores = 0;             ///< stores the write buffer saw
+    std::uint64_t store_allocations = 0;  ///< of them, those that allocated
+  };
+  Counts counts() const;
+
+  /// True when draining the buffered writes would evict a b-cache line: a
+  /// buffered block's set holds another block, or two buffered blocks
+  /// share a set.
+  bool drain_would_evict() const;
+
+  /// The counts of the pass that replays the logged replay's trace up to
+  /// `upto` again, after scrub_primary(1.0, dfraction, seed), without
+  /// replaying it; drained at its end when `drain`.  The log must come from
+  /// a replay that started at reset_cold(); the memory system must hold
+  /// that replay's state at `upto`, drained or not, and neither the replay
+  /// nor a drain of its buffered writes may evict from the b-cache
+  /// (drain_would_evict()).  Then the drained state is the one held now
+  /// with each buffered block written to the b-cache, every b-cache fill
+  /// and write hits, the i-cache and the write buffer repeat the logged
+  /// pass, and only the first load into each d-cache set depends on the
+  /// scrub (DESIGN.md §5).  The misses reach `profiler`, if any, in log
+  /// order (its hits do not: on a single replay on_hit() records nothing).
+  /// Changes nothing: the pass would leave the drained state.
+  Counts price_logged_pass(const MissLog& log, const MissLog::Mark& upto,
+                           double dfraction, std::uint64_t seed, bool drain,
+                           MissProfiler* profiler) const;
 
   const DirectMappedCache& icache() const noexcept { return icache_; }
   const DirectMappedCache& dcache() const noexcept { return dcache_; }
@@ -188,25 +207,6 @@ class MemorySystem {
     bool operator==(const State&) const = default;
   };
   State state() const;
-
-  /// A saved copy of the whole memory system: each cache's valid lines,
-  /// ever-seen history, statistics and eviction count, the write buffer's
-  /// entries and counters, the stall and traffic totals and the
-  /// sequential-fill block.  Its buffers are reused by later saves.
-  struct Checkpoint {
-    DirectMappedCache::Checkpoint icache, dcache, bcache;
-    WriteBuffer::Checkpoint wbuf;
-    MemStallStats stalls;
-    BcacheTraffic traffic;
-    Addr last_imiss_block = 0;
-    bool imissed = false;
-  };
-  /// O(lines filled since each cache's last reset) plus the ever-seen
-  /// histories; see DirectMappedCache::save().
-  void save(Checkpoint& c) const;
-  /// Return to the saved state and statistics, whatever is held now.  The
-  /// attached miss profiler, if any, is neither saved nor touched.
-  void restore(const Checkpoint& c);
 
  private:
   std::uint32_t bcache_read_penalty(Addr addr);

@@ -1,18 +1,25 @@
 #include "sim/write_buffer.h"
 
+#include <stdexcept>
+
 namespace l96::sim {
+
+WriteBuffer::WriteBuffer(Config cfg) : cfg_(cfg) {
+  if (cfg_.depth == 0) {
+    throw std::invalid_argument("write buffer depth must be at least 1");
+  }
+  ring_.resize(cfg_.depth);
+}
 
 WriteBuffer::StoreResult WriteBuffer::store(Addr addr) {
   ++stores_;
   const Addr block = block_of(addr);
 
   StoreResult r;
-  for (std::uint32_t i = 0; i < size_; ++i) {
-    if (ring_[slot(i)] == block) {
-      r.merged = true;
-      ++merges_;
-      return r;
-    }
+  if (holds(block)) {
+    r.merged = true;
+    ++merges_;
+    return r;
   }
 
   if (size_ >= cfg_.depth) {
@@ -30,29 +37,17 @@ WriteBuffer::StoreResult WriteBuffer::store(Addr addr) {
 std::vector<Addr> WriteBuffer::entries() const {
   std::vector<Addr> out;
   out.reserve(size_);
-  for (std::uint32_t i = 0; i < size_; ++i) out.push_back(ring_[slot(i)]);
+  for_each([&out](Addr block) { out.push_back(block); });
   return out;
 }
 
 void WriteBuffer::save(Checkpoint& c) const {
   c.entries.clear();
-  for (std::uint32_t i = 0; i < size_; ++i) {
-    c.entries.push_back(ring_[slot(i)]);
-  }
+  for_each([&c](Addr block) { c.entries.push_back(block); });
   c.stores = stores_;
   c.merges = merges_;
   c.allocations = allocations_;
   c.forced_retires = forced_retires_;
-}
-
-void WriteBuffer::restore(const Checkpoint& c) {
-  head_ = 0;
-  size_ = 0;
-  for (const Addr block : c.entries) ring_[slot(size_++)] = block;
-  stores_ = c.stores;
-  merges_ = c.merges;
-  allocations_ = c.allocations;
-  forced_retires_ = c.forced_retires;
 }
 
 void WriteBuffer::reset() {

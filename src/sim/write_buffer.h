@@ -26,7 +26,9 @@ class WriteBuffer {
     std::uint32_t block_bytes = 32;
   };
 
-  explicit WriteBuffer(Config cfg) : cfg_(cfg), ring_(cfg.depth) {}
+  /// Throws std::invalid_argument when `cfg.depth` is 0: a buffer must
+  /// hold the block a store allocates.
+  explicit WriteBuffer(Config cfg);
 
   struct StoreResult {
     bool merged = false;        ///< store merged into an existing entry
@@ -41,8 +43,21 @@ class WriteBuffer {
   /// `retire` (e.g. at a memory barrier or end of trace).
   template <typename Retire>
   void drain(Retire&& retire) {
-    for (std::uint32_t i = 0; i < size_; ++i) retire(ring_[slot(i)]);
+    for_each(retire);
     head_ = size_ = 0;
+  }
+
+  /// Call `f` on each buffered block, oldest first.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::uint32_t i = 0; i < size_; ++i) f(ring_[slot(i)]);
+  }
+  /// True when the block-aligned address `block` is buffered.
+  bool holds(Addr block) const noexcept {
+    for (std::uint32_t i = 0; i < size_; ++i) {
+      if (ring_[slot(i)] == block) return true;
+    }
+    return false;
   }
 
   std::uint32_t pending() const noexcept { return size_; }
@@ -66,8 +81,6 @@ class WriteBuffer {
     std::uint64_t stores = 0, merges = 0, allocations = 0, forced_retires = 0;
   };
   void save(Checkpoint& c) const;
-  /// Return to the saved entries and counters; retires nothing.
-  void restore(const Checkpoint& c);
 
  private:
   Addr block_of(Addr a) const noexcept {

@@ -158,64 +158,5 @@ TEST(MemSys, StallAccounting) {
   EXPECT_EQ(m.stalls().total(), 52u);
 }
 
-void expect_same_counters(const DirectMappedCache& a,
-                          const DirectMappedCache& b) {
-  EXPECT_EQ(a.stats().accesses, b.stats().accesses) << a.name();
-  EXPECT_EQ(a.stats().misses, b.stats().misses) << a.name();
-  EXPECT_EQ(a.stats().repl_misses, b.stats().repl_misses) << a.name();
-  EXPECT_EQ(a.stats().writebacks, b.stats().writebacks) << a.name();
-  EXPECT_EQ(a.evictions_since_cold(), b.evictions_since_cold()) << a.name();
-}
-
-// save(), more traffic, restore(): every line, ever-seen set, counter and
-// buffered write is back, into a checkpoint reused across saves.  With
-// partial scrubs the primaries refill more lines than they have, so save()
-// walks every line instead of the fill list.
-TEST(MemSysCheckpoint, RestoreReturnsEveryLineAndCounter) {
-  for (const double scrub : {0.0, 0.5}) {
-    SCOPED_TRACE("scrub " + std::to_string(scrub));
-    const auto traffic = [scrub](MemorySystem& m, Addr base) {
-      for (std::uint64_t i = 0; i < 96; ++i) {
-        m.ifetch(base + 32 * i);
-        m.load(0x8'0000 + base + 40 * i);
-        m.store(0x9'0000 + base + 24 * i);
-        if (scrub > 0 && i % 8 == 7) m.scrub_primary(scrub, i);
-      }
-    };
-    MemorySystem m(small_cfg());
-    MemorySystem want(small_cfg());
-    MemorySystem::Checkpoint c;
-    for (const Addr base : {Addr{0}, Addr{0x2000}}) {
-      traffic(m, base);
-      traffic(want, base);
-      m.save(c);
-      traffic(m, base + 0x4000);
-      m.drain_writes();
-      m.restore(c);
-      EXPECT_TRUE(m.state() == want.state());
-      expect_same_counters(m.icache(), want.icache());
-      expect_same_counters(m.dcache(), want.dcache());
-      expect_same_counters(m.bcache(), want.bcache());
-      EXPECT_EQ(m.wbuf().stores(), want.wbuf().stores());
-      EXPECT_EQ(m.wbuf().merges(), want.wbuf().merges());
-      EXPECT_EQ(m.wbuf().allocations(), want.wbuf().allocations());
-      EXPECT_EQ(m.wbuf().forced_retires(), want.wbuf().forced_retires());
-      EXPECT_EQ(m.stalls().total(), want.stalls().total());
-      EXPECT_EQ(m.stalls().store_stall_cycles,
-                want.stalls().store_stall_cycles);
-      EXPECT_EQ(m.bcache_traffic().from_ifetch,
-                want.bcache_traffic().from_ifetch);
-      EXPECT_EQ(m.bcache_traffic().from_data, want.bcache_traffic().from_data);
-      EXPECT_EQ(m.bcache_traffic().from_writes,
-                want.bcache_traffic().from_writes);
-      // Both go on alike from the restored state.
-      traffic(m, base + 0x100);
-      traffic(want, base + 0x100);
-      EXPECT_TRUE(m.state() == want.state());
-      expect_same_counters(m.bcache(), want.bcache());
-    }
-  }
-}
-
 }  // namespace
 }  // namespace l96::sim

@@ -396,27 +396,6 @@ TEST(SweepJson, HandBuiltOutcomesEmitPinnedBytes) {
   EXPECT_EQ(ss.str(), expected);
 }
 
-TEST(SweepJson, WritesMetricsFile) {
-  SweepJob j;
-  j.client = StackConfig::Std();
-  j.server = StackConfig::Std();
-  SweepRunner runner(2);
-  const auto outcomes = runner.run({j});
-
-  const std::string dir = ::testing::TempDir() + "/l96_sweep_out";
-  const std::string path =
-      harness::write_sweep_metrics("test_bench", runner, {j}, outcomes, dir);
-  EXPECT_EQ(path, dir + "/test_bench.json");
-
-  std::ifstream f(path);
-  ASSERT_TRUE(f.good());
-  std::stringstream buf;
-  buf << f.rdbuf();
-  EXPECT_TRUE(json_well_formed(buf.str()));
-  EXPECT_NE(buf.str().find("\"bench\":\"test_bench\""), std::string::npos);
-  std::remove(path.c_str());
-}
-
 TEST(Capture, ErrorsNameStackAndConfigs) {
   // An impossible warm-up target must fail with a descriptive message
   // naming the stack kind, config names, and achieved-vs-requested counts.

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <vector>
 
+#include "sim/memsys.h"
 #include "sim/write_buffer.h"
 
 namespace l96::sim {
@@ -27,6 +29,15 @@ struct Fixture {
   std::vector<Addr> retired;
   Recording wb{retired};
 };
+
+// A buffer of no entries has nowhere to put a store's block: it is refused
+// at construction, as a bad cache geometry is.
+TEST(WriteBuffer, ZeroDepthIsRejected) {
+  EXPECT_THROW(WriteBuffer(WriteBuffer::Config{.depth = 0}),
+               std::invalid_argument);
+  EXPECT_THROW(MemorySystem(MemorySystem::Config{.wbuf_depth = 0}),
+               std::invalid_argument);
+}
 
 TEST(WriteBuffer, AllocatesNewEntries) {
   Fixture f;
